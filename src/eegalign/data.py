@@ -61,8 +61,11 @@ class PairedBatch:
         if self.images.ndim != 4 or self.images.shape[1] != 3:
             raise DimensionError(f"images must be (B, 3, H, W), got {self.images.shape}")
         lo, hi = float(self.images.data.min(initial=0.0)), float(self.images.data.max(initial=1.0))
-        if lo < 0.0 or hi > 1.0:
+        # NaN fails both comparisons, so a non-finite image is rejected too
+        if not (lo >= 0.0 and hi <= 1.0):
             raise DomainError(f"image values must lie in [0, 1], got range [{lo}, {hi}]")
+        if not np.isfinite(self.eeg.data).all():
+            raise DomainError("eeg values must be finite")
 
     def __len__(self) -> int:
         return self.eeg.shape[0]

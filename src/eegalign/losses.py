@@ -15,6 +15,7 @@ the exponential of a free scalar, so it stays positive by construction.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .tensor import (
     l2_normalize,
     log_softmax_rows,
     matmul,
+    no_grad,
     softmax_rows,
     transpose,
 )
@@ -96,6 +98,11 @@ def infonce(sim: Tensor, tau) -> Tensor:
     return (row_diag.sum() + col_diag.sum()) * (-1.0 / (2.0 * b))
 
 
+def _targets_tape(detach: bool):
+    """Detached targets are built off the tape; others are recorded."""
+    return no_grad() if detach else contextlib.nullcontext()
+
+
 def soft_targets(z_e: Tensor, z_i: Tensor, tau, beta: float, detach: bool = True) -> tuple[Tensor, Tensor]:
     """Identity targets softened toward the intra-modal distributions.
 
@@ -105,17 +112,16 @@ def soft_targets(z_e: Tensor, z_i: Tensor, tau, beta: float, detach: bool = True
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     _validate_tau(tau)
-    z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
-    b = z_e.shape[0]
-    eye = Tensor(np.eye(b))
-    if beta == 0.0:
-        return eye, Tensor(np.eye(b))
-    p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
-    p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
-    t_e = eye * (1.0 - beta) + p_ee * beta
-    t_i = eye * (1.0 - beta) + p_ii * beta
-    if detach:
-        t_e, t_i = t_e.detach(), t_i.detach()
+    with _targets_tape(detach):
+        z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
+        b = z_e.shape[0]
+        eye = Tensor(np.eye(b))
+        if beta == 0.0:
+            return eye, Tensor(np.eye(b))
+        p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
+        p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
+        t_e = eye * (1.0 - beta) + p_ee * beta
+        t_i = eye * (1.0 - beta) + p_ii * beta
     return t_e, t_i
 
 
@@ -194,10 +200,9 @@ def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, 
         parts["l_soft"] = l_soft.item()
 
     if weights.lam > 0:
-        p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
-        p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
-        if weights.detach_targets:
-            p_ee, p_ii = p_ee.detach(), p_ii.detach()
+        with _targets_tape(weights.detach_targets):
+            p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
+            p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
         l_rel = relation_loss(p_ee, p_ii, p_ei, p_ie)
         total = total + l_rel * weights.lam
         parts["l_rel"] = l_rel.item()

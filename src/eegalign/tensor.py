@@ -7,12 +7,21 @@ passes. backward() walks the recorded graph once in reverse topological
 order and deposits gradients additively, so running it twice on the same
 graph without clearing grads exactly doubles every gradient.
 
+The tape does only the work asked for. An output is recorded only when
+some input requires a gradient, and the binary ops (add, sub, mul, div,
+matmul) compute a parent's contribution only when that parent requires
+a gradient, so the frozen trunk's weights cost no backward arithmetic.
+Under ``no_grad()`` nothing is recorded at all, for forward passes whose
+results are only read.
+
 numpy supplies storage and BLAS arithmetic only; every gradient rule
 lives here.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -163,9 +172,29 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run a block without recording: its outputs have no parents or VJP.
+
+    For forward passes whose results are only read (evaluation,
+    validation, detached targets). Nests, and restores the previous
+    state on exit, also when the block raises.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -196,7 +225,8 @@ def add(a, b) -> Tensor:
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), vjp)
 
@@ -209,7 +239,8 @@ def sub(a, b) -> Tensor:
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), vjp)
 
@@ -222,7 +253,8 @@ def mul(a, b) -> Tensor:
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), vjp)
 
@@ -235,8 +267,8 @@ def div(a, b) -> Tensor:
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), vjp)
@@ -326,9 +358,9 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}") from e
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, (a, b), vjp)
 
@@ -697,7 +729,11 @@ def write_tensor(fh, array: np.ndarray) -> None:
 
 
 def read_tensor(fh) -> np.ndarray:
-    """Read one tensor written by write_tensor; FormatError on truncation."""
+    """Read one tensor written by write_tensor.
+
+    FormatError on truncation, and before any allocation when the header
+    claims more payload than the rest of the file holds.
+    """
 
     def need(count: int, what: str) -> bytes:
         at = fh.tell()
@@ -714,5 +750,11 @@ def read_tensor(fh) -> np.ndarray:
     count = 1
     for d in shape:
         count *= d
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if 8 * count > left:
+        raise FormatError(f"tensor header {shape} claims {8 * count} payload bytes, "
+                          f"only {left} left in the file", offset=start)
     payload = need(8 * count, "payload")
     return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()

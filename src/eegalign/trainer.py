@@ -21,7 +21,7 @@ from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, read_tensor, write_tensor
+from .tensor import Parameter, no_grad, read_tensor, write_tensor
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
@@ -161,14 +161,18 @@ def _batch_indices(n: int, batch_size: int, rng: np.random.Generator | None) -> 
 
 
 def validation_loss(model: AlignmentModel, val: SplitArrays, batch_size: int) -> float:
-    """Mean loss over deterministic, unshuffled validation batches."""
+    """Mean loss over deterministic, unshuffled validation batches.
+
+    Nothing is recorded on the tape: the losses are only read.
+    """
     batches = _batch_indices(len(val.ids), batch_size, rng=None)
     if not batches:
         raise ConfigError("validation split has fewer than 2 samples")
     losses = []
-    for idx in batches:
-        total, _ = model.batch_loss(make_batch(val, idx))
-        losses.append(total.item())
+    with no_grad():
+        for idx in batches:
+            total, _ = model.batch_loss(make_batch(val, idx))
+            losses.append(total.item())
     return float(np.mean(losses))
 
 
@@ -301,14 +305,15 @@ def load_checkpoint(directory) -> Checkpoint:
 
 
 def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32):
-    """Embed every pair, in index order, without shuffling."""
+    """Embed every pair, in index order, without shuffling or taping."""
     z_e, z_i = [], []
     n = len(split.ids)
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         batch = make_batch(split, idx)
-        z_e.append(model.encode_eeg(batch.eeg).data)
-        z_i.append(model.encode_images(batch.images).data)
+        with no_grad():
+            z_e.append(model.encode_eeg(batch.eeg).data)
+            z_i.append(model.encode_images(batch.images).data)
     return np.concatenate(z_e, axis=0), np.concatenate(z_i, axis=0)
 
 

@@ -210,6 +210,15 @@ class TestEval:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_corrupt_params_header_exits_two(self, trained, capsys):
+        data, run = trained
+        header = np.asarray([2, 2**31, 2**31], dtype="<u4").tobytes()
+        (run / "params.bin").write_bytes(header + b"\x00" * 64)
+        code = main(["eval", "--checkpoint", str(run), "--data", str(data)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "payload bytes" in err
+
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):
         data, _ = trained
         code = main(["eval", "--checkpoint", str(data / "nope"), "--data", str(data)])

@@ -225,6 +225,29 @@ class TestBatchesAndMasks:
                 class_ids=np.zeros(2, dtype=np.int64),
             )
 
+    def test_batch_rejects_nan_images(self):
+        images = np.full((2, 3, 8, 8), 0.5)
+        images[1, 2, 3, 4] = np.nan
+        with pytest.raises(DomainError, match="image values"):
+            PairedBatch(
+                eeg=Tensor(np.zeros((2, 3, 4))),
+                images=Tensor(images),
+                ids=np.arange(2),
+                class_ids=np.zeros(2, dtype=np.int64),
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_batch_rejects_non_finite_eeg(self, bad):
+        eeg = np.zeros((2, 3, 4))
+        eeg[0, 1, 2] = bad
+        with pytest.raises(DomainError, match="eeg values must be finite"):
+            PairedBatch(
+                eeg=Tensor(eeg),
+                images=Tensor(np.full((2, 3, 8, 8), 0.5)),
+                ids=np.arange(2),
+                class_ids=np.zeros(2, dtype=np.int64),
+            )
+
     def test_batch_validates_alignment(self):
         with pytest.raises(DimensionError):
             PairedBatch(

@@ -11,9 +11,12 @@ from eegalign.errors import ContractError, DimensionError, DomainError, FormatEr
 from eegalign.tensor import (
     Parameter,
     Tensor,
+    add,
     attention,
     clamp_min,
     concat,
+    div,
+    exp,
     gelu,
     grad_check,
     kl_div_rows,
@@ -21,9 +24,12 @@ from eegalign.tensor import (
     layer_norm,
     log_softmax_rows,
     matmul,
+    mul,
+    no_grad,
     read_tensor,
     sigmoid,
     softmax_rows,
+    sub,
     transpose,
     unfold,
     write_tensor,
@@ -213,6 +219,89 @@ class TestBackward:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+BINARY_OPS = [add, sub, mul, div, matmul]
+
+
+class TestVJPGating:
+    """A parent that needs no gradient gets no contribution computed."""
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_frozen_parent_gets_none(self, op):
+        rng = np.random.default_rng(31)
+        live = Tensor(_rand(rng, 3, 3), requires_grad=True)
+        frozen = Tensor(_rand(rng, 3, 3) + 3.0)
+        g = np.ones((3, 3))
+        ga, gb = op(live, frozen)._vjp(g)
+        assert ga is not None and gb is None
+        ga, gb = op(frozen, live)._vjp(g)
+        assert ga is None and gb is not None
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_gradient_of_the_live_parent_is_bitwise_unchanged(self, op):
+        rng = np.random.default_rng(32)
+        x0, w0 = _rand(rng, 3, 3), _rand(rng, 3, 3) + 3.0
+
+        def grad_of_x(w_requires_grad):
+            x = Tensor(x0, requires_grad=True)
+            w = Tensor(w0, requires_grad=w_requires_grad)
+            (op(x, w) ** 2.0).sum().backward()
+            return x.grad
+
+        assert grad_of_x(False).tobytes() == grad_of_x(True).tobytes()
+
+
+class TestNoGrad:
+    def test_outputs_have_no_parents(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(_rand(rng, 3, 3), requires_grad=True)
+        w = Tensor(_rand(rng, 3, 3) + 3.0, requires_grad=True)
+        with no_grad():
+            outs = [x + w, x - w, x * w, x / w, matmul(x, w), exp(x), x.sum(),
+                    softmax_rows(x, temperature=w.sum()), concat([x, w]), x[0]]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._vjp is None
+
+    def test_values_match_the_recorded_forward(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(_rand(rng, 4, 5), requires_grad=True)
+
+        def f():
+            return layer_norm(attention(x, x, x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+
+        taped = f()
+        with no_grad():
+            bare = f()
+        assert taped.requires_grad
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_nested_blocks_restore_the_previous_state(self):
+        x = Tensor(1.0, requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        y = x * 2.0
+        assert y.requires_grad
+        assert y._parents[0] is x
+
+    def test_state_restored_after_an_exception(self):
+        x = Tensor(1.0, requires_grad=True)
+        with pytest.raises(DomainError):
+            with no_grad():
+                raise DomainError("inside the block")
+        y = x * 3.0
+        y.backward()
+        assert x.grad == 3.0
+
+    def test_leaves_keep_their_flag(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            leaf = Tensor(np.ones(2), requires_grad=True)
+        assert x.requires_grad and leaf.requires_grad
 
 
 class TestOpGradients:
@@ -479,6 +568,19 @@ class TestSerialization:
     def test_truncated_header_reports_offset(self):
         with pytest.raises(FormatError):
             read_tensor(io.BytesIO(b"\x02\x00"))
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31), (2**20, 2**19)])
+    def test_oversized_header_rejected_before_reading(self, dims):
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones(3))
+        start = buf.tell()
+        buf.write(np.asarray([len(dims), *dims], "<u4").tobytes())
+        buf.write(b"\x00" * 64)
+        buf.seek(0)
+        read_tensor(buf)
+        with pytest.raises(FormatError, match="payload bytes") as exc:
+            read_tensor(buf)
+        assert exc.value.offset == start
 
     def test_garbage_rank_rejected(self):
         buf = io.BytesIO(np.asarray([4_000_000], "<u4").tobytes())

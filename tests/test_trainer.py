@@ -234,6 +234,54 @@ class TestValidationLoss:
         with pytest.raises(ConfigError, match="fewer than 2"):
             validation_loss(model, val, 8)
 
+    def test_matches_a_taped_forward_bitwise(self):
+        model = tiny_model()
+        val = tiny_splits()["val"]
+        taped = []
+        for idx in _batch_indices(len(val.ids), 4, rng=None):
+            total, _ = model.batch_loss(make_batch(val, idx))
+            assert total.requires_grad
+            taped.append(total.item())
+        assert validation_loss(model, val, 4) == float(np.mean(taped))
+
+    def test_records_no_tape(self, monkeypatch):
+        model = tiny_model()
+        losses = []
+        original = model.batch_loss
+
+        def spy(batch):
+            total, parts = original(batch)
+            losses.append(total)
+            return total, parts
+
+        monkeypatch.setattr(model, "batch_loss", spy)
+        validation_loss(model, tiny_splits()["val"], 4)
+        assert losses and all(t._vjp is None and not t._parents for t in losses)
+
+
+class TestVJPGatingOnTheModel:
+    def test_unfrozen_trunk_leaves_trainable_gradients_bitwise(self):
+        batch = make_batch(tiny_splits()["train"], np.arange(8))
+
+        def gradients(unfreeze):
+            model = tiny_model()
+            if unfreeze:
+                for p in model.frozen_parameters():
+                    p.value.requires_grad = True
+            total, _ = model.batch_loss(batch)
+            total.backward()
+            frozen_grads = [p.value.grad for p in model.frozen_parameters()]
+            return {p.name: p.value.grad for p in model.trainable_parameters()}, frozen_grads
+
+        gated, untouched = gradients(unfreeze=False)
+        full, computed = gradients(unfreeze=True)
+        assert all(g is None for g in untouched)
+        assert all(g is not None for g in computed)
+        assert gated.keys() == full.keys()
+        for name, grad in gated.items():
+            assert grad is not None, name
+            assert grad.tobytes() == full[name].tobytes(), name
+
 
 class TestFit:
     def test_zero_epochs_returns_initial_state(self):
@@ -387,3 +435,26 @@ class TestEvaluateZeroShot:
         ze_ref, zi_ref = model.forward(batch)
         assert np.allclose(z_e, ze_ref.data, atol=1e-12)
         assert np.allclose(z_i, zi_ref.data, atol=1e-12)
+
+    def test_embed_split_matches_a_taped_forward_bitwise(self, monkeypatch):
+        split = tiny_splits()["val"]
+        model = tiny_model()
+        taped_e, taped_i = [], []
+        for start in range(0, len(split.ids), 4):
+            batch = make_batch(split, np.arange(start, min(start + 4, len(split.ids))))
+            z_e, z_i = model.forward(batch)
+            assert z_e.requires_grad and z_i.requires_grad
+            taped_e.append(z_e.data)
+            taped_i.append(z_i.data)
+        outputs = []
+        original = model.encode_images
+
+        def spy(images):
+            outputs.append(original(images))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "encode_images", spy)
+        z_e, z_i = embed_split(model, split, batch_size=4)
+        assert z_e.tobytes() == np.concatenate(taped_e).tobytes()
+        assert z_i.tobytes() == np.concatenate(taped_i).tobytes()
+        assert outputs and all(t._vjp is None and not t._parents for t in outputs)
