@@ -10,6 +10,7 @@ and raising noise only degrades their mutual information.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, FormatError
-from .tensor import Tensor, read_tensor, write_tensor
+from .tensor import Tensor, read_tensor, write_atomically, write_tensor
 
 LATENT_DIM = 8
 MANIFEST_NAME = "manifest.json"
@@ -238,21 +239,27 @@ def zero_shot_split(
 
 
 def save_dataset(manifest: DatasetManifest, splits: dict[str, SplitArrays], out_dir: str) -> None:
-    """Write manifest.json plus one binary tensor file per split."""
+    """Write one binary tensor file per split, then manifest.json.
+
+    All files are staged and moved into place together, manifest last,
+    so a failure or a kill never leaves a manifest over a partial split.
+    """
     os.makedirs(out_dir, exist_ok=True)
     for name in splits:
         if name not in manifest.splits:
             raise ConfigError(f"split {name!r} missing from manifest")
-    for name, split in splits.items():
-        path = os.path.join(out_dir, manifest.splits[name])
-        with open(path, "wb") as fh:
-            write_tensor(fh, split.eeg)
-            write_tensor(fh, split.images)
-            write_tensor(fh, split.ids.astype(np.float64))
-            write_tensor(fh, split.class_ids.astype(np.float64))
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
-        json.dump(manifest.to_json(), fh, indent=2)
-        fh.write("\n")
+    writers = {os.path.join(out_dir, manifest.splits[name]): functools.partial(_write_split, split)
+               for name, split in splits.items()}
+    text = json.dumps(manifest.to_json(), indent=2) + "\n"
+    writers[os.path.join(out_dir, MANIFEST_NAME)] = lambda fh: fh.write(text.encode())
+    write_atomically(writers)
+
+
+def _write_split(split: SplitArrays, fh) -> None:
+    write_tensor(fh, split.eeg)
+    write_tensor(fh, split.images)
+    write_tensor(fh, split.ids.astype(np.float64))
+    write_tensor(fh, split.class_ids.astype(np.float64))
 
 
 def load_dataset(path: str) -> DatasetManifest:
@@ -271,6 +278,9 @@ def load_dataset(path: str) -> DatasetManifest:
 
 def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
     """Load one split, checking shapes against the manifest geometry.
+
+    Non-finite EEG or image values are a FormatError naming the split
+    and the first bad sample.
 
     If the manifest declares a repetition axis, EEG arrives as
     (B, R, C, T) and is averaged over R before use.
@@ -300,6 +310,10 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
         raise FormatError(f"image shape {images.shape} does not match manifest")
     if ids.shape != (eeg.shape[0],) or class_ids.shape != (eeg.shape[0],):
         raise FormatError(f"id arrays do not match sample count {eeg.shape[0]}")
+    for what, values in (("EEG", eeg), ("images", images)):
+        if not np.isfinite(values).all():
+            first = int(np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))[0])
+            raise FormatError(f"split {name!r} has non-finite {what} at sample {first} in {path}")
     return SplitArrays(
         eeg=eeg,
         images=images,

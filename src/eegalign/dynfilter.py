@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Parameter, Tensor, gelu, matmul, transpose, unfold
+from .tensor import Parameter, Tensor, dynamic_conv, gelu, matmul, transpose, unfold
 
 STEM_CHANNELS = (8, 16)
 HIDDEN = 64
@@ -89,7 +89,9 @@ def apply_dynamic_filter(images: Tensor, kernels: Tensor) -> Tensor:
 
     Zero padding keeps the spatial size; each output channel sees only
     the matching input channel. Linear in the image for fixed kernels
-    and linear in the kernels for a fixed image.
+    and linear in the kernels for a fixed image. One ``dynamic_conv``
+    tape node: a sum of shifted views of the padded image, with a
+    closed-form VJP that skips the image side when it needs no gradient.
     """
     if images.ndim != 4:
         raise DimensionError(f"expected images (B, C, H, W), got {images.shape}")
@@ -97,15 +99,10 @@ def apply_dynamic_filter(images: Tensor, kernels: Tensor) -> Tensor:
         raise DimensionError(
             f"kernels {kernels.shape} do not match images {images.shape} on batch/channels"
         )
-    bsz, ch, h, w = images.shape
     kh, kw = kernels.shape[2], kernels.shape[3]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"dynamic filter kernels must be odd-sized, got {kh}x{kw}")
-    cols = unfold(images, kh, kw, stride=1, padding=(kh // 2, kw // 2))   # (B, H*W, C*kh*kw)
-    cols = cols.reshape((bsz, h * w, ch, kh * kw))
-    taps = kernels.reshape((bsz, 1, ch, kh * kw))
-    mixed = (cols * taps).sum(axis=-1)                                    # (B, H*W, C)
-    return transpose(mixed, (0, 2, 1)).reshape((bsz, ch, h, w))
+    return dynamic_conv(images, kernels)
 
 
 def delta_kernels(bsz: int, ch: int, fh: int, fw: int) -> Tensor:

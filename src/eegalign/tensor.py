@@ -14,6 +14,11 @@ a gradient, so the frozen trunk's weights cost no backward arithmetic.
 Under ``no_grad()`` nothing is recorded at all, for forward passes whose
 results are only read.
 
+The per-instance dynamic filter is one op, ``dynamic_conv``: its forward
+pass sums the k*k shifted views of one zero-padded image, so no window
+matrix is built, and its VJP is closed-form and gated per parent in the
+same way. ``unfold`` remains for ordinary strided convolutions.
+
 numpy supplies storage and BLAS arithmetic only; every gradient rule
 lives here.
 """
@@ -70,10 +75,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the tape."""
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
@@ -602,6 +603,59 @@ def unfold(x, kh: int, kw: int, stride: int = 1, padding: int | tuple[int, int] 
     return _make(data, (x,), vjp)
 
 
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    bsz, ch, h, w = a.shape
+    padded = np.zeros((bsz, ch, h + 2 * ph, w + 2 * pw))
+    padded[:, :, ph:ph + h, pw:pw + w] = a
+    return padded
+
+
+def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view."""
+    out = np.zeros(padded.shape[:2] + (h, w))
+    for u in range(k.shape[2]):
+        for v in range(k.shape[3]):
+            out += np.einsum("bchw,bc->bchw", padded[:, :, u:u + h, v:v + w], k[:, :, u, v])
+    return out
+
+
+def dynamic_conv(x, k) -> Tensor:
+    """Per-(sample, channel) zero-padded same-size correlation.
+
+    ``x`` is (B, C, H, W) and ``k`` is (B, C, kh, kw) with odd kh, kw:
+    out[b, c, i, j] = sum_{u,v} k[b, c, u, v] * x[b, c, i + u - kh//2,
+    j + v - kw//2], with x zero outside the image. The forward pass adds
+    the kh*kw shifted views of one padded image; no window matrix is
+    built. The kernel gradient is one reduction per tap, and the image
+    gradient is the same correlation of the padded output gradient with
+    the flipped kernel, each computed only when its parent needs it.
+    """
+    x, k = as_tensor(x), as_tensor(k)
+    if x.ndim != 4 or k.ndim != 4 or k.shape[:2] != x.shape[:2]:
+        raise DimensionError(
+            f"dynamic_conv needs x (B, C, H, W) and k (B, C, kh, kw), got {x.shape} and {k.shape}"
+        )
+    h, w = x.shape[2], x.shape[3]
+    kh, kw = k.shape[2], k.shape[3]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise DimensionError(f"dynamic_conv needs odd-sized kernels, got {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
+    padded = _pad(x.data, ph, pw)
+    data = _tap_sum(padded, k.data, h, w)
+
+    def vjp(g):
+        gx = _tap_sum(_pad(g, ph, pw), k.data[:, :, ::-1, ::-1], h, w) if x.requires_grad else None
+        gk = None
+        if k.requires_grad:
+            gk = np.empty(k.shape)
+            for u in range(kh):
+                for v in range(kw):
+                    gk[:, :, u, v] = np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + h, v:v + w])
+        return gx, gk
+
+    return _make(data, (x, k), vjp)
+
+
 # -- parameters ----------------------------------------------------------
 
 
@@ -715,6 +769,31 @@ def grad_check(
 
 # -- serialization ---------------------------------------------------------
 
+
+def write_atomically(writers: dict) -> None:
+    """Write a set of files so that no reader sees a partial one.
+
+    ``writers`` maps each target path to a function that fills a binary
+    file handle. Each fills a temp file beside its target; only when all
+    are complete are they moved into place with os.replace, in the order
+    given, so callers list their manifest last. If a writer raises, the
+    temp files are removed and every target is left as it was.
+    """
+    staged = []
+    try:
+        for path, write in writers.items():
+            staged.append(f"{os.fspath(path)}.tmp")
+            with open(staged[-1], "wb") as fh:
+                write(fh)
+    except BaseException:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    for path, tmp in zip(writers, staged):
+        os.replace(tmp, path)
+
+
 _MAX_RANK = 32
 
 
@@ -756,5 +835,8 @@ def read_tensor(fh) -> np.ndarray:
     if 8 * count > left:
         raise FormatError(f"tensor header {shape} claims {8 * count} payload bytes, "
                           f"only {left} left in the file", offset=start)
-    payload = need(8 * count, "payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    out = np.empty(shape, dtype="<f8")
+    got = fh.readinto(out.reshape(-1).view(np.uint8))  # straight into the array, no copy
+    if got != 8 * count:
+        raise FormatError("truncated tensor file while reading payload", offset=here + got)
+    return out

@@ -21,7 +21,7 @@ from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, no_grad, read_tensor, write_tensor
+from .tensor import Parameter, no_grad, read_tensor, write_atomically, write_tensor
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
@@ -254,12 +254,16 @@ def save_checkpoint(ckpt: Checkpoint, directory) -> None:
         "train_class_ids": ckpt.train_class_ids,
         "parameters": names,
     }
-    with open(os.path.join(directory, CHECKPOINT_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(directory, CHECKPOINT_PARAMS), "wb") as fh:
+
+    def write_params(fh):
         for name in names:
             write_tensor(fh, ckpt.values[name])
+
+    text = json.dumps(manifest, indent=2) + "\n"
+    write_atomically({
+        os.path.join(directory, CHECKPOINT_PARAMS): write_params,
+        os.path.join(directory, CHECKPOINT_MANIFEST): lambda fh: fh.write(text.encode()),
+    })
 
 
 def load_checkpoint(directory) -> Checkpoint:

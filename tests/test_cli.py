@@ -1,13 +1,17 @@
 """End-to-end command-line behavior, run in-process through main()."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from eegalign.cli import main
+from eegalign.data import load_dataset, load_split, save_dataset
 from eegalign.tensor import read_tensor
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL_GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12",
              "--height", "16", "--held-out", "2", "--val-samples", "4"]
 SMALL_NET = ["--backbone.dim", "16", "--backbone.layers", "1", "--backbone.heads", "2",
@@ -219,6 +223,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "payload bytes" in err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_non_finite_split_exits_two(self, trained, tmp_path, capsys, command):
+        data, run = trained
+        manifest = load_dataset(str(data))
+        split = "test" if command == "eval" else "train"
+        arrays = load_split(manifest, split)
+        arrays.eeg[1, 0, 0] = np.nan
+        save_dataset(manifest, {split: arrays}, str(data))
+        capsys.readouterr()
+        if command == "eval":
+            code = main(["eval", "--checkpoint", str(run), "--data", str(data)])
+        else:
+            code = main(["train", "--data", str(data), "--out", str(tmp_path / "again"),
+                         "--epochs", "1", *SMALL_NET])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"split '{split}' has non-finite EEG at sample 1" in err
+
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):
         data, _ = trained
         code = main(["eval", "--checkpoint", str(data / "nope"), "--data", str(data)])
@@ -286,6 +308,13 @@ class TestGradcheckCommand:
 
 
 class TestTopLevel:
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "eegalign", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: eegalign")
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "gen-data" in capsys.readouterr().out

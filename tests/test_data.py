@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import eegalign.data as data_module
 from eegalign.data import (
     DatasetManifest,
     PairedBatch,
@@ -204,6 +205,41 @@ class TestPersistence:
         save_dataset(manifest, {"train": split}, str(tmp_path))
         back = load_split(load_dataset(str(tmp_path)), "train")
         np.testing.assert_allclose(back.eeg, reps.mean(axis=1), atol=1e-15)
+
+    @pytest.mark.parametrize("field,sample,bad", [("eeg", 2, np.nan), ("images", 0, np.inf),
+                                                   ("eeg", 5, -np.inf)])
+    def test_non_finite_values_rejected(self, tmp_path, field, sample, bad):
+        data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
+        getattr(splits["train"], field)[sample, 1, 2] = bad
+        save_dataset(self._manifest(data, tmp_path), splits, str(tmp_path))
+        back = load_dataset(str(tmp_path))
+        what = "EEG" if field == "eeg" else "images"
+        with pytest.raises(FormatError, match=f"split 'train' has non-finite {what} at sample {sample} "):
+            load_split(back, "train")
+        assert len(load_split(back, "val").ids) == 2
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
+        data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
+        fail_write_tensor(data_module, 5)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(self._manifest(data, tmp_path), splits, str(tmp_path / "out"))
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_failed_overwrite_keeps_the_old_dataset(self, tmp_path, fail_write_tensor):
+        old = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        old_splits = zero_shot_split(old, n_test_classes=1, n_val_samples=2, seed=0)
+        save_dataset(self._manifest(old, tmp_path), old_splits, str(tmp_path))
+        new = generate_synthetic(seed=5, n_classes=4, per_class=3, channels=3, timesteps=6, height=16)
+        fail_write_tensor(data_module, 9)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(self._manifest(new, tmp_path), zero_shot_split(new, 1, 2, seed=0), str(tmp_path))
+        back = load_dataset(str(tmp_path))
+        assert back.timesteps == 5
+        for name in ("train", "val", "test"):
+            assert load_split(back, name).eeg.tobytes() == old_splits[name].eeg.tobytes()
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "test.bin", "train.bin", "val.bin"]
 
     def test_missing_split_name(self, tmp_path):
         data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)

@@ -4,7 +4,7 @@ import pytest
 
 from eegalign.dynfilter import FilterGenerator, apply_dynamic_filter, delta_kernels
 from eegalign.errors import ConfigError, DimensionError
-from eegalign.tensor import Tensor, grad_check
+from eegalign.tensor import Tensor, dynamic_conv, grad_check
 
 
 def loop_convolve(images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -117,6 +117,25 @@ class TestApplyDynamicFilter:
         fast = apply_dynamic_filter(Tensor(images), Tensor(kernels)).data
         slow = loop_convolve(images, kernels)
         assert np.max(np.abs(fast - slow)) < 1e-9
+
+    @pytest.mark.parametrize("size,kh,kw", [
+        ((1, 3, 8, 8), 5, 5), ((2, 3, 6, 11), 3, 7), ((2, 3, 9, 5), 1, 3), ((1, 2, 7, 7), 1, 1),
+        ((3, 1, 4, 10), 5, 1),
+    ])
+    def test_op_matches_naive_loop_convolution(self, size, kh, kw):
+        rng = np.random.default_rng(sum(size) * 100 + kh * 10 + kw)
+        images = rng.normal(size=size)
+        kernels = rng.normal(size=(size[0], size[1], kh, kw))
+        direct = dynamic_conv(Tensor(images), Tensor(kernels)).data
+        assert np.max(np.abs(direct - loop_convolve(images, kernels))) < 1e-9
+
+    def test_model_sized_filter_is_one_tape_node(self):
+        rng = np.random.default_rng(15)
+        images = Tensor(rng.uniform(size=(32, 3, 32, 32)))
+        kernels = Tensor(rng.normal(size=(32, 3, 5, 5)), requires_grad=True)
+        out = apply_dynamic_filter(images, kernels)
+        assert out._parents == (images, kernels)
+        assert all(p._vjp is None for p in out._parents)
 
     def test_linear_in_the_image(self):
         rng = np.random.default_rng(9)

@@ -12,7 +12,7 @@ from eegalign.losses import (
     soft_targets,
     total_loss,
 )
-from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, softmax_rows
+from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, no_grad, softmax_rows
 
 
 def unit_rows(rng, b, d):
@@ -135,7 +135,8 @@ class TestSoftLoss:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
-        mats = [softmax_rows(Tensor(rng.normal(size=(4, 4)))).detach() for _ in range(4)]
+        with no_grad():
+            mats = [softmax_rows(Tensor(rng.normal(size=(4, 4)))) for _ in range(4)]
         assert soft_loss(*mats).item() >= 0.0
 
     def test_hand_case_matches_scalar_oracle(self):
@@ -172,19 +173,22 @@ class TestRelationLoss:
     def test_b2_is_always_zero(self):
         # at B=2 every renormalized negatives row is a point mass
         rng = np.random.default_rng(9)
-        mats = [softmax_rows(Tensor(rng.normal(size=(2, 2)))).detach() for _ in range(4)]
+        with no_grad():
+            mats = [softmax_rows(Tensor(rng.normal(size=(2, 2)))) for _ in range(4)]
         assert relation_loss(*mats).item() == 0.0
 
     def test_matching_distributions_give_zero(self):
         rng = np.random.default_rng(10)
-        p = softmax_rows(Tensor(rng.normal(size=(4, 4)))).detach()
-        q = softmax_rows(Tensor(rng.normal(size=(4, 4)))).detach()
+        with no_grad():
+            p = softmax_rows(Tensor(rng.normal(size=(4, 4))))
+            q = softmax_rows(Tensor(rng.normal(size=(4, 4))))
         assert relation_loss(p, q, p, q).item() == 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
         raw = [rng.normal(size=(4, 4)) for _ in range(4)]
-        mats = [softmax_rows(Tensor(r)).detach() for r in raw]
+        with no_grad():
+            mats = [softmax_rows(Tensor(r)) for r in raw]
 
         def neg(p):
             q = p.copy()
@@ -319,8 +323,9 @@ class TestTotalLoss:
         zen = l2_normalize(ze.value)
         zin = l2_normalize(zi.value)
         t_e, t_i = soft_targets(zen, zin, tau, w.beta, detach=True)
-        p_ee_fixed = softmax_rows(matmul(zen, transpose(zen)), temperature=tau).detach()
-        p_ii_fixed = softmax_rows(matmul(zin, transpose(zin)), temperature=tau).detach()
+        with no_grad():
+            p_ee_fixed = softmax_rows(matmul(zen, transpose(zen)), temperature=tau)
+            p_ii_fixed = softmax_rows(matmul(zin, transpose(zin)), temperature=tau)
 
         def fixed_target_loss():
             a = l2_normalize(ze.value)

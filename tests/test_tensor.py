@@ -16,6 +16,7 @@ from eegalign.tensor import (
     clamp_min,
     concat,
     div,
+    dynamic_conv,
     exp,
     gelu,
     grad_check,
@@ -477,6 +478,75 @@ class TestUnfoldValues:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             unfold(Tensor(np.zeros((1, 1, 3, 3))), 5, 5)
+
+
+def _unfold_form(x, k):
+    """The dynamic filter as an unfold, a broadcast product and a sum."""
+    bsz, ch, h, w = x.shape
+    kh, kw = k.shape[2], k.shape[3]
+    cols = unfold(x, kh, kw, stride=1, padding=(kh // 2, kw // 2)).reshape((bsz, h * w, ch, kh * kw))
+    mixed = (cols * k.reshape((bsz, 1, ch, kh * kw))).sum(axis=-1)
+    return transpose(mixed, (0, 2, 1)).reshape((bsz, ch, h, w))
+
+
+class TestDynamicConv:
+    @pytest.mark.parametrize("size,kh,kw", [
+        ((2, 3, 8, 8), 3, 3), ((1, 3, 7, 10), 5, 3), ((2, 2, 6, 9), 1, 5), ((3, 1, 5, 4), 1, 1),
+    ])
+    def test_matches_the_unfold_formulation(self, size, kh, kw):
+        rng = np.random.default_rng(40)
+        x0, k0 = _rand(rng, *size), _rand(rng, size[0], size[1], kh, kw)
+        probe = Tensor(_rand(rng, *size))
+        results = []
+        for form in (dynamic_conv, _unfold_form):
+            x, k = Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True)
+            out = form(x, k)
+            (out * probe).sum().backward()
+            results.append((out.data, x.grad, k.grad))
+        for direct, unfolded in zip(*results):
+            assert direct.shape == unfolded.shape
+            assert np.max(np.abs(direct - unfolded)) < 1e-12
+
+    @pytest.mark.parametrize("live", ["image", "kernel"])
+    def test_finite_differences_per_parent(self, live):
+        rng = np.random.default_rng(41)
+        x = Tensor(_rand(rng, 2, 2, 5, 6), requires_grad=live == "image")
+        k = Tensor(_rand(rng, 2, 2, 3, 5), requires_grad=live == "kernel")
+        probe = Tensor(_rand(rng, 2, 2, 5, 6))
+        param = Parameter(live, x if live == "image" else k)
+
+        report = grad_check(lambda: (dynamic_conv(x, k) ** 2.0 * probe).sum(), [param])
+        assert report.passed, report.summary()
+
+    def test_frozen_image_gets_none_and_kernel_gradient_is_unchanged(self):
+        rng = np.random.default_rng(42)
+        x0, k0 = _rand(rng, 2, 3, 6, 6), _rand(rng, 2, 3, 3, 3)
+        g = _rand(rng, 2, 3, 6, 6)
+        gx, gk = dynamic_conv(Tensor(x0), Tensor(k0, requires_grad=True))._vjp(g)
+        assert gx is None
+        gx_live, gk_live = dynamic_conv(Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True))._vjp(g)
+        assert gx_live is not None
+        assert gk.tobytes() == gk_live.tobytes()
+        gx, gk = dynamic_conv(Tensor(x0, requires_grad=True), Tensor(k0))._vjp(g)
+        assert gk is None and gx.tobytes() == gx_live.tobytes()
+
+    def test_records_nothing_under_no_grad(self):
+        rng = np.random.default_rng(43)
+        x = Tensor(_rand(rng, 1, 3, 6, 6), requires_grad=True)
+        k = Tensor(_rand(rng, 1, 3, 3, 3), requires_grad=True)
+        taped = dynamic_conv(x, k)
+        with no_grad():
+            out = dynamic_conv(x, k)
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+        assert out.data.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("xshape,kshape", [
+        ((1, 3, 6, 6), (1, 3, 2, 3)), ((1, 3, 6, 6), (2, 3, 3, 3)), ((1, 3, 6, 6), (1, 2, 3, 3)),
+        ((3, 6, 6), (1, 3, 3, 3)), ((1, 3, 6, 6), (3, 3, 3)),
+    ])
+    def test_bad_shapes_rejected(self, xshape, kshape):
+        with pytest.raises(DimensionError):
+            dynamic_conv(Tensor(np.zeros(xshape)), Tensor(np.zeros(kshape)))
 
 
 class TestSigmoidStability:

@@ -369,6 +369,28 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="manifest"):
             load_checkpoint(tmp_path / "nowhere")
 
+    def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
+        ckpt, _ = self.make_checkpoint()
+        fail_write_tensor(trainer_module, 3)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, tmp_path / "run")
+        assert os.listdir(tmp_path / "run") == []
+
+    def test_failed_overwrite_keeps_the_old_checkpoint(self, tmp_path, fail_write_tensor):
+        ckpt, _ = self.make_checkpoint()
+        save_checkpoint(ckpt, tmp_path / "run")
+        old = parameter_digest(load_checkpoint(tmp_path / "run").build_model().parameters())
+        old_loss = ckpt.val_loss
+        ckpt.values = {name: v + 1.0 for name, v in ckpt.values.items()}
+        ckpt.val_loss += 1.0
+        fail_write_tensor(trainer_module, 3)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, tmp_path / "run")
+        again = load_checkpoint(tmp_path / "run")
+        assert parameter_digest(again.build_model().parameters()) == old
+        assert again.val_loss == old_loss
+        assert sorted(os.listdir(tmp_path / "run")) == ["manifest.json", "params.bin"]
+
     def test_bad_format_version(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         save_checkpoint(ckpt, tmp_path / "run")
