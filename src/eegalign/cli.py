@@ -1,9 +1,10 @@
 """Command-line entry point: gen-data, train, eval, export-sim, gradcheck.
 
 Every command is deterministic given its flags and seeds, refuses to
-clobber existing outputs without --force, and removes partial outputs
-when it fails. `train` accepts dotted config overrides such as
-`--loss.mu 1 --loss.lambda 0` after its named flags.
+clobber existing outputs without --force, and leaves no partial outputs
+when it fails: datasets and checkpoints are written atomically, and its
+other outputs are removed. `train` accepts dotted config overrides such
+as `--loss.mu 1 --loss.lambda 0` after its named flags.
 """
 from __future__ import annotations
 
@@ -58,7 +59,9 @@ def _fresh_outputs(dirs=(), files=()):
 
     Freshly created directories are removed wholesale; directories that
     already existed only lose the specific files listed, so --force over
-    a populated location cannot destroy unrelated content.
+    a populated location cannot destroy unrelated content. Files written
+    with `write_atomically` are never listed: a failed write leaves the
+    previous ones in place, and removing them would destroy them.
     """
     fresh_dirs = [d for d in dirs if not os.path.exists(d)]
     try:
@@ -100,8 +103,7 @@ def cmd_gen_data(args, extras) -> int:
         n_classes=args.classes,
         seed=args.seed,
     )
-    files = [os.path.join(args.out, name) for name in ["manifest.json", *SPLIT_FILES.values()]]
-    with _fresh_outputs(dirs=[args.out], files=files):
+    with _fresh_outputs(dirs=[args.out]):
         save_dataset(manifest, splits, args.out)
     for name in ("train", "val", "test"):
         split = splits[name]
@@ -151,8 +153,7 @@ def _resolve_config(args, extras) -> RunConfig:
 def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_path: str):
     model = AlignmentModel(cfg, channels=train.eeg.shape[1], timesteps=train.eeg.shape[2],
                            image_size=manifest.height)
-    files = [os.path.join(out_dir, "manifest.json"), os.path.join(out_dir, "params.bin"), log_path]
-    with _fresh_outputs(dirs=[out_dir], files=files):
+    with _fresh_outputs(dirs=[out_dir], files=[log_path]):
         os.makedirs(out_dir, exist_ok=True)
         ckpt, history = fit(model, train, val, log_path=log_path)
         save_checkpoint(ckpt, out_dir)
@@ -348,8 +349,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, extras)
-    except (ConfigError, ContractError, DimensionError, DomainError, FormatError,
-            NotImplementedError, OSError) as e:
+    except (ConfigError, ContractError, DimensionError, DomainError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

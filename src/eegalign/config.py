@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -100,7 +101,7 @@ def _aliases_for(section: str) -> dict[str, str]:
 
 
 def _coerce(path: str, expected, value):
-    """Check/convert one leaf value against the dataclass default's type."""
+    """Check/convert one leaf value against its annotated type."""
     if expected is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
@@ -126,42 +127,33 @@ def _coerce(path: str, expected, value):
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
-# leaf type per (section, attribute); optional fields cannot infer their
-# type from a None default, so everything is spelled out once here
-_LEAF_TYPES = {
-    ("data", "path"): str,
-    ("data", "channel_mask"): list,
-    ("data", "time_window"): list,
-    ("encoder", "kind"): str,
-    ("encoder", "dim"): int,
-    ("filter", "height"): int,
-    ("filter", "width"): int,
-    ("fusion", "strategy"): str,
-    ("fusion", "heads"): int,
-    ("fusion", "gate_bias_init"): float,
-    ("fusion", "mix_init"): float,
-    ("backbone", "dim"): int,
-    ("backbone", "layers"): int,
-    ("backbone", "heads"): int,
-    ("backbone", "patch"): int,
-    ("backbone", "prompts"): int,
-    ("backbone", "mlp_ratio"): int,
-    ("loss", "mu"): float,
-    ("loss", "alpha"): float,
-    ("loss", "lam"): float,
-    ("loss", "beta"): float,
-    ("loss", "tau_init"): float,
-    ("loss", "detach_targets"): bool,
-    ("trainer", "epochs"): int,
-    ("trainer", "batch_size"): int,
-    ("trainer", "lr_a"): float,
-    ("trainer", "lr_b"): float,
-    ("trainer", "seed"): int,
-    ("trainer", "clip_norm"): float,
-    ("eval", "ks"): list,
+def _leaf_type(hint) -> tuple[type, bool]:
+    """(type to coerce to, whether None is allowed) of a field annotation."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = [a for a in args if a is not type(None)]
+    return typing.get_origin(hint) or hint, optional
+
+
+_SECTIONS = typing.get_type_hints(RunConfig)
+# (section, attribute) -> (leaf type, optional), read off the annotations
+_LEAVES = {
+    (section, attr): _leaf_type(hint)
+    for section, section_type in _SECTIONS.items()
+    for attr, hint in typing.get_type_hints(section_type).items()
 }
 
-_OPTIONAL = {("data", "path"), ("data", "channel_mask"), ("data", "time_window"), ("trainer", "clip_norm")}
+
+def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
+    """Check one `section.key` value against its annotation and store it."""
+    attr = _aliases_for(section_name).get(key, key)
+    if (section_name, attr) not in _LEAVES:
+        raise ConfigError(f"unknown config key {section_name}.{key}")
+    expected, optional = _LEAVES[(section_name, attr)]
+    if not (value is None and optional):
+        value = _coerce(f"{section_name}.{key}", expected, value)
+    setattr(getattr(cfg, section_name), attr, value)
 
 
 def config_from_dict(tree: dict) -> RunConfig:
@@ -169,24 +161,13 @@ def config_from_dict(tree: dict) -> RunConfig:
     if not isinstance(tree, dict):
         raise ConfigError(f"config root must be an object, got {type(tree).__name__}")
     cfg = RunConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     for section_name, body in tree.items():
-        if section_name not in sections:
+        if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section {section_name!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{section_name}: expected an object, got {body!r}")
-        section = sections[section_name]
-        aliases = _aliases_for(section_name)
-        known = {f.name for f in dataclasses.fields(section)}
         for key, value in body.items():
-            attr = aliases.get(key, key)
-            if attr not in known:
-                raise ConfigError(f"unknown config key {section_name}.{key}")
-            if value is None and (section_name, attr) in _OPTIONAL:
-                setattr(section, attr, None)
-                continue
-            expected = _LEAF_TYPES[(section_name, attr)]
-            setattr(section, attr, _coerce(f"{section_name}.{key}", expected, value))
+            _set_leaf(cfg, section_name, key, value)
     validate_config(cfg)
     return cfg
 
@@ -229,22 +210,13 @@ def _parse_override_value(raw: str):
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     """Apply dotted-key string overrides (`loss.mu` -> `"0.9"`) in place."""
-    sections = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     for dotted, raw in overrides.items():
         if dotted.count(".") != 1:
             raise ConfigError(f"override key must be section.key, got {dotted!r}")
         section_name, key = dotted.split(".")
-        if section_name not in sections:
+        if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section {section_name!r} in override {dotted!r}")
-        section = sections[section_name]
-        attr = _aliases_for(section_name).get(key, key)
-        if attr not in {f.name for f in dataclasses.fields(section)}:
-            raise ConfigError(f"unknown config key {dotted}")
-        value = _parse_override_value(raw)
-        if value is None and (section_name, attr) in _OPTIONAL:
-            setattr(section, attr, None)
-            continue
-        setattr(section, attr, _coerce(dotted, _LEAF_TYPES[(section_name, attr)], value))
+        _set_leaf(cfg, section_name, key, _parse_override_value(raw))
     validate_config(cfg)
     return cfg
 
@@ -261,6 +233,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if cfg.trainer.clip_norm is not None and cfg.trainer.clip_norm <= 0:
         raise ConfigError(f"trainer.clip_norm must be positive, got {cfg.trainer.clip_norm}")
+    if cfg.encoder.kind != "linear":
+        raise ConfigError(f"encoder.kind must be 'linear', got {cfg.encoder.kind!r}")
     if cfg.fusion.strategy not in ("catf", "bilinear"):
         raise ConfigError(f"fusion.strategy must be 'catf' or 'bilinear', got {cfg.fusion.strategy!r}")
     if cfg.loss.mu < 0 or cfg.loss.alpha < 0 or cfg.loss.lam < 0:

@@ -83,7 +83,6 @@ class DatasetManifest:
     width: int
     n_classes: int
     seed: int | None = None
-    repetitions: bool = False
     root: str = field(default="", compare=False)
 
     def to_json(self) -> dict:
@@ -95,15 +94,17 @@ class DatasetManifest:
             "width": self.width,
             "n_classes": self.n_classes,
             "seed": self.seed,
-            "repetitions": self.repetitions,
         }
 
     @staticmethod
     def from_json(obj: dict, root: str = "") -> "DatasetManifest":
+        # "repetitions" is accepted only as the false that older writers stored
         known = {"splits", "channels", "timesteps", "height", "width", "n_classes", "seed", "repetitions"}
         unknown = set(obj) - known
         if unknown:
             raise FormatError(f"unknown manifest keys: {sorted(unknown)}")
+        if obj.get("repetitions", False) is not False:
+            raise FormatError(f"manifest repetitions must be false, got {obj['repetitions']!r}")
         missing = known - {"seed", "repetitions"} - set(obj)
         if missing:
             raise FormatError(f"manifest missing keys: {sorted(missing)}")
@@ -115,7 +116,6 @@ class DatasetManifest:
             width=int(obj["width"]),
             n_classes=int(obj["n_classes"]),
             seed=None if obj.get("seed") is None else int(obj.get("seed")),
-            repetitions=bool(obj.get("repetitions", False)),
             root=root,
         )
 
@@ -281,9 +281,6 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
 
     Non-finite EEG or image values are a FormatError naming the split
     and the first bad sample.
-
-    If the manifest declares a repetition axis, EEG arrives as
-    (B, R, C, T) and is averaged over R before use.
     """
     if name not in manifest.splits:
         raise ConfigError(f"manifest has no split named {name!r}; has {sorted(manifest.splits)}")
@@ -297,10 +294,6 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
     if trailing:
         raise FormatError(f"trailing bytes after split payload in {path}")
 
-    if manifest.repetitions:
-        if eeg.ndim != 4:
-            raise FormatError(f"manifest declares repetitions but EEG has shape {eeg.shape}")
-        eeg = eeg.mean(axis=1)
     if eeg.ndim != 3 or eeg.shape[1:] != (manifest.channels, manifest.timesteps):
         raise FormatError(
             f"EEG shape {eeg.shape} does not match manifest "

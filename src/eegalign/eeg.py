@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Parameter, Tensor, l2_normalize, matmul
-
-# encoder families that exist in the configuration vocabulary but have no
-# implementation here; "linear" is the only one that runs
-KNOWN_UNIMPLEMENTED_ENCODERS = ("tsconv", "eegnet", "shallownet", "deepnet", "eegfusenet", "eegproject")
 
 
 class Perturbation:
@@ -66,10 +62,3 @@ class LinearEncoder:
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-
-def build_encoder(kind: str, channels: int, timesteps: int, dim: int, rng: np.random.Generator) -> LinearEncoder:
-    if kind == "linear":
-        return LinearEncoder(channels, timesteps, dim, rng)
-    if kind in KNOWN_UNIMPLEMENTED_ENCODERS:
-        raise NotImplementedError(f"encoder kind {kind!r} is not implemented; only 'linear' is")
-    raise ConfigError(f"unknown encoder kind {kind!r}")

@@ -2,11 +2,13 @@
 
 Each named check builds one component at tiny dimensions on a batch of
 four, defines a smooth scalar objective over it, and compares backward
-gradients against central differences. Loss checks let the gradients
-flow through the target construction (no detaching): with targets
-detached the numeric derivative of the recomputed objective measures a
-different quantity than backward deliberately reports, so the detached
-path is validated separately by algebraic identity tests instead.
+gradients against central differences. The three loss checks run
+`total_loss` itself, the composition training runs, with one term's
+weight at 1 and the others at 0. They let the gradients flow through
+the target construction (no detaching): with targets detached the
+numeric derivative of the recomputed objective measures a different
+quantity than backward deliberately reports, so the detached path is
+validated separately by algebraic identity tests instead.
 """
 from __future__ import annotations
 
@@ -17,18 +19,8 @@ from .dynfilter import FilterGenerator, apply_dynamic_filter
 from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError
 from .fusion import CrossAttentionFusion
-from .losses import infonce, relation_loss, soft_loss, soft_targets
-from .tensor import (
-    GradCheckReport,
-    Parameter,
-    Tensor,
-    exp,
-    grad_check,
-    l2_normalize,
-    matmul,
-    softmax_rows,
-    transpose,
-)
+from .losses import LossWeights, total_loss
+from .tensor import GradCheckReport, Parameter, Tensor, exp, grad_check
 
 BATCH = 4
 # tau for the loss checks; cold temperatures push softmax entries under
@@ -133,53 +125,31 @@ def check_projection(seed: int) -> GradCheckReport:
     return grad_check(loss, head.params(), max_entries=30, rng=np.random.default_rng(seed + 1))
 
 
-def _embedding_params(seed: int):
+def _check_loss_term(seed: int, mu: float = 0.0, alpha: float = 0.0, lam: float = 0.0) -> GradCheckReport:
+    """Check `total_loss` with one term weighted and the others at 0."""
     rng = np.random.default_rng(seed)
     ze = _param("z_e", rng.normal(size=(BATCH, 6)))
     zi = _param("z_i", rng.normal(size=(BATCH, 6)))
     log_tau = _param("log_tau", np.log(CHECK_TAU))
-    return ze, zi, log_tau
+
+    def loss():
+        weights = LossWeights(mu=mu, alpha=alpha, lam=lam, beta=0.3,
+                              tau=exp(log_tau.value), detach_targets=False)
+        return total_loss(ze.value, zi.value, weights)[0]
+
+    return grad_check(loss, [ze, zi, log_tau])
 
 
 def check_loss_clip(seed: int) -> GradCheckReport:
-    ze, zi, log_tau = _embedding_params(seed)
-
-    def loss():
-        sim = matmul(l2_normalize(ze.value), transpose(l2_normalize(zi.value)))
-        return infonce(sim, exp(log_tau.value))
-
-    return grad_check(loss, [ze, zi, log_tau])
+    return _check_loss_term(seed, mu=1.0)
 
 
 def check_loss_soft(seed: int) -> GradCheckReport:
-    ze, zi, log_tau = _embedding_params(seed)
-
-    def loss():
-        tau = exp(log_tau.value)
-        a, b = l2_normalize(ze.value), l2_normalize(zi.value)
-        sim = matmul(a, transpose(b))
-        t_e, t_i = soft_targets(a, b, tau, beta=0.3, detach=False)
-        p_ei = softmax_rows(sim, temperature=tau)
-        p_ie = softmax_rows(transpose(sim), temperature=tau)
-        return soft_loss(t_e, t_i, p_ei, p_ie)
-
-    return grad_check(loss, [ze, zi, log_tau])
+    return _check_loss_term(seed, alpha=1.0)
 
 
 def check_loss_rel(seed: int) -> GradCheckReport:
-    ze, zi, log_tau = _embedding_params(seed)
-
-    def loss():
-        tau = exp(log_tau.value)
-        a, b = l2_normalize(ze.value), l2_normalize(zi.value)
-        sim = matmul(a, transpose(b))
-        p_ee = softmax_rows(matmul(a, transpose(a)), temperature=tau)
-        p_ii = softmax_rows(matmul(b, transpose(b)), temperature=tau)
-        p_ei = softmax_rows(sim, temperature=tau)
-        p_ie = softmax_rows(transpose(sim), temperature=tau)
-        return relation_loss(p_ee, p_ii, p_ei, p_ie)
-
-    return grad_check(loss, [ze, zi, log_tau])
+    return _check_loss_term(seed, lam=1.0)
 
 
 CHECKS = {

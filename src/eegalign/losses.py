@@ -4,11 +4,16 @@ Three ingredients, combined as a weighted sum:
 
 * a symmetric InfoNCE term over the cosine similarity matrix, averaged
   over both retrieval directions with a 1/(2B) prefactor;
-* a softened distribution-matching term that pulls the cross-modal
-  softmax rows toward targets interpolated between the identity and the
-  intra-modal similarity distribution;
+* a softened distribution-matching term, a symmetric KL that pulls the
+  cross-modal softmax rows toward targets interpolated between the
+  identity and the intra-modal similarity distribution;
 * an off-diagonal relation term that matches how each modality
   distributes probability over its negatives.
+
+`total_loss` is the one place they are assembled. It normalizes the
+embeddings, divides the similarity by the temperature and builds the
+intra-modal distributions once per batch; the term functions take those
+as inputs and compute nothing twice.
 
 The temperature is shared by every softmax here and is learned through
 the exponential of a free scalar, so it stays positive by construction.
@@ -67,18 +72,6 @@ def _validate_tau(tau) -> None:
         raise DomainError(f"temperature must be positive, got {tau}")
 
 
-def cosine_sim_matrix(z_e: Tensor, z_i: Tensor) -> Tensor:
-    """All-pairs cosine similarity; rows are EEG items, columns images.
-
-    Inputs are re-normalized here even though the encoders already
-    normalize, so the matrix is correct for any caller.
-    """
-    z_e, z_i = as_tensor(z_e), as_tensor(z_i)
-    if z_e.ndim != 2 or z_i.ndim != 2 or z_e.shape[1] != z_i.shape[1]:
-        raise DimensionError(f"embedding shapes do not align: {z_e.shape} vs {z_i.shape}")
-    return matmul(l2_normalize(z_e), transpose(l2_normalize(z_i)))
-
-
 def infonce(sim: Tensor, tau) -> Tensor:
     """Symmetric InfoNCE over a square similarity matrix.
 
@@ -90,39 +83,31 @@ def infonce(sim: Tensor, tau) -> Tensor:
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {sim.shape}")
     _validate_tau(tau)
-    b = sim.shape[0]
-    logits = sim / tau
+    return _infonce_logits(sim / tau)
+
+
+def _infonce_logits(logits: Tensor) -> Tensor:
+    b = logits.shape[0]
     idx = np.arange(b)
     row_diag = log_softmax_rows(logits)[(idx, idx)]
     col_diag = log_softmax_rows(transpose(logits))[(idx, idx)]
     return (row_diag.sum() + col_diag.sum()) * (-1.0 / (2.0 * b))
 
 
-def _targets_tape(detach: bool):
-    """Detached targets are built off the tape; others are recorded."""
-    return no_grad() if detach else contextlib.nullcontext()
-
-
-def soft_targets(z_e: Tensor, z_i: Tensor, tau, beta: float, detach: bool = True) -> tuple[Tensor, Tensor]:
+def soft_targets(p_ee: Tensor, p_ii: Tensor, beta: float) -> tuple[Tensor, Tensor]:
     """Identity targets softened toward the intra-modal distributions.
 
-    T = (1 - beta) * I + beta * softmax(Z Z^T / tau). At beta 0 the
-    targets are exactly the identity.
+    T = (1 - beta) * I + beta * P, where P = softmax(Z Z^T / tau) over
+    one modality's unit rows. At beta 0 the targets are exactly the
+    identity.
     """
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    _validate_tau(tau)
-    with _targets_tape(detach):
-        z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
-        b = z_e.shape[0]
-        eye = Tensor(np.eye(b))
-        if beta == 0.0:
-            return eye, Tensor(np.eye(b))
-        p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
-        p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
-        t_e = eye * (1.0 - beta) + p_ee * beta
-        t_i = eye * (1.0 - beta) + p_ii * beta
-    return t_e, t_i
+    b = p_ee.shape[0]
+    eye = Tensor(np.eye(b))
+    if beta == 0.0:
+        return eye, Tensor(np.eye(b))
+    return eye * (1.0 - beta) + p_ee * beta, eye * (1.0 - beta) + p_ii * beta
 
 
 def _require_row_stochastic(name: str, p: Tensor) -> None:
@@ -173,8 +158,11 @@ def relation_loss(p_ee: Tensor, p_ii: Tensor, p_ei: Tensor, p_ie: Tensor) -> Ten
 def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, dict[str, float]]:
     """Weighted sum of the three terms with a per-component breakdown.
 
-    Components with a zero weight are skipped entirely, so a (1, 0, 0)
-    weighting reproduces plain InfoNCE exactly.
+    The one place the objective is assembled: the unit rows, the logits
+    sim / tau and the intra-modal distributions are each built once and
+    shared by every term that reads them. Soft and relation terms with
+    a zero weight are skipped entirely, so a (1, 0, 0) weighting
+    reproduces plain InfoNCE exactly.
     """
     z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
     if z_e.shape != z_i.shape:
@@ -183,26 +171,27 @@ def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, 
     if weights.lam > 0 and b < 2:
         raise ContractError("relation term requires a batch of at least 2")
     tau = weights.tau
-    sim = matmul(z_e, transpose(z_i))
+    _validate_tau(tau)
+    logits = matmul(z_e, transpose(z_i)) / tau
 
-    l_clip = infonce(sim, tau)
+    l_clip = _infonce_logits(logits)
     total = l_clip * weights.mu
     parts = {"l_clip": l_clip.item(), "l_soft": 0.0, "l_rel": 0.0}
 
     if weights.alpha > 0 or weights.lam > 0:
-        p_ei = softmax_rows(sim, temperature=tau)
-        p_ie = softmax_rows(transpose(sim), temperature=tau)
+        p_ei = softmax_rows(logits)
+        p_ie = softmax_rows(transpose(logits))
+        with no_grad() if weights.detach_targets else contextlib.nullcontext():
+            p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
+            p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
 
     if weights.alpha > 0:
-        t_e, t_i = soft_targets(z_e, z_i, tau, weights.beta, detach=weights.detach_targets)
+        t_e, t_i = soft_targets(p_ee, p_ii, weights.beta)
         l_soft = soft_loss(t_e, t_i, p_ei, p_ie)
         total = total + l_soft * weights.alpha
         parts["l_soft"] = l_soft.item()
 
     if weights.lam > 0:
-        with _targets_tape(weights.detach_targets):
-            p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
-            p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
         l_rel = relation_loss(p_ee, p_ii, p_ei, p_ie)
         total = total + l_rel * weights.lam
         parts["l_rel"] = l_rel.item()

@@ -19,7 +19,7 @@ from .backbone import ProjectionHead, VisionBackbone, make_prompts
 from .config import RunConfig
 from .data import PairedBatch
 from .dynfilter import FilterGenerator, apply_dynamic_filter
-from .eeg import Perturbation, build_encoder
+from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError
 from .fusion import BilinearMix, CrossAttentionFusion
 from .losses import LossWeights, total_loss
@@ -39,7 +39,7 @@ class AlignmentModel:
         self.image_size = image_size
 
         self.perturb = Perturbation(channels, timesteps)
-        self.encoder = build_encoder(cfg.encoder.kind, channels, timesteps, cfg.encoder.dim, rng)
+        self.encoder = LinearEncoder(channels, timesteps, cfg.encoder.dim, rng)
         self.filter_gen = FilterGenerator(cfg.filter.height, cfg.filter.width, rng)
         self.backbone = VisionBackbone(
             image_size=image_size,

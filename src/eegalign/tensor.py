@@ -429,32 +429,25 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _make(data, ts, vjp)
 
 
+def _expand_to(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """The VJP of a sum over ``axis``: ``g`` copied back out to ``shape``."""
+    if axis is None and not keepdims:
+        return np.full(shape, g)
+    gg = g if keepdims else np.expand_dims(g, axis)
+    return np.broadcast_to(gg, shape).copy()
+
+
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy() if keepdims else np.full(a.shape, g),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _make(data, (a,), vjp)
+    return _make(data, (a,), lambda g: (_expand_to(g, a.shape, axis, keepdims),))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / data.size if data.size else 1.0
-
-    def vjp(g):
-        scaled = g / count
-        if axis is None:
-            return (np.broadcast_to(scaled, a.shape).copy() if keepdims else np.full(a.shape, scaled),)
-        gg = scaled if keepdims else np.expand_dims(scaled, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _make(data, (a,), vjp)
+    return _make(data, (a,), lambda g: (_expand_to(g / count, a.shape, axis, keepdims),))
 
 
 # -- composite numeric ops ----------------------------------------------
@@ -492,20 +485,14 @@ def log_softmax_rows(x, axis: int = -1) -> Tensor:
     return z - log(exp(z).sum(axis=axis, keepdims=True))
 
 
-def l2_normalize(x, guard: bool = True, axis: int = -1) -> Tensor:
-    """Scale rows (last axis by default) to unit Euclidean norm.
+def l2_normalize(x) -> Tensor:
+    """Scale the rows (last axis) to unit Euclidean norm.
 
-    With ``guard`` the squared norm is padded by 1e-12 inside the square
-    root, so zero rows map to zero instead of dividing by zero. With the
-    guard disabled a zero row is an error.
+    The squared norm is padded by 1e-12 inside the square root, so zero
+    rows map to zero instead of dividing by zero.
     """
     x = as_tensor(x)
-    sq = (x * x).sum(axis=axis, keepdims=True)
-    if guard:
-        return x / (sq + NORM_GUARD) ** 0.5
-    if np.any(sq.data == 0.0):
-        raise DomainError("cannot normalize a zero row without the epsilon guard")
-    return x / sq ** 0.5
+    return x / ((x * x).sum(axis=-1, keepdims=True) + NORM_GUARD) ** 0.5
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

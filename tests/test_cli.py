@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from eegalign import data as data_module
+from eegalign import trainer as trainer_module
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
 from eegalign.tensor import read_tensor
+from eegalign.trainer import load_checkpoint, parameter_digest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL_GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12",
@@ -71,6 +74,15 @@ class TestGenData:
         out = gen(tmp_path)
         code = main(["gen-data", "--out", str(out), "--seed", "4", *SMALL_GEN, "--force"])
         assert code == 0
+
+    def test_failed_force_keeps_the_old_dataset(self, tmp_path, fail_write_tensor):
+        out = gen(tmp_path)
+        before = read_files(out)
+        fail_write_tensor(data_module, 5)
+        code = main(["gen-data", "--out", str(out), "--seed", "4", *SMALL_GEN, "--force"])
+        assert code == 2
+        assert read_files(out) == before
+        assert len(load_split(load_dataset(str(out)), "train").ids) > 0
 
     def test_test_classes_disjoint_from_train(self, tmp_path):
         out = gen(tmp_path)
@@ -165,6 +177,17 @@ class TestTrain:
                      "--log", str(tmp_path / "no-such-dir" / "log.jsonl"), *SMALL_NET])
         assert code == 2
         assert not out.exists()
+
+    def test_failed_force_keeps_the_old_checkpoint(self, tmp_path, fail_write_tensor):
+        data = gen(tmp_path)
+        run = train(tmp_path, data)
+        old = parameter_digest(load_checkpoint(run).build_model().parameters())
+        fail_write_tensor(trainer_module, 3)
+        code = main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     "--seed", "2", *SMALL_NET, "--force"])
+        assert code == 2
+        assert parameter_digest(load_checkpoint(run).build_model().parameters()) == old
+        assert sorted(os.listdir(run)) == ["manifest.json", "params.bin"]
 
     def test_collision_refused_without_force(self, tmp_path, capsys):
         data = gen(tmp_path)

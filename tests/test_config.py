@@ -171,6 +171,8 @@ class TestValidation:
         ("eval", "ks", [0], "eval.ks"),
         ("data", "time_window", [5, 2], "time_window"),
         ("data", "time_window", [-1, 4], "time_window"),
+        ("encoder", "kind", "tsconv", "encoder.kind"),
+        ("encoder", "kind", "foo", "encoder.kind"),
     ])
     def test_rejects_bad_field(self, section, key, value, message):
         cfg = default_config()

@@ -7,7 +7,6 @@ import eegalign.data as data_module
 from eegalign.data import (
     DatasetManifest,
     PairedBatch,
-    SplitArrays,
     apply_masks,
     generate_synthetic,
     load_dataset,
@@ -189,22 +188,15 @@ class TestPersistence:
             DatasetManifest.from_json({"splits": {}, "channels": 1, "timesteps": 1, "height": 1,
                                        "width": 1, "n_classes": 1, "wat": 3})
 
-    def test_repetition_axis_averaged(self, tmp_path):
-        rng = np.random.default_rng(0)
-        reps = rng.normal(size=(4, 3, 2, 5))
-        split = SplitArrays(
-            eeg=reps.reshape(4, 3, 2, 5),  # (B, R, C, T)
-            images=rng.uniform(size=(4, 3, 16, 16)),
-            ids=np.arange(4, dtype=np.int64),
-            class_ids=np.array([0, 0, 1, 1], dtype=np.int64),
-        )
-        manifest = DatasetManifest(
-            splits={"train": "train.bin"}, channels=2, timesteps=5, height=16, width=16,
-            n_classes=2, repetitions=True,
-        )
-        save_dataset(manifest, {"train": split}, str(tmp_path))
-        back = load_split(load_dataset(str(tmp_path)), "train")
-        np.testing.assert_allclose(back.eeg, reps.mean(axis=1), atol=1e-15)
+    def test_manifest_from_before_repetitions_went_still_loads(self):
+        manifest = DatasetManifest.from_json({"splits": {}, "channels": 1, "timesteps": 1, "height": 1,
+                                              "width": 1, "n_classes": 1, "seed": 0, "repetitions": False})
+        assert "repetitions" not in manifest.to_json()
+
+    def test_repetition_axis_rejected(self):
+        with pytest.raises(FormatError, match="repetitions"):
+            DatasetManifest.from_json({"splits": {}, "channels": 1, "timesteps": 1, "height": 1,
+                                       "width": 1, "n_classes": 1, "repetitions": True})
 
     @pytest.mark.parametrize("field,sample,bad", [("eeg", 2, np.nan), ("images", 0, np.inf),
                                                    ("eeg", 5, -np.inf)])

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from eegalign.eeg import KNOWN_UNIMPLEMENTED_ENCODERS, LinearEncoder, Perturbation, build_encoder
+from eegalign.config import config_from_dict, default_config
+from eegalign.eeg import LinearEncoder, Perturbation
 from eegalign.errors import ConfigError, DimensionError
+from eegalign.model import AlignmentModel
 from eegalign.tensor import Tensor, grad_check
 
 
@@ -111,15 +113,19 @@ class TestLinearEncoder:
 
 
 class TestEncoderFactory:
+    # "linear" is the only encoder kind; config rejects every other name,
+    # including the six the configuration vocabulary once reserved
     def test_linear_is_built(self):
-        enc = build_encoder("linear", 2, 3, 4, np.random.default_rng(0))
-        assert isinstance(enc, LinearEncoder)
+        cfg = default_config()
+        cfg.encoder.dim = 4
+        model = AlignmentModel(cfg, channels=2, timesteps=3, image_size=16, rng=np.random.default_rng(0))
+        assert isinstance(model.encoder, LinearEncoder)
 
-    @pytest.mark.parametrize("kind", KNOWN_UNIMPLEMENTED_ENCODERS)
+    @pytest.mark.parametrize("kind", ("tsconv", "eegnet", "shallownet", "deepnet", "eegfusenet", "eegproject"))
     def test_known_names_not_implemented(self, kind):
-        with pytest.raises(NotImplementedError):
-            build_encoder(kind, 2, 3, 4, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="encoder.kind"):
+            config_from_dict({"encoder": {"kind": kind}})
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
-            build_encoder("transformerxl", 2, 3, 4, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="encoder.kind"):
+            config_from_dict({"encoder": {"kind": "transformerxl"}})

@@ -2,22 +2,34 @@
 import numpy as np
 import pytest
 
+from eegalign import losses
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.losses import (
     LossWeights,
-    cosine_sim_matrix,
     infonce,
     relation_loss,
     soft_loss,
     soft_targets,
     total_loss,
 )
-from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, no_grad, softmax_rows
+from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, matmul, no_grad, softmax_rows, transpose
 
 
 def unit_rows(rng, b, d):
     z = rng.normal(size=(b, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def cosine_sim_matrix(z_e, z_i):
+    """The similarity `total_loss` builds, from the same public ops."""
+    return matmul(l2_normalize(z_e), transpose(l2_normalize(z_i)))
+
+
+def intra_modal(z, tau):
+    """The detached softmax(Z Z^T / tau) of unit rows, as `total_loss` builds it."""
+    with no_grad():
+        zn = l2_normalize(Tensor(z))
+        return softmax_rows(matmul(zn, transpose(zn)), temperature=tau)
 
 
 class TestCosineSimMatrix:
@@ -48,7 +60,7 @@ class TestCosineSimMatrix:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            cosine_sim_matrix(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            total_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), LossWeights())
 
 
 class TestInfoNCE:
@@ -95,37 +107,47 @@ class TestInfoNCE:
 class TestSoftTargets:
     def test_beta_zero_is_exact_identity(self):
         rng = np.random.default_rng(4)
-        t_e, t_i = soft_targets(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4))), 0.1, beta=0.0)
+        p_ee, p_ii = intra_modal(rng.normal(size=(3, 4)), 0.1), intra_modal(rng.normal(size=(3, 4)), 0.1)
+        t_e, t_i = soft_targets(p_ee, p_ii, beta=0.0)
         assert np.array_equal(t_e.data, np.eye(3))
         assert np.array_equal(t_i.data, np.eye(3))
 
     def test_beta_one_is_intra_modal_distribution(self):
         rng = np.random.default_rng(5)
-        ze = unit_rows(rng, 3, 4)
-        t_e, _ = soft_targets(Tensor(ze), Tensor(unit_rows(rng, 3, 4)), 0.5, beta=1.0)
-        zn = l2_normalize(Tensor(ze))
-        p_ee = softmax_rows(Tensor(zn.data @ zn.data.T), temperature=0.5)
+        p_ee = intra_modal(unit_rows(rng, 3, 4), 0.5)
+        t_e, _ = soft_targets(p_ee, intra_modal(unit_rows(rng, 3, 4), 0.5), beta=1.0)
         assert np.allclose(t_e.data, p_ee.data, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        t_e, t_i = soft_targets(Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(4, 5))), 1.0 / 14.0, beta=0.3)
+        p_ee, p_ii = (intra_modal(rng.normal(size=(4, 5)), 1.0 / 14.0) for _ in range(2))
+        t_e, t_i = soft_targets(p_ee, p_ii, beta=0.3)
         assert np.allclose(t_e.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(t_i.data.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_detach_flag(self):
+    def test_detach_flag(self, monkeypatch):
+        # total_loss builds the intra-modal distributions, and so the
+        # targets, off the tape exactly when detach_targets is set
+        built = []
+
+        def recording(p_ee, p_ii, beta):
+            built.append(soft_targets(p_ee, p_ii, beta))
+            return built[-1]
+
+        monkeypatch.setattr(losses, "soft_targets", recording)
         rng = np.random.default_rng(7)
         ze = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         zi = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        detached, _ = soft_targets(ze, zi, 0.5, beta=0.5, detach=True)
-        attached, _ = soft_targets(ze, zi, 0.5, beta=0.5, detach=False)
-        assert not detached.requires_grad
-        assert attached.requires_grad
+        for detach in (True, False):
+            total_loss(ze, zi, LossWeights(beta=0.5, tau=0.5, detach_targets=detach))
+        detached, attached = built
+        assert not any(t.requires_grad for t in detached)
+        assert all(t.requires_grad for t in attached)
 
     def test_bad_beta_rejected(self):
-        z = Tensor(np.eye(2))
+        p = Tensor(np.full((2, 2), 0.5))
         with pytest.raises(DomainError):
-            soft_targets(z, z, 0.5, beta=1.5)
+            soft_targets(p, p, beta=1.5)
 
 
 class TestSoftLoss:
@@ -305,7 +327,7 @@ class TestTotalLoss:
         # matching differentiable reference pins the targets at their
         # current values explicitly, and its FD-verified gradient must
         # coincide with the detached backward
-        from eegalign.tensor import Parameter, matmul, transpose
+        from eegalign.tensor import Parameter
 
         rng = np.random.default_rng(17)
         ze = Parameter("ze", Tensor(rng.normal(size=(4, 5))), group="A")
@@ -320,12 +342,9 @@ class TestTotalLoss:
         ze.value.grad = None
         zi.value.grad = None
 
-        zen = l2_normalize(ze.value)
-        zin = l2_normalize(zi.value)
-        t_e, t_i = soft_targets(zen, zin, tau, w.beta, detach=True)
-        with no_grad():
-            p_ee_fixed = softmax_rows(matmul(zen, transpose(zen)), temperature=tau)
-            p_ii_fixed = softmax_rows(matmul(zin, transpose(zin)), temperature=tau)
+        p_ee_fixed = intra_modal(ze.value.data, tau)
+        p_ii_fixed = intra_modal(zi.value.data, tau)
+        t_e, t_i = soft_targets(p_ee_fixed, p_ii_fixed, w.beta)
 
         def fixed_target_loss():
             a = l2_normalize(ze.value)
@@ -353,3 +372,19 @@ class TestTotalLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             total_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), LossWeights())
+
+    def test_shared_quantities_are_built_once(self, monkeypatch):
+        # unit rows once per modality; p_ei, p_ie, p_ee and p_ii once
+        # each, shared by the soft and the relation term
+        calls = {"softmax_rows": 0, "l2_normalize": 0}
+        for name in calls:
+            original = getattr(losses, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(losses, name, counted)
+        rng = np.random.default_rng(19)
+        total_loss(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6))), LossWeights())
+        assert calls == {"softmax_rows": 4, "l2_normalize": 2}
