@@ -7,6 +7,12 @@ tokens spliced in between CLS and the patch tokens (each prompt slot
 owns its frozen positional row) and the output projection into the
 shared embedding space. Positional embeddings are added after the
 sequence [CLS; prompts; patches] is assembled.
+
+The image embedding is read from the CLS position alone, so the last
+block computes only that row: every token still supplies keys and
+values, but the query, attention, output projection and MLP run for one
+row instead of 1 + prompts + patches. Earlier blocks run every row,
+because the next block attends to all of them.
 """
 from __future__ import annotations
 
@@ -153,29 +159,45 @@ class VisionBackbone:
         seq = concat(pieces, axis=1)
         return seq + self.pos.value
 
-    def _mha(self, x: Tensor, blk: Block) -> Tensor:
-        b, n, d = x.shape
+    def _mha(self, x: Tensor, blk: Block, queries: int | None = None) -> Tensor:
+        """Self-attention output for the first ``queries`` rows (all by default).
+
+        Keys and values always come from every row of ``x``.
+        """
+        x_q = x if queries is None else x[:, :queries, :]
+        b, m, d = x_q.shape
         h = self.heads
         dh = d // h
 
         def heads_of(t):
-            return transpose(t.reshape((b, n, h, dh)), (0, 2, 1, 3))
+            return transpose(t.reshape((b, t.shape[1], h, dh)), (0, 2, 1, 3))
 
-        q = heads_of(matmul(x, blk.wq.value) + blk.bq.value)
+        q = heads_of(matmul(x_q, blk.wq.value) + blk.bq.value)
         k = heads_of(matmul(x, blk.wk.value) + blk.bk.value)
         v = heads_of(matmul(x, blk.wv.value) + blk.bv.value)
-        z = transpose(attention(q, k, v), (0, 2, 1, 3)).reshape((b, n, d))
+        z = transpose(attention(q, k, v), (0, 2, 1, 3)).reshape((b, m, d))
         return matmul(z, blk.wo.value) + blk.bo.value
 
     def vit_forward(self, seq: Tensor) -> Tensor:
-        """Run the frozen blocks and return the CLS-position output."""
+        """Run the frozen blocks and return the CLS-position output, (B, dim).
+
+        The last block computes the CLS row alone: its keys and values
+        still come from every token, but the query, attention row, output
+        projection, residual, second layer norm and MLP run for row 0
+        only, because no other row of the last block's output is read.
+        """
         if seq.ndim != 3 or seq.shape[1] != self.sequence_length or seq.shape[2] != self.dim:
             raise DimensionError(
                 f"expected sequence (B, {self.sequence_length}, {self.dim}), got {seq.shape}"
             )
         x = seq
-        for blk in self.blocks:
-            x = x + self._mha(layer_norm(x, blk.ln1_g.value, blk.ln1_b.value), blk)
+        last = len(self.blocks) - 1
+        for i, blk in enumerate(self.blocks):
+            attended = layer_norm(x, blk.ln1_g.value, blk.ln1_b.value)
+            if i == last:
+                x = x[:, :1, :] + self._mha(attended, blk, queries=1)
+            else:
+                x = x + self._mha(attended, blk)
             x = x + matmul(
                 gelu(matmul(layer_norm(x, blk.ln2_g.value, blk.ln2_b.value), blk.mlp_w1.value) + blk.mlp_b1.value),
                 blk.mlp_w2.value,

@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags and seeds, refuses to
 clobber existing outputs without --force, and leaves no partial outputs
-when it fails: datasets and checkpoints are written atomically, and its
+when it fails: datasets and checkpoints are written atomically, the
+training log moves into place with its checkpoint, and the command's
 other outputs are removed. `train` accepts dotted config overrides such
 as `--loss.mu 1 --loss.lambda 0` after its named flags.
 """
@@ -40,6 +41,8 @@ from .model import AlignmentModel
 from .trainer import embed_split, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
+# what main() reports as `error: ...` with exit status 2; anything else is a bug
+HANDLED_ERRORS = (ConfigError, ContractError, DimensionError, DomainError, FormatError, OSError)
 SPLIT_FILES = {"train": "train.bin", "val": "val.bin", "test": "test.bin"}
 
 
@@ -151,12 +154,18 @@ def _resolve_config(args, extras) -> RunConfig:
 
 
 def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_path: str):
+    """Fit and save; the log moves into place only once the checkpoint has.
+
+    A failed run therefore leaves the previous checkpoint with its own log.
+    """
     model = AlignmentModel(cfg, channels=train.eeg.shape[1], timesteps=train.eeg.shape[2],
                            image_size=manifest.height)
-    with _fresh_outputs(dirs=[out_dir], files=[log_path]):
+    staged_log = f"{log_path}.tmp"
+    with _fresh_outputs(dirs=[out_dir], files=[staged_log]):
         os.makedirs(out_dir, exist_ok=True)
-        ckpt, history = fit(model, train, val, log_path=log_path)
+        ckpt, history = fit(model, train, val, log_path=staged_log)
         save_checkpoint(ckpt, out_dir)
+        os.replace(staged_log, log_path)
     return ckpt, history
 
 
@@ -349,7 +358,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, extras)
-    except (ConfigError, ContractError, DimensionError, DomainError, FormatError, OSError) as e:
+    except HANDLED_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, FormatError
-from .tensor import Tensor, read_tensor, write_atomically, write_tensor
+from .tensor import Tensor, read_json_object, read_tensor, write_atomically, write_tensor
 
 LATENT_DIM = 8
 MANIFEST_NAME = "manifest.json"
@@ -108,16 +108,22 @@ class DatasetManifest:
         missing = known - {"seed", "repetitions"} - set(obj)
         if missing:
             raise FormatError(f"manifest missing keys: {sorted(missing)}")
-        return DatasetManifest(
-            splits=dict(obj["splits"]),
-            channels=int(obj["channels"]),
-            timesteps=int(obj["timesteps"]),
-            height=int(obj["height"]),
-            width=int(obj["width"]),
-            n_classes=int(obj["n_classes"]),
-            seed=None if obj.get("seed") is None else int(obj.get("seed")),
-            root=root,
-        )
+        try:
+            splits = dict(obj["splits"])
+            if not all(isinstance(f, str) for f in splits.values()):
+                raise TypeError(f"split file names must be strings, got {splits!r}")
+            return DatasetManifest(
+                splits=splits,
+                channels=int(obj["channels"]),
+                timesteps=int(obj["timesteps"]),
+                height=int(obj["height"]),
+                width=int(obj["width"]),
+                n_classes=int(obj["n_classes"]),
+                seed=None if obj.get("seed") is None else int(obj.get("seed")),
+                root=root,
+            )
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"manifest value has the wrong type: {e}") from e
 
 
 def _render_image(code: np.ndarray, height: int) -> np.ndarray:
@@ -263,24 +269,27 @@ def _write_split(split: SplitArrays, fh) -> None:
 
 
 def load_dataset(path: str) -> DatasetManifest:
-    """Read and validate a manifest; split payloads load via load_split."""
+    """Read and validate a manifest; split payloads load via load_split.
+
+    A malformed manifest is a FormatError naming the file.
+    """
     manifest_path = os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
     root = os.path.dirname(manifest_path)
     try:
-        with open(manifest_path) as fh:
-            obj = json.load(fh)
+        obj = read_json_object(manifest_path)
     except FileNotFoundError:
-        raise FormatError(f"no dataset manifest at {manifest_path}")
-    except json.JSONDecodeError as e:
-        raise FormatError(f"manifest is not valid JSON: {e}")
-    return DatasetManifest.from_json(obj, root=root)
+        raise FormatError(f"no dataset manifest at {manifest_path}") from None
+    try:
+        return DatasetManifest.from_json(obj, root=root)
+    except FormatError as e:
+        raise FormatError(f"dataset manifest {manifest_path}: {e}") from e
 
 
 def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
     """Load one split, checking shapes against the manifest geometry.
 
     Non-finite EEG or image values are a FormatError naming the split
-    and the first bad sample.
+    and the first bad sample, and so are ids that are not integers.
     """
     if name not in manifest.splits:
         raise ConfigError(f"manifest has no split named {name!r}; has {sorted(manifest.splits)}")
@@ -307,6 +316,10 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
         if not np.isfinite(values).all():
             first = int(np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))[0])
             raise FormatError(f"split {name!r} has non-finite {what} at sample {first} in {path}")
+    for what, values in (("ids", ids), ("class ids", class_ids)):
+        # NaN fails both tests; beyond 2**53 a float no longer holds every integer
+        if not ((values == np.round(values)) & (np.abs(values) < 2.0 ** 53)).all():
+            raise FormatError(f"split {name!r} has {what} that are not integers in {path}")
     return SplitArrays(
         eeg=eeg,
         images=images,

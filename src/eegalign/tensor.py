@@ -25,6 +25,7 @@ lives here.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -781,6 +782,22 @@ def write_atomically(writers: dict) -> None:
         os.replace(tmp, path)
 
 
+def read_json_object(path) -> dict:
+    """Parse a UTF-8 JSON file whose top level is an object.
+
+    FormatError, naming the file, when it is not UTF-8, not JSON or not
+    an object. A missing file raises FileNotFoundError for the caller.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path} is not valid UTF-8 JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
 _MAX_RANK = 32
 
 
@@ -822,7 +839,10 @@ def read_tensor(fh) -> np.ndarray:
     if 8 * count > left:
         raise FormatError(f"tensor header {shape} claims {8 * count} payload bytes, "
                           f"only {left} left in the file", offset=start)
-    out = np.empty(shape, dtype="<f8")
+    try:
+        out = np.empty(shape, dtype="<f8")
+    except ValueError as e:  # a zero dimension beside dimensions numpy cannot index
+        raise FormatError(f"implausible tensor shape {shape}", offset=start) from e
     got = fh.readinto(out.reshape(-1).view(np.uint8))  # straight into the array, no copy
     if got != 8 * count:
         raise FormatError("truncated tensor file while reading payload", offset=here + got)

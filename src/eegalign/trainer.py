@@ -21,7 +21,7 @@ from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, no_grad, read_tensor, write_atomically, write_tensor
+from .tensor import Parameter, no_grad, read_json_object, read_tensor, write_atomically, write_tensor
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
@@ -48,23 +48,43 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value.data) for p in params]
         self.v = [np.zeros_like(p.value.data) for p in params]
+        size = max((p.value.data.size for p in params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grads(self) -> None:
         for p in self.params:
             p.value.grad = None
 
     def step(self) -> None:
+        """Update every parameter that has a gradient, in place.
+
+        Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        value -= lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+        moments, one numpy operation at a time in that order, writing into
+        m, v, the value and two scratch buffers instead of fresh arrays.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.value.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.value.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            work, denom = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=work)
+            np.add(m, work, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=work)
+            np.multiply(work, g, out=work)
+            np.add(v, work, out=v)
+            np.divide(m, m_scale, out=work)
+            np.multiply(work, self.lr, out=work)
+            np.divide(v, v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, self.eps, out=denom)
+            np.divide(work, denom, out=work)
+            np.subtract(p.value.data, work, out=p.value.data)
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:
@@ -267,42 +287,47 @@ def save_checkpoint(ckpt: Checkpoint, directory) -> None:
 
 
 def load_checkpoint(directory) -> Checkpoint:
+    """Read a checkpoint; a malformed manifest is a FormatError naming the file."""
     manifest_path = os.path.join(directory, CHECKPOINT_MANIFEST)
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = read_json_object(manifest_path)
     except FileNotFoundError:
         raise FormatError(f"no checkpoint manifest at {manifest_path}") from None
-    except json.JSONDecodeError as e:
-        raise FormatError(f"checkpoint manifest is not valid JSON: {e}") from e
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {manifest.get('format_version')!r}")
     for key in ("config", "geometry", "epoch", "val_loss", "train_class_ids", "parameters"):
         if key not in manifest:
             raise FormatError(f"checkpoint manifest is missing {key!r}")
-    values: dict[str, np.ndarray] = {}
+    config = config_from_dict(manifest["config"])
+    names = manifest["parameters"]
+    try:
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise TypeError(f"parameters must be a list of names, got {names!r}")
+        geo = manifest["geometry"]
+        ckpt = Checkpoint(
+            config=config,
+            channels=int(geo["channels"]),
+            timesteps=int(geo["timesteps"]),
+            image_size=int(geo["image_size"]),
+            epoch=int(manifest["epoch"]),
+            val_loss=float(manifest["val_loss"]),
+            train_class_ids=[int(c) for c in manifest["train_class_ids"]],
+            values={},
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed checkpoint manifest {manifest_path}: {e!r}") from e
     params_path = os.path.join(directory, CHECKPOINT_PARAMS)
     try:
         fh = open(params_path, "rb")
     except FileNotFoundError:
         raise FormatError(f"no checkpoint parameter file at {params_path}") from None
     with fh:
-        for name in manifest["parameters"]:
-            values[name] = read_tensor(fh)
+        for name in names:
+            ckpt.values[name] = read_tensor(fh)
         trailing = fh.read(1)
         if trailing:
             raise FormatError("checkpoint parameter file has trailing bytes")
-    geo = manifest["geometry"]
-    return Checkpoint(
-        config=config_from_dict(manifest["config"]),
-        channels=int(geo["channels"]),
-        timesteps=int(geo["timesteps"]),
-        image_size=int(geo["image_size"]),
-        epoch=int(manifest["epoch"]),
-        val_loss=float(manifest["val_loss"]),
-        train_class_ids=[int(c) for c in manifest["train_class_ids"]],
-        values=values,
-    )
+    return ckpt
 
 
 # -- evaluation --------------------------------------------------------------

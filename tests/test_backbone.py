@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+import eegalign.backbone as backbone_module
 from eegalign.backbone import ProjectionHead, VisionBackbone, make_prompts
 from eegalign.dynfilter import apply_dynamic_filter, delta_kernels
 from eegalign.errors import ConfigError, DimensionError
-from eegalign.tensor import Tensor, grad_check
+from eegalign.tensor import Tensor, attention, gelu, grad_check, layer_norm, matmul, transpose
 
 
 def small_backbone(prompt_count=2, layers=2, image_size=16, patch=8, dim=16, heads=4, seed=0):
@@ -132,6 +133,65 @@ class TestVitForward:
 
         report = grad_check(loss, [prompts], max_entries=16, rng=np.random.default_rng(17))
         assert report.passed, report.summary()
+
+
+def reference_vit(bb, seq):
+    """Every row through every block, then row 0: the trunk without the CLS-only shortcut."""
+    b, n, d = seq.shape
+    h, dh = bb.heads, d // bb.heads
+
+    def heads_of(t):
+        return transpose(t.reshape((b, n, h, dh)), (0, 2, 1, 3))
+
+    x = seq
+    for blk in bb.blocks:
+        a = layer_norm(x, blk.ln1_g.value, blk.ln1_b.value)
+        q = heads_of(matmul(a, blk.wq.value) + blk.bq.value)
+        k = heads_of(matmul(a, blk.wk.value) + blk.bk.value)
+        v = heads_of(matmul(a, blk.wv.value) + blk.bv.value)
+        z = transpose(attention(q, k, v), (0, 2, 1, 3)).reshape((b, n, d))
+        x = x + matmul(z, blk.wo.value) + blk.bo.value
+        m = layer_norm(x, blk.ln2_g.value, blk.ln2_b.value)
+        x = x + matmul(gelu(matmul(m, blk.mlp_w1.value) + blk.mlp_b1.value), blk.mlp_w2.value) + blk.mlp_b2.value
+    return x[:, 0, :]
+
+
+class TestClsOnlyLastBlock:
+    @staticmethod
+    def forward_and_grads(bb, forward, seed):
+        rng = np.random.default_rng(seed)
+        prompts = make_prompts(bb.prompt_count, bb.dim, np.random.default_rng(seed + 1))
+        fused = Tensor(rng.normal(size=(3, bb.n_patches, bb.dim)), requires_grad=True)
+        out = forward(bb.insert_prompts(prompts.value, fused))
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        return out.data, fused.grad, prompts.value.grad
+
+    @pytest.mark.parametrize("prompt_count", [0, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_the_all_rows_reference(self, layers, heads, prompt_count):
+        bb = small_backbone(prompt_count=prompt_count, layers=layers, heads=heads, seed=layers)
+        got = self.forward_and_grads(bb, bb.vit_forward, seed=10 * heads)
+        want = self.forward_and_grads(bb, lambda seq: reference_vit(bb, seq), seed=10 * heads)
+        assert got[0].shape == want[0].shape == (3, 16)
+        for name, a, b in zip(("output", "fused grad", "prompt grad"), got, want):
+            if prompt_count == 0 and name == "prompt grad":
+                continue
+            scale = np.abs(b).max()
+            assert np.abs(a - b).max() <= 1e-12 * scale, name
+
+    def test_last_mlp_runs_for_the_cls_row_only(self, monkeypatch):
+        shapes = []
+
+        def recording_gelu(a):
+            shapes.append(a.shape)
+            return gelu(a)
+
+        monkeypatch.setattr(backbone_module, "gelu", recording_gelu)
+        bb = small_backbone(prompt_count=2, layers=2)
+        fused = Tensor(np.random.default_rng(30).normal(size=(3, 4, 16)))
+        bb.vit_forward(bb.insert_prompts(make_prompts(2, 16, np.random.default_rng(31)).value, fused))
+        assert shapes == [(3, 7, 64), (3, 1, 64)]
 
 
 class TestValidation:

@@ -182,12 +182,14 @@ class TestTrain:
         data = gen(tmp_path)
         run = train(tmp_path, data)
         old = parameter_digest(load_checkpoint(run).build_model().parameters())
+        old_log = (run / "train_log.jsonl").read_bytes()
         fail_write_tensor(trainer_module, 3)
         code = main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--seed", "2", *SMALL_NET, "--force"])
         assert code == 2
         assert parameter_digest(load_checkpoint(run).build_model().parameters()) == old
-        assert sorted(os.listdir(run)) == ["manifest.json", "params.bin"]
+        assert (run / "train_log.jsonl").read_bytes() == old_log
+        assert sorted(os.listdir(run)) == ["manifest.json", "params.bin", "train_log.jsonl"]
 
     def test_collision_refused_without_force(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -268,6 +270,48 @@ class TestEval:
         data, _ = trained
         code = main(["eval", "--checkpoint", str(data / "nope"), "--data", str(data)])
         assert code == 2
+
+
+def edit_json(change):
+    def apply(raw):
+        obj = json.loads(raw)
+        return json.dumps(change(obj)).encode()
+    return apply
+
+
+def set_key(key, value):
+    return edit_json(lambda obj: {**obj, key: value})
+
+
+def drop_geometry_channels(obj):
+    del obj["geometry"]["channels"]
+    return obj
+
+
+MALFORMED_MANIFESTS = {
+    "dataset-invalid-utf8": ("data", lambda raw: raw.replace(b"train.bin", b"tr\xffin.bin", 1)),
+    "dataset-channels-not-a-number": ("data", set_key("channels", "x")),
+    "checkpoint-invalid-utf8": ("run", lambda raw: raw.replace(b"format_version", b"format\xffversion", 1)),
+    "checkpoint-epoch-not-a-number": ("run", set_key("epoch", "x")),
+    "checkpoint-geometry-without-channels": ("run", edit_json(drop_geometry_channels)),
+    "checkpoint-parameters-not-a-list": ("run", set_key("parameters", 5)),
+    "checkpoint-top-level-list": ("run", edit_json(lambda obj: [obj])),
+}
+
+
+class TestMalformedManifests:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, case):
+        data = gen(tmp_path)
+        run = train(tmp_path, data, epochs="0")
+        which, corrupt = MALFORMED_MANIFESTS[case]
+        path = tmp_path / which / "manifest.json"
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestExportSim:

@@ -17,7 +17,7 @@ from eegalign.data import (
     zero_shot_split,
 )
 from eegalign.errors import ConfigError, DimensionError, DomainError, FormatError
-from eegalign.tensor import Tensor
+from eegalign.tensor import Tensor, read_tensor, write_tensor
 
 
 def _lsq_train_accuracy(eeg, class_ids):
@@ -210,6 +210,24 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"split 'train' has non-finite {what} at sample {sample} "):
             load_split(back, "train")
         assert len(load_split(back, "val").ids) == 2
+
+    @pytest.mark.parametrize("field,bad", [("ids", np.nan), ("ids", 2.5), ("class_ids", np.inf),
+                                           ("class_ids", 2.0 ** 60)])
+    def test_non_integer_ids_rejected(self, tmp_path, field, bad):
+        data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
+        manifest = self._manifest(data, tmp_path)
+        save_dataset(manifest, splits, str(tmp_path))
+        path = tmp_path / manifest.splits["train"]
+        with open(path, "rb") as fh:
+            arrays = [read_tensor(fh) for _ in range(4)]  # eeg, images, ids, class_ids
+        arrays[2 if field == "ids" else 3][1] = bad
+        with open(path, "wb") as fh:
+            for array in arrays:
+                write_tensor(fh, array)
+        what = "ids" if field == "ids" else "class ids"
+        with pytest.raises(FormatError, match=f"split 'train' has {what} that are not integers"):
+            load_split(load_dataset(str(tmp_path)), "train")
 
     def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
         data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)

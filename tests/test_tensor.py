@@ -648,6 +648,12 @@ class TestSerialization:
             read_tensor(buf)
         assert exc.value.offset == start
 
+    def test_empty_shape_numpy_cannot_index_rejected(self):
+        buf = io.BytesIO(np.asarray([3, 0, 2**32 - 1, 2**32 - 1], "<u4").tobytes())
+        with pytest.raises(FormatError, match="implausible tensor shape") as exc:
+            read_tensor(buf)
+        assert exc.value.offset == 0
+
     def test_garbage_rank_rejected(self):
         buf = io.BytesIO(np.asarray([4_000_000], "<u4").tobytes())
         with pytest.raises(FormatError):

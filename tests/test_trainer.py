@@ -85,6 +85,35 @@ class TestAdam:
         expected = 1.0 - 0.01 * g / (np.sqrt(g * g) + 1e-8)
         assert p.value.data == pytest.approx(expected, abs=1e-15)
 
+    def test_matches_the_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(40)
+        shapes = [(6, 5), (5,), (), (3, 2, 2)]
+        # values far below the step size, so a last-bit change in the step survives the subtraction
+        params = [Parameter(f"p{i}", Tensor(1e-4 * rng.normal(size=s))) for i, s in enumerate(shapes)]
+        values = [p.value.data.copy() for p in params]
+        m = [np.zeros_like(x) for x in values]
+        v = [np.zeros_like(x) for x in values]
+        opt = Adam(params, lr=0.003)
+        for t in range(1, 6):
+            for i, p in enumerate(params):
+                # parameter 1 has no gradient on step 3
+                p.value.grad = None if (i, t) == (1, 3) else rng.normal(size=shapes[i])
+            before = [(p.value.data.copy(), opt.m[i].copy(), opt.v[i].copy()) for i, p in enumerate(params)]
+            opt.step()
+            for i, p in enumerate(params):
+                g = p.value.grad
+                if g is None:
+                    assert all(np.array_equal(a, b) for a, b in zip(before[i], (p.value.data, opt.m[i], opt.v[i])))
+                    continue
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+                m_hat = m[i] / (1.0 - 0.9 ** t)
+                v_hat = v[i] / (1.0 - 0.999 ** t)
+                values[i] -= 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for i, p in enumerate(params):
+                assert np.array_equal(p.value.data, values[i]), (t, i)
+                assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i]), (t, i)
+
     def test_zero_learning_rate_is_inert(self):
         p = scalar_param([4.0, -1.0])
         opt = Adam([p], lr=0.0)
