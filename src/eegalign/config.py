@@ -12,7 +12,8 @@ import json
 import typing
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+from .tensor import read_json_object
 
 # config key -> attribute name, where the key is not a valid identifier
 _LOSS_ALIASES = {"lambda": "lam"}
@@ -186,11 +187,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            tree = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    """Read a config file; ConfigError naming it when it is not a UTF-8 JSON object."""
+    try:
+        tree = read_json_object(path)
+    except FormatError as e:
+        raise ConfigError(f"config file {e}") from e
     return config_from_dict(tree)
 
 

@@ -22,6 +22,9 @@ from .tensor import Tensor, read_json_object, read_tensor, write_atomically, wri
 
 LATENT_DIM = 8
 MANIFEST_NAME = "manifest.json"
+# generate_synthetic refuses a dataset whose arrays would pass this size;
+# splitting and saving hold about one more copy at once
+MAX_DATASET_BYTES = 2 * 2**30
 
 
 @dataclass
@@ -154,6 +157,13 @@ def _render_image(code: np.ndarray, height: int) -> np.ndarray:
     return img
 
 
+def dataset_bytes(n_classes: int, per_class: int, channels: int, timesteps: int, height: int) -> int:
+    """Bytes of the arrays generate_synthetic allocates, from its arguments alone."""
+    total = n_classes * per_class
+    per_sample = channels * timesteps + 3 * height * height + 2  # float64 EEG, image, two int64 ids
+    return 8 * (total * per_sample + (n_classes + channels * timesteps) * LATENT_DIM)
+
+
 def generate_synthetic(
     seed: int,
     n_classes: int,
@@ -167,7 +177,9 @@ def generate_synthetic(
     """Build a paired dataset of ``n_classes * per_class`` samples.
 
     ``patch`` is the patch size the visual backbone will tile the image
-    with; a height it does not divide is rejected up front.
+    with; a height it does not divide is rejected up front. A dataset
+    whose arrays would pass MAX_DATASET_BYTES is a ConfigError, raised
+    before anything is allocated.
     """
     if n_classes < 1 or per_class < 1:
         raise ConfigError(f"need at least one class and one sample per class, got {n_classes}/{per_class}")
@@ -177,6 +189,11 @@ def generate_synthetic(
         raise ConfigError(f"image height {height} is not divisible by patch size {patch}")
     if noise < 0:
         raise DomainError(f"noise level must be >= 0, got {noise}")
+    size = dataset_bytes(n_classes, per_class, channels, timesteps, height)
+    if size > MAX_DATASET_BYTES:
+        raise ConfigError(f"{n_classes} classes x {per_class} samples of {channels}x{timesteps} EEG and "
+                          f"{height}x{height} images need {size} bytes, over the "
+                          f"{MAX_DATASET_BYTES}-byte cap")
 
     rng = np.random.default_rng(seed)
     codes = rng.normal(size=(n_classes, LATENT_DIM))

@@ -14,10 +14,22 @@ a gradient, so the frozen trunk's weights cost no backward arithmetic.
 Under ``no_grad()`` nothing is recorded at all, for forward passes whose
 results are only read.
 
-The per-instance dynamic filter is one op, ``dynamic_conv``: its forward
-pass sums the k*k shifted views of one zero-padded image, so no window
-matrix is built, and its VJP is closed-form and gated per parent in the
-same way. ``unfold`` remains for ordinary strided convolutions.
+Composites on the hot path are fused: each records one node whose VJP
+is closed-form and gated per parent in the same way.
+
+* ``layer_norm``: normalization and affine, with the standard
+  layer-norm input gradient;
+* ``attention``: softmax(q k^T / sqrt(d)) v with the softmax-Jacobian
+  VJP, skipping the score side when neither q nor k needs a gradient;
+* ``softmax_rows`` (after its own temperature division node) and
+  ``log_softmax_rows``;
+* ``dynamic_conv``, the per-instance dynamic filter: its forward pass
+  sums the k*k shifted views of one zero-padded image, so no window
+  matrix is built. ``unfold`` remains for ordinary strided
+  convolutions.
+
+backward() stores gradients on leaves only; intermediate results are
+never given a ``.grad``.
 
 numpy supplies storage and BLAS arithmetic only; every gradient rule
 lives here.
@@ -47,8 +59,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient record.
 
     Tensors are treated as immutable within a forward pass. ``grad`` is
-    ``None`` until backward() reaches the tensor and is accumulated
-    additively afterwards.
+    ``None`` until backward() reaches the tensor as a leaf and is
+    accumulated additively afterwards; an op's output never gets one.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -80,9 +92,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
-        Gradients are accumulated into ``.grad`` of every tensor on the
-        path that has ``requires_grad`` set; tensors off the path are
-        left untouched.
+        Gradients are accumulated into ``.grad`` of the leaves only: the
+        tensors on the path that have ``requires_grad`` set and were not
+        produced by a recorded op (parameters and inputs). Intermediate
+        results keep ``.grad`` at None, and tensors off the path are left
+        untouched.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -106,9 +120,9 @@ class Tensor:
             flow = flows.pop(id(node), None)
             if flow is None:
                 continue
-            if node.requires_grad:
-                node.grad = flow.copy() if node.grad is None else node.grad + flow
             if node._vjp is None:
+                if node.requires_grad:
+                    node.grad = flow.copy() if node.grad is None else node.grad + flow
                 continue
             for parent, contrib in zip(node._parents, node._vjp(flow)):
                 if contrib is None or not parent.requires_grad:
@@ -454,13 +468,20 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- composite numeric ops ----------------------------------------------
 
 
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax_rows(x, temperature=1.0, axis: int = -1) -> Tensor:
     """Temperature-scaled softmax along ``axis``.
 
     The row maximum is subtracted before exponentiation; the shift is a
     constant so values and gradients are unchanged by it. ``temperature``
     may be a float or a positive scalar Tensor (gradient flows through
-    a Tensor temperature).
+    a Tensor temperature). The division by the temperature is its own
+    node; the softmax after it is one node whose VJP is the softmax
+    Jacobian, p * (g - sum(g * p)).
     """
     x = as_tensor(x)
     if isinstance(temperature, Tensor):
@@ -474,16 +495,26 @@ def softmax_rows(x, temperature=1.0, axis: int = -1) -> Tensor:
         if t <= 0.0:
             raise DomainError(f"temperature must be positive, got {t}")
         z = x / t if t != 1.0 else x
-    shift = Tensor(np.max(z.data, axis=axis, keepdims=True))
-    e = exp(z - shift)
-    return e / e.sum(axis=axis, keepdims=True)
+    p = _softmax(z.data, axis)
+
+    def vjp(g):
+        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
+
+    return _make(p, (z,), vjp)
 
 
 def log_softmax_rows(x, axis: int = -1) -> Tensor:
+    """log(softmax(x)) along ``axis``, shifted by the row maximum; one node."""
     x = as_tensor(x)
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    z = x - shift
-    return z - log(exp(z).sum(axis=axis, keepdims=True))
+    z = x.data - np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=axis, keepdims=True)
+    data = z - np.log(s)
+
+    def vjp(g):
+        return (g - e / s * g.sum(axis=axis, keepdims=True),)
+
+    return _make(data, (x,), vjp)
 
 
 def l2_normalize(x) -> Tensor:
@@ -497,12 +528,34 @@ def l2_normalize(x) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
-    x = as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps) ** 0.5 * gain + bias
+    """Normalize the last axis to zero mean, unit variance, then affine.
+
+    One node. With xhat = (x - mean) / std and gh = g * gain, the input
+    gradient is the closed form (gh - mean(gh) - xhat * mean(gh * xhat))
+    / std over the last axis (Ba et al., arXiv 1607.06450); the gain and
+    bias gradients are g * xhat and g summed to their shapes. Each is
+    computed only when its parent needs it.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** 0.5
+    xhat = centered / std
+    try:
+        data = xhat * gain.data + bias.data
+    except ValueError as e:
+        raise DimensionError(f"layer norm of {x.shape} cannot take gain {gain.shape} and bias {bias.shape}") from e
+
+    def vjp(g):
+        gx = None
+        if x.requires_grad:
+            gh = g * gain.data
+            gx = (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return (gx,
+                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+    return _make(data, (x, gain, bias), vjp)
 
 
 def kl_div_rows(p, q, clamp: float = KL_CLAMP) -> Tensor:
@@ -524,14 +577,35 @@ def kl_div_rows(p, q, clamp: float = KL_CLAMP) -> Tensor:
 def attention(q, k, v) -> Tensor:
     """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
 
-    Operates on the last two axes; any leading axes are batch.
+    Operates on the last two axes; any leading axes are batch. One node:
+    the value gradient is p^T g, and the score gradient is the softmax
+    Jacobian applied to g v^T, scaled and multiplied out to q and k. The
+    score side is skipped when neither q nor k needs a gradient.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise DimensionError(f"attention needs rank >= 2 operands, got {q.shape}, {k.shape} and {v.shape}")
     d = q.shape[-1]
     if k.shape[-1] != d:
         raise DimensionError(f"query dim {d} != key dim {k.shape[-1]}")
-    scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d))
-    return matmul(softmax_rows(scores, axis=-1), v)
+    scale = 1.0 / math.sqrt(d)
+    try:
+        p = _softmax(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale, -1)
+        data = np.matmul(p, v.data)
+    except ValueError as e:
+        raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}") from e
+
+    def vjp(g):
+        gv = _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        gq = _unbroadcast(np.matmul(gs, k.data), q.shape) if q.requires_grad else None
+        gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q.data), k.shape) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _make(data, (q, k, v), vjp)
 
 
 def unfold(x, kh: int, kw: int, stride: int = 1, padding: int | tuple[int, int] = 0) -> Tensor:
@@ -792,7 +866,7 @@ def read_json_object(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"{path} is not valid UTF-8 JSON: {e}") from e
+        raise FormatError(f"{path} is not valid JSON in UTF-8: {e}") from e
     if not isinstance(obj, dict):
         raise FormatError(f"{path} holds a JSON {type(obj).__name__}, not an object")
     return obj

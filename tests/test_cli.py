@@ -84,6 +84,14 @@ class TestGenData:
         assert read_files(out) == before
         assert len(load_split(load_dataset(str(out)), "train").ids) > 0
 
+    def test_oversized_dataset_exits_two_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "huge"
+        code = main(["gen-data", "--out", str(out), "--classes", "100000000000", "--per-class", "1000"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and "cap" in err
+        assert not out.exists()
+
     def test_test_classes_disjoint_from_train(self, tmp_path):
         out = gen(tmp_path)
         classes = {}
@@ -134,6 +142,20 @@ class TestTrain:
                      "--epochs", "0", "--trainer.batch_size", "1"])
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff", b'{"trainer": {"epochs": 0}}\xfe', b'{"trainer": ', b"[1, 2]"],
+                             ids=["invalid-utf8", "invalid-utf8-after-json", "not-json", "top-level-list"])
+    def test_malformed_config_file_exits_two_naming_it(self, tmp_path, capsys, content):
+        data = gen(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(data), "--out", str(out), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and str(cfg_path) in err
+        assert not out.exists()
 
     def test_determinism_across_runs(self, tmp_path):
         data = gen(tmp_path)

@@ -5,9 +5,11 @@ import pytest
 
 import eegalign.data as data_module
 from eegalign.data import (
+    LATENT_DIM,
     DatasetManifest,
     PairedBatch,
     apply_masks,
+    dataset_bytes,
     generate_synthetic,
     load_dataset,
     load_split,
@@ -82,6 +84,29 @@ class TestGenerate:
     def test_negative_noise_rejected(self):
         with pytest.raises(DomainError):
             generate_synthetic(seed=0, n_classes=2, per_class=2, channels=3, timesteps=5, height=16, noise=-0.1)
+
+    def test_size_estimate_counts_what_is_allocated(self):
+        data = generate_synthetic(seed=0, n_classes=3, per_class=2, channels=4, timesteps=6, height=16)
+        held = data.eeg.nbytes + data.images.nbytes + data.ids.nbytes + data.class_ids.nbytes
+        latent = 8 * LATENT_DIM * (3 + 4 * 6)  # class codes and the EEG mixing matrix
+        assert dataset_bytes(3, 2, 4, 6, 16) == held + latent
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        size = dataset_bytes(3, 2, 4, 6, 16)
+        monkeypatch.setattr(data_module, "MAX_DATASET_BYTES", size)
+        generate_synthetic(seed=0, n_classes=3, per_class=2, channels=4, timesteps=6, height=16)
+        monkeypatch.setattr(data_module, "MAX_DATASET_BYTES", size - 1)
+        with pytest.raises(ConfigError, match="cap"):
+            generate_synthetic(seed=0, n_classes=3, per_class=2, channels=4, timesteps=6, height=16)
+
+    @pytest.mark.parametrize("n_classes,per_class,channels,timesteps,height", [
+        (100_000_000_000, 1000, 17, 250, 32), (2, 1, 1, 10**9, 16), (2, 1, 1, 1, 2**15),
+    ])
+    def test_oversized_dataset_rejected_before_allocation(self, n_classes, per_class, channels, timesteps, height):
+        assert dataset_bytes(n_classes, per_class, channels, timesteps, height) > data_module.MAX_DATASET_BYTES
+        with pytest.raises(ConfigError, match="cap"):
+            generate_synthetic(seed=0, n_classes=n_classes, per_class=per_class, channels=channels,
+                               timesteps=timesteps, height=height)
 
     def test_default_geometry(self):
         data = generate_synthetic(seed=0, n_classes=2, per_class=1)

@@ -80,6 +80,39 @@ class TestForward:
         assert model.tau().item() == pytest.approx(0.25, abs=1e-12)
 
 
+class TestTapeSize:
+    """A split-apart fused op shows up here, not only in the traced benchmark."""
+
+    # nodes recorded by one default-config batch_loss at the criterion-7
+    # desk geometry; the primitive-only tape recorded 265
+    MAX_NODES = 198
+
+    @staticmethod
+    def recorded_nodes(root) -> int:
+        seen, stack, count = set(), [root], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._vjp is not None:
+                count += 1
+                stack.extend(node._parents)
+        return count
+
+    def test_default_config_step_at_desk_geometry(self):
+        cfg = default_config()
+        cfg.encoder.dim = 64
+        cfg.backbone.dim = 32
+        b = cfg.trainer.batch_size
+        model = AlignmentModel(cfg, channels=8, timesteps=50, image_size=16,
+                               rng=np.random.default_rng(0))
+        data = generate_synthetic(seed=0, n_classes=b, per_class=1, channels=8,
+                                  timesteps=50, height=16, noise=0.2)
+        total, _ = model.batch_loss(make_batch(data, np.arange(b)))
+        assert self.recorded_nodes(total) <= self.MAX_NODES
+
+
 class TestFusionStrategies:
     def test_catf_by_default(self):
         assert isinstance(small_model().fusion, CrossAttentionFusion)

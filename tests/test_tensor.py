@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from eegalign.tensor import (
     kl_div_rows,
     l2_normalize,
     layer_norm,
+    log,
     log_softmax_rows,
     matmul,
     mul,
@@ -543,6 +545,300 @@ class TestDynamicConv:
     def test_bad_shapes_rejected(self, xshape, kshape):
         with pytest.raises(DimensionError):
             dynamic_conv(Tensor(np.zeros(xshape)), Tensor(np.zeros(kshape)))
+
+
+# -- fused ops against the primitive compositions they replaced -----------
+
+
+def _layer_norm_composite(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps) ** 0.5 * gain + bias
+
+
+def _softmax_composite(x, temperature=1.0, axis=-1):
+    z = x / temperature if isinstance(temperature, Tensor) or temperature != 1.0 else x
+    shift = Tensor(np.max(z.data, axis=axis, keepdims=True))
+    e = exp(z - shift)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax_composite(x, axis=-1):
+    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+    z = x - shift
+    return z - log(exp(z).sum(axis=axis, keepdims=True))
+
+
+def _attention_composite(q, k, v):
+    scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(q.shape[-1]))
+    return matmul(_softmax_composite(scores, axis=-1), v)
+
+
+def _recorded_nodes(root):
+    """Tensors with a VJP reachable from ``root``: the tape it built."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+def _assert_within_largest(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _values_and_grads(op, arrays, rng):
+    """Output values and every input's gradient under a random probe."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ts)
+    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    return out.data, [t.grad for t in ts]
+
+
+def _assert_matches_composite(fused, composite, arrays, seed):
+    got_out, got_grads = _values_and_grads(fused, arrays, np.random.default_rng(seed))
+    want_out, want_grads = _values_and_grads(composite, arrays, np.random.default_rng(seed))
+    _assert_within_largest(got_out, want_out)
+    for got, want in zip(got_grads, want_grads):
+        _assert_within_largest(got, want)
+
+
+def _assert_gated(op, arrays, frozen):
+    """Parents in ``frozen`` get None; the others' VJPs are bitwise the all-live ones."""
+    all_live = op(*[Tensor(a, requires_grad=True) for a in arrays])
+    g = np.random.default_rng(0).normal(size=all_live.shape)
+    want = all_live._vjp(g)
+    got = op(*[Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)])._vjp(g)
+    for i, (a, b) in enumerate(zip(got, want)):
+        if i in frozen:
+            assert a is None
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+def _assert_records_nothing_under_no_grad(op, arrays):
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    taped = op(*ts)
+    with no_grad():
+        bare = op(*ts)
+    assert not bare.requires_grad and bare._parents == () and bare._vjp is None
+    assert bare.data.tobytes() == taped.data.tobytes()
+
+
+def _ln_inputs(rng, *shape):
+    d = shape[-1]
+    return [_rand(rng, *shape) * 3.0 + 1.0, 1.0 + 0.3 * _rand(rng, d), 0.2 * _rand(rng, d)]
+
+
+def _attn_inputs(rng, lead, m, n, d, dv):
+    return [_rand(rng, *lead, m, d), _rand(rng, *lead, n, d), _rand(rng, *lead, n, dv)]
+
+
+class TestFusedLayerNorm:
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 1, 6), (2, 3, 7, 16)])
+    def test_matches_the_composite(self, shape):
+        arrays = _ln_inputs(np.random.default_rng(50), *shape)
+        _assert_matches_composite(layer_norm, _layer_norm_composite, arrays, seed=51)
+
+    def test_forward_is_the_composite_bitwise(self):
+        arrays = _ln_inputs(np.random.default_rng(52), 4, 9, 32)
+        fused = layer_norm(*[Tensor(a) for a in arrays])
+        assert fused.data.tobytes() == _layer_norm_composite(*[Tensor(a) for a in arrays]).data.tobytes()
+
+    @pytest.mark.parametrize("frozen", [{0}, {1}, {2}, {1, 2}, {0, 2}])
+    def test_frozen_parents_get_none_and_live_ones_are_unchanged(self, frozen):
+        _assert_gated(layer_norm, _ln_inputs(np.random.default_rng(53), 3, 4, 8), frozen)
+
+    def test_records_nothing_under_no_grad(self):
+        _assert_records_nothing_under_no_grad(layer_norm, _ln_inputs(np.random.default_rng(54), 3, 4, 8))
+
+    def test_a_model_sized_call_is_one_node(self):
+        rng = np.random.default_rng(55)
+        x = Tensor(_rand(rng, 32, 21, 32), requires_grad=True)
+        out = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32)))
+        assert _recorded_nodes(out) == 1
+
+    def test_bad_affine_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("lead,m,n,d,dv", [
+        ((), 5, 5, 4, 4), ((3,), 1, 6, 4, 3), ((2, 3), 5, 6, 4, 3), ((2, 4), 21, 21, 8, 8),
+    ])
+    def test_matches_the_composite(self, lead, m, n, d, dv):
+        arrays = _attn_inputs(np.random.default_rng(60), lead, m, n, d, dv)
+        _assert_matches_composite(attention, _attention_composite, arrays, seed=61)
+
+    @pytest.mark.parametrize("frozen", [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}])
+    def test_frozen_parents_get_none_and_live_ones_are_unchanged(self, frozen):
+        _assert_gated(attention, _attn_inputs(np.random.default_rng(62), (2, 2), 3, 5, 4, 3), frozen)
+
+    def test_score_side_skipped_when_q_and_k_are_frozen(self, monkeypatch):
+        q, k, v = _attn_inputs(np.random.default_rng(63), (2,), 3, 5, 4, 3)
+        out = attention(Tensor(q), Tensor(k), Tensor(v, requires_grad=True))
+        g = np.ones(out.shape)
+        products = []
+        real_matmul = np.matmul
+
+        def counting_matmul(a, b):
+            products.append((a.shape, b.shape))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(tz.np, "matmul", counting_matmul)
+        gq, gk, gv = out._vjp(g)
+        assert gq is None and gk is None and gv is not None
+        assert products == [((2, 5, 3), (2, 3, 3))]
+
+    def test_records_nothing_under_no_grad(self):
+        _assert_records_nothing_under_no_grad(attention, _attn_inputs(np.random.default_rng(64), (2,), 3, 5, 4, 3))
+
+    def test_a_model_sized_call_is_one_node(self):
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in _attn_inputs(np.random.default_rng(65), (32, 4), 21, 21, 8, 8))
+        assert _recorded_nodes(attention(q, k, v)) == 1
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (2, 5, 3), (2, 5, 4)), ((2, 3, 4), (2, 5, 4), (2, 6, 4)), ((4,), (5, 4), (5, 4)),
+    ])
+    def test_bad_shapes_rejected(self, shapes):
+        with pytest.raises(DimensionError):
+            attention(*[Tensor(np.zeros(s)) for s in shapes])
+
+
+class TestFusedSoftmax:
+    @pytest.mark.parametrize("shape,axis,temperature", [
+        ((4, 6), -1, 1.0), ((4, 6), -1, 0.3), ((3, 4, 5), 0, 1.0), ((3, 4, 5), 1, 2.5),
+        ((2, 3, 4, 5), -1, 1.0 / 14.0),
+    ])
+    def test_matches_the_composite(self, shape, axis, temperature):
+        arrays = [_rand(np.random.default_rng(70), *shape) * 4.0]
+        _assert_matches_composite(lambda x: softmax_rows(x, temperature, axis),
+                                  lambda x: _softmax_composite(x, temperature, axis), arrays, seed=71)
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_tensor_temperature_matches_the_composite(self, axis):
+        arrays = [_rand(np.random.default_rng(72), 5, 7) * 2.0, np.asarray(0.7)]
+        _assert_matches_composite(lambda x, t: softmax_rows(x, t, axis),
+                                  lambda x, t: _softmax_composite(x, t, axis), arrays, seed=73)
+
+    def test_frozen_input_leaves_the_temperature_gradient_unchanged(self):
+        rng = np.random.default_rng(74)
+        x0, probe = _rand(rng, 4, 6), Tensor(_rand(rng, 4, 6))
+
+        def grads(x_live):
+            x, t = Tensor(x0, requires_grad=x_live), Tensor(0.4, requires_grad=True)
+            (softmax_rows(x, t) * probe).sum().backward()
+            return x.grad, t.grad
+
+        gx, gt = grads(False)
+        assert gx is None
+        assert gt.tobytes() == grads(True)[1].tobytes()
+
+    def test_records_nothing_under_no_grad(self):
+        arrays = [_rand(np.random.default_rng(75), 4, 6), np.asarray(0.5)]
+        _assert_records_nothing_under_no_grad(lambda x, t: softmax_rows(x, t), arrays)
+
+    def test_a_model_sized_call_is_one_node_after_the_division(self):
+        rng = np.random.default_rng(76)
+        x = Tensor(_rand(rng, 32, 32), requires_grad=True)
+        assert _recorded_nodes(softmax_rows(x)) == 1
+        assert _recorded_nodes(softmax_rows(x, temperature=Tensor(1.0 / 14.0, requires_grad=True))) == 2
+
+
+class TestFusedLogSoftmax:
+    @pytest.mark.parametrize("shape,axis", [((4, 6), -1), ((3, 4, 5), 0), ((3, 4, 5), 1), ((2, 3, 4, 5), -1)])
+    def test_matches_the_composite(self, shape, axis):
+        arrays = [_rand(np.random.default_rng(80), *shape) * 4.0]
+        _assert_matches_composite(lambda x: log_softmax_rows(x, axis),
+                                  lambda x: _log_softmax_composite(x, axis), arrays, seed=81)
+
+    def test_records_nothing_under_no_grad(self):
+        _assert_records_nothing_under_no_grad(log_softmax_rows, [_rand(np.random.default_rng(82), 4, 6)])
+
+    def test_a_model_sized_call_is_one_node(self):
+        x = Tensor(_rand(np.random.default_rng(83), 32, 32), requires_grad=True)
+        assert _recorded_nodes(log_softmax_rows(x)) == 1
+
+
+def _backward_storing_every_grad(loss):
+    """The sweep before leaf-only storage: every tensor on the path gets .grad."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    flows = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        flow = flows.pop(id(node), None)
+        if flow is None:
+            continue
+        if node.requires_grad:
+            node.grad = flow.copy() if node.grad is None else node.grad + flow
+        if node._vjp is None:
+            continue
+        for parent, contrib in zip(node._parents, node._vjp(flow)):
+            if contrib is None or not parent.requires_grad:
+                continue
+            held = flows.get(id(parent))
+            flows[id(parent)] = contrib if held is None else held + contrib
+
+
+class TestLeafOnlyGradients:
+    @staticmethod
+    def graph(seed=90):
+        rng = np.random.default_rng(seed)
+        leaves = {
+            "x": Tensor(_rand(rng, 2, 5, 8), requires_grad=True),
+            "w": Tensor(_rand(rng, 8, 8), requires_grad=True),
+            "gain": Tensor(1.0 + 0.1 * _rand(rng, 8), requires_grad=True),
+            "frozen": Tensor(_rand(rng, 8)),
+            "tau": Tensor(0.5, requires_grad=True),
+        }
+        h = matmul(leaves["x"], leaves["w"])
+        n = layer_norm(h, leaves["gain"], leaves["frozen"])
+        a = gelu(attention(n, n, h)) + leaves["x"]
+        s = softmax_rows(a.sum(axis=1), temperature=leaves["tau"])
+        loss = (log_softmax_rows(a) * a).sum() + (s * s).sum()
+        return leaves, [h, n, a, s, loss], loss
+
+    def test_intermediates_keep_no_grad(self):
+        leaves, intermediates, loss = self.graph()
+        loss.backward()
+        assert all(t.grad is None for t in intermediates)
+        assert all(leaves[name].grad is not None for name in ("x", "w", "gain", "tau"))
+        assert leaves["frozen"].grad is None
+
+    def test_leaf_gradients_are_bitwise_those_of_the_every_node_sweep(self):
+        leaves, _, loss = self.graph()
+        loss.backward()
+        reference, intermediates, ref_loss = self.graph()
+        _backward_storing_every_grad(ref_loss)
+        assert all(t.grad is not None for t in intermediates)
+        for name, leaf in leaves.items():
+            want = reference[name].grad
+            assert (leaf.grad is None) == (want is None)
+            if want is not None:
+                assert leaf.grad.tobytes() == want.tobytes()
+
+    def test_a_leaf_root_gets_its_gradient(self):
+        x = Tensor(np.asarray(2.0), requires_grad=True)
+        x.backward()
+        assert x.grad == 1.0
 
 
 class TestSigmoidStability:
