@@ -31,7 +31,6 @@ from .tensor import (
     l2_normalize,
     layer_norm,
     matmul,
-    transpose,
     unfold,
 )
 
@@ -140,7 +139,11 @@ class VisionBackbone:
         return matmul(cols, self.patch_w.value) + self.patch_b.value
 
     def insert_prompts(self, prompts: Tensor, x_fused: Tensor) -> Tensor:
-        """Assemble [CLS; prompts; patches] then add positional rows."""
+        """Assemble [CLS; prompts; patches] then add positional rows.
+
+        The [CLS; prompts] prefix is built once and broadcast over the
+        batch by adding zeros, so its gradient sums over the batch.
+        """
         if x_fused.ndim != 3 or x_fused.shape[1] != self.n_patches or x_fused.shape[2] != self.dim:
             raise DimensionError(
                 f"expected fused tokens (B, {self.n_patches}, {self.dim}), got {x_fused.shape}"
@@ -149,34 +152,21 @@ class VisionBackbone:
             raise DimensionError(
                 f"expected prompts ({self.prompt_count}, {self.dim}), got {prompts.shape}"
             )
-        b = x_fused.shape[0]
-        zeros_cls = Tensor(np.zeros((b, 1, self.dim)))
-        pieces = [self.cls.value.reshape((1, 1, self.dim)) + zeros_cls]
-        if self.prompt_count:
-            zeros_p = Tensor(np.zeros((b, self.prompt_count, self.dim)))
-            pieces.append(prompts.reshape((1, self.prompt_count, self.dim)) + zeros_p)
-        pieces.append(x_fused)
-        seq = concat(pieces, axis=1)
-        return seq + self.pos.value
+        prefix = concat([self.cls.value.reshape((1, self.dim)), prompts], axis=0)
+        batched = prefix + Tensor(np.zeros((x_fused.shape[0], 1 + self.prompt_count, self.dim)))
+        return concat([batched, x_fused], axis=1) + self.pos.value
 
     def _mha(self, x: Tensor, blk: Block, queries: int | None = None) -> Tensor:
         """Self-attention output for the first ``queries`` rows (all by default).
 
-        Keys and values always come from every row of ``x``.
+        Keys and values always come from every row of ``x``; the fused
+        ``attention`` op splits them into ``heads`` and merges them back.
         """
         x_q = x if queries is None else x[:, :queries, :]
-        b, m, d = x_q.shape
-        h = self.heads
-        dh = d // h
-
-        def heads_of(t):
-            return transpose(t.reshape((b, t.shape[1], h, dh)), (0, 2, 1, 3))
-
-        q = heads_of(matmul(x_q, blk.wq.value) + blk.bq.value)
-        k = heads_of(matmul(x, blk.wk.value) + blk.bk.value)
-        v = heads_of(matmul(x, blk.wv.value) + blk.bv.value)
-        z = transpose(attention(q, k, v), (0, 2, 1, 3)).reshape((b, m, d))
-        return matmul(z, blk.wo.value) + blk.bo.value
+        q = matmul(x_q, blk.wq.value) + blk.bq.value
+        k = matmul(x, blk.wk.value) + blk.bk.value
+        v = matmul(x, blk.wv.value) + blk.bv.value
+        return matmul(attention(q, k, v, self.heads), blk.wo.value) + blk.bo.value
 
     def vit_forward(self, seq: Tensor) -> Tensor:
         """Run the frozen blocks and return the CLS-position output, (B, dim).

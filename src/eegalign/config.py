@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -17,6 +18,12 @@ from .tensor import read_json_object
 
 # config key -> attribute name, where the key is not a valid identifier
 _LOSS_ALIASES = {"lambda": "lam"}
+# geometry leaves that must be >= 1
+_POSITIVE_SIZES = (
+    ("encoder", "dim"), ("filter", "height"), ("filter", "width"), ("fusion", "heads"),
+    ("backbone", "dim"), ("backbone", "layers"), ("backbone", "heads"),
+    ("backbone", "patch"), ("backbone", "mlp_ratio"),
+)
 
 
 @dataclass
@@ -114,7 +121,13 @@ def _coerce(path: str, expected, value):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if expected is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -228,6 +241,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"trainer.batch_size must be >= 2, got {cfg.trainer.batch_size}")
     if cfg.trainer.epochs < 0:
         raise ConfigError(f"trainer.epochs must be >= 0, got {cfg.trainer.epochs}")
+    if cfg.trainer.seed < 0:
+        raise ConfigError(f"trainer.seed must be >= 0, got {cfg.trainer.seed}")
+    for section, attr in _POSITIVE_SIZES:
+        value = getattr(getattr(cfg, section), attr)
+        if value < 1:
+            raise ConfigError(f"{section}.{attr} must be >= 1, got {value}")
     if cfg.trainer.lr_a <= 0 or cfg.trainer.lr_b <= 0:
         raise ConfigError(
             f"learning rates must be positive, got lr_a={cfg.trainer.lr_a} lr_b={cfg.trainer.lr_b}"

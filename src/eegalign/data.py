@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -179,16 +180,19 @@ def generate_synthetic(
     ``patch`` is the patch size the visual backbone will tile the image
     with; a height it does not divide is rejected up front. A dataset
     whose arrays would pass MAX_DATASET_BYTES is a ConfigError, raised
-    before anything is allocated.
+    before anything is allocated. So are a negative seed (ConfigError)
+    and a noise level that is not a finite number >= 0 (DomainError).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise DomainError(f"noise level must be a finite number >= 0, got {noise}")
     if n_classes < 1 or per_class < 1:
         raise ConfigError(f"need at least one class and one sample per class, got {n_classes}/{per_class}")
     if channels < 1 or timesteps < 1 or height < 1:
         raise ConfigError(f"dimensions must be positive, got C={channels} T={timesteps} H={height}")
     if height % patch != 0:
         raise ConfigError(f"image height {height} is not divisible by patch size {patch}")
-    if noise < 0:
-        raise DomainError(f"noise level must be >= 0, got {noise}")
     size = dataset_bytes(n_classes, per_class, channels, timesteps, height)
     if size > MAX_DATASET_BYTES:
         raise ConfigError(f"{n_classes} classes x {per_class} samples of {channels}x{timesteps} EEG and "

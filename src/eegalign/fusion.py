@@ -1,10 +1,11 @@
 """Token fusion between the original and the filtered image streams.
 
 The default strategy attends from original-image patch tokens (queries)
-to filtered-image tokens (keys/values), feeds the attended summary
-through a small gate network, and blends the two streams per token with
-the resulting sigmoid gate. The fallback strategy skips tokens entirely
-and mixes the two images pixelwise with one learnable scalar.
+to filtered-image tokens (keys/values) with ``heads`` heads in one fused
+``attention`` node, feeds the attended summary through a small gate
+network, and blends the two streams per token with the resulting
+sigmoid gate. The fallback strategy skips tokens entirely and mixes the
+two images pixelwise with one learnable scalar.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .tensor import Parameter, Tensor, attention, gelu, matmul, sigmoid, transpose
+from .tensor import Parameter, Tensor, attention, gelu, matmul, sigmoid
 
 STRATEGIES = ("catf", "bilinear")
 
@@ -39,14 +40,6 @@ class CrossAttentionFusion:
         self.gate_w2 = Parameter("fusion.gate.w2", Tensor(rng.normal(size=(half, 1)) / math.sqrt(half)), group="B")
         self.gate_b2 = Parameter("fusion.gate.b2", Tensor(np.full(1, float(gate_bias_init))), group="B")
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
-        return transpose(x.reshape((b, n, self.heads, d // self.heads)), (0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, h, n, dh = x.shape
-        return transpose(x, (0, 2, 1, 3)).reshape((b, n, h * dh))
-
     def gate(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         """Per-token blend weight in (0, 1), shape (B, N, 1)."""
         if x_orig.shape != x_filt.shape:
@@ -56,10 +49,7 @@ class CrossAttentionFusion:
         q = matmul(x_orig, self.wq.value)
         k = matmul(x_filt, self.wk.value)
         v = matmul(x_filt, self.wv.value)
-        if self.heads > 1:
-            z = self._merge_heads(attention(self._split_heads(q), self._split_heads(k), self._split_heads(v)))
-        else:
-            z = attention(q, k, v)
+        z = attention(q, k, v, self.heads)
         hidden = gelu(matmul(z, self.gate_w1.value) + self.gate_b1.value)
         return sigmoid(matmul(hidden, self.gate_w2.value) + self.gate_b2.value)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LossConfig
 from .errors import ContractError, DimensionError, DomainError
 from .tensor import (
     Tensor,
@@ -39,20 +40,19 @@ from .tensor import (
     transpose,
 )
 
-DEFAULT_TAU_INIT = 1.0 / 14.0
 ROW_SUM_TOL = 1e-9
 
 
 @dataclass
 class LossWeights:
-    """Weights of the three loss terms plus softening and temperature."""
+    """Weights of the three loss terms plus softening and temperature; the defaults are LossConfig's."""
 
-    mu: float = 0.6
-    alpha: float = 0.3
-    lam: float = 0.1
-    beta: float = 0.3
-    tau: Tensor | float = DEFAULT_TAU_INIT
-    detach_targets: bool = True
+    mu: float = LossConfig.mu
+    alpha: float = LossConfig.alpha
+    lam: float = LossConfig.lam
+    beta: float = LossConfig.beta
+    tau: Tensor | float = LossConfig.tau_init
+    detach_targets: bool = LossConfig.detach_targets
 
     def __post_init__(self):
         if self.mu < 0 or self.alpha < 0 or self.lam < 0:

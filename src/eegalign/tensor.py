@@ -19,8 +19,10 @@ is closed-form and gated per parent in the same way.
 
 * ``layer_norm``: normalization and affine, with the standard
   layer-norm input gradient;
-* ``attention``: softmax(q k^T / sqrt(d)) v with the softmax-Jacobian
-  VJP, skipping the score side when neither q nor k needs a gradient;
+* ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
+  softmax-Jacobian VJP; the heads are split from and merged back into
+  the last axis inside the node, and the score side is skipped when
+  neither q nor k needs a gradient;
 * ``softmax_rows`` (after its own temperature division node) and
   ``log_softmax_rows``;
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
@@ -574,35 +576,49 @@ def kl_div_rows(p, q, clamp: float = KL_CLAMP) -> Tensor:
     return per_row.mean()
 
 
-def attention(q, k, v) -> Tensor:
-    """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
+def attention(q, k, v, heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention over (..., N, d) rows.
 
-    Operates on the last two axes; any leading axes are batch. One node:
-    the value gradient is p^T g, and the score gradient is the softmax
-    Jacobian applied to g v^T, scaled and multiplied out to q and k. The
-    score side is skipped when neither q nor k needs a gradient.
+    The last axis of q, k and v is split into ``heads`` equal slices; each
+    head computes softmax(q k^T / sqrt(d / heads)) v, and the head outputs
+    are concatenated back along the last axis. Any leading axes are batch.
+    One node: the split and merge are numpy reshapes inside it, the value
+    gradient is p^T g, and the score gradient is the softmax Jacobian
+    applied to g v^T, scaled and multiplied out to q and k. The score side
+    is skipped when neither q nor k needs a gradient.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise DimensionError(f"attention needs rank >= 2 operands, got {q.shape}, {k.shape} and {v.shape}")
-    d = q.shape[-1]
+    d, dv = q.shape[-1], v.shape[-1]
     if k.shape[-1] != d:
         raise DimensionError(f"query dim {d} != key dim {k.shape[-1]}")
-    scale = 1.0 / math.sqrt(d)
+    if heads < 1 or d % heads or dv % heads:
+        raise DimensionError(f"{heads} heads do not divide query dim {d} and value dim {dv}")
+
+    def split(a):  # (..., N, h*e) -> (..., h, N, e)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
+
+    def merge(a):  # (..., h, N, e) -> (..., N, h*e)
+        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(d // heads)
     try:
-        p = _softmax(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale, -1)
-        data = np.matmul(p, v.data)
+        p = _softmax(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, -1)
+        data = merge(np.matmul(p, vh))
     except ValueError as e:
         raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}") from e
 
     def vjp(g):
-        gv = _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape) if v.requires_grad else None
+        gh = split(g)
+        gv = _unbroadcast(merge(np.matmul(np.swapaxes(p, -1, -2), gh)), v.shape) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gp = np.matmul(gh, np.swapaxes(vh, -1, -2))
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        gq = _unbroadcast(np.matmul(gs, k.data), q.shape) if q.requires_grad else None
-        gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q.data), k.shape) if k.requires_grad else None
+        gq = _unbroadcast(merge(np.matmul(gs, kh)), q.shape) if q.requires_grad else None
+        gk = _unbroadcast(merge(np.matmul(np.swapaxes(gs, -1, -2), qh)), k.shape) if k.requires_grad else None
         return gq, gk, gv
 
     return _make(data, (q, k, v), vjp)

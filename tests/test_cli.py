@@ -92,6 +92,15 @@ class TestGenData:
         assert err.startswith("error: ") and "cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "inf"), ("--seed", "-1")])
+    def test_bad_noise_or_seed_exits_two_writing_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        code = main(["gen-data", "--out", str(out), *SMALL_GEN, flag, value])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and flag[2:] in err
+        assert not out.exists()
+
     def test_test_classes_disjoint_from_train(self, tmp_path):
         out = gen(tmp_path)
         classes = {}
@@ -142,6 +151,21 @@ class TestTrain:
                      "--epochs", "0", "--trainer.batch_size", "1"])
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("backbone.patch", "0"), ("backbone.dim", "0"), ("trainer.seed", "-1"),
+        ("backbone.layers", "-1"), ("backbone.layers", "0"), ("encoder.dim", "0"),
+        ("loss.tau_init", "1e400"),
+    ])
+    def test_degenerate_config_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(data), "--out", str(out), f"--{key}", value])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"\xff", b'{"trainer": {"epochs": 0}}\xfe', b'{"trainer": ', b"[1, 2]"],
                              ids=["invalid-utf8", "invalid-utf8-after-json", "not-json", "top-level-list"])

@@ -93,6 +93,12 @@ class TestTypeChecking:
         with pytest.raises(ConfigError, match="loss.mu"):
             config_from_dict({"loss": {"mu": "big"}})
 
+    @pytest.mark.parametrize("raw", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize("key", ["loss.tau_init", "trainer.clip_norm"])
+    def test_non_finite_number_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            apply_overrides(default_config(), {key: raw})
+
     def test_channel_mask_must_be_int_list(self):
         with pytest.raises(ConfigError, match="data.channel_mask"):
             config_from_dict({"data": {"channel_mask": [0, "one"]}})
@@ -173,6 +179,17 @@ class TestValidation:
         ("data", "time_window", [-1, 4], "time_window"),
         ("encoder", "kind", "tsconv", "encoder.kind"),
         ("encoder", "kind", "foo", "encoder.kind"),
+        ("backbone", "dim", 0, "backbone.dim"),
+        ("backbone", "layers", 0, "backbone.layers"),
+        ("backbone", "layers", -1, "backbone.layers"),
+        ("backbone", "heads", 0, "backbone.heads"),
+        ("backbone", "patch", 0, "backbone.patch"),
+        ("backbone", "mlp_ratio", 0, "backbone.mlp_ratio"),
+        ("encoder", "dim", 0, "encoder.dim"),
+        ("fusion", "heads", 0, "fusion.heads"),
+        ("filter", "height", 0, "filter.height"),
+        ("filter", "width", 0, "filter.width"),
+        ("trainer", "seed", -1, "trainer.seed"),
     ])
     def test_rejects_bad_field(self, section, key, value, message):
         cfg = default_config()

@@ -85,6 +85,21 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate_synthetic(seed=0, n_classes=2, per_class=2, channels=3, timesteps=5, height=16, noise=-0.1)
 
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"noise": float("nan")}, DomainError, "noise"),
+        ({"noise": float("inf")}, DomainError, "noise"),
+        ({"seed": -1}, ConfigError, "seed"),
+    ])
+    def test_bad_noise_or_seed_rejected_before_allocation(self, monkeypatch, kwargs, error, message):
+        def refuse(*args, **kw):
+            raise AssertionError("allocated before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        args = {"seed": 0, "n_classes": 2, "per_class": 2, "channels": 3, "timesteps": 5, "height": 16, **kwargs}
+        with pytest.raises(error, match=message):
+            generate_synthetic(**args)
+
     def test_size_estimate_counts_what_is_allocated(self):
         data = generate_synthetic(seed=0, n_classes=3, per_class=2, channels=4, timesteps=6, height=16)
         held = data.eeg.nbytes + data.images.nbytes + data.ids.nbytes + data.class_ids.nbytes

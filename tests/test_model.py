@@ -85,7 +85,7 @@ class TestTapeSize:
 
     # nodes recorded by one default-config batch_loss at the criterion-7
     # desk geometry; the primitive-only tape recorded 265
-    MAX_NODES = 198
+    MAX_NODES = 182
 
     @staticmethod
     def recorded_nodes(root) -> int:

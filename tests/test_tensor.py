@@ -575,6 +575,22 @@ def _attention_composite(q, k, v):
     return matmul(_softmax_composite(scores, axis=-1), v)
 
 
+def _multi_head_composite(heads):
+    """Per-head attention with the heads split and merged by reshape and transpose nodes."""
+    def swap_rows_and_heads(t):  # (..., a, b, e) <-> (..., b, a, e)
+        r = t.ndim
+        return transpose(t, tuple(range(r - 3)) + (r - 2, r - 3, r - 1))
+
+    def split(t):
+        return swap_rows_and_heads(t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads)))
+
+    def composite(q, k, v):
+        z = swap_rows_and_heads(_attention_composite(split(q), split(k), split(v)))
+        return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],))
+
+    return composite
+
+
 def _recorded_nodes(root):
     """Tensors with a VJP reachable from ``root``: the tape it built."""
     seen, stack, count = set(), [root], 0
@@ -696,7 +712,7 @@ class TestFusedAttention:
         monkeypatch.setattr(tz.np, "matmul", counting_matmul)
         gq, gk, gv = out._vjp(g)
         assert gq is None and gk is None and gv is not None
-        assert products == [((2, 5, 3), (2, 3, 3))]
+        assert products == [((2, 1, 5, 3), (2, 1, 3, 3))]
 
     def test_records_nothing_under_no_grad(self):
         _assert_records_nothing_under_no_grad(attention, _attn_inputs(np.random.default_rng(64), (2,), 3, 5, 4, 3))
@@ -712,6 +728,29 @@ class TestFusedAttention:
     def test_bad_shapes_rejected(self, shapes):
         with pytest.raises(DimensionError):
             attention(*[Tensor(np.zeros(s)) for s in shapes])
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_heads_match_the_split_and_merged_composite(self, lead, heads):
+        arrays = _attn_inputs(np.random.default_rng(66), lead, 5, 6, 8, 12)
+        _assert_matches_composite(lambda q, k, v: attention(q, k, v, heads), _multi_head_composite(heads),
+                                  arrays, seed=67)
+
+    @pytest.mark.parametrize("frozen", [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}])
+    def test_multi_head_frozen_parents_get_none(self, frozen):
+        arrays = _attn_inputs(np.random.default_rng(68), (2, 2), 3, 5, 4, 6)
+        _assert_gated(lambda q, k, v: attention(q, k, v, 2), arrays, frozen)
+
+    def test_a_model_sized_multi_head_call_is_one_node(self):
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in _attn_inputs(np.random.default_rng(69), (32,), 21, 21, 64, 64))
+        assert _recorded_nodes(attention(q, k, v, 4)) == 1
+
+    @pytest.mark.parametrize("heads,d,dv", [(0, 4, 4), (-2, 4, 4), (3, 6, 4), (2, 3, 4), (2, 4, 3)])
+    def test_heads_that_do_not_divide_the_dims_rejected(self, heads, d, dv):
+        q, k, v = _attn_inputs(np.random.default_rng(0), (2,), 3, 5, d, dv)
+        with pytest.raises(DimensionError, match="heads"):
+            attention(Tensor(q), Tensor(k), Tensor(v), heads)
 
 
 class TestFusedSoftmax:
