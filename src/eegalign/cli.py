@@ -1,11 +1,11 @@
 """Command-line entry point: gen-data, train, eval, export-sim, gradcheck.
 
-Every command is deterministic given its flags and seeds, refuses to
-clobber existing outputs without --force, and leaves no partial outputs
-when it fails: datasets and checkpoints are written atomically, the
-training log moves into place with its checkpoint, and the command's
-other outputs are removed. `train` accepts dotted config overrides such
-as `--loss.mu 1 --loss.lambda 0` after its named flags.
+Every command is deterministic given its flags and seeds and refuses to
+clobber existing outputs without --force. Every file goes through
+`write_atomically`, staged as `<path>.tmp` and moved into place when
+complete: a failed command removes only a directory it created, and a
+killed one may leave `.tmp` files but never a partial target. `train`
+accepts dotted config overrides such as `--loss.mu 1` after its flags.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .errors import ConfigError, ContractError, DimensionError, DomainError, For
 from .gradchecks import CHECKS, run_checks
 from .metrics import build_report, write_report_json, write_similarity_csv
 from .model import AlignmentModel
+from .tensor import write_atomically
 from .trainer import embed_split, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
@@ -47,9 +48,11 @@ SPLIT_FILES = {"train": "train.bin", "val": "val.bin", "test": "test.bin"}
 
 
 def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
-    """Directories count as collisions only when non-empty."""
+    """Directories count as collisions only when non-empty; a file may never replace one."""
     if not os.path.exists(path):
         return
+    if os.path.isdir(path) and not is_dir:
+        raise ConfigError(f"output path {path} is a directory")
     if is_dir and os.path.isdir(path) and not os.listdir(path):
         return
     if not force:
@@ -57,25 +60,15 @@ def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
 
 
 @contextlib.contextmanager
-def _fresh_outputs(dirs=(), files=()):
-    """Remove this command's outputs if its body raises.
+def _fresh_outputs(dirs):
+    """Remove the directories among ``dirs`` that the body created, if it raises.
 
-    Freshly created directories are removed wholesale; directories that
-    already existed only lose the specific files listed, so --force over
-    a populated location cannot destroy unrelated content. Files written
-    with `write_atomically` are never listed: a failed write leaves the
-    previous ones in place, and removing them would destroy them.
+    Files are left alone: `write_atomically` keeps the old ones when a write fails.
     """
     fresh_dirs = [d for d in dirs if not os.path.exists(d)]
     try:
         yield
     except BaseException:
-        for f in files:
-            if os.path.isfile(f):
-                try:
-                    os.remove(f)
-                except OSError:
-                    pass
         for d in fresh_dirs:
             shutil.rmtree(d, ignore_errors=True)
         raise
@@ -153,19 +146,40 @@ def _resolve_config(args, extras) -> RunConfig:
     return apply_overrides(cfg, overrides)
 
 
+def _training_outputs(args) -> list[tuple[str, str]]:
+    """Each repeat's (checkpoint directory, log path), checked before training.
+
+    The log is written only after training, so a log path that collides or
+    lacks a directory is refused first.
+    """
+    stem = args.log or os.path.join(args.out, "train_log.jsonl")
+    if args.repeats == 1:
+        outputs = [(args.out, stem)]
+    else:
+        root, ext = os.path.splitext(stem)
+        outputs = [(os.path.join(args.out, f"repeat-{r}"), f"{root}.{r}{ext}")
+                   for r in range(args.repeats)]
+    for _, log_path in outputs:
+        _refuse_collision(log_path, args.force, is_dir=False)
+        log_dir = os.path.dirname(log_path) or "."
+        if not os.path.isdir(log_dir) and os.path.normpath(log_dir) != os.path.normpath(args.out):
+            raise ConfigError(f"log directory {log_dir} does not exist")
+    return outputs
+
+
 def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_path: str):
-    """Fit and save; the log moves into place only once the checkpoint has.
+    """Fit and save; the log is written from the history once the checkpoint is.
 
     A failed run therefore leaves the previous checkpoint with its own log.
     """
     model = AlignmentModel(cfg, channels=train.eeg.shape[1], timesteps=train.eeg.shape[2],
                            image_size=manifest.height)
-    staged_log = f"{log_path}.tmp"
-    with _fresh_outputs(dirs=[out_dir], files=[staged_log]):
+    with _fresh_outputs([out_dir]):
         os.makedirs(out_dir, exist_ok=True)
-        ckpt, history = fit(model, train, val, log_path=staged_log)
+        ckpt, history = fit(model, train, val, progress=lambda row: print(json.dumps(row), flush=True))
         save_checkpoint(ckpt, out_dir)
-        os.replace(staged_log, log_path)
+        text = "".join(json.dumps(row) + "\n" for row in history)
+        write_atomically({log_path: lambda fh: fh.write(text.encode())})
     return ckpt, history
 
 
@@ -183,15 +197,7 @@ def cmd_train(args, extras) -> int:
 
     base_seed = cfg.trainer.seed
     val_losses = []
-    for r in range(args.repeats):
-        if args.repeats == 1:
-            out_dir = args.out
-            log_path = args.log or os.path.join(args.out, "train_log.jsonl")
-        else:
-            out_dir = os.path.join(args.out, f"repeat-{r}")
-            stem = args.log or os.path.join(args.out, "train_log.jsonl")
-            root, ext = os.path.splitext(stem)
-            log_path = f"{root}.{r}{ext}"
+    for r, (out_dir, log_path) in enumerate(_training_outputs(args)):
         cfg.trainer.seed = base_seed + r
         ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
         val_losses.append(ckpt.val_loss)
@@ -221,6 +227,8 @@ def _load_checkpoint_split(checkpoint_dir: str, data_path: str, split_name: str)
 
 
 def cmd_eval(args, extras) -> int:
+    if args.out:
+        _refuse_collision(args.out, args.force, is_dir=False)
     ckpt, model, split = _load_checkpoint_split(args.checkpoint, args.data, args.split)
     ks = args.ks or ckpt.config.eval.ks
     train_ids = ckpt.train_class_ids if args.split == "test" else None
@@ -230,13 +238,9 @@ def cmd_eval(args, extras) -> int:
     out["mAP"] = report.map_score
     out["n_queries"] = int(report.extras["n_queries"])
     out["split"] = args.split
-    text = json.dumps(out, indent=2)
-    print(text)
+    print(json.dumps(out, indent=2))
     if args.out:
-        _refuse_collision(args.out, args.force, is_dir=False)
-        with _fresh_outputs(files=[args.out]):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        write_atomically({args.out: lambda fh: write_report_json(fh, out)})
     return 0
 
 
@@ -249,10 +253,11 @@ def cmd_export_sim(args, extras) -> int:
 
     z_e, z_i = embed_split(model, split, batch_size=ckpt.config.trainer.batch_size)
     sim = z_e @ z_i.T
-    with _fresh_outputs(files=[args.out, report_path]):
-        write_similarity_csv(args.out, sim)
-        report = build_report(sim, ks, similarity_path=args.out)
-        write_report_json(report_path, report)
+    report = build_report(sim, ks, similarity_path=args.out)
+    write_atomically({
+        args.out: lambda fh: write_similarity_csv(fh, sim),
+        report_path: lambda fh: write_report_json(fh, report.to_json_dict()),
+    })
     print(f"wrote {sim.shape[0]}x{sim.shape[1]} similarity matrix to {args.out}")
     print(f"wrote retrieval report to {report_path}")
     return 0

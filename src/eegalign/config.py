@@ -208,12 +208,6 @@ def load_config(path) -> RunConfig:
     return config_from_dict(tree)
 
 
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
-
-
 def _parse_override_value(raw: str):
     """Interpret a CLI string: JSON first, bare words as strings."""
     try:

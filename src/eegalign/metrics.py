@@ -129,15 +129,14 @@ def build_report(sim, ks, similarity_path: str | None = None) -> RetrievalReport
     return report
 
 
-def write_similarity_csv(path, sim) -> None:
-    """Write the matrix as CSV with full float64 round-trip precision."""
+def write_similarity_csv(fh, sim) -> None:
+    """Write the matrix to a binary handle as CSV with full float64 round-trip precision."""
     s = sim.data if isinstance(sim, Tensor) else np.asarray(sim, dtype=np.float64)
     if s.ndim != 2:
         raise DimensionError(f"similarity matrix must be 2-d, got {s.shape}")
-    np.savetxt(path, s, delimiter=",", fmt="%.17g")
+    np.savetxt(fh, s, delimiter=",", fmt="%.17g")
 
 
-def write_report_json(path, report: RetrievalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+def write_report_json(fh, report: dict) -> None:
+    """Write a report dict to a binary handle as indented JSON, one trailing newline."""
+    fh.write((json.dumps(report, indent=2) + "\n").encode())

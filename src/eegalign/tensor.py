@@ -235,61 +235,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic ---------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
+    """One broadcasting elementwise op: the shared body of add, sub, mul and div.
+
+    ``grad_a(g, a, b)`` and ``grad_b`` map the output gradient and both
+    parents' arrays to one parent's gradient, which is then summed back to
+    that parent's shape; a parent that needs no gradient gets None.
+    """
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        data = forward(a.data, b.data)
     except ValueError as e:
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+                _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), vjp)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
-
-    def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _make(data, (a, b), vjp)
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
-
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return _make(data, (a, b), vjp)
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError as e:
-        raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}") from e
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _make(data, (a, b), vjp)
+    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def power(a, exponent: float) -> Tensor:

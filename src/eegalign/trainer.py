@@ -197,11 +197,11 @@ def validation_loss(model: AlignmentModel, val: SplitArrays, batch_size: int) ->
 
 
 def fit(model: AlignmentModel, train: SplitArrays, val: SplitArrays,
-        log_path=None, progress=None) -> tuple[Checkpoint, list[dict]]:
+        progress=None) -> tuple[Checkpoint, list[dict]]:
     """Run the configured number of epochs, keep the best-validation state.
 
     Returns the checkpoint (epoch 0 = untrained counts as a candidate)
-    plus the per-epoch history that also lands in the JSONL log.
+    plus the per-epoch history, each row also passed to ``progress`` if given.
     """
     tcfg = model.cfg.trainer
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 7]))
@@ -212,35 +212,28 @@ def fit(model: AlignmentModel, train: SplitArrays, val: SplitArrays,
     best_epoch = 0
     best_values = snapshot_values(model)
     history: list[dict] = [{"epoch": 0, "val_loss": best_val}]
+    if progress:
+        progress(history[0])
 
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        if log_fh:
-            print(json.dumps(history[0]), file=log_fh)
-        for epoch in range(1, tcfg.epochs + 1):
-            sums = {"l_clip": 0.0, "l_soft": 0.0, "l_rel": 0.0, "l_total": 0.0}
-            batches = _batch_indices(len(train.ids), tcfg.batch_size, shuffle_rng)
-            if not batches:
-                raise ConfigError("training split has fewer than 2 samples")
-            for idx in batches:
-                parts = train_step(model, make_batch(train, idx), opt_a, opt_b, tcfg.clip_norm)
-                for key in sums:
-                    sums[key] += parts[key]
-            record = {"epoch": epoch}
-            record.update({key: sums[key] / len(batches) for key in sums})
-            record["val_loss"] = validation_loss(model, val, tcfg.batch_size)
-            history.append(record)
-            if log_fh:
-                print(json.dumps(record), file=log_fh)
-            if progress:
-                progress(record)
-            if record["val_loss"] < best_val:
-                best_val = record["val_loss"]
-                best_epoch = epoch
-                best_values = snapshot_values(model)
-    finally:
-        if log_fh:
-            log_fh.close()
+    for epoch in range(1, tcfg.epochs + 1):
+        sums = {"l_clip": 0.0, "l_soft": 0.0, "l_rel": 0.0, "l_total": 0.0}
+        batches = _batch_indices(len(train.ids), tcfg.batch_size, shuffle_rng)
+        if not batches:
+            raise ConfigError("training split has fewer than 2 samples")
+        for idx in batches:
+            parts = train_step(model, make_batch(train, idx), opt_a, opt_b, tcfg.clip_norm)
+            for key in sums:
+                sums[key] += parts[key]
+        record = {"epoch": epoch}
+        record.update({key: sums[key] / len(batches) for key in sums})
+        record["val_loss"] = validation_loss(model, val, tcfg.batch_size)
+        history.append(record)
+        if progress:
+            progress(record)
+        if record["val_loss"] < best_val:
+            best_val = record["val_loss"]
+            best_epoch = epoch
+            best_values = snapshot_values(model)
 
     ckpt = Checkpoint(
         config=model.cfg,

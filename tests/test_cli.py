@@ -1,12 +1,14 @@
 """End-to-end command-line behavior, run in-process through main()."""
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from eegalign import cli as cli_module
 from eegalign import data as data_module
 from eegalign import trainer as trainer_module
 from eegalign.cli import main
@@ -34,6 +36,19 @@ def train(tmp_path, data, name="run", extra=(), epochs="1"):
                  "--epochs", epochs, "--seed", "1", *SMALL_NET, *extra])
     assert code == 0
     return out
+
+
+def forbid_fit(monkeypatch):
+    """Make training a test failure: the command under test must refuse before it."""
+
+    def fit(*args, **kwargs):
+        raise AssertionError("fit was called")
+
+    monkeypatch.setattr(cli_module, "fit", fit)
+
+
+def failing_report_writer(fh, report):
+    raise OSError(28, "No space left on device")
 
 
 def read_files(root):
@@ -224,6 +239,50 @@ class TestTrain:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("repeats,existing", [("1", "log.jsonl"), ("2", "log.1.jsonl")])
+    def test_existing_log_refused_without_force(self, tmp_path, capsys, monkeypatch, repeats, existing):
+        data = gen(tmp_path)
+        (tmp_path / existing).write_text("keep me")
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "0", "--seed", "1",
+                "--repeats", repeats, "--log", str(tmp_path / "log.jsonl"), *SMALL_NET]
+        forbid_fit(monkeypatch)
+        assert main(argv) == 2
+        assert "already exists" in capsys.readouterr().err
+        assert (tmp_path / existing).read_text() == "keep me"
+        assert sorted(os.listdir(tmp_path)) == ["data", existing]
+        monkeypatch.undo()
+        assert main([*argv, "--force"]) == 0
+        assert set(json.loads((tmp_path / existing).read_text())) == {"epoch", "val_loss"}
+
+    def test_log_without_a_directory_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        data = gen(tmp_path)
+        out = tmp_path / "run"
+        forbid_fit(monkeypatch)
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+                     "--log", str(tmp_path / "no-such-dir" / "log.jsonl"), *SMALL_NET])
+        assert code == 2
+        assert "no-such-dir does not exist" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log_that_is_a_directory_refused_even_with_force(self, tmp_path, capsys, monkeypatch):
+        data = gen(tmp_path)
+        (tmp_path / "logs").mkdir()
+        forbid_fit(monkeypatch)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "0",
+                     "--log", str(tmp_path / "logs"), "--force", *SMALL_NET])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["data", "logs"]
+
+    def test_prints_the_log_rows(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        run = train(tmp_path, data, epochs="2")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == (run / "train_log.jsonl").read_text().splitlines()
+        assert len(lines) == 4 and lines[-1].startswith("seed 1: best epoch")
+
     def test_failed_force_keeps_the_old_checkpoint(self, tmp_path, fail_write_tensor):
         data = gen(tmp_path)
         run = train(tmp_path, data)
@@ -250,6 +309,31 @@ class TestEval:
     def trained(self, tmp_path):
         data = gen(tmp_path)
         return data, train(tmp_path, data)
+
+    def test_existing_out_refused_before_evaluating(self, trained, tmp_path, capsys, monkeypatch):
+        data, run = trained
+        out = tmp_path / "report.json"
+        out.write_text("keep me")
+
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluate_zero_shot was called")
+
+        monkeypatch.setattr(cli_module, "evaluate_zero_shot", evaluate)
+        code = main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert "already exists" in capsys.readouterr().err
+        assert out.read_text() == "keep me"
+
+    def test_failed_force_keeps_the_old_report(self, trained, tmp_path, monkeypatch):
+        data, run = trained
+        out = tmp_path / "report.json"
+        argv = ["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out), "--force"]
+        assert main([*argv, "--ks", "1"]) == 0
+        before = out.read_bytes()
+        monkeypatch.setattr(cli_module, "write_report_json", failing_report_writer)
+        assert main([*argv, "--ks", "1", "2"]) == 2
+        assert out.read_bytes() == before
+        assert not (tmp_path / "report.json.tmp").exists()
 
     def test_report_keys_and_shape(self, trained, capsys):
         data, run = trained
@@ -384,6 +468,104 @@ class TestExportSim:
         assert code == 2
         assert "already exists" in capsys.readouterr().err
         assert csv_path.read_text() == "occupied"
+
+
+    def test_failed_force_keeps_the_old_csv_and_report(self, tmp_path, monkeypatch):
+        data = gen(tmp_path)
+        run = train(tmp_path, data)
+        argv = ["export-sim", "--checkpoint", str(run), "--data", str(data),
+                "--out", str(tmp_path / "sim.csv"), "--force"]
+        assert main([*argv, "--ks", "1"]) == 0
+        before = read_files(tmp_path)
+        monkeypatch.setattr(cli_module, "write_report_json", failing_report_writer)
+        assert main([*argv, "--ks", "1", "2"]) == 2
+        assert read_files(tmp_path) == before
+
+
+# Runs one command with every payload filler replaced by one that writes part
+# of its bytes and then SIGKILLs its own process, so the kill lands inside a
+# write every time instead of rarely, as a timed kill of a short write would.
+KILL_CHILD = """
+import io, os, signal, sys
+
+import numpy as np
+
+from eegalign import cli, data, tensor, trainer
+
+
+def die_after_half(fh, payload):
+    fh.write(payload[:len(payload) // 2])
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def write_tensor(fh, array):
+    buf = io.BytesIO()
+    tensor.write_tensor(buf, array)
+    die_after_half(fh, buf.getvalue())
+
+
+def write_report_json(fh, report):
+    buf = io.BytesIO()
+    real_write_report_json(buf, report)
+    die_after_half(fh, buf.getvalue())
+
+
+def savetxt(fname, X, *args, **kwargs):
+    real_savetxt(fname, X[:1], *args, **kwargs)  # one complete row of the matrix
+    if hasattr(fname, "flush"):
+        fname.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+real_write_report_json, real_savetxt = cli.write_report_json, np.savetxt
+data.write_tensor = trainer.write_tensor = write_tensor
+cli.write_report_json = write_report_json
+np.savetxt = savetxt
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestKilledMidWrite:
+    @pytest.fixture()
+    def outputs(self, tmp_path):
+        """A dataset, a checkpoint, an eval report and an export-sim pair, all complete."""
+        data = gen(tmp_path)
+        run = train(tmp_path, data)
+        source = ["--checkpoint", str(run), "--data", str(data), "--ks", "1"]
+        assert main(["eval", *source, "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["export-sim", *source, "--out", str(tmp_path / "sim.csv")]) == 0
+        return data, run
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "export-sim"])
+    def test_old_outputs_survive(self, tmp_path, outputs, command):
+        data, run = outputs
+        source = ["--checkpoint", str(run), "--data", str(data), "--ks", "1", "2"]
+        argv, targets = {
+            "gen-data": (["gen-data", "--out", str(data), "--seed", "4", *SMALL_GEN],
+                         ["data/train.bin", "data/val.bin", "data/test.bin", "data/manifest.json"]),
+            "train": (["train", "--data", str(data), "--out", str(run), "--epochs", "1", "--seed", "2",
+                       *SMALL_NET], ["run/params.bin", "run/manifest.json", "run/train_log.jsonl"]),
+            "eval": (["eval", *source, "--out", str(tmp_path / "report.json")], ["report.json"]),
+            "export-sim": (["export-sim", *source, "--out", str(tmp_path / "sim.csv")],
+                           ["sim.csv", "sim.json"]),
+        }[command]
+        before = read_files(tmp_path)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", KILL_CHILD, *argv, "--force"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        after = read_files(tmp_path)
+        assert {name: after.get(name) for name in before} == before
+        assert set(after) - set(before) <= {f"{target}.tmp" for target in targets}
+        manifest = load_dataset(str(data))
+        for name in ("train", "val", "test"):
+            assert len(load_split(manifest, name).ids) > 0
+        load_checkpoint(str(run))
+        assert "Top-1" in json.loads((tmp_path / "report.json").read_text())
+        assert np.loadtxt(tmp_path / "sim.csv", delimiter=",").shape == (2, 2)
+        assert len(json.loads((tmp_path / "sim.json").read_text())["ranks"]) == 2
 
 
 class TestGradcheckCommand:

@@ -1,4 +1,6 @@
 """Config tree: defaults, aliasing, strict key checking, overrides."""
+import json
+
 import pytest
 
 from eegalign.config import (
@@ -8,7 +10,6 @@ from eegalign.config import (
     config_to_dict,
     default_config,
     load_config,
-    save_config,
     validate_config,
 )
 from eegalign.errors import ConfigError
@@ -119,7 +120,7 @@ class TestFileRoundTrip:
         cfg.loss.lam = 0.25
         cfg.data.time_window = [10, 200]
         path = tmp_path / "run.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         again = load_config(path)
         assert config_to_dict(again) == config_to_dict(cfg)
 

@@ -177,7 +177,8 @@ class TestReport:
     def test_csv_round_trip(self, tmp_path):
         s = np.random.default_rng(7).normal(size=(8, 8))
         path = tmp_path / "sim.csv"
-        write_similarity_csv(path, s)
+        with open(path, "wb") as fh:
+            write_similarity_csv(fh, s)
         back = np.loadtxt(path, delimiter=",")
         assert np.array_equal(back, s)
 
@@ -185,7 +186,8 @@ class TestReport:
         s = np.random.default_rng(8).normal(size=(6, 6))
         report = build_report(s, ks=[1, 3], similarity_path="sim.csv")
         path = tmp_path / "report.json"
-        write_report_json(path, report)
+        with open(path, "wb") as fh:
+            write_report_json(fh, report.to_json_dict())
         loaded = json.loads(path.read_text())
         assert loaded["mAP"] == report.map_score
         assert loaded["top_k"]["1"] == report.top_k[1]
