@@ -21,7 +21,6 @@ import numpy as np
 from .config import (
     RunConfig,
     apply_overrides,
-    config_to_dict,
     default_config,
     load_config,
 )

@@ -24,8 +24,11 @@ from .tensor import Tensor, read_json_object, read_tensor, write_atomically, wri
 LATENT_DIM = 8
 MANIFEST_NAME = "manifest.json"
 # generate_synthetic refuses a dataset whose arrays would pass this size;
-# splitting and saving hold about one more copy at once
+# splitting holds about one more copy at once, saving none
 MAX_DATASET_BYTES = 2 * 2**30
+# generate_synthetic draws its noise into one reused buffer of about this
+# many bytes (at least one sample's worth), not one array per sample
+NOISE_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -209,13 +212,25 @@ def generate_synthetic(
     class_ids = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     ids = np.arange(total, dtype=np.int64)
 
+    # One noise row per sample: its EEG noise, then its image noise. Filling
+    # rows in order consumes the stream exactly as one draw per sample and
+    # modality did, so a seed gives the same dataset bit for bit.
+    flat_eeg, flat_images = eeg.reshape(total, -1), images.reshape(total, -1)
+    eeg_size = flat_eeg.shape[1]
+    width = eeg_size + flat_images.shape[1]
+    block = np.empty((max(1, min(per_class, NOISE_BLOCK_BYTES // (8 * width))), width))
     for k in range(n_classes):
-        signal = (codes[k] @ mix).reshape(channels, timesteps)
-        base_img = _render_image(codes[k], height)
-        for j in range(per_class):
-            i = k * per_class + j
-            eeg[i] = signal + noise * rng.normal(size=(channels, timesteps))
-            images[i] = np.clip(base_img + noise * rng.normal(size=(3, height, height)), 0.0, 1.0)
+        signal = codes[k] @ mix
+        base_img = _render_image(codes[k], height).reshape(-1)
+        end = (k + 1) * per_class
+        for s in range(k * per_class, end, len(block)):
+            rows = block[:min(len(block), end - s)]
+            rng.standard_normal(out=rows)
+            rows *= noise
+            np.add(signal, rows[:, :eeg_size], out=flat_eeg[s:s + len(rows)])
+            img = flat_images[s:s + len(rows)]
+            np.add(base_img, rows[:, eeg_size:], out=img)
+            np.clip(img, 0.0, 1.0, out=img)
     return SplitArrays(eeg=eeg, images=images, ids=ids, class_ids=class_ids)
 
 

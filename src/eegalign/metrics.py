@@ -41,16 +41,23 @@ def retrieval_ranks(sim) -> np.ndarray:
     return (1 + greater + tied_lower).astype(np.int64)
 
 
-def topk_accuracy(sim, ks) -> dict[int, float]:
-    """Fraction of queries whose match ranks within the top k, per k."""
-    s = _as_square_array(sim)
-    n = s.shape[0]
+def _topk_from_ranks(ranks: np.ndarray, ks) -> dict[int, float]:
+    n = len(ranks)
     ks = [int(k) for k in ks]
     for k in ks:
         if not 1 <= k <= n:
             raise DomainError(f"k must lie in [1, {n}], got {k}")
-    ranks = retrieval_ranks(s)
     return {k: float(np.mean(ranks <= k)) for k in ks}
+
+
+def _map_from_ranks(ranks: np.ndarray) -> float:
+    """mAP with the diagonal as each query's sole relevant candidate: mean 1/rank."""
+    return float(np.mean(1.0 / ranks))
+
+
+def topk_accuracy(sim, ks) -> dict[int, float]:
+    """Fraction of queries whose match ranks within the top k, per k."""
+    return _topk_from_ranks(retrieval_ranks(sim), ks)
 
 
 def mean_average_precision(sim, relevance=None) -> float:
@@ -64,8 +71,7 @@ def mean_average_precision(sim, relevance=None) -> float:
     s = _as_square_array(sim)
     n = s.shape[0]
     if relevance is None:
-        ranks = retrieval_ranks(s)
-        return float(np.mean(1.0 / ranks))
+        return _map_from_ranks(retrieval_ranks(s))
     rel = np.asarray(relevance, dtype=bool)
     if rel.shape != s.shape:
         raise DimensionError(f"relevance mask shape {rel.shape} does not match similarity {s.shape}")
@@ -117,12 +123,12 @@ class RetrievalReport:
 
 
 def build_report(sim, ks, similarity_path: str | None = None) -> RetrievalReport:
-    """Compute ranks, top-k accuracies, and mAP from one matrix."""
-    s = _as_square_array(sim)
+    """Compute ranks once, then top-k accuracies and mAP from them."""
+    ranks = retrieval_ranks(sim)
     report = RetrievalReport(
-        top_k=topk_accuracy(s, ks),
-        map_score=mean_average_precision(s),
-        ranks=retrieval_ranks(s),
+        top_k=_topk_from_ranks(ranks, ks),
+        map_score=_map_from_ranks(ranks),
+        ranks=ranks,
         similarity_path=similarity_path,
     )
     report.check_invariants()

@@ -834,7 +834,9 @@ def write_atomically(writers: dict) -> None:
     file handle. Each fills a temp file beside its target; only when all
     are complete are they moved into place with os.replace, in the order
     given, so callers list their manifest last. If a writer raises, the
-    temp files are removed and every target is left as it was.
+    temp files are removed and every target is left as it was. If a
+    rename raises, the temp files not yet moved are removed; the targets
+    renamed before it stay replaced.
     """
     staged = []
     try:
@@ -842,13 +844,13 @@ def write_atomically(writers: dict) -> None:
             staged.append(f"{os.fspath(path)}.tmp")
             with open(staged[-1], "wb") as fh:
                 write(fh)
+        for path, tmp in zip(writers, staged):
+            os.replace(tmp, path)
     except BaseException:
         for tmp in staged:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise
-    for path, tmp in zip(writers, staged):
-        os.replace(tmp, path)
 
 
 def read_json_object(path) -> dict:
@@ -877,7 +879,9 @@ def write_tensor(fh, array: np.ndarray) -> None:
     fh.write(np.asarray([len(shape)], dtype="<u4").tobytes())
     if shape:
         fh.write(np.asarray(shape, dtype="<u4").tobytes())
-    fh.write(np.ascontiguousarray(arr).tobytes())
+    # straight from the array's buffer, no bytes copy; ascontiguousarray
+    # copies only a strided array, whose reshape(-1) alone may be a strided view
+    fh.write(np.ascontiguousarray(arr).reshape(-1).data)
 
 
 def read_tensor(fh) -> np.ndarray:

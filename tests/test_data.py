@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import eegalign.data as data_module
 from eegalign.data import (
     LATENT_DIM,
+    NOISE_BLOCK_BYTES,
     DatasetManifest,
     PairedBatch,
     apply_masks,
@@ -33,7 +35,61 @@ def _lsq_train_accuracy(eeg, class_ids):
     return float((pred == class_ids).mean())
 
 
+def _per_sample_generate(seed, n_classes, per_class, channels, timesteps, height, noise):
+    """generate_synthetic's arrays with one noise draw per sample and modality.
+
+    The reference for the blocked draw: every EEG and image value must
+    match it bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    codes = rng.normal(size=(n_classes, LATENT_DIM))
+    mix = rng.normal(size=(LATENT_DIM, channels * timesteps)) / np.sqrt(LATENT_DIM)
+    eeg = np.empty((n_classes * per_class, channels, timesteps))
+    images = np.empty((n_classes * per_class, 3, height, height))
+    for k in range(n_classes):
+        signal = (codes[k] @ mix).reshape(channels, timesteps)
+        base_img = data_module._render_image(codes[k], height)
+        for j in range(per_class):
+            i = k * per_class + j
+            eeg[i] = signal + noise * rng.normal(size=(channels, timesteps))
+            images[i] = np.clip(base_img + noise * rng.normal(size=(3, height, height)), 0.0, 1.0)
+    return eeg, images
+
+
+def _samples_per_block(channels, timesteps, height):
+    return max(1, NOISE_BLOCK_BYTES // (8 * (channels * timesteps + 3 * height * height)))
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n_classes,per_class,channels,timesteps,height,noise,patch", [
+        (3, 40, 17, 250, 32, 0.1, 8),  # quick-start shape; each class spans three noise blocks
+        (5, 6, 8, 50, 16, 0.1, 8),     # desk shape
+        (3, 4, 4, 6, 16, 0.0, 8),
+        (4, 3, 1, 1, 8, 0.3, 8),
+    ])
+    def test_blocked_noise_matches_per_sample_draws(self, seed, n_classes, per_class, channels, timesteps,
+                                                    height, noise, patch):
+        data = generate_synthetic(seed, n_classes, per_class, channels, timesteps, height, noise, patch)
+        eeg, images = _per_sample_generate(seed, n_classes, per_class, channels, timesteps, height, noise)
+        assert data.eeg.tobytes() == eeg.tobytes()
+        assert data.images.tobytes() == images.tobytes()
+
+    def test_quick_start_case_spans_three_blocks(self):
+        assert 40 > 2 * _samples_per_block(17, 250, 32)
+
+    def test_noise_buffer_stays_near_the_cap(self):
+        args = (2, 300, 17, 250, 32)
+        assert args[1] > _samples_per_block(*args[2:])  # a whole-class block would pass the cap
+        tracemalloc.start()
+        try:
+            generate_synthetic(0, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the noise block, plus a class's signal, its rendering and numpy's ufunc buffers
+        assert peak - dataset_bytes(*args) < NOISE_BLOCK_BYTES + 2**18
+
     def test_two_classes_have_distinct_centroids(self):
         data = generate_synthetic(seed=0, n_classes=2, per_class=5, channels=4, timesteps=8, height=16)
         c0 = data.eeg[data.class_ids == 0].mean(axis=0)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from eegalign import metrics
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.metrics import (
     RetrievalReport,
@@ -163,6 +164,23 @@ class TestReport:
         assert report.top_k.get(1, 0.0) <= report.map_score <= 1.0
         assert abs(report.map_score - float(np.mean(1.0 / report.ranks))) < 1e-15
         report.check_invariants()
+
+    def test_ranks_computed_once_and_match_the_public_metrics(self, monkeypatch):
+        s = np.random.default_rng(9).normal(size=(30, 30))
+        s[3, 3] = s[3, 7]  # a tie, so the tie rule matters
+        calls = []
+
+        def counted(sim):
+            calls.append(sim)
+            return retrieval_ranks(sim)
+
+        monkeypatch.setattr(metrics, "retrieval_ranks", counted)
+        report = build_report(s, ks=[1, 5, 30])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.top_k == topk_accuracy(s, [1, 5, 30])
+        assert report.map_score == mean_average_precision(s)
+        np.testing.assert_array_equal(report.ranks, sort_oracle_ranks(s))
 
     def test_invariant_violations_raise(self):
         good = np.random.default_rng(6).normal(size=(5, 5))

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from eegalign.tensor import (
     sub,
     transpose,
     unfold,
+    write_atomically,
     write_tensor,
 )
 
@@ -958,6 +961,38 @@ class TestSerialization:
             assert back.shape == a.shape
             assert back.tobytes() == np.ascontiguousarray(a).tobytes()
 
+    @pytest.mark.parametrize("array", [
+        np.array(2.5),
+        np.zeros((2, 0, 3)),
+        np.arange(24.0).reshape(4, 6)[:, ::2],
+        np.arange(12.0).reshape(3, 4).T,
+        np.arange(6.0).astype(">f8").reshape(2, 3),
+        np.arange(5, dtype=np.int64),
+    ], ids=["0-d", "empty", "strided", "transposed", "big-endian", "int64"])
+    def test_bytes_match_a_tobytes_writer(self, array):
+        def tobytes_writer(fh, a):
+            a = np.asarray(a, dtype="<f8")
+            fh.write(np.asarray([a.ndim, *a.shape], dtype="<u4").tobytes())
+            fh.write(np.ascontiguousarray(a).tobytes())
+
+        expected, buf = io.BytesIO(), io.BytesIO()
+        tobytes_writer(expected, array)
+        write_tensor(buf, array)
+        assert buf.getvalue() == expected.getvalue()
+
+    def test_payload_is_written_without_a_copy(self, tmp_path):
+        array = np.random.default_rng(0).normal(size=2**20)  # 8 MiB
+        with open(tmp_path / "t.bin", "wb") as fh:
+            tracemalloc.start()
+            try:
+                write_tensor(fh, array)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
+        with open(tmp_path / "t.bin", "rb") as fh:
+            assert read_tensor(fh).tobytes() == array.tobytes()
+
     def test_truncated_payload_reports_offset(self):
         buf = io.BytesIO()
         write_tensor(buf, np.ones((2, 2)))
@@ -993,6 +1028,28 @@ class TestSerialization:
         buf = io.BytesIO(np.asarray([4_000_000], "<u4").tobytes())
         with pytest.raises(FormatError):
             read_tensor(buf)
+
+
+class TestWriteAtomically:
+    def test_failed_rename_removes_staged_files(self, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "manifest.json")]
+        for p in paths:
+            p.write_bytes(b"old " + p.name.encode())
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(tz.os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomically({p: (lambda fh, p=p: fh.write(b"new " + p.name.encode())) for p in paths})
+        assert sorted(os.listdir(tmp_path)) == ["a.bin", "b.bin", "manifest.json"]
+        assert paths[0].read_bytes() == b"new a.bin"
+        assert paths[1].read_bytes() == b"old b.bin"
+        assert paths[2].read_bytes() == b"old manifest.json"
 
 
 class TestParameter:
