@@ -78,8 +78,6 @@ class VisionBackbone:
     ):
         if image_size % patch != 0:
             raise ConfigError(f"image size {image_size} is not divisible by patch size {patch}")
-        if heads < 1 or dim % heads != 0:
-            raise ConfigError(f"heads must divide the token dim, got {heads} for dim {dim}")
         if prompt_count < 0:
             raise ConfigError(f"prompt count must be >= 0, got {prompt_count}")
         if rng is None:

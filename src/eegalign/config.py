@@ -35,7 +35,6 @@ class DataConfig:
 
 @dataclass
 class EncoderConfig:
-    kind: str = "linear"
     dim: int = 128
 
 
@@ -161,6 +160,11 @@ _LEAVES = {
 
 def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
     """Check one `section.key` value against its annotation and store it."""
+    if (section_name, key) == ("encoder", "kind"):
+        # configs and checkpoints written while this key existed name the one encoder
+        if value != "linear":
+            raise ConfigError(f"encoder.kind must be 'linear', got {value!r}")
+        return
     attr = _aliases_for(section_name).get(key, key)
     if (section_name, attr) not in _LEAVES:
         raise ConfigError(f"unknown config key {section_name}.{key}")
@@ -241,14 +245,16 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(getattr(cfg, section), attr)
         if value < 1:
             raise ConfigError(f"{section}.{attr} must be >= 1, got {value}")
+    for section in ("backbone", "fusion"):
+        heads = getattr(cfg, section).heads
+        if cfg.backbone.dim % heads:
+            raise ConfigError(f"{section}.heads must divide backbone.dim {cfg.backbone.dim}, got {heads}")
     if cfg.trainer.lr_a <= 0 or cfg.trainer.lr_b <= 0:
         raise ConfigError(
             f"learning rates must be positive, got lr_a={cfg.trainer.lr_a} lr_b={cfg.trainer.lr_b}"
         )
     if cfg.trainer.clip_norm is not None and cfg.trainer.clip_norm <= 0:
         raise ConfigError(f"trainer.clip_norm must be positive, got {cfg.trainer.clip_norm}")
-    if cfg.encoder.kind != "linear":
-        raise ConfigError(f"encoder.kind must be 'linear', got {cfg.encoder.kind!r}")
     if cfg.fusion.strategy not in ("catf", "bilinear"):
         raise ConfigError(f"fusion.strategy must be 'catf' or 'bilinear', got {cfg.fusion.strategy!r}")
     if cfg.loss.mu < 0 or cfg.loss.alpha < 0 or cfg.loss.lam < 0:

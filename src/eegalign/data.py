@@ -176,15 +176,14 @@ def generate_synthetic(
     timesteps: int = 250,
     height: int = 32,
     noise: float = 0.1,
-    patch: int = 8,
 ) -> SplitArrays:
     """Build a paired dataset of ``n_classes * per_class`` samples.
 
-    ``patch`` is the patch size the visual backbone will tile the image
-    with; a height it does not divide is rejected up front. A dataset
-    whose arrays would pass MAX_DATASET_BYTES is a ConfigError, raised
-    before anything is allocated. So are a negative seed (ConfigError)
-    and a noise level that is not a finite number >= 0 (DomainError).
+    A dataset whose arrays would pass MAX_DATASET_BYTES is a ConfigError,
+    raised before anything is allocated. So are a negative seed
+    (ConfigError) and a noise level that is not a finite number >= 0
+    (DomainError). Any height is accepted; the backbone that tiles the
+    images refuses one its patch size does not divide.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -194,8 +193,6 @@ def generate_synthetic(
         raise ConfigError(f"need at least one class and one sample per class, got {n_classes}/{per_class}")
     if channels < 1 or timesteps < 1 or height < 1:
         raise ConfigError(f"dimensions must be positive, got C={channels} T={timesteps} H={height}")
-    if height % patch != 0:
-        raise ConfigError(f"image height {height} is not divisible by patch size {patch}")
     size = dataset_bytes(n_classes, per_class, channels, timesteps, height)
     if size > MAX_DATASET_BYTES:
         raise ConfigError(f"{n_classes} classes x {per_class} samples of {channels}x{timesteps} EEG and "

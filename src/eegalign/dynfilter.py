@@ -57,9 +57,7 @@ class FilterGenerator:
         self.fc1_b = Parameter("filter.fc1.bias", Tensor(np.zeros(HIDDEN)), group="B")
         # small head weights plus a center-spike bias keep the initial kernels near-delta
         self.fc2_w = Parameter("filter.fc2.weight", dense((HIDDEN, out_dim), HIDDEN, scale=0.01), group="B")
-        delta = np.zeros((3, fh, fw))
-        delta[:, fh // 2, fw // 2] = 1.0
-        self.fc2_b = Parameter("filter.fc2.bias", Tensor(delta.reshape(-1)), group="B")
+        self.fc2_b = Parameter("filter.fc2.bias", Tensor(delta_kernels(1, 3, fh, fw).data.reshape(-1)), group="B")
 
     def generate(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> per-instance kernels (B, 3, fh, fw)."""
@@ -93,15 +91,6 @@ def apply_dynamic_filter(images: Tensor, kernels: Tensor) -> Tensor:
     tape node: a sum of shifted views of the padded image, with a
     closed-form VJP that skips the image side when it needs no gradient.
     """
-    if images.ndim != 4:
-        raise DimensionError(f"expected images (B, C, H, W), got {images.shape}")
-    if kernels.ndim != 4 or kernels.shape[0] != images.shape[0] or kernels.shape[1] != images.shape[1]:
-        raise DimensionError(
-            f"kernels {kernels.shape} do not match images {images.shape} on batch/channels"
-        )
-    kh, kw = kernels.shape[2], kernels.shape[3]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError(f"dynamic filter kernels must be odd-sized, got {kh}x{kw}")
     return dynamic_conv(images, kernels)
 
 

@@ -13,10 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .tensor import Parameter, Tensor, attention, gelu, matmul, sigmoid
-
-STRATEGIES = ("catf", "bilinear")
 
 
 class CrossAttentionFusion:
@@ -24,8 +22,6 @@ class CrossAttentionFusion:
 
     def __init__(self, dim: int, heads: int = 1, gate_bias_init: float = -2.0,
                  rng: np.random.Generator | None = None):
-        if heads < 1 or dim % heads != 0:
-            raise ConfigError(f"heads must divide the token dim, got {heads} for dim {dim}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.dim = dim
@@ -61,20 +57,6 @@ class CrossAttentionFusion:
         return [self.wq, self.wk, self.wv, self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2]
 
 
-def bilinear_mix(image: Tensor, filtered: Tensor, lam) -> Tensor:
-    """Pixelwise blend lam * filtered + (1 - lam) * image, lam in (0, 1)."""
-    if image.shape != filtered.shape:
-        raise DimensionError(f"image streams differ: {image.shape} vs {filtered.shape}")
-    if isinstance(lam, Tensor):
-        value = lam.item()
-    else:
-        value = float(lam)
-        lam = Tensor(value)
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"mix coefficient must lie strictly inside (0, 1), got {value}")
-    return lam * filtered + (1.0 - lam) * image
-
-
 class BilinearMix:
     """Single learnable mixing scalar, kept in (0, 1) via a sigmoid."""
 
@@ -88,7 +70,9 @@ class BilinearMix:
         return sigmoid(self.mix_logit.value)
 
     def mix(self, image: Tensor, filtered: Tensor) -> Tensor:
-        return bilinear_mix(image, filtered, self.coefficient())
+        """Pixelwise blend lam * filtered + (1 - lam) * image with lam the coefficient."""
+        lam = self.coefficient()
+        return lam * filtered + (1.0 - lam) * image
 
     def params(self) -> list[Parameter]:
         return [self.mix_logit]

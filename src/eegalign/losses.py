@@ -43,9 +43,12 @@ from .tensor import (
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
-    """Weights of the three loss terms plus softening and temperature; the defaults are LossConfig's."""
+    """Weights of the three loss terms plus softening and temperature; the defaults are LossConfig's.
+
+    Frozen, so the checks in ``__post_init__`` hold for every use of an instance.
+    """
 
     mu: float = LossConfig.mu
     alpha: float = LossConfig.alpha
@@ -59,34 +62,22 @@ class LossWeights:
             raise DomainError(f"loss weights must be >= 0, got mu={self.mu} alpha={self.alpha} lambda={self.lam}")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        _validate_tau(self.tau)
+        if isinstance(self.tau, Tensor) and self.tau.size != 1:
+            raise DomainError(f"temperature must be scalar, got shape {self.tau.shape}")
+        tau = self.tau.item() if isinstance(self.tau, Tensor) else float(self.tau)
+        if tau <= 0:
+            raise DomainError(f"temperature must be positive, got {tau}")
 
 
-def _validate_tau(tau) -> None:
-    if isinstance(tau, Tensor):
-        if tau.size != 1:
-            raise DomainError(f"temperature must be scalar, got shape {tau.shape}")
-        if tau.item() <= 0:
-            raise DomainError(f"temperature must be positive, got {tau.item()}")
-    elif float(tau) <= 0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-
-
-def infonce(sim: Tensor, tau) -> Tensor:
-    """Symmetric InfoNCE over a square similarity matrix.
+def infonce(logits: Tensor) -> Tensor:
+    """Symmetric InfoNCE over square logits, the similarity divided by the temperature.
 
     Mean of the row-wise and column-wise cross entropies of the matched
     diagonal, i.e. a 1/(2B) prefactor over both directions. A batch of
     one has no negatives and scores exactly zero.
     """
-    sim = as_tensor(sim)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise DimensionError(f"similarity matrix must be square, got {sim.shape}")
-    _validate_tau(tau)
-    return _infonce_logits(sim / tau)
-
-
-def _infonce_logits(logits: Tensor) -> Tensor:
+    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
+        raise DimensionError(f"logits must be square, got {logits.shape}")
     b = logits.shape[0]
     idx = np.arange(b)
     row_diag = log_softmax_rows(logits)[(idx, idx)]
@@ -101,8 +92,6 @@ def soft_targets(p_ee: Tensor, p_ii: Tensor, beta: float) -> tuple[Tensor, Tenso
     one modality's unit rows. At beta 0 the targets are exactly the
     identity.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
     b = p_ee.shape[0]
     eye = Tensor(np.eye(b))
     if beta == 0.0:
@@ -167,14 +156,10 @@ def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, 
     z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
     if z_e.shape != z_i.shape:
         raise DimensionError(f"embedding shapes differ: {z_e.shape} vs {z_i.shape}")
-    b = z_e.shape[0]
-    if weights.lam > 0 and b < 2:
-        raise ContractError("relation term requires a batch of at least 2")
     tau = weights.tau
-    _validate_tau(tau)
     logits = matmul(z_e, transpose(z_i)) / tau
 
-    l_clip = _infonce_logits(logits)
+    l_clip = infonce(logits)
     total = l_clip * weights.mu
     parts = {"l_clip": l_clip.item(), "l_soft": 0.0, "l_rel": 0.0}
 
@@ -182,8 +167,8 @@ def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, 
         p_ei = softmax_rows(logits)
         p_ie = softmax_rows(transpose(logits))
         with no_grad() if weights.detach_targets else contextlib.nullcontext():
-            p_ee = softmax_rows(matmul(z_e, transpose(z_e)), temperature=tau)
-            p_ii = softmax_rows(matmul(z_i, transpose(z_i)), temperature=tau)
+            p_ee = softmax_rows(matmul(z_e, transpose(z_e)) / tau)
+            p_ii = softmax_rows(matmul(z_i, transpose(z_i)) / tau)
 
     if weights.alpha > 0:
         t_e, t_i = soft_targets(p_ee, p_ii, weights.beta)

@@ -55,11 +55,6 @@ def _map_from_ranks(ranks: np.ndarray) -> float:
     return float(np.mean(1.0 / ranks))
 
 
-def topk_accuracy(sim, ks) -> dict[int, float]:
-    """Fraction of queries whose match ranks within the top k, per k."""
-    return _topk_from_ranks(retrieval_ranks(sim), ks)
-
-
 def mean_average_precision(sim, relevance=None) -> float:
     """Mean over queries of the average precision of the ranked list.
 

@@ -111,8 +111,5 @@ class AlignmentModel:
     def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.parameters() if not p.frozen]
 
-    def frozen_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.frozen]
-
     def group(self, name: str) -> list[Parameter]:
         return [p for p in self.trainable_parameters() if p.group == name]

@@ -23,8 +23,7 @@ is closed-form and gated per parent in the same way.
   softmax-Jacobian VJP; the heads are split from and merged back into
   the last axis inside the node, and the score side is skipped when
   neither q nor k needs a gradient;
-* ``softmax_rows`` (after its own temperature division node) and
-  ``log_softmax_rows``;
+* ``softmax_rows`` and ``log_softmax_rows``;
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
   sums the k*k shifted views of one zero-padded image, so no window
   matrix is built. ``unfold`` remains for ordinary strided
@@ -454,34 +453,20 @@ def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_rows(x, temperature=1.0, axis: int = -1) -> Tensor:
-    """Temperature-scaled softmax along ``axis``.
+def softmax_rows(x, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``; one node.
 
     The row maximum is subtracted before exponentiation; the shift is a
-    constant so values and gradients are unchanged by it. ``temperature``
-    may be a float or a positive scalar Tensor (gradient flows through
-    a Tensor temperature). The division by the temperature is its own
-    node; the softmax after it is one node whose VJP is the softmax
-    Jacobian, p * (g - sum(g * p)).
+    constant so values and gradients are unchanged by it. The VJP is the
+    softmax Jacobian, p * (g - sum(g * p)).
     """
     x = as_tensor(x)
-    if isinstance(temperature, Tensor):
-        if temperature.size != 1:
-            raise DomainError(f"temperature must be scalar, got shape {temperature.shape}")
-        if temperature.item() <= 0.0:
-            raise DomainError(f"temperature must be positive, got {temperature.item()}")
-        z = x / temperature
-    else:
-        t = float(temperature)
-        if t <= 0.0:
-            raise DomainError(f"temperature must be positive, got {t}")
-        z = x / t if t != 1.0 else x
-    p = _softmax(z.data, axis)
+    p = _softmax(x.data, axis)
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
 
-    return _make(p, (z,), vjp)
+    return _make(p, (x,), vjp)
 
 
 def log_softmax_rows(x, axis: int = -1) -> Tensor:

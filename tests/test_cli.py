@@ -116,6 +116,19 @@ class TestGenData:
         assert err.startswith("error: ") and flag[2:] in err
         assert not out.exists()
 
+    def test_any_height_is_written_and_train_refuses_one_the_patch_does_not_divide(self, tmp_path, capsys,
+                                                                                    monkeypatch):
+        data = gen(tmp_path, extra=["--height", "12"])
+        out = tmp_path / "run"
+        with monkeypatch.context() as patched:
+            forbid_fit(patched)
+            code = main(["train", "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and "patch size 8" in err
+        assert not out.exists()
+        train(tmp_path, data, extra=["--backbone.patch", "4"])
+
     def test_test_classes_disjoint_from_train(self, tmp_path):
         out = gen(tmp_path)
         classes = {}
@@ -180,6 +193,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("backbone.heads", "3"), ("fusion.heads", "3"), ("backbone.patch", "5"), ("filter.height", "4"),
+    ])
+    def test_geometry_the_model_cannot_build_exits_two_before_fit(self, tmp_path, capsys, monkeypatch, key, value):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        forbid_fit(monkeypatch)
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(data), "--out", str(out), *SMALL_NET, f"--{key}", value])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"\xff", b'{"trainer": {"epochs": 0}}\xfe', b'{"trainer": ', b"[1, 2]"],

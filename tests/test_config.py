@@ -1,5 +1,7 @@
 """Config tree: defaults, aliasing, strict key checking, overrides."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,12 @@ class TestDefaults:
         assert cfg.loss.mu == 1.0
         assert cfg.trainer.epochs == RunConfig().trainer.epochs
         assert cfg.backbone.dim == RunConfig().backbone.dim
+
+    def test_readme_defaults_block_matches(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Defaults:\n\n```json\n(.*?)\n```", readme, re.S)
+        assert block is not None
+        assert json.loads(block.group(1)) == config_to_dict(default_config())
 
 
 class TestLambdaAlias:
@@ -184,16 +192,23 @@ class TestValidation:
         ("backbone", "layers", 0, "backbone.layers"),
         ("backbone", "layers", -1, "backbone.layers"),
         ("backbone", "heads", 0, "backbone.heads"),
+        ("backbone", "heads", 3, "backbone.heads"),
         ("backbone", "patch", 0, "backbone.patch"),
         ("backbone", "mlp_ratio", 0, "backbone.mlp_ratio"),
         ("encoder", "dim", 0, "encoder.dim"),
         ("fusion", "heads", 0, "fusion.heads"),
+        ("fusion", "heads", 5, "fusion.heads"),
         ("filter", "height", 0, "filter.height"),
         ("filter", "width", 0, "filter.width"),
         ("trainer", "seed", -1, "trainer.seed"),
     ])
     def test_rejects_bad_field(self, section, key, value, message):
-        cfg = default_config()
-        setattr(getattr(cfg, section), key, value)
+        # through config_from_dict, which ends in validate_config and also
+        # holds the legacy encoder.kind key, which is no longer a field
         with pytest.raises(ConfigError, match=message):
-            validate_config(cfg)
+            config_from_dict({section: {key: value}})
+
+    def test_legacy_encoder_kind_linear_accepted(self):
+        assert config_to_dict(config_from_dict({"encoder": {"kind": "linear", "dim": 8}})) == \
+            config_to_dict(apply_overrides(default_config(), {"encoder.kind": "linear", "encoder.dim": "8"}))
+        assert "kind" not in config_to_dict(default_config())["encoder"]

@@ -154,7 +154,7 @@ class TestApplyDynamicFilter:
 
     def test_even_kernel_rejected(self):
         images = Tensor(np.zeros((1, 3, 8, 8)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionError):
             apply_dynamic_filter(images, Tensor(np.zeros((1, 3, 2, 3))))
 
     def test_batch_channel_mismatch_rejected(self):

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from eegalign.errors import ConfigError, DimensionError, DomainError
-from eegalign.fusion import BilinearMix, CrossAttentionFusion, bilinear_mix
+from eegalign.errors import DimensionError, DomainError
+from eegalign.fusion import BilinearMix, CrossAttentionFusion
 from eegalign.tensor import Tensor, grad_check, matmul, softmax_rows, transpose
 
 
@@ -75,10 +75,11 @@ class TestCrossAttentionFusion:
         assert not np.allclose(out_s.data, out_m.data)
 
     def test_bad_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            CrossAttentionFusion(dim=8, heads=3)
-        with pytest.raises(ConfigError):
-            CrossAttentionFusion(dim=8, heads=0)
+        # a config is refused by validate_config; a direct build by the attention op
+        x_orig, x_filt = token_pair(15)
+        for heads in (3, 0):
+            with pytest.raises(DimensionError, match="heads"):
+                CrossAttentionFusion(dim=8, heads=heads).fuse(x_orig, x_filt)
 
     def test_stream_shape_mismatch_rejected(self):
         fusion = CrossAttentionFusion(dim=8, rng=np.random.default_rng(0))
@@ -113,31 +114,42 @@ class TestCrossAttentionFusion:
 class TestBilinearMix:
     def test_blend_of_identical_images_is_identity(self):
         img = Tensor(np.random.default_rng(0).uniform(size=(2, 3, 4, 4)))
-        out = bilinear_mix(img, img, 0.5)
+        out = BilinearMix(mix_init=0.5).mix(img, img)
         assert np.allclose(out.data, img.data, atol=1e-15)
 
     def test_small_lambda_approaches_original(self):
         rng = np.random.default_rng(1)
         img = Tensor(rng.uniform(size=(1, 3, 4, 4)))
         filt = Tensor(rng.uniform(size=(1, 3, 4, 4)))
-        out = bilinear_mix(img, filt, 1e-9)
+        out = BilinearMix(mix_init=1e-9).mix(img, filt)
         assert np.allclose(out.data, img.data, atol=1e-8)
 
     def test_forced_constant_arithmetic(self):
         img = Tensor(np.zeros((1, 3, 2, 2)))
         filt = Tensor(np.ones((1, 3, 2, 2)))
-        out = bilinear_mix(img, filt, 0.25)
+        out = BilinearMix(mix_init=0.25).mix(img, filt)
         assert np.array_equal(out.data, np.full((1, 3, 2, 2), 0.25))
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, -0.1, 1.5])
     def test_lambda_outside_open_interval_rejected(self, lam):
-        img = Tensor(np.zeros((1, 3, 2, 2)))
         with pytest.raises(DomainError):
-            bilinear_mix(img, img, lam)
+            BilinearMix(mix_init=lam)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            bilinear_mix(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((1, 3, 4, 4))), 0.5)
+            BilinearMix().mix(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((1, 3, 4, 4))))
+
+    @pytest.mark.parametrize("logit,picked", [(40.0, "filtered"), (-800.0, "image")])
+    def test_saturated_coefficient_blends_and_backpropagates(self, logit, picked):
+        # a trained logit can drive the sigmoid to exactly 1.0 or 0.0
+        rng = np.random.default_rng(3)
+        images = {"image": Tensor(rng.uniform(size=(1, 3, 4, 4))), "filtered": Tensor(rng.uniform(size=(1, 3, 4, 4)))}
+        mix = BilinearMix()
+        mix.mix_logit.value.data[...] = logit
+        out = mix.mix(images["image"], images["filtered"])
+        assert np.array_equal(out.data, images[picked].data)
+        out.sum().backward()
+        assert np.isfinite(mix.mix_logit.value.grad).all()
 
     def test_learnable_coefficient_round_trip(self):
         mix = BilinearMix(mix_init=0.3)

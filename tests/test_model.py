@@ -154,7 +154,7 @@ class TestParameterRegistry:
 
     def test_backbone_entirely_frozen(self):
         model = small_model()
-        frozen = {p.name for p in model.frozen_parameters()}
+        frozen = {p.name for p in [p for p in model.parameters() if p.frozen]}
         assert frozen == {p.name for p in model.backbone.params()}
         assert all(name.startswith("backbone.") for name in frozen)
 

@@ -105,23 +105,17 @@ class TestSoftmax:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]], atol=1e-12)
 
-    def test_temperature_validation(self):
-        with pytest.raises(DomainError):
-            softmax_rows(Tensor([[1.0, 2.0]]), temperature=0.0)
-        with pytest.raises(DomainError):
-            softmax_rows(Tensor([[1.0, 2.0]]), temperature=Tensor(-0.5))
-
     def test_tensor_temperature_matches_scaled_input(self):
         rng = np.random.default_rng(4)
         x = _rand(rng, 5, 7)
-        a = softmax_rows(Tensor(x), temperature=Tensor(0.25))
+        a = softmax_rows(Tensor(x) / Tensor(0.25))
         b = softmax_rows(Tensor(x / 0.25))
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(arrays(np.float64, (4, 6), elements=st.floats(-40, 40)))
     def test_rows_sum_to_one_property(self, x):
-        out = softmax_rows(Tensor(x), temperature=0.5)
+        out = softmax_rows(Tensor(x) / 0.5)
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-9)
 
 
@@ -261,7 +255,7 @@ class TestNoGrad:
         w = Tensor(_rand(rng, 3, 3) + 3.0, requires_grad=True)
         with no_grad():
             outs = [x + w, x - w, x * w, x / w, matmul(x, w), exp(x), x.sum(),
-                    softmax_rows(x, temperature=w.sum()), concat([x, w]), x[0]]
+                    softmax_rows(x / w.sum()), concat([x, w]), x[0]]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == ()
@@ -345,7 +339,7 @@ class TestOpGradients:
         probe = Tensor(_rand(rng, 4, 5))
 
         def f():
-            out = softmax_rows(x.value, temperature=t.value) + log_softmax_rows(x.value)
+            out = softmax_rows(x.value / t.value) + log_softmax_rows(x.value)
             return (out * probe).sum()
 
         report = grad_check(f, [x, t])
@@ -560,10 +554,9 @@ def _layer_norm_composite(x, gain, bias, eps=1e-5):
     return centered / (var + eps) ** 0.5 * gain + bias
 
 
-def _softmax_composite(x, temperature=1.0, axis=-1):
-    z = x / temperature if isinstance(temperature, Tensor) or temperature != 1.0 else x
-    shift = Tensor(np.max(z.data, axis=axis, keepdims=True))
-    e = exp(z - shift)
+def _softmax_composite(x, axis=-1):
+    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+    e = exp(x - shift)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -763,14 +756,14 @@ class TestFusedSoftmax:
     ])
     def test_matches_the_composite(self, shape, axis, temperature):
         arrays = [_rand(np.random.default_rng(70), *shape) * 4.0]
-        _assert_matches_composite(lambda x: softmax_rows(x, temperature, axis),
-                                  lambda x: _softmax_composite(x, temperature, axis), arrays, seed=71)
+        _assert_matches_composite(lambda x: softmax_rows(x / temperature, axis),
+                                  lambda x: _softmax_composite(x / temperature, axis), arrays, seed=71)
 
     @pytest.mark.parametrize("axis", [-1, 0])
     def test_tensor_temperature_matches_the_composite(self, axis):
         arrays = [_rand(np.random.default_rng(72), 5, 7) * 2.0, np.asarray(0.7)]
-        _assert_matches_composite(lambda x, t: softmax_rows(x, t, axis),
-                                  lambda x, t: _softmax_composite(x, t, axis), arrays, seed=73)
+        _assert_matches_composite(lambda x, t: softmax_rows(x / t, axis),
+                                  lambda x, t: _softmax_composite(x / t, axis), arrays, seed=73)
 
     def test_frozen_input_leaves_the_temperature_gradient_unchanged(self):
         rng = np.random.default_rng(74)
@@ -778,7 +771,7 @@ class TestFusedSoftmax:
 
         def grads(x_live):
             x, t = Tensor(x0, requires_grad=x_live), Tensor(0.4, requires_grad=True)
-            (softmax_rows(x, t) * probe).sum().backward()
+            (softmax_rows(x / t) * probe).sum().backward()
             return x.grad, t.grad
 
         gx, gt = grads(False)
@@ -787,13 +780,13 @@ class TestFusedSoftmax:
 
     def test_records_nothing_under_no_grad(self):
         arrays = [_rand(np.random.default_rng(75), 4, 6), np.asarray(0.5)]
-        _assert_records_nothing_under_no_grad(lambda x, t: softmax_rows(x, t), arrays)
+        _assert_records_nothing_under_no_grad(lambda x, t: softmax_rows(x / t), arrays)
 
     def test_a_model_sized_call_is_one_node_after_the_division(self):
         rng = np.random.default_rng(76)
         x = Tensor(_rand(rng, 32, 32), requires_grad=True)
         assert _recorded_nodes(softmax_rows(x)) == 1
-        assert _recorded_nodes(softmax_rows(x, temperature=Tensor(1.0 / 14.0, requires_grad=True))) == 2
+        assert _recorded_nodes(softmax_rows(x / Tensor(1.0 / 14.0, requires_grad=True))) == 2
 
 
 class TestFusedLogSoftmax:
@@ -854,7 +847,7 @@ class TestLeafOnlyGradients:
         h = matmul(leaves["x"], leaves["w"])
         n = layer_norm(h, leaves["gain"], leaves["frozen"])
         a = gelu(attention(n, n, h)) + leaves["x"]
-        s = softmax_rows(a.sum(axis=1), temperature=leaves["tau"])
+        s = softmax_rows(a.sum(axis=1) / leaves["tau"])
         loss = (log_softmax_rows(a) * a).sum() + (s * s).sum()
         return leaves, [h, n, a, s, loss], loss
 

@@ -179,9 +179,10 @@ class TestTrainStep:
     def test_frozen_digest_survives_a_real_step(self):
         model = tiny_model()
         batch = make_batch(tiny_splits()["train"], np.arange(8))
-        frozen_before = parameter_digest(model.frozen_parameters())
+        frozen = [p for p in model.parameters() if p.frozen]
+        frozen_before = parameter_digest(frozen)
         train_step(model, batch, Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02))
-        assert parameter_digest(model.frozen_parameters()) == frozen_before
+        assert parameter_digest(frozen) == frozen_before
 
     def test_every_trainable_changes_within_twenty_steps(self):
         model = tiny_model()
@@ -195,8 +196,9 @@ class TestTrainStep:
             train_step(model, make_batch(train, idx), opt_a, opt_b)
         for p in model.trainable_parameters():
             assert not np.array_equal(p.value.data, before[p.name]), p.name
-        for p in model.frozen_parameters():
-            assert np.array_equal(p.value.data, before[p.name]), p.name
+        for p in model.parameters():
+            if p.frozen:
+                assert np.array_equal(p.value.data, before[p.name]), p.name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_component_name(self):
@@ -294,12 +296,13 @@ class TestVJPGatingOnTheModel:
 
         def gradients(unfreeze):
             model = tiny_model()
+            frozen = [p for p in model.parameters() if p.frozen]
             if unfreeze:
-                for p in model.frozen_parameters():
+                for p in frozen:
                     p.value.requires_grad = True
             total, _ = model.batch_loss(batch)
             total.backward()
-            frozen_grads = [p.value.grad for p in model.frozen_parameters()]
+            frozen_grads = [p.value.grad for p in frozen]
             return {p.name: p.value.grad for p in model.trainable_parameters()}, frozen_grads
 
         gated, untouched = gradients(unfreeze=False)
@@ -392,6 +395,18 @@ class TestCheckpointIO:
         restored = load_checkpoint(tmp_path / "run").build_model()
         reloaded = validation_loss(restored, splits["val"], 8)
         assert abs(reloaded - ckpt.val_loss) < 1e-9
+
+    def test_config_naming_the_encoder_kind_still_loads(self, tmp_path):
+        # checkpoints written while encoder.kind was a field hold "kind": "linear"
+        ckpt, splits = self.make_checkpoint()
+        save_checkpoint(ckpt, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["encoder"]["kind"] = "linear"
+        path.write_text(json.dumps(manifest))
+        restored = load_checkpoint(tmp_path / "run").build_model()
+        assert abs(validation_loss(restored, splits["val"], 8) - ckpt.val_loss) < 1e-9
+        assert evaluate_zero_shot(restored, splits["test"], ks=[1]).top_k[1] >= 0.0
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
