@@ -6,7 +6,9 @@ color the code controls, over a smooth color-gradient background) plus
 pixel noise clipped to [0, 1]. EEG trials are a fixed random linear
 projection of the same code into channels x time plus additive noise.
 At noise 0 the two modalities are exact functions of a shared latent,
-and raising noise only degrades their mutual information.
+and raising noise only degrades their mutual information. Generation
+fills rows in blocks that span classes and renders a chunk of classes
+per pass, so its working memory stays near NOISE_BLOCK_BYTES.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ MANIFEST_NAME = "manifest.json"
 # splitting holds about one more copy at once, saving none
 MAX_DATASET_BYTES = 2 * 2**30
 # generate_synthetic draws its noise into one reused buffer of about this
-# many bytes (at least one sample's worth), not one array per sample
+# many bytes (at least one sample's worth) whose rows span classes, and
+# renders classes in chunks of 1/32 of it (at least one class)
 NOISE_BLOCK_BYTES = 2**20
 
 
@@ -133,32 +136,29 @@ class DatasetManifest:
             raise FormatError(f"manifest value has the wrong type: {e}") from e
 
 
-def _render_image(code: np.ndarray, height: int) -> np.ndarray:
-    """Deterministic (3, H, H) rendering of one latent code.
+def _render_images(codes: np.ndarray, height: int) -> np.ndarray:
+    """Deterministic (N, 3, H, H) renderings of N latent codes, in one broadcast pass.
 
     Background: per-channel sigmoid ramps whose slope and level come from
     the code. Foreground: a soft-edged disk; position, radius and color
-    are code-driven.
+    are code-driven. Each pixel goes through the same operations in the
+    same order for any N, so a code renders the same bits in any chunk.
     """
-    h = height
-    ys, xs = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, h), indexing="ij")
-    z = code
+    xs = np.linspace(-1.0, 1.0, height)  # varies along columns; ys along rows
+    ys = xs[:, None]
+    z = codes[:, :, None, None]
 
     def squash(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    img = np.empty((3, h, h))
-    for c in range(3):
-        img[c] = squash(0.8 * z[c] + 0.7 * z[(c + 3) % LATENT_DIM] * xs + 0.7 * z[(c + 5) % LATENT_DIM] * ys)
-    cx = 0.6 * np.tanh(z[3])
-    cy = 0.6 * np.tanh(z[4])
-    radius = 0.18 + 0.35 * squash(z[5])
+    img = squash(0.8 * z[:, 0:3] + 0.7 * z[:, 3:6] * xs + 0.7 * z[:, 5:8] * ys)
+    cx = 0.6 * np.tanh(z[:, 3:4])
+    cy = 0.6 * np.tanh(z[:, 4:5])
+    radius = 0.18 + 0.35 * squash(z[:, 5:6])
     dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
     mask = squash((radius - dist) / 0.08)
-    fg = squash(np.array([z[6], z[7], 0.5 * (z[6] - z[7])]))
-    for c in range(3):
-        img[c] = (1.0 - mask) * img[c] + mask * fg[c]
-    return img
+    fg = squash(np.concatenate([z[:, 6:8], 0.5 * (z[:, 6:7] - z[:, 7:8])], axis=1))
+    return (1.0 - mask) * img + mask * fg
 
 
 def dataset_bytes(n_classes: int, per_class: int, channels: int, timesteps: int, height: int) -> int:
@@ -211,23 +211,29 @@ def generate_synthetic(
 
     # One noise row per sample: its EEG noise, then its image noise. Filling
     # rows in order consumes the stream exactly as one draw per sample and
-    # modality did, so a seed gives the same dataset bit for bit.
+    # modality did, so a seed gives the same dataset bit for bit. A block
+    # spans class boundaries; each class's signal and rendering are made
+    # once, when its first row comes up, and added to its rows in place.
     flat_eeg, flat_images = eeg.reshape(total, -1), images.reshape(total, -1)
-    eeg_size = flat_eeg.shape[1]
-    width = eeg_size + flat_images.shape[1]
-    block = np.empty((max(1, min(per_class, NOISE_BLOCK_BYTES // (8 * width))), width))
-    for k in range(n_classes):
-        signal = codes[k] @ mix
-        base_img = _render_image(codes[k], height).reshape(-1)
-        end = (k + 1) * per_class
-        for s in range(k * per_class, end, len(block)):
-            rows = block[:min(len(block), end - s)]
-            rng.standard_normal(out=rows)
-            rows *= noise
-            np.add(signal, rows[:, :eeg_size], out=flat_eeg[s:s + len(rows)])
-            img = flat_images[s:s + len(rows)]
-            np.add(base_img, rows[:, eeg_size:], out=img)
-            np.clip(img, 0.0, 1.0, out=img)
+    eeg_size, image_size = flat_eeg.shape[1], flat_images.shape[1]
+    width = eeg_size + image_size
+    block = np.empty((max(1, min(total, NOISE_BLOCK_BYTES // (8 * width))), width))
+    # classes rendered per pass: their images fill at most 1/32 of the block, the pass's temporaries ~6x that
+    chunk = max(1, NOISE_BLOCK_BYTES // (256 * image_size))
+    for s in range(0, total, len(block)):
+        rows = block[:min(len(block), total - s)]
+        rng.standard_normal(out=rows)
+        rows *= noise
+        e = s + len(rows)
+        for k in range(s // per_class, (e - 1) // per_class + 1):
+            a, b = max(s, k * per_class), min(e, (k + 1) * per_class)
+            if a == k * per_class:
+                signal = codes[k] @ mix
+                if k % chunk == 0:
+                    rendered = _render_images(codes[k:k + chunk], height).reshape(-1, image_size)
+            np.add(signal, rows[a - s:b - s, :eeg_size], out=flat_eeg[a:b])
+            np.add(rendered[k % chunk], rows[a - s:b - s, eeg_size:], out=flat_images[a:b])
+        np.clip(flat_images[s:e], 0.0, 1.0, out=flat_images[s:e])
     return SplitArrays(eeg=eeg, images=images, ids=ids, class_ids=class_ids)
 
 

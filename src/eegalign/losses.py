@@ -58,15 +58,16 @@ class LossWeights:
     detach_targets: bool = LossConfig.detach_targets
 
     def __post_init__(self):
-        if self.mu < 0 or self.alpha < 0 or self.lam < 0:
-            raise DomainError(f"loss weights must be >= 0, got mu={self.mu} alpha={self.alpha} lambda={self.lam}")
+        if not all(w >= 0 and np.isfinite(w) for w in (self.mu, self.alpha, self.lam)):
+            raise DomainError(f"loss weights must be finite and >= 0, got mu={self.mu} alpha={self.alpha} "
+                              f"lambda={self.lam}")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
         if isinstance(self.tau, Tensor) and self.tau.size != 1:
             raise DomainError(f"temperature must be scalar, got shape {self.tau.shape}")
         tau = self.tau.item() if isinstance(self.tau, Tensor) else float(self.tau)
-        if tau <= 0:
-            raise DomainError(f"temperature must be positive, got {tau}")
+        if not (tau > 0 and np.isfinite(tau)):
+            raise DomainError(f"temperature must be finite and positive, got {tau}")
 
 
 def infonce(logits: Tensor) -> Tensor:

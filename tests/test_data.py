@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tracemalloc
 
@@ -35,11 +36,39 @@ def _lsq_train_accuracy(eeg, class_ids):
     return float((pred == class_ids).mean())
 
 
-def _per_sample_generate(seed, n_classes, per_class, channels, timesteps, height, noise):
-    """generate_synthetic's arrays with one noise draw per sample and modality.
+def _render_one(code, height):
+    """One class's (3, H, H) rendering, pixel plane by pixel plane.
 
-    The reference for the blocked draw: every EEG and image value must
-    match it bit for bit.
+    An independent copy of the per-class renderer generate_synthetic
+    once called, kept here so that the reference below does not call
+    the code under test.
+    """
+    h = height
+    ys, xs = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, h), indexing="ij")
+    z = code
+
+    def squash(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    img = np.empty((3, h, h))
+    for c in range(3):
+        img[c] = squash(0.8 * z[c] + 0.7 * z[(c + 3) % LATENT_DIM] * xs + 0.7 * z[(c + 5) % LATENT_DIM] * ys)
+    cx = 0.6 * np.tanh(z[3])
+    cy = 0.6 * np.tanh(z[4])
+    radius = 0.18 + 0.35 * squash(z[5])
+    dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+    mask = squash((radius - dist) / 0.08)
+    fg = squash(np.array([z[6], z[7], 0.5 * (z[6] - z[7])]))
+    for c in range(3):
+        img[c] = (1.0 - mask) * img[c] + mask * fg[c]
+    return img
+
+
+def _per_sample_generate(seed, n_classes, per_class, channels, timesteps, height, noise):
+    """generate_synthetic's arrays with one rendering per class and one noise draw per sample and modality.
+
+    The reference for the blocked draw and the chunked rendering: every
+    EEG and image value must match it bit for bit.
     """
     rng = np.random.default_rng(seed)
     codes = rng.normal(size=(n_classes, LATENT_DIM))
@@ -48,12 +77,23 @@ def _per_sample_generate(seed, n_classes, per_class, channels, timesteps, height
     images = np.empty((n_classes * per_class, 3, height, height))
     for k in range(n_classes):
         signal = (codes[k] @ mix).reshape(channels, timesteps)
-        base_img = data_module._render_image(codes[k], height)
+        base_img = _render_one(codes[k], height)
         for j in range(per_class):
             i = k * per_class + j
             eeg[i] = signal + noise * rng.normal(size=(channels, timesteps))
             images[i] = np.clip(base_img + noise * rng.normal(size=(3, height, height)), 0.0, 1.0)
     return eeg, images
+
+
+def _working_bytes(*args):
+    """Peak bytes generate_synthetic(0, *args) allocates beyond its dataset's arrays."""
+    tracemalloc.start()
+    try:
+        generate_synthetic(0, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - dataset_bytes(*args)
 
 
 def _samples_per_block(channels, timesteps, height):
@@ -69,6 +109,10 @@ class TestGenerate:
         (5, 6, 8, 50, 16, 0.1, 8),     # desk shape
         (3, 4, 4, 6, 16, 0.0, 8),
         (4, 3, 1, 1, 8, 0.3, 8),
+        (60, 2, 4, 6, 8, 0.1, 8),      # every class in one noise block, over three rendering chunks
+        (50, 1, 4, 6, 8, 0.2, 8),      # one sample per class, over three rendering chunks
+        (40, 1, 17, 250, 32, 0.1, 8),  # one sample per class, 17 classes per noise block
+        (7, 5, 17, 250, 32, 0.1, 8),   # 17-row blocks: classes 3 and 6 straddle a block boundary
     ])
     def test_blocked_noise_matches_per_sample_draws(self, seed, n_classes, per_class, channels, timesteps,
                                                     height, noise, _patch):
@@ -83,14 +127,44 @@ class TestGenerate:
     def test_noise_buffer_stays_near_the_cap(self):
         args = (2, 300, 17, 250, 32)
         assert args[1] > _samples_per_block(*args[2:])  # a whole-class block would pass the cap
-        tracemalloc.start()
-        try:
-            generate_synthetic(0, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # the noise block, plus a class's signal, its rendering and numpy's ufunc buffers
-        assert peak - dataset_bytes(*args) < NOISE_BLOCK_BYTES + 2**18
+        assert _working_bytes(*args) < NOISE_BLOCK_BYTES + 2**18
+
+    @pytest.mark.parametrize("n_classes,per_class", [(60, 2), (50, 1)])
+    def test_each_class_is_rendered_once_in_chunks(self, monkeypatch, n_classes, per_class):
+        assert n_classes * per_class <= _samples_per_block(4, 6, 8)  # so one noise block holds every class
+        chunks = []
+        render = data_module._render_images
+
+        def counting(codes, height):
+            chunks.append(len(codes))
+            return render(codes, height)
+
+        monkeypatch.setattr(data_module, "_render_images", counting)
+        generate_synthetic(0, n_classes, per_class, 4, 6, 8, 0.1)
+        assert sum(chunks) == n_classes and len(chunks) > 1
+
+    def test_rendering_chunks_stay_near_the_cap(self):
+        # one class per row, so each noise block renders many classes
+        assert _working_bytes(400, 1, 17, 250, 32) < NOISE_BLOCK_BYTES + 2**18
+
+    # SHA-256 of the eeg and images bytes, recorded from the generator that
+    # rendered and drew noise one class at a time; a dataset's bytes may not move
+    @pytest.mark.parametrize("args,eeg_digest,images_digest", [
+        ((0, 160, 8, 8, 50, 16, 0.2),
+         "e4ce9825db8c82551eb492605125c7c8be78142a37aa950e67e6f1c072088a1e",
+         "4d7c9754d7019c2ef1963cd0d0e455517afec52c69d0abe1ea98770d1cb45df8"),
+        ((0, 50, 20, 17, 250, 32, 0.1),
+         "007494e2d566d773090b0867d5ae92aee8b7d6f5abdce6fdff1257bc32abd9c1",
+         "55043473ac4124d2a493b34c0ded6d837f293b70a63c35f26789223852af1a3e"),
+        ((3, 400, 1, 17, 250, 32, 0.1),
+         "b421b600b39680fdaca7872fdd375edd45def351e207b56e8bb0defee3aa7c91",
+         "a3bdbe46b78a188b868c119bf9fa56ffac9fb433b19bef636253a447a442ae59"),
+    ], ids=["desk", "quick-start", "one-per-class"])
+    def test_bytes_match_the_recorded_digests(self, args, eeg_digest, images_digest):
+        data = generate_synthetic(*args)
+        assert hashlib.sha256(data.eeg.tobytes()).hexdigest() == eeg_digest
+        assert hashlib.sha256(data.images.tobytes()).hexdigest() == images_digest
 
     def test_two_classes_have_distinct_centroids(self):
         data = generate_synthetic(seed=0, n_classes=2, per_class=5, channels=4, timesteps=8, height=16)

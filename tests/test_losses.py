@@ -258,6 +258,17 @@ class TestLossWeights:
         with pytest.raises(DomainError):
             LossWeights(tau=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["mu", "alpha", "lam", "tau"])
+    def test_non_finite_value_rejected(self, field, bad):
+        with pytest.raises(DomainError, match="finite"):
+            LossWeights(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_tensor_tau_rejected(self, bad):
+        with pytest.raises(DomainError, match="temperature"):
+            LossWeights(tau=Tensor(bad))
+
     def test_fields_cannot_change_after_the_checks(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             LossWeights().tau = 0.0

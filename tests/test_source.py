@@ -24,8 +24,8 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    """Top-level functions, classes and constants whose names do not start with an underscore."""
+def top_level_definitions(tree: ast.Module) -> list[str]:
+    """Names of the top-level functions, classes and constants."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -33,7 +33,17 @@ def public_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [name for name in names if not name.startswith("_")]
+    return names
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants whose names do not start with an underscore."""
+    return [name for name in top_level_definitions(tree) if not name.startswith("_")]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Top-level names with one leading underscore; dunders such as ``__all__`` are the language's."""
+    return [name for name in top_level_definitions(tree) if name.startswith("_") and not name.startswith("__")]
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -51,11 +61,15 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def unreferenced_public_names(defining: dict[str, ast.Module], reading: list[ast.Module]) -> list[str]:
-    """Public names of ``defining`` that no tree in ``reading`` names besides their definition."""
+def unreferenced_names(defining: dict[str, ast.Module], reading: list[ast.Module], definitions) -> list[str]:
+    """``definitions(tree)`` names of ``defining`` that no tree in ``reading`` names besides their definition."""
     named = set().union(*(referenced_names(tree) for tree in reading))
     return [f"{module}.{name}" for module, tree in sorted(defining.items())
-            for name in public_definitions(tree) if name not in named]
+            for name in definitions(tree) if name not in named]
+
+
+def unreferenced_public_names(defining: dict[str, ast.Module], reading: list[ast.Module]) -> list[str]:
+    return unreferenced_names(defining, reading, public_definitions)
 
 
 def test_every_public_name_is_read_outside_the_tests():
@@ -70,6 +84,21 @@ def test_scan_flags_a_name_only_its_definition_spells():
                     "def patched(): pass\ndef dead(): pass\nclass Ghost: pass\n")
     caller = ast.parse("from lib import used\nused()\nsetattr(lib, 'patched', None)\n")
     assert unreferenced_public_names({"lib": lib}, [lib, caller]) == ["lib.SPARE", "lib.dead", "lib.Ghost"]
+
+
+def test_every_private_name_is_read_outside_the_tests():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in
+             sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmarks").glob("**/*.py"))}
+    defining = {p.stem: tree for p, tree in trees.items() if p.parent == SRC}
+    assert unreferenced_names(defining, list(trees.values()), private_definitions) == []
+
+
+def test_private_scan_flags_a_helper_only_the_tests_call():
+    lib = ast.parse("_LIMIT = 3\n_SPARE = 4\n__all__ = []\nPUBLIC = 5\ndef _used(): return _LIMIT\n"
+                    "def _dead(): pass\nclass _Ghost: pass\ndef run(): return _used()\n")
+    tests = ast.parse("from lib import _dead, _Ghost\n_dead()\n")
+    assert unreferenced_names({"lib": lib}, [lib], private_definitions) == ["lib._SPARE", "lib._dead", "lib._Ghost"]
+    assert unreferenced_names({"lib": lib}, [lib, tests], private_definitions) == ["lib._SPARE"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
