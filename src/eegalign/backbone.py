@@ -30,6 +30,7 @@ from .tensor import (
     gelu,
     l2_normalize,
     layer_norm,
+    linear,
     matmul,
     unfold,
 )
@@ -134,7 +135,7 @@ class VisionBackbone:
                 f"{images.shape[2]}x{images.shape[3]}"
             )
         cols = unfold(images, self.patch, self.patch, stride=self.patch, padding=0)
-        return matmul(cols, self.patch_w.value) + self.patch_b.value
+        return linear(cols, self.patch_w.value, self.patch_b.value)
 
     def insert_prompts(self, prompts: Tensor, x_fused: Tensor) -> Tensor:
         """Assemble [CLS; prompts; patches] then add positional rows.
@@ -161,10 +162,10 @@ class VisionBackbone:
         ``attention`` op splits them into ``heads`` and merges them back.
         """
         x_q = x if queries is None else x[:, :queries, :]
-        q = matmul(x_q, blk.wq.value) + blk.bq.value
-        k = matmul(x, blk.wk.value) + blk.bk.value
-        v = matmul(x, blk.wv.value) + blk.bv.value
-        return matmul(attention(q, k, v, self.heads), blk.wo.value) + blk.bo.value
+        q = linear(x_q, blk.wq.value, blk.bq.value)
+        k = linear(x, blk.wk.value, blk.bk.value)
+        v = linear(x, blk.wv.value, blk.bv.value)
+        return linear(attention(q, k, v, self.heads), blk.wo.value, blk.bo.value)
 
     def vit_forward(self, seq: Tensor) -> Tensor:
         """Run the frozen blocks and return the CLS-position output, (B, dim).
@@ -186,10 +187,9 @@ class VisionBackbone:
                 x = x[:, :1, :] + self._mha(attended, blk, queries=1)
             else:
                 x = x + self._mha(attended, blk)
-            x = x + matmul(
-                gelu(matmul(layer_norm(x, blk.ln2_g.value, blk.ln2_b.value), blk.mlp_w1.value) + blk.mlp_b1.value),
-                blk.mlp_w2.value,
-            ) + blk.mlp_b2.value
+            # not linear: x + h @ w2 + b2 adds the bias after the residual
+            hidden = gelu(linear(layer_norm(x, blk.ln2_g.value, blk.ln2_b.value), blk.mlp_w1.value, blk.mlp_b1.value))
+            x = x + matmul(hidden, blk.mlp_w2.value) + blk.mlp_b2.value
         return x[:, 0, :]
 
     def params(self) -> list[Parameter]:
@@ -214,7 +214,7 @@ class ProjectionHead:
         self.bias = Parameter("projection.bias", Tensor(np.zeros(out_dim)), group="A")
 
     def project(self, z: Tensor) -> Tensor:
-        return l2_normalize(matmul(z, self.weight.value) + self.bias.value)
+        return l2_normalize(linear(z, self.weight.value, self.bias.value))
 
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Parameter, Tensor, dynamic_conv, gelu, matmul, transpose, unfold
+from .tensor import Parameter, Tensor, dynamic_conv, gelu, linear, transpose, unfold
 
 STEM_CHANNELS = (8, 16)
 HIDDEN = 64
@@ -20,7 +20,7 @@ MIN_INPUT = 7  # receptive field of the two stride-2 3x3 stem convolutions
 
 
 def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding: int) -> Tensor:
-    """Standard convolution via unfold + matmul; weight is (out, in, kh, kw)."""
+    """Standard convolution via unfold + linear; weight is (out, in, kh, kw)."""
     c_out, c_in, kh, kw = weight.value.shape
     bsz, ch, h, w = x.shape
     if ch != c_in:
@@ -29,7 +29,7 @@ def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding:
     ow = (w + 2 * padding - kw) // stride + 1
     cols = unfold(x, kh, kw, stride=stride, padding=padding)              # (B, L, Cin*kh*kw)
     flat_w = weight.value.reshape((c_out, c_in * kh * kw)).transpose()    # (Cin*kh*kw, Cout)
-    out = matmul(cols, flat_w) + bias.value                               # (B, L, Cout)
+    out = linear(cols, flat_w, bias.value)                                # (B, L, Cout)
     return transpose(out, (0, 2, 1)).reshape((bsz, c_out, oh, ow))
 
 
@@ -71,8 +71,8 @@ class FilterGenerator:
         h = gelu(_conv2d(images, self.conv1_w, self.conv1_b, stride=2, padding=1))
         h = gelu(_conv2d(h, self.conv2_w, self.conv2_b, stride=2, padding=1))
         pooled = h.mean(axis=(2, 3))                                     # (B, C2)
-        hid = gelu(matmul(pooled, self.fc1_w.value) + self.fc1_b.value)
-        flat = matmul(hid, self.fc2_w.value) + self.fc2_b.value          # (B, 3*fh*fw)
+        hid = gelu(linear(pooled, self.fc1_w.value, self.fc1_b.value))
+        flat = linear(hid, self.fc2_w.value, self.fc2_b.value)           # (B, 3*fh*fw)
         return flat.reshape((images.shape[0], 3, self.fh, self.fw))
 
     def params(self) -> list[Parameter]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Parameter, Tensor, l2_normalize, matmul
+from .tensor import Parameter, Tensor, l2_normalize, linear
 
 
 class Perturbation:
@@ -54,7 +54,7 @@ class LinearEncoder:
                 f"expected EEG of shape (B, {self.channels}, {self.timesteps}), got {eeg.shape}"
             )
         flat = eeg.reshape((eeg.shape[0], self.channels * self.timesteps))
-        return matmul(flat, self.weight.value) + self.bias.value
+        return linear(flat, self.weight.value, self.bias.value)
 
     def encode(self, eeg: Tensor) -> Tensor:
         return l2_normalize(self.project(eeg))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Parameter, Tensor, attention, gelu, matmul, sigmoid
+from .tensor import Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
 
 
 class CrossAttentionFusion:
@@ -46,8 +46,8 @@ class CrossAttentionFusion:
         k = matmul(x_filt, self.wk.value)
         v = matmul(x_filt, self.wv.value)
         z = attention(q, k, v, self.heads)
-        hidden = gelu(matmul(z, self.gate_w1.value) + self.gate_b1.value)
-        return sigmoid(matmul(hidden, self.gate_w2.value) + self.gate_b2.value)
+        hidden = gelu(linear(z, self.gate_w1.value, self.gate_b1.value))
+        return sigmoid(linear(hidden, self.gate_w2.value, self.gate_b2.value))
 
     def fuse(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         alpha = self.gate(x_orig, x_filt)

@@ -17,6 +17,9 @@ results are only read.
 Composites on the hot path are fused: each records one node whose VJP
 is closed-form and gated per parent in the same way.
 
+* ``linear``: x @ w + b by the same two numpy operations (matmul, then
+  add) as the composite it replaces, so values and gradients are bitwise
+  the composite's;
 * ``layer_norm``: normalization and affine, with the standard
   layer-norm input gradient;
 * ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
@@ -102,23 +105,23 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()  # Tensor hashes by identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent not in seen:
                     stack.append((parent, False))
-        flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flows: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            flow = flows.pop(id(node), None)
+            flow = flows.pop(node, None)
             if flow is None:
                 continue
             if node._vjp is None:
@@ -128,9 +131,8 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._vjp(flow)):
                 if contrib is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                held = flows.get(key)
-                flows[key] = contrib if held is None else held + contrib
+                held = flows.get(parent)
+                flows[parent] = contrib if held is None else held + contrib
 
     # -- operator sugar -------------------------------------------------
 
@@ -190,6 +192,7 @@ def as_tensor(x) -> Tensor:
 
 
 _recording = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -210,11 +213,15 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    """An op's output, recorded on the tape when some parent requires a gradient."""
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray and data.dtype is _FLOAT64 else np.asarray(data, dtype=np.float64)
+    out.grad, out.requires_grad, out._parents, out._vjp = None, False, (), None
+    if _recording:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._vjp = True, parents, vjp
+                break
     return out
 
 
@@ -254,20 +261,26 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
+# the binary ops' gradient rules, built once rather than on every call
+_keep, _negate = (lambda g, x, y: g), (lambda g, x, y: -g)
+_times_y, _times_x = (lambda g, x, y: g * y), (lambda g, x, y: g * x)
+_over_y, _neg_x_over_y_sq = (lambda g, x, y: g / y), (lambda g, x, y: -g * x / (y * y))
+
+
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, np.add, _keep, _keep)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, np.subtract, _keep, _negate)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, np.multiply, _times_y, _times_x)
 
 
 def div(a, b) -> Tensor:
-    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    return _binary(a, b, np.divide, _over_y, _neg_x_over_y_sq)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -344,6 +357,12 @@ def gelu(a) -> Tensor:
 # -- structural ops ------------------------------------------------------
 
 
+def _matmul_grads(g, a: Tensor, b: Tensor) -> tuple:
+    """matmul's VJP: g b^T for a and a^T g for b, each only when that parent needs it."""
+    return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape) if b.requires_grad else None)
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -352,13 +371,26 @@ def matmul(a, b) -> Tensor:
         data = np.matmul(a.data, b.data)
     except ValueError as e:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}") from e
+    return _make(data, (a, b), lambda g: _matmul_grads(g, a, b))
 
-    def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
-        return ga, gb
 
-    return _make(data, (a, b), vjp)
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: np.add(np.matmul(x, w), b), the two numpy operations
+    of ``matmul(x, w) + b``, with matmul's VJP for x and w and add's for b."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim < 2:
+        raise DimensionError(f"linear needs rank >= 2 operands, got {x.shape} and {w.shape}")
+    try:
+        product = np.matmul(x.data, w.data)
+        data = np.add(product, b.data)
+    except ValueError as e:
+        raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}") from e
+    inner = product.shape
+
+    def vjp(g):  # add's rule sums g to the product's shape for matmul's, and to b's
+        return _matmul_grads(_unbroadcast(g, inner), x, w) + (_unbroadcast(g, b.shape) if b.requires_grad else None,)
+
+    return _make(data, (x, w, b), vjp)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -367,12 +399,15 @@ def transpose(a, axes=None) -> Tensor:
         if a.ndim < 2:
             raise DimensionError("transpose needs rank >= 2")
         axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    axes = tuple(int(x) for x in axes)
-    inverse = tuple(int(x) for x in np.argsort(axes))
-    data = np.transpose(a.data, axes)
+    given, n = tuple(axes), a.ndim
+    axes = tuple(int(x) + n if int(x) < 0 else int(x) for x in given)
+    if sorted(axes) != list(range(n)):
+        raise DimensionError(f"transpose axes {given} are not a permutation of {n} axes")
+    inverse = tuple(axes.index(i) for i in range(n))
+    data = a.data.transpose(axes)
 
     def vjp(g):
-        return (np.transpose(g, inverse),)
+        return (g.transpose(inverse),)
 
     return _make(data, (a,), vjp)
 
@@ -426,10 +461,9 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 def _expand_to(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
     """The VJP of a sum over ``axis``: ``g`` copied back out to ``shape``."""
-    if axis is None and not keepdims:
-        return np.full(shape, g)
-    gg = g if keepdims else np.expand_dims(g, axis)
-    return np.broadcast_to(gg, shape).copy()
+    out = np.empty(shape)
+    out[...] = g if keepdims or axis is None else np.expand_dims(g, axis)
+    return out
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -440,8 +474,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / data.size if data.size else 1.0
+    total = a.data.sum(axis=axis, keepdims=keepdims)
+    count = a.data.size / total.size if total.size else 1.0
+    data = total / count  # what np.mean does
     return _make(data, (a,), lambda g: (_expand_to(g / count, a.shape, axis, keepdims),))
 
 
@@ -561,28 +596,28 @@ def attention(q, k, v, heads: int = 1) -> Tensor:
         raise DimensionError(f"{heads} heads do not divide query dim {d} and value dim {dv}")
 
     def split(a):  # (..., N, h*e) -> (..., h, N, e)
-        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
+        return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-2, -3)
 
     def merge(a):  # (..., h, N, e) -> (..., N, h*e)
-        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
+        return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(d // heads)
     try:
-        p = _softmax(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, -1)
+        p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, -1)
         data = merge(np.matmul(p, vh))
     except ValueError as e:
         raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}") from e
 
     def vjp(g):
         gh = split(g)
-        gv = _unbroadcast(merge(np.matmul(np.swapaxes(p, -1, -2), gh)), v.shape) if v.requires_grad else None
+        gv = _unbroadcast(merge(np.matmul(p.swapaxes(-1, -2), gh)), v.shape) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gp = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        gp = np.matmul(gh, vh.swapaxes(-1, -2))
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
         gq = _unbroadcast(merge(np.matmul(gs, kh)), q.shape) if q.requires_grad else None
-        gk = _unbroadcast(merge(np.matmul(np.swapaxes(gs, -1, -2), qh)), k.shape) if k.requires_grad else None
+        gk = _unbroadcast(merge(np.matmul(gs.swapaxes(-1, -2), qh)), k.shape) if k.requires_grad else None
         return gq, gk, gv
 
     return _make(data, (q, k, v), vjp)
@@ -626,8 +661,7 @@ def unfold(x, kh: int, kw: int, stride: int = 1, padding: int | tuple[int, int] 
 
         return _make(data, (x,), vjp_tiled)
 
-    padded = np.zeros((bsz, ch, hp, wp))
-    padded[:, :, ph:ph + h, pw:pw + w] = x.data
+    padded = _pad(x.data, ph, pw)
     cols = np.empty((bsz, ch, kh, kw, oh, ow))
     for u in range(kh):
         for v in range(kw):

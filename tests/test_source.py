@@ -101,6 +101,28 @@ def test_private_scan_flags_a_helper_only_the_tests_call():
     assert unreferenced_names({"lib": lib}, [lib, tests], private_definitions) == ["lib._SPARE"]
 
 
+def split_affine_layers(tree: ast.Module) -> list[int]:
+    """Lines where a ``matmul(...)`` call is the left operand of ``+``: ``linear`` in two tape nodes.
+
+    A residual ``x + matmul(h, w)`` has ``matmul`` on the right and stays legal.
+    """
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "matmul"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_affine_layers_are_one_linear_node(path):
+    assert split_affine_layers(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_affine_scan_flags_matmul_plus_bias():
+    tree = ast.parse("y = matmul(x, w) + b\nr = x + matmul(h, w2) + b2\na = np.matmul(x, w) + b\n"
+                     "q = matmul(x, w)\nz = l2_normalize(matmul(x, w) + b)\nd = matmul(x, w) - b\n")
+    assert split_affine_layers(tree) == [1, 5]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

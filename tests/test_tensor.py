@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 import tracemalloc
@@ -26,6 +27,7 @@ from eegalign.tensor import (
     kl_div_rows,
     l2_normalize,
     layer_norm,
+    linear,
     log,
     log_softmax_rows,
     matmul,
@@ -84,6 +86,64 @@ class TestMatmul:
     def test_rank_one_rejected(self):
         with pytest.raises(DimensionError):
             matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+
+
+def _linear_composite(x, w, b):
+    return matmul(x, w) + b
+
+
+def _linear_outputs(op, arrays, live, probe):
+    """The output and the gradient of each input under ``probe``; inputs not in ``live`` need none."""
+    ts = [Tensor(a, requires_grad=i in live) for i, a in enumerate(arrays)]
+    out = op(*ts)
+    if live:
+        (out * Tensor(probe)).sum().backward()
+    return out, [t.grad for t in ts]
+
+
+class TestLinear:
+    """``linear`` is bitwise the two-node ``matmul(x, w) + b`` it replaces."""
+
+    CASES = {
+        "2d": ((5, 4), (4, 3), (3,)),
+        "3d": ((2, 5, 4), (4, 3), (3,)),
+        "bias-per-row": ((2, 5, 4), (4, 3), (5, 1)),
+        "bias-widens": ((5, 4), (4, 3), (2, 5, 3)),
+        "batched-weight": ((2, 5, 4), (2, 4, 3), (1, 3)),
+    }
+
+    @pytest.mark.parametrize("live", [set(c) for n in range(4) for c in itertools.combinations(range(3), n)],
+                             ids=lambda live: "live-" + ("".join("xwb"[i] for i in sorted(live)) or "none"))
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_values_and_gradients_are_the_composite_bitwise(self, case, live):
+        rng = np.random.default_rng(80)
+        arrays = [_rand(rng, *shape) for shape in self.CASES[case]]
+        probe = _rand(rng, *np.broadcast_shapes(self.CASES[case][0][:-1] + (3,), self.CASES[case][2]))
+        got, got_grads = _linear_outputs(linear, arrays, live, probe)
+        want, want_grads = _linear_outputs(_linear_composite, arrays, live, probe)
+        assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
+        assert got.requires_grad == bool(live)
+        for i, (a, b) in enumerate(zip(got_grads, want_grads)):
+            if i in live:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert a is None and b is None
+
+    def test_one_node(self):
+        rng = np.random.default_rng(81)
+        out = linear(Tensor(_rand(rng, 2, 5, 4), requires_grad=True), Tensor(_rand(rng, 4, 3)), Tensor(_rand(rng, 3)))
+        assert _recorded_nodes(out) == 1
+
+    def test_records_nothing_under_no_grad(self):
+        rng = np.random.default_rng(82)
+        _assert_records_nothing_under_no_grad(linear, [_rand(rng, 2, 5, 4), _rand(rng, 4, 3), _rand(rng, 3)])
+
+    @pytest.mark.parametrize("shapes", [((4,), (4, 3), (3,)), ((5, 4), (4,), (3,)),
+                                        ((5, 4), (2, 3), (3,)), ((5, 4), (4, 3), (2,))],
+                             ids=["rank-one-x", "rank-one-w", "inner-mismatch", "bias-mismatch"])
+    def test_bad_shapes_rejected(self, shapes):
+        with pytest.raises(DimensionError):
+            linear(*[Tensor(np.zeros(shape)) for shape in shapes])
 
 
 class TestSoftmax:
@@ -298,6 +358,23 @@ class TestNoGrad:
         with no_grad():
             leaf = Tensor(np.ones(2), requires_grad=True)
         assert x.requires_grad and leaf.requires_grad
+
+
+class TestTranspose:
+    def test_negative_axes_gradient_matches_the_oracle(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(_rand(rng, 2, 3, 4), requires_grad=True)
+        probe = _rand(rng, 2, 4, 3)
+        out = transpose(x, (0, -1, 1))
+        assert out.shape == (2, 4, 3)
+        (out * Tensor(probe)).sum().backward()
+        # out[i, k, j] = x[i, j, k], so d(sum(out * probe)) / dx[i, j, k] = probe[i, k, j]
+        np.testing.assert_array_equal(x.grad, np.einsum("ikj->ijk", probe))
+
+    @pytest.mark.parametrize("axes", [(0, 0, 1), (0, 1, 3), (0, 1, -4), (0, 1)])
+    def test_non_permutation_rejected(self, axes):
+        with pytest.raises(DimensionError, match="permutation"):
+            transpose(Tensor(np.zeros((2, 3, 4))), axes)
 
 
 class TestOpGradients:
