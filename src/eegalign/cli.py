@@ -35,9 +35,9 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DimensionError, DomainError, FormatError
 from .gradchecks import CHECKS, run_checks
-from .metrics import build_report, write_report_json, write_similarity_csv
+from .metrics import build_report, write_similarity_csv
 from .model import AlignmentModel
-from .tensor import write_atomically
+from .tensor import write_atomically, write_json
 from .trainer import embed_split, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
@@ -239,7 +239,7 @@ def cmd_eval(args, extras) -> int:
     out["split"] = args.split
     print(json.dumps(out, indent=2))
     if args.out:
-        write_atomically({args.out: lambda fh: write_report_json(fh, out)})
+        write_atomically({args.out: lambda fh: write_json(out, fh)})
     return 0
 
 
@@ -255,7 +255,7 @@ def cmd_export_sim(args, extras) -> int:
     report = build_report(sim, ks, similarity_path=args.out)
     write_atomically({
         args.out: lambda fh: write_similarity_csv(fh, sim),
-        report_path: lambda fh: write_report_json(fh, report.to_json_dict()),
+        report_path: lambda fh: write_json(report.to_json_dict(), fh),
     })
     print(f"wrote {sim.shape[0]}x{sim.shape[1]} similarity matrix to {args.out}")
     print(f"wrote retrieval report to {report_path}")

@@ -12,19 +12,17 @@ per pass, so its working memory stays near NOISE_BLOCK_BYTES.
 """
 from __future__ import annotations
 
-import functools
-import json
 import math
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, FormatError
-from .tensor import Tensor, read_json_object, read_tensor, write_atomically, write_tensor
+from .tensor import Tensor, check_fields, read_manifest, read_tensors, save_bundle
 
 LATENT_DIM = 8
-MANIFEST_NAME = "manifest.json"
 # generate_synthetic refuses a dataset whose arrays would pass this size;
 # splitting holds about one more copy at once, saving none
 MAX_DATASET_BYTES = 2 * 2**30
@@ -57,15 +55,11 @@ class PairedBatch:
 
     eeg: Tensor
     images: Tensor
-    ids: np.ndarray
-    class_ids: np.ndarray
 
     def __post_init__(self):
-        b = self.eeg.shape[0]
-        if self.images.shape[0] != b or len(self.ids) != b or len(self.class_ids) != b:
+        if self.images.shape[0] != self.eeg.shape[0]:
             raise DimensionError(
-                f"batch size mismatch: eeg {self.eeg.shape[0]}, images {self.images.shape[0]}, "
-                f"ids {len(self.ids)}, class_ids {len(self.class_ids)}"
+                f"batch size mismatch: eeg {self.eeg.shape[0]}, images {self.images.shape[0]}"
             )
         if self.eeg.ndim != 3:
             raise DimensionError(f"eeg must be (B, C, T), got {self.eeg.shape}")
@@ -96,44 +90,19 @@ class DatasetManifest:
     root: str = field(default="", compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "splits": dict(self.splits),
-            "channels": self.channels,
-            "timesteps": self.timesteps,
-            "height": self.height,
-            "width": self.width,
-            "n_classes": self.n_classes,
-            "seed": self.seed,
-        }
+        return {name: value for name, value in asdict(self).items() if name != "root"}
 
     @staticmethod
     def from_json(obj: dict, root: str = "") -> "DatasetManifest":
+        """The manifest ``obj`` describes; each field's type is its annotation here."""
+        fields = {name: hint for name, hint in typing.get_type_hints(DatasetManifest).items() if name != "root"}
         # "repetitions" is accepted only as the false that older writers stored
-        known = {"splits", "channels", "timesteps", "height", "width", "n_classes", "seed", "repetitions"}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(fields) - {"repetitions"}
         if unknown:
             raise FormatError(f"unknown manifest keys: {sorted(unknown)}")
         if obj.get("repetitions", False) is not False:
             raise FormatError(f"manifest repetitions must be false, got {obj['repetitions']!r}")
-        missing = known - {"seed", "repetitions"} - set(obj)
-        if missing:
-            raise FormatError(f"manifest missing keys: {sorted(missing)}")
-        try:
-            splits = dict(obj["splits"])
-            if not all(isinstance(f, str) for f in splits.values()):
-                raise TypeError(f"split file names must be strings, got {splits!r}")
-            return DatasetManifest(
-                splits=splits,
-                channels=int(obj["channels"]),
-                timesteps=int(obj["timesteps"]),
-                height=int(obj["height"]),
-                width=int(obj["width"]),
-                n_classes=int(obj["n_classes"]),
-                seed=None if obj.get("seed") is None else int(obj.get("seed")),
-                root=root,
-            )
-        except (TypeError, ValueError) as e:
-            raise FormatError(f"manifest value has the wrong type: {e}") from e
+        return DatasetManifest(**check_fields({"seed": None, **obj}, fields), root=root)
 
 
 def _render_images(codes: np.ndarray, height: int) -> np.ndarray:
@@ -284,44 +253,25 @@ def zero_shot_split(
 
 
 def save_dataset(manifest: DatasetManifest, splits: dict[str, SplitArrays], out_dir: str) -> None:
-    """Write one binary tensor file per split, then manifest.json.
+    """Write one payload file per split (EEG, images, ids, class ids), then manifest.json.
 
     All files are staged and moved into place together, manifest last,
     so a failure or a kill never leaves a manifest over a partial split.
     """
-    os.makedirs(out_dir, exist_ok=True)
     for name in splits:
         if name not in manifest.splits:
             raise ConfigError(f"split {name!r} missing from manifest")
-    writers = {os.path.join(out_dir, manifest.splits[name]): functools.partial(_write_split, split)
-               for name, split in splits.items()}
-    text = json.dumps(manifest.to_json(), indent=2) + "\n"
-    writers[os.path.join(out_dir, MANIFEST_NAME)] = lambda fh: fh.write(text.encode())
-    write_atomically(writers)
-
-
-def _write_split(split: SplitArrays, fh) -> None:
-    write_tensor(fh, split.eeg)
-    write_tensor(fh, split.images)
-    write_tensor(fh, split.ids.astype(np.float64))
-    write_tensor(fh, split.class_ids.astype(np.float64))
+    payloads = {manifest.splits[name]: (split.eeg, split.images, split.ids, split.class_ids)
+                for name, split in splits.items()}
+    save_bundle(out_dir, payloads, manifest.to_json())
 
 
 def load_dataset(path: str) -> DatasetManifest:
-    """Read and validate a manifest; split payloads load via load_split.
+    """Read and validate a dataset directory's manifest; split payloads load via load_split.
 
     A malformed manifest is a FormatError naming the file.
     """
-    manifest_path = os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
-    root = os.path.dirname(manifest_path)
-    try:
-        obj = read_json_object(manifest_path)
-    except FileNotFoundError:
-        raise FormatError(f"no dataset manifest at {manifest_path}") from None
-    try:
-        return DatasetManifest.from_json(obj, root=root)
-    except FormatError as e:
-        raise FormatError(f"dataset manifest {manifest_path}: {e}") from e
+    return read_manifest(path, lambda obj: DatasetManifest.from_json(obj, root=path))
 
 
 def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
@@ -333,14 +283,7 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
     if name not in manifest.splits:
         raise ConfigError(f"manifest has no split named {name!r}; has {sorted(manifest.splits)}")
     path = os.path.join(manifest.root, manifest.splits[name])
-    with open(path, "rb") as fh:
-        eeg = read_tensor(fh)
-        images = read_tensor(fh)
-        ids = read_tensor(fh)
-        class_ids = read_tensor(fh)
-        trailing = fh.read(1)
-    if trailing:
-        raise FormatError(f"trailing bytes after split payload in {path}")
+    eeg, images, ids, class_ids = read_tensors(path, 4)
 
     if eeg.ndim != 3 or eeg.shape[1:] != (manifest.channels, manifest.timesteps):
         raise FormatError(
@@ -391,9 +334,4 @@ def apply_masks(
 
 def make_batch(split: SplitArrays, indices) -> PairedBatch:
     idx = np.asarray(indices)
-    return PairedBatch(
-        eeg=Tensor(split.eeg[idx]),
-        images=Tensor(split.images[idx]),
-        ids=split.ids[idx],
-        class_ids=split.class_ids[idx],
-    )
+    return PairedBatch(eeg=Tensor(split.eeg[idx]), images=Tensor(split.images[idx]))

@@ -8,7 +8,6 @@ deterministic no matter how degenerate the scores are.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,8 +135,3 @@ def write_similarity_csv(fh, sim) -> None:
     if s.ndim != 2:
         raise DimensionError(f"similarity matrix must be 2-d, got {s.shape}")
     np.savetxt(fh, s, delimiter=",", fmt="%.17g")
-
-
-def write_report_json(fh, report: dict) -> None:
-    """Write a report dict to a binary handle as indented JSON, one trailing newline."""
-    fh.write((json.dumps(report, indent=2) + "\n").encode())

@@ -41,11 +41,13 @@ lives here.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
+import types
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_origin
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -844,6 +846,12 @@ def grad_check(
 
 
 # -- serialization ---------------------------------------------------------
+#
+# A bundle is a directory holding manifest.json plus payload files, each a
+# sequence of write_tensor records. Datasets and checkpoints are bundles;
+# this section is the only code that knows the layout.
+
+MANIFEST_NAME = "manifest.json"
 
 
 def write_atomically(writers: dict) -> None:
@@ -872,6 +880,11 @@ def write_atomically(writers: dict) -> None:
         raise
 
 
+def write_json(obj, fh) -> None:
+    """Write ``obj`` to a binary handle as indented JSON with one trailing newline."""
+    fh.write((json.dumps(obj, indent=2) + "\n").encode())
+
+
 def read_json_object(path) -> dict:
     """Parse a UTF-8 JSON file whose top level is an object.
 
@@ -886,6 +899,41 @@ def read_json_object(path) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{path} holds a JSON {type(obj).__name__}, not an object")
     return obj
+
+
+def check_fields(obj: dict, fields: dict, where: str = "") -> dict:
+    """The values of ``obj`` at the keys of ``fields``, each checked against its type there.
+
+    A type is int (a JSON integer, never a bool), float (any JSON number,
+    NaN included, returned as a float), str, dict (any object), list[T],
+    dict[str, T], T | None, or a dict of keys to types for a nested
+    object. Keys of ``obj`` that ``fields`` does not name are left out. A
+    missing key or a value of another type is a FormatError naming the key.
+    """
+    missing = [key for key in fields if key not in obj]
+    if missing:
+        raise FormatError(f"missing key {where}{missing[0]}")
+    return {key: _typed(obj[key], hint, f"{where}{key}") for key, hint in fields.items()}
+
+
+def _typed(value, hint, name: str):
+    origin, args = get_origin(hint), get_args(hint)
+    if isinstance(hint, dict) and isinstance(value, dict):
+        return check_fields(value, hint, f"{name}.")
+    if origin is list and isinstance(value, list):
+        return [_typed(v, args[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    if origin is dict and isinstance(value, dict):
+        return {k: _typed(v, args[1], f"{name}.{k}") for k, v in value.items()}
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _typed(value, args[0], name)
+    if isinstance(value, bool):
+        pass  # a JSON true or false is never a number
+    elif hint is float and isinstance(value, (int, float)):
+        return float(value)
+    elif isinstance(hint, type) and isinstance(value, hint):
+        return value
+    what = "an object" if isinstance(hint, dict) else hint.__name__ if isinstance(hint, type) else hint
+    raise FormatError(f"{name} must be {what}, got {value!r:.60}")
 
 
 _MAX_RANK = 32
@@ -939,3 +987,46 @@ def read_tensor(fh) -> np.ndarray:
     if got != 8 * count:
         raise FormatError("truncated tensor file while reading payload", offset=here + got)
     return out
+
+
+def read_tensors(path, count: int) -> list[np.ndarray]:
+    """The ``count`` tensors of one payload file; FormatError naming it when it is missing or holds more."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise FormatError(f"no payload file at {path}") from None
+    with fh:
+        arrays = [read_tensor(fh) for _ in range(count)]
+        if fh.read(1):
+            raise FormatError(f"trailing bytes after {count} tensors in {path}")
+    return arrays
+
+
+def _write_tensors(arrays, fh) -> None:
+    for array in arrays:
+        write_tensor(fh, array)
+
+
+def save_bundle(directory, payloads: dict, manifest: dict) -> None:
+    """Write each payload file, then manifest.json, through one write_atomically.
+
+    ``payloads`` maps a file name in ``directory``, created if missing, to its arrays in order.
+    """
+    os.makedirs(directory, exist_ok=True)
+    writers = {os.path.join(directory, name): functools.partial(_write_tensors, arrays)
+               for name, arrays in payloads.items()}
+    writers[os.path.join(directory, MANIFEST_NAME)] = functools.partial(write_json, manifest)
+    write_atomically(writers)
+
+
+def read_manifest(directory, parse: Callable[[dict], object]):
+    """``parse`` of the object in ``directory``/manifest.json; every FormatError, parse's too, names the file."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    try:
+        obj = read_json_object(path)
+    except FileNotFoundError:
+        raise FormatError(f"no manifest at {path}") from None
+    try:
+        return parse(obj)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from e

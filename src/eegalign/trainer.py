@@ -10,7 +10,6 @@ trajectory is a pure function of (seed, config, dataset).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -21,11 +20,20 @@ from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, no_grad, read_json_object, read_tensor, write_atomically, write_tensor
+from .tensor import Parameter, check_fields, no_grad, read_manifest, read_tensors, save_bundle
 
-CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
 CHECKPOINT_FORMAT = 1
+# the checkpoint manifest's keys and their types
+CHECKPOINT_FIELDS = {
+    "format_version": int,
+    "config": dict,
+    "geometry": {"channels": int, "timesteps": int, "image_size": int},
+    "epoch": int,
+    "val_loss": float,
+    "train_class_ids": list[int],
+    "parameters": list[str],
+}
 
 
 class Adam:
@@ -252,8 +260,7 @@ def fit(model: AlignmentModel, train: SplitArrays, val: SplitArrays,
 
 
 def save_checkpoint(ckpt: Checkpoint, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    names = list(ckpt.values)
+    """Write params.bin, the values in ``ckpt.values`` order, then manifest.json."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT,
         "config": config_to_dict(ckpt.config),
@@ -265,61 +272,25 @@ def save_checkpoint(ckpt: Checkpoint, directory) -> None:
         "epoch": ckpt.epoch,
         "val_loss": ckpt.val_loss,
         "train_class_ids": ckpt.train_class_ids,
-        "parameters": names,
+        "parameters": list(ckpt.values),
     }
+    save_bundle(directory, {CHECKPOINT_PARAMS: ckpt.values.values()}, manifest)
 
-    def write_params(fh):
-        for name in names:
-            write_tensor(fh, ckpt.values[name])
 
-    text = json.dumps(manifest, indent=2) + "\n"
-    write_atomically({
-        os.path.join(directory, CHECKPOINT_PARAMS): write_params,
-        os.path.join(directory, CHECKPOINT_MANIFEST): lambda fh: fh.write(text.encode()),
-    })
+def _checkpoint_from_json(obj: dict) -> tuple[Checkpoint, list[str]]:
+    """A checkpoint without its values, and the parameter names params.bin holds in order."""
+    fields = check_fields(obj, CHECKPOINT_FIELDS)
+    if fields["format_version"] != CHECKPOINT_FORMAT:
+        raise FormatError(f"unsupported checkpoint format {fields['format_version']}")
+    ckpt = Checkpoint(config=config_from_dict(fields["config"]), **fields["geometry"], epoch=fields["epoch"],
+                      val_loss=fields["val_loss"], train_class_ids=fields["train_class_ids"], values={})
+    return ckpt, fields["parameters"]
 
 
 def load_checkpoint(directory) -> Checkpoint:
     """Read a checkpoint; a malformed manifest is a FormatError naming the file."""
-    manifest_path = os.path.join(directory, CHECKPOINT_MANIFEST)
-    try:
-        manifest = read_json_object(manifest_path)
-    except FileNotFoundError:
-        raise FormatError(f"no checkpoint manifest at {manifest_path}") from None
-    if manifest.get("format_version") != CHECKPOINT_FORMAT:
-        raise FormatError(f"unsupported checkpoint format {manifest.get('format_version')!r}")
-    for key in ("config", "geometry", "epoch", "val_loss", "train_class_ids", "parameters"):
-        if key not in manifest:
-            raise FormatError(f"checkpoint manifest is missing {key!r}")
-    config = config_from_dict(manifest["config"])
-    names = manifest["parameters"]
-    try:
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise TypeError(f"parameters must be a list of names, got {names!r}")
-        geo = manifest["geometry"]
-        ckpt = Checkpoint(
-            config=config,
-            channels=int(geo["channels"]),
-            timesteps=int(geo["timesteps"]),
-            image_size=int(geo["image_size"]),
-            epoch=int(manifest["epoch"]),
-            val_loss=float(manifest["val_loss"]),
-            train_class_ids=[int(c) for c in manifest["train_class_ids"]],
-            values={},
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed checkpoint manifest {manifest_path}: {e!r}") from e
-    params_path = os.path.join(directory, CHECKPOINT_PARAMS)
-    try:
-        fh = open(params_path, "rb")
-    except FileNotFoundError:
-        raise FormatError(f"no checkpoint parameter file at {params_path}") from None
-    with fh:
-        for name in names:
-            ckpt.values[name] = read_tensor(fh)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("checkpoint parameter file has trailing bytes")
+    ckpt, names = read_manifest(directory, _checkpoint_from_json)
+    ckpt.values = dict(zip(names, read_tensors(os.path.join(directory, CHECKPOINT_PARAMS), len(names))))
     return ckpt
 
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from eegalign import cli as cli_module
-from eegalign import data as data_module
-from eegalign import trainer as trainer_module
+from eegalign import tensor as tensor_module
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
 from eegalign.tensor import read_tensor
@@ -47,7 +46,7 @@ def forbid_fit(monkeypatch):
     monkeypatch.setattr(cli_module, "fit", fit)
 
 
-def failing_report_writer(fh, report):
+def failing_report_writer(report, fh):
     raise OSError(28, "No space left on device")
 
 
@@ -93,7 +92,7 @@ class TestGenData:
     def test_failed_force_keeps_the_old_dataset(self, tmp_path, fail_write_tensor):
         out = gen(tmp_path)
         before = read_files(out)
-        fail_write_tensor(data_module, 5)
+        fail_write_tensor(tensor_module, 5)
         code = main(["gen-data", "--out", str(out), "--seed", "4", *SMALL_GEN, "--force"])
         assert code == 2
         assert read_files(out) == before
@@ -315,7 +314,7 @@ class TestTrain:
         run = train(tmp_path, data)
         old = parameter_digest(load_checkpoint(run).build_model().parameters())
         old_log = (run / "train_log.jsonl").read_bytes()
-        fail_write_tensor(trainer_module, 3)
+        fail_write_tensor(tensor_module, 3)
         code = main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--seed", "2", *SMALL_NET, "--force"])
         assert code == 2
@@ -357,7 +356,7 @@ class TestEval:
         argv = ["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out), "--force"]
         assert main([*argv, "--ks", "1"]) == 0
         before = out.read_bytes()
-        monkeypatch.setattr(cli_module, "write_report_json", failing_report_writer)
+        monkeypatch.setattr(cli_module, "write_json", failing_report_writer)
         assert main([*argv, "--ks", "1", "2"]) == 2
         assert out.read_bytes() == before
         assert not (tmp_path / "report.json.tmp").exists()
@@ -445,9 +444,17 @@ def drop_geometry_channels(obj):
     return obj
 
 
+def fractional_class_ids(obj):
+    # each id plus a half, so a loader that truncates gets the trained ids back
+    return {**obj, "train_class_ids": [c + 0.5 for c in obj["train_class_ids"]]}
+
+
 MALFORMED_MANIFESTS = {
     "dataset-invalid-utf8": ("data", lambda raw: raw.replace(b"train.bin", b"tr\xffin.bin", 1)),
     "dataset-channels-not-a-number": ("data", set_key("channels", "x")),
+    "dataset-height-fractional": ("data", set_key("height", 16.9)),
+    "checkpoint-class-id-fractional": ("run", edit_json(fractional_class_ids)),
+    "checkpoint-format-version-true": ("run", set_key("format_version", True)),
     "checkpoint-invalid-utf8": ("run", lambda raw: raw.replace(b"format_version", b"format\xffversion", 1)),
     "checkpoint-epoch-not-a-number": ("run", set_key("epoch", "x")),
     "checkpoint-geometry-without-channels": ("run", edit_json(drop_geometry_channels)),
@@ -504,7 +511,7 @@ class TestExportSim:
                 "--out", str(tmp_path / "sim.csv"), "--force"]
         assert main([*argv, "--ks", "1"]) == 0
         before = read_files(tmp_path)
-        monkeypatch.setattr(cli_module, "write_report_json", failing_report_writer)
+        monkeypatch.setattr(cli_module, "write_json", failing_report_writer)
         assert main([*argv, "--ks", "1", "2"]) == 2
         assert read_files(tmp_path) == before
 
@@ -517,7 +524,7 @@ import io, os, signal, sys
 
 import numpy as np
 
-from eegalign import cli, data, tensor, trainer
+from eegalign import cli, tensor
 
 
 def die_after_half(fh, payload):
@@ -528,13 +535,13 @@ def die_after_half(fh, payload):
 
 def write_tensor(fh, array):
     buf = io.BytesIO()
-    tensor.write_tensor(buf, array)
+    real_write_tensor(buf, array)
     die_after_half(fh, buf.getvalue())
 
 
-def write_report_json(fh, report):
+def write_json(obj, fh):
     buf = io.BytesIO()
-    real_write_report_json(buf, report)
+    real_write_json(obj, buf)
     die_after_half(fh, buf.getvalue())
 
 
@@ -545,9 +552,9 @@ def savetxt(fname, X, *args, **kwargs):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-real_write_report_json, real_savetxt = cli.write_report_json, np.savetxt
-data.write_tensor = trainer.write_tensor = write_tensor
-cli.write_report_json = write_report_json
+real_write_tensor, real_write_json, real_savetxt = tensor.write_tensor, cli.write_json, np.savetxt
+tensor.write_tensor = write_tensor
+cli.write_json = write_json
 np.savetxt = savetxt
 sys.exit(cli.main(sys.argv[1:]))
 """

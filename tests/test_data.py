@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eegalign.data as data_module
+import eegalign.tensor as tensor_module
 from eegalign.data import (
     LATENT_DIM,
     NOISE_BLOCK_BYTES,
@@ -328,6 +329,19 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.ids, splits[name].ids)
             np.testing.assert_array_equal(loaded.class_ids, splits[name].class_ids)
 
+    def test_files_match_the_recorded_digests(self, tmp_path):
+        # pins the on-disk format: the manifest's text and each split's records
+        data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        save_dataset(self._manifest(data, tmp_path), zero_shot_split(data, 1, 2, seed=0), str(tmp_path))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in sorted(os.listdir(tmp_path))}
+        assert digests == {
+            "manifest.json": "2af37716cc44fedf075f6c8b67aede5014acaa51be2262958abecb15a0a11c70",
+            "test.bin": "0bade9020362936eea3c84fec479ccc9905e86241afcf3c8469c603b94b04890",
+            "train.bin": "f313a3534854722cacba1c9a55ba1cd56fcc347436193a6ae4e968bb37699d9b",
+            "val.bin": "eb38c9785d78eb071d146361a492f4cf2b009cca628bb55221d907917e94e160",
+        }
+
     def test_truncated_file_reports_offset(self, tmp_path):
         data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
         splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
@@ -400,7 +414,7 @@ class TestPersistence:
     def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
         data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
         splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
-        fail_write_tensor(data_module, 5)
+        fail_write_tensor(tensor_module, 5)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(self._manifest(data, tmp_path), splits, str(tmp_path / "out"))
         assert os.listdir(tmp_path / "out") == []
@@ -410,7 +424,7 @@ class TestPersistence:
         old_splits = zero_shot_split(old, n_test_classes=1, n_val_samples=2, seed=0)
         save_dataset(self._manifest(old, tmp_path), old_splits, str(tmp_path))
         new = generate_synthetic(seed=5, n_classes=4, per_class=3, channels=3, timesteps=6, height=16)
-        fail_write_tensor(data_module, 9)
+        fail_write_tensor(tensor_module, 9)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(self._manifest(new, tmp_path), zero_shot_split(new, 1, 2, seed=0), str(tmp_path))
         back = load_dataset(str(tmp_path))
@@ -435,8 +449,6 @@ class TestBatchesAndMasks:
             PairedBatch(
                 eeg=Tensor(np.zeros((2, 3, 4))),
                 images=Tensor(np.full((2, 3, 8, 8), 1.5)),
-                ids=np.arange(2),
-                class_ids=np.zeros(2, dtype=np.int64),
             )
 
     def test_batch_rejects_nan_images(self):
@@ -446,8 +458,6 @@ class TestBatchesAndMasks:
             PairedBatch(
                 eeg=Tensor(np.zeros((2, 3, 4))),
                 images=Tensor(images),
-                ids=np.arange(2),
-                class_ids=np.zeros(2, dtype=np.int64),
             )
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -458,8 +468,6 @@ class TestBatchesAndMasks:
             PairedBatch(
                 eeg=Tensor(eeg),
                 images=Tensor(np.full((2, 3, 8, 8), 0.5)),
-                ids=np.arange(2),
-                class_ids=np.zeros(2, dtype=np.int64),
             )
 
     def test_batch_validates_alignment(self):
@@ -467,15 +475,13 @@ class TestBatchesAndMasks:
             PairedBatch(
                 eeg=Tensor(np.zeros((2, 3, 4))),
                 images=Tensor(np.zeros((3, 3, 8, 8))),
-                ids=np.arange(2),
-                class_ids=np.zeros(2, dtype=np.int64),
             )
 
     def test_make_batch(self):
         data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=3, timesteps=5, height=16)
         batch = make_batch(data, [0, 3, 5])
         assert len(batch) == 3
-        np.testing.assert_array_equal(batch.class_ids, data.class_ids[[0, 3, 5]])
+        assert batch.eeg.data.tobytes() == data.eeg[[0, 3, 5]].tobytes()
 
     def test_channel_mask_and_window(self):
         data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=6, timesteps=10, height=16)

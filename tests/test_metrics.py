@@ -11,9 +11,9 @@ from eegalign.metrics import (
     build_report,
     mean_average_precision,
     retrieval_ranks,
-    write_report_json,
     write_similarity_csv,
 )
+from eegalign.tensor import write_json
 
 
 def top_k(sim, ks):
@@ -208,7 +208,7 @@ class TestReport:
         report = build_report(s, ks=[1, 3], similarity_path="sim.csv")
         path = tmp_path / "report.json"
         with open(path, "wb") as fh:
-            write_report_json(fh, report.to_json_dict())
+            write_json(report.to_json_dict(), fh)
         loaded = json.loads(path.read_text())
         assert loaded["mAP"] == report.map_score
         assert loaded["top_k"]["1"] == report.top_k[1]

@@ -132,3 +132,24 @@ def test_scan_flags_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os\nimport numpy as np\n"
                      "from json import dumps, loads\nnp.zeros(1)\nloads('1')\n")
     assert unused_imports(tree) == ["dumps (line 4)", "os (line 2)"]
+
+
+RECORD_FUNCTIONS = {"write_tensor", "read_tensor"}
+
+
+def record_function_names(tree: ast.Module) -> list[str]:
+    """The tensor-record functions a module names. Only tensor.py may, so the bundle format has one home."""
+    return sorted(RECORD_FUNCTIONS & referenced_names(tree))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "tensor.py"),
+                         ids=lambda p: p.name)
+def test_only_tensor_names_the_record_functions(path):
+    assert record_function_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_record_scan_flags_a_module_that_names_them():
+    tree = ast.parse("from .tensor import read_tensor, read_tensors\nimport eegalign.tensor as t\n"
+                     "t.write_tensor(fh, x)\nsave_bundle(d, {}, {})\n")
+    assert record_function_names(tree) == ["read_tensor", "write_tensor"]
+    assert record_function_names(ast.parse("getattr(tensor, 'write_tensor')\n")) == ["write_tensor"]

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from eegalign.tensor import (
     Tensor,
     add,
     attention,
+    check_fields,
     clamp_min,
     concat,
     div,
@@ -33,7 +35,10 @@ from eegalign.tensor import (
     matmul,
     mul,
     no_grad,
+    read_manifest,
     read_tensor,
+    read_tensors,
+    save_bundle,
     sigmoid,
     softmax_rows,
     sub,
@@ -1120,6 +1125,71 @@ class TestWriteAtomically:
         assert paths[0].read_bytes() == b"new a.bin"
         assert paths[1].read_bytes() == b"old b.bin"
         assert paths[2].read_bytes() == b"old manifest.json"
+
+
+class TestBundle:
+    def test_round_trip_bitwise_manifest_last(self, tmp_path, monkeypatch):
+        arrays = [np.arange(6.0).reshape(2, 3) / 7, np.asarray(-0.5), np.zeros((0, 4))]
+        renamed = []
+        real_replace = os.replace
+        monkeypatch.setattr(tz.os, "replace", lambda src, dst: (renamed.append(os.path.basename(dst)),
+                                                                 real_replace(src, dst)))
+        save_bundle(tmp_path / "b", {"x.bin": arrays, "y.bin": []}, {"n": 3, "loss": float("nan")})
+        assert renamed == ["x.bin", "y.bin", "manifest.json"]
+        assert (tmp_path / "b" / "manifest.json").read_text() == '{\n  "n": 3,\n  "loss": NaN\n}\n'
+        back = read_tensors(tmp_path / "b" / "x.bin", 3)
+        assert [a.shape for a in back] == [a.shape for a in arrays]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back, arrays))
+        assert read_tensors(tmp_path / "b" / "y.bin", 0) == []
+        assert read_manifest(tmp_path / "b", lambda obj: obj["n"]) == 3
+
+    def test_read_tensors_names_a_missing_file_and_trailing_bytes(self, tmp_path):
+        save_bundle(tmp_path, {"x.bin": [np.ones(2)]}, {})
+        with pytest.raises(FormatError, match="no payload file") as exc:
+            read_tensors(tmp_path / "nope.bin", 1)
+        assert str(tmp_path / "nope.bin") in str(exc.value)
+        with pytest.raises(FormatError, match="trailing bytes") as exc:
+            read_tensors(tmp_path / "x.bin", 0)
+        assert str(tmp_path / "x.bin") in str(exc.value)
+
+    def test_read_manifest_names_the_file(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        with pytest.raises(FormatError, match="no manifest") as exc:
+            read_manifest(tmp_path, dict)
+        assert path in str(exc.value)
+        (tmp_path / "manifest.json").write_text('{"n": 1.5}')
+        with pytest.raises(FormatError, match="n must be int") as exc:
+            read_manifest(tmp_path, lambda obj: check_fields(obj, {"n": int}))
+        assert path in str(exc.value)
+
+    @pytest.mark.parametrize("hint,value,expected", [
+        (int, 3, 3), (int, -2, -2), (float, 3, 3.0), (float, 0.25, 0.25), (str, "a", "a"),
+        (dict, {"k": [1]}, {"k": [1]}), (list[int], [], []), (list[int], [1, 2], [1, 2]),
+        (list[str], ["a"], ["a"]), (dict[str, str], {"a": "b"}, {"a": "b"}),
+        (int | None, None, None), (int | None, 4, 4), ({"a": int}, {"a": 1, "b": "extra"}, {"a": 1}),
+    ])
+    def test_typed_fields_pass(self, hint, value, expected):
+        out = check_fields({"f": value}, {"f": hint})["f"]
+        assert out == expected and type(out) is type(expected)
+
+    def test_float_field_takes_nan_and_infinity(self):
+        out = check_fields({"a": float("nan"), "b": float("-inf")}, {"a": float, "b": float})
+        assert math.isnan(out["a"]) and out["b"] == -math.inf
+
+    @pytest.mark.parametrize("hint,value,name", [
+        (int, 16.9, "f"), (int, "16", "f"), (int, True, "f"), (int, 1.0, "f"), (int, None, "f"),
+        (float, True, "f"), (float, "1.5", "f"), (str, 3, "f"), (dict, [], "f"),
+        (list[int], [1, 1.9], "f[1]"), (list[int], [0, "3"], "f[1]"), (list[int], [True], "f[0]"),
+        (list[int], {"0": 1}, "f"), (list[str], [3], "f[0]"), (dict[str, str], {"a": 1}, "f.a"),
+        (int | None, 0.5, "f"), ({"a": int}, {"a": False}, "f.a"), ({"a": int}, 3, "f"),
+    ])
+    def test_wrongly_typed_field_is_named(self, hint, value, name):
+        with pytest.raises(FormatError, match=rf"^{re.escape(name)} must be "):
+            check_fields({"f": value}, {"f": hint})
+
+    def test_missing_field_is_named(self):
+        with pytest.raises(FormatError, match="missing key geo.width"):
+            check_fields({"geo": {"height": 2}}, {"geo": {"height": int, "width": int}})
 
 
 class TestParameter:

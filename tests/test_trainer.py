@@ -1,5 +1,7 @@
 """Optimizer, training loop, checkpointing, zero-shot evaluation."""
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -12,6 +14,7 @@ from eegalign.model import AlignmentModel
 from eegalign.tensor import Parameter, Tensor
 from eegalign.trainer import (
     Adam,
+    Checkpoint,
     _batch_indices,
     clip_gradients,
     embed_split,
@@ -24,6 +27,7 @@ from eegalign.trainer import (
     train_step,
     validation_loss,
 )
+import eegalign.tensor as tensor_module
 import eegalign.trainer as trainer_module
 
 
@@ -389,6 +393,32 @@ class TestCheckpointIO:
         for name in ckpt.values:
             assert np.array_equal(again.values[name], ckpt.values[name]), name
 
+    def test_checkpoint_without_loss_or_classes_round_trips_bitwise(self, tmp_path):
+        # what the retrieve benchmark saves: an untrained model, val_loss NaN, no training classes
+        model = tiny_model()
+        ckpt = Checkpoint(config=model.cfg, channels=4, timesteps=12, image_size=16, epoch=0,
+                          val_loss=math.nan, train_class_ids=[], values=snapshot_values(model))
+        save_checkpoint(ckpt, tmp_path / "run")
+        again = load_checkpoint(tmp_path / "run")
+        assert math.isnan(again.val_loss) and again.train_class_ids == [] and again.epoch == 0
+        assert config_to_dict(again.config) == config_to_dict(ckpt.config)
+        assert list(again.values) == list(ckpt.values)
+        for name, value in ckpt.values.items():
+            assert again.values[name].shape == value.shape
+            assert again.values[name].tobytes() == value.tobytes(), name
+
+    def test_files_match_the_recorded_digests(self, tmp_path):
+        # pins the on-disk format: the manifest's text and the params.bin records
+        values = {"prompts": np.arange(6.0).reshape(2, 3) / 7, "tau": np.asarray(-0.5), "empty": np.zeros((0, 4))}
+        save_checkpoint(Checkpoint(config=tiny_config(), channels=4, timesteps=12, image_size=16, epoch=0,
+                                   val_loss=math.nan, train_class_ids=[], values=values), tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in sorted(os.listdir(tmp_path))}
+        assert digests == {
+            "manifest.json": "f891fbbf3a627ce97b948838ac3d53637a90cf0e7c2574a9014401b6a319289f",
+            "params.bin": "29674bc4239c9b00f705cac24cc9ce8213ad73c15a9d90da6468c95a38c39a40",
+        }
+
     def test_reload_reproduces_validation_loss(self, tmp_path):
         ckpt, splits = self.make_checkpoint()
         save_checkpoint(ckpt, tmp_path / "run")
@@ -414,7 +444,7 @@ class TestCheckpointIO:
 
     def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
         ckpt, _ = self.make_checkpoint()
-        fail_write_tensor(trainer_module, 3)
+        fail_write_tensor(tensor_module, 3)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, tmp_path / "run")
         assert os.listdir(tmp_path / "run") == []
@@ -426,7 +456,7 @@ class TestCheckpointIO:
         old_loss = ckpt.val_loss
         ckpt.values = {name: v + 1.0 for name, v in ckpt.values.items()}
         ckpt.val_loss += 1.0
-        fail_write_tensor(trainer_module, 3)
+        fail_write_tensor(tensor_module, 3)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, tmp_path / "run")
         again = load_checkpoint(tmp_path / "run")
@@ -448,8 +478,9 @@ class TestCheckpointIO:
         ckpt, _ = self.make_checkpoint()
         save_checkpoint(ckpt, tmp_path / "run")
         os.remove(tmp_path / "run" / "params.bin")
-        with pytest.raises(FormatError, match="parameter file"):
+        with pytest.raises(FormatError) as exc:
             load_checkpoint(tmp_path / "run")
+        assert str(tmp_path / "run" / "params.bin") in str(exc.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
