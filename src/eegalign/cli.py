@@ -35,10 +35,10 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DimensionError, DomainError, FormatError
 from .gradchecks import CHECKS, run_checks
-from .metrics import build_report, write_similarity_csv
+from .metrics import write_similarity_csv
 from .model import AlignmentModel
 from .tensor import write_atomically, write_json
-from .trainer import embed_split, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
+from .trainer import evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
 # what main() reports as `error: ...` with exit status 2; anything else is a bug
@@ -210,11 +210,14 @@ def cmd_train(args, extras) -> int:
 # -- eval / export-sim -------------------------------------------------------
 
 
-def _load_checkpoint_split(checkpoint_dir: str, data_path: str, split_name: str):
-    """Rebuild the model and load one split shaped the way it was trained."""
-    ckpt = load_checkpoint(checkpoint_dir)
-    manifest = load_dataset(data_path)
-    split = load_split(manifest, split_name)
+def _evaluate_checkpoint(args):
+    """The retrieval report and similarity of ``args.checkpoint`` on one split of ``args.data``.
+
+    The split is masked as in training and must fit the checkpoint's geometry; a test split may hold no trained class.
+    """
+    ckpt = load_checkpoint(args.checkpoint)
+    manifest = load_dataset(args.data)
+    split = load_split(manifest, args.split)
     split = apply_masks(split, ckpt.config.data.channel_mask, ckpt.config.data.time_window)
     c, t = split.eeg.shape[1], split.eeg.shape[2]
     if (c, t) != (ckpt.channels, ckpt.timesteps) or (manifest.height, manifest.width) != (ckpt.image_size,) * 2:
@@ -222,20 +225,18 @@ def _load_checkpoint_split(checkpoint_dir: str, data_path: str, split_name: str)
             f"checkpoint geometry (C={ckpt.channels}, T={ckpt.timesteps}, H={ckpt.image_size}) "
             f"does not match dataset (C={c}, T={t}, H={manifest.height}x{manifest.width})"
         )
-    return ckpt, ckpt.build_model(), split
+    train_ids = ckpt.train_class_ids if args.split == "test" else None
+    return evaluate_zero_shot(ckpt.build_model(), split, args.ks or ckpt.config.eval.ks,
+                              train_class_ids=train_ids, batch_size=ckpt.config.trainer.batch_size)
 
 
 def cmd_eval(args, extras) -> int:
     if args.out:
         _refuse_collision(args.out, args.force, is_dir=False)
-    ckpt, model, split = _load_checkpoint_split(args.checkpoint, args.data, args.split)
-    ks = args.ks or ckpt.config.eval.ks
-    train_ids = ckpt.train_class_ids if args.split == "test" else None
-    report = evaluate_zero_shot(model, split, ks, train_class_ids=train_ids,
-                                batch_size=ckpt.config.trainer.batch_size)
+    report, _ = _evaluate_checkpoint(args)
     out = {f"Top-{k}": report.top_k[k] for k in sorted(report.top_k)}
     out["mAP"] = report.map_score
-    out["n_queries"] = int(report.extras["n_queries"])
+    out["n_queries"] = len(report.ranks)
     out["split"] = args.split
     print(json.dumps(out, indent=2))
     if args.out:
@@ -244,15 +245,11 @@ def cmd_eval(args, extras) -> int:
 
 
 def cmd_export_sim(args, extras) -> int:
-    ckpt, model, split = _load_checkpoint_split(args.checkpoint, args.data, args.split)
-    ks = args.ks or ckpt.config.eval.ks
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
     _refuse_collision(args.out, args.force, is_dir=False)
     _refuse_collision(report_path, args.force, is_dir=False)
-
-    z_e, z_i = embed_split(model, split, batch_size=ckpt.config.trainer.batch_size)
-    sim = z_e @ z_i.T
-    report = build_report(sim, ks, similarity_path=args.out)
+    report, sim = _evaluate_checkpoint(args)
+    report.similarity_path = args.out
     write_atomically({
         args.out: lambda fh: write_similarity_csv(fh, sim),
         report_path: lambda fh: write_json(report.to_json_dict(), fh),

@@ -1,9 +1,12 @@
 """Run configuration: a strict, typed tree with dotted-key overrides.
 
 The on-disk form is JSON with one object per section. Unknown sections
-or keys are rejected with the full dotted path, defaults fill anything
-omitted, and the resolved tree is embedded into every checkpoint so a
-run can always be reproduced from its artifacts.
+or keys are rejected with the full dotted path, and each leaf is typed
+by its annotation through `tensor.check_fields`, the check the dataset
+and checkpoint manifests go through, so a wrong value names its dotted
+key too. Defaults fill anything omitted, and the resolved tree is
+embedded into every checkpoint so a run can always be reproduced from
+its artifacts.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, FormatError
-from .tensor import read_json_object
+from .tensor import check_fields, read_json_object
 
 # config key -> attribute name, where the key is not a valid identifier
 _LOSS_ALIASES = {"lambda": "lam"}
@@ -107,52 +110,10 @@ def _aliases_for(section: str) -> dict[str, str]:
     return _LOSS_ALIASES if section == "loss" else {}
 
 
-def _coerce(path: str, expected, value):
-    """Check/convert one leaf value against its annotated type."""
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        return number
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if expected is list:
-        if value is None:
-            return None
-        if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
-        return list(value)
-    raise ConfigError(f"{path}: unsupported value {value!r}")
-
-
-def _leaf_type(hint) -> tuple[type, bool]:
-    """(type to coerce to, whether None is allowed) of a field annotation."""
-    args = typing.get_args(hint)
-    optional = type(None) in args
-    if optional:
-        (hint,) = [a for a in args if a is not type(None)]
-    return typing.get_origin(hint) or hint, optional
-
-
 _SECTIONS = typing.get_type_hints(RunConfig)
-# (section, attribute) -> (leaf type, optional), read off the annotations
+# (section, attribute) -> the attribute's annotation
 _LEAVES = {
-    (section, attr): _leaf_type(hint)
+    (section, attr): hint
     for section, section_type in _SECTIONS.items()
     for attr, hint in typing.get_type_hints(section_type).items()
 }
@@ -168,9 +129,12 @@ def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
     attr = _aliases_for(section_name).get(key, key)
     if (section_name, attr) not in _LEAVES:
         raise ConfigError(f"unknown config key {section_name}.{key}")
-    expected, optional = _LEAVES[(section_name, attr)]
-    if not (value is None and optional):
-        value = _coerce(f"{section_name}.{key}", expected, value)
+    try:
+        value = check_fields({key: value}, {key: _LEAVES[(section_name, attr)]}, f"{section_name}.")[key]
+    except FormatError as e:
+        raise ConfigError(str(e)) from e
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section_name}.{key}: expected a finite number, got {value!r}")
     setattr(getattr(cfg, section_name), attr, value)
 
 
@@ -216,7 +180,7 @@ def _parse_override_value(raw: str):
     """Interpret a CLI string: JSON first, bare words as strings."""
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer with more digits than Python converts
         return raw
 
 

@@ -96,13 +96,12 @@ class DatasetManifest:
     def from_json(obj: dict, root: str = "") -> "DatasetManifest":
         """The manifest ``obj`` describes; each field's type is its annotation here."""
         fields = {name: hint for name, hint in typing.get_type_hints(DatasetManifest).items() if name != "root"}
+        obj = {"seed": None, **obj}
         # "repetitions" is accepted only as the false that older writers stored
-        unknown = set(obj) - set(fields) - {"repetitions"}
-        if unknown:
-            raise FormatError(f"unknown manifest keys: {sorted(unknown)}")
-        if obj.get("repetitions", False) is not False:
-            raise FormatError(f"manifest repetitions must be false, got {obj['repetitions']!r}")
-        return DatasetManifest(**check_fields({"seed": None, **obj}, fields), root=root)
+        repetitions = obj.pop("repetitions", False)
+        if repetitions is not False:
+            raise FormatError(f"manifest repetitions must be false, got {repetitions!r}")
+        return DatasetManifest(**check_fields(obj, fields), root=root)
 
 
 def _render_images(codes: np.ndarray, height: int) -> np.ndarray:
@@ -318,10 +317,10 @@ def apply_masks(
     """Channel / temporal ablations: keep listed channels, crop a window."""
     eeg = split.eeg
     if channel_mask is not None:
-        mask = np.asarray(channel_mask, dtype=np.int64)
-        if mask.size == 0 or mask.min() < 0 or mask.max() >= eeg.shape[1]:
+        # checked as Python ints: numpy cannot hold one beyond int64
+        if not channel_mask or min(channel_mask) < 0 or max(channel_mask) >= eeg.shape[1]:
             raise ConfigError(f"channel mask {channel_mask} invalid for {eeg.shape[1]} channels")
-        eeg = eeg[:, mask, :]
+        eeg = eeg[:, np.asarray(channel_mask, dtype=np.int64), :]
     if time_window is not None:
         if len(time_window) != 2:
             raise ConfigError(f"time window must be [start, stop), got {time_window}")

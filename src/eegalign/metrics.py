@@ -8,7 +8,7 @@ deterministic no matter how degenerate the scores are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class RetrievalReport:
     map_score: float
     ranks: np.ndarray
     similarity_path: str | None = None
-    extras: dict = field(default_factory=dict)
 
     def check_invariants(self) -> None:
         """Raise unless the report satisfies its structural guarantees."""
@@ -112,7 +111,6 @@ class RetrievalReport:
             "mAP": self.map_score,
             "ranks": [int(r) for r in self.ranks],
             "similarity_path": self.similarity_path,
-            **({"extras": self.extras} if self.extras else {}),
         }
 
 

@@ -904,15 +904,23 @@ def read_json_object(path) -> dict:
 def check_fields(obj: dict, fields: dict, where: str = "") -> dict:
     """The values of ``obj`` at the keys of ``fields``, each checked against its type there.
 
-    A type is int (a JSON integer, never a bool), float (any JSON number,
-    NaN included, returned as a float), str, dict (any object), list[T],
-    dict[str, T], T | None, or a dict of keys to types for a nested
-    object. Keys of ``obj`` that ``fields`` does not name are left out. A
-    missing key or a value of another type is a FormatError naming the key.
+    Manifests and config leaves are all typed here. A type is bool, int
+    (a JSON integer, never a bool), float (any JSON number, NaN included,
+    returned as a float; an integer beyond float range reads as ±inf, as
+    json reads 1e400), str, dict (any object), list[T], dict[str, T],
+    T | None, or a dict of keys to types for a nested object. A missing
+    key, a key ``fields`` does not name or a value of another type is a
+    FormatError naming the key after ``where``. A key a format gains
+    later, such as a payload's length or CRC, goes in ``fields`` as
+    ``T | None``; the caller gives it a None default so that older files
+    still load, as ``DatasetManifest.from_json`` does for ``seed``.
     """
     missing = [key for key in fields if key not in obj]
     if missing:
         raise FormatError(f"missing key {where}{missing[0]}")
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise FormatError(f"unknown key {where}{unknown[0]}")
     return {key: _typed(obj[key], hint, f"{where}{key}") for key, hint in fields.items()}
 
 
@@ -926,10 +934,13 @@ def _typed(value, hint, name: str):
         return {k: _typed(v, args[1], f"{name}.{k}") for k, v in value.items()}
     if origin is types.UnionType:  # T | None
         return None if value is None else _typed(value, args[0], name)
-    if isinstance(value, bool):
-        pass  # a JSON true or false is never a number
+    if isinstance(value, bool) != (hint is bool):
+        pass  # a JSON true or false is a bool and never a number
     elif hint is float and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range; math.copysign overflows too
+            return math.inf if value > 0 else -math.inf
     elif isinstance(hint, type) and isinstance(value, hint):
         return value
     what = "an object" if isinstance(hint, dict) else hint.__name__ if isinstance(hint, type) else hint
@@ -995,8 +1006,14 @@ def read_tensors(path, count: int) -> list[np.ndarray]:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise FormatError(f"no payload file at {path}") from None
+    except ValueError as e:  # a NUL or a lone surrogate, which no file name holds
+        raise FormatError(f"payload file name {os.fspath(path)!r}: {e}") from None
     with fh:
-        arrays = [read_tensor(fh) for _ in range(count)]
+        try:
+            arrays = [read_tensor(fh) for _ in range(count)]
+        except FormatError as e:
+            e.args = (f"{path}: {e}",)  # the byte offset stays in the text and on e
+            raise
         if fh.read(1):
             raise FormatError(f"trailing bytes after {count} tensors in {path}")
     return arrays

@@ -311,14 +311,12 @@ def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32)
 
 
 def evaluate_zero_shot(model: AlignmentModel, test: SplitArrays, ks,
-                       train_class_ids=None, batch_size: int = 32) -> RetrievalReport:
-    """Retrieval metrics on classes never seen during training."""
+                       train_class_ids=None, batch_size: int = 32) -> tuple[RetrievalReport, np.ndarray]:
+    """Retrieval metrics on classes never seen during training, and the (query, candidate) similarity."""
     if train_class_ids is not None:
         overlap = set(int(c) for c in test.class_ids) & set(int(c) for c in train_class_ids)
         if overlap:
             raise ContractError(f"test classes overlap training classes: {sorted(overlap)[:5]}")
     z_e, z_i = embed_split(model, test, batch_size)
     sim = z_e @ z_i.T
-    report = build_report(sim, ks)
-    report.extras["n_queries"] = int(sim.shape[0])
-    return report
+    return build_report(sim, ks), sim

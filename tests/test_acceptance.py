@@ -267,15 +267,15 @@ def test_criterion_7_learning_signal(request):
     for seed in (0, 1, 2):
         model = AlignmentModel(learning_config(seed), channels=8, timesteps=50, image_size=16)
         ckpt, _ = fit(model, splits["train"], splits["val"])
-        report = evaluate_zero_shot(ckpt.build_model(), splits["test"], ks=[1],
-                                    train_class_ids=ckpt.train_class_ids)
+        report, _ = evaluate_zero_shot(ckpt.build_model(), splits["test"], ks=[1],
+                                       train_class_ids=ckpt.train_class_ids)
         accuracies.append(report.top_k[1])
     median = float(np.median(accuracies))
 
     baseline = []
     for i in range(20):
         model = AlignmentModel(learning_config(100 + i), channels=8, timesteps=50, image_size=16)
-        baseline.append(evaluate_zero_shot(model, splits["test"], ks=[1]).top_k[1])
+        baseline.append(evaluate_zero_shot(model, splits["test"], ks=[1])[0].top_k[1])
     baseline_mean = float(np.mean(baseline))
 
     elapsed = time.time() - start

@@ -395,6 +395,16 @@ class TestEval:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_truncated_split_names_the_file(self, trained, capsys):
+        data, run = trained
+        path = data / "test.bin"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and "(byte offset " in err
+
     def test_corrupt_params_header_exits_two(self, trained, capsys):
         data, run = trained
         header = np.asarray([2, 2**31, 2**31], dtype="<u4").tobytes()
@@ -444,6 +454,11 @@ def drop_geometry_channels(obj):
     return obj
 
 
+def add_geometry_key(obj):
+    obj["geometry"]["extra"] = 1
+    return obj
+
+
 def fractional_class_ids(obj):
     # each id plus a half, so a loader that truncates gets the trained ids back
     return {**obj, "train_class_ids": [c + 0.5 for c in obj["train_class_ids"]]}
@@ -460,7 +475,12 @@ MALFORMED_MANIFESTS = {
     "checkpoint-geometry-without-channels": ("run", edit_json(drop_geometry_channels)),
     "checkpoint-parameters-not-a-list": ("run", set_key("parameters", 5)),
     "checkpoint-top-level-list": ("run", edit_json(lambda obj: [obj])),
+    "checkpoint-unknown-key": ("run", set_key("epoch_typo", 1)),
+    "checkpoint-unknown-geometry-key": ("run", edit_json(add_geometry_key)),
+    "checkpoint-val-loss-huge-integer": ("run", set_key("val_loss", 10**400)),
 }
+# well-typed values, so loading them is right too; they must only never raise out of main()
+MANIFESTS_THAT_MAY_LOAD = {"checkpoint-val-loss-huge-integer"}
 
 
 class TestMalformedManifests:
@@ -472,8 +492,10 @@ class TestMalformedManifests:
         path = tmp_path / which / "manifest.json"
         path.write_bytes(corrupt(path.read_bytes()))
         capsys.readouterr()
-        code = main(["eval", "--checkpoint", str(run), "--data", str(data)])
+        code = main(["eval", "--checkpoint", str(run), "--data", str(data), "--ks", "1"])
         err = capsys.readouterr().err
+        if code == 0 and case in MANIFESTS_THAT_MAY_LOAD:
+            return
         assert code == 2, err
         assert err.startswith("error: ") and str(path) in err
 
@@ -491,6 +513,16 @@ class TestExportSim:
         report = json.loads((tmp_path / "sim.json").read_text())
         assert set(report) >= {"top_k", "mAP", "ranks"}
         assert len(report["ranks"]) == 2
+
+    def test_overlapping_test_classes_refused_like_eval(self, tmp_path, capsys):
+        run = train(tmp_path, gen(tmp_path))
+        other = gen(tmp_path, "other", seed="1")  # its test classes were training classes of seed 3
+        argv = ["--checkpoint", str(run), "--data", str(other), "--ks", "1"]
+        for command in (["eval"], ["export-sim", "--out", str(tmp_path / "sim.csv")]):
+            capsys.readouterr()
+            assert main([*command, *argv]) == 2
+            assert "test classes overlap training classes" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists() and not (tmp_path / "sim.json").exists()
 
     def test_collision_refused(self, tmp_path, capsys):
         data = gen(tmp_path)

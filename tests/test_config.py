@@ -108,6 +108,17 @@ class TestTypeChecking:
         with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
             apply_overrides(default_config(), {key: raw})
 
+    def test_integer_too_long_for_python_to_convert_is_a_config_error(self):
+        # json refuses integers of more than 4,300 digits with a plain ValueError
+        with pytest.raises(ConfigError, match="loss.mu must be float"):
+            apply_overrides(default_config(), {"loss.mu": "1" * 5000})
+
+    def test_boolean_leaf_takes_only_true_or_false(self):
+        assert config_from_dict({"loss": {"detach_targets": False}}).loss.detach_targets is False
+        for value in (0, 1, "true", None):
+            with pytest.raises(ConfigError, match="loss.detach_targets must be bool"):
+                config_from_dict({"loss": {"detach_targets": value}})
+
     def test_channel_mask_must_be_int_list(self):
         with pytest.raises(ConfigError, match="data.channel_mask"):
             config_from_dict({"data": {"channel_mask": [0, "one"]}})

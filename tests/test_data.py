@@ -493,5 +493,7 @@ class TestBatchesAndMasks:
         data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=6, timesteps=10, height=16)
         with pytest.raises(ConfigError):
             apply_masks(data, channel_mask=[0, 9])
+        with pytest.raises(ConfigError, match="channel mask"):
+            apply_masks(data, channel_mask=[0, 10**20])  # beyond int64
         with pytest.raises(ConfigError):
             apply_masks(data, time_window=[5, 50])

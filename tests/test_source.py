@@ -134,11 +134,12 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(tree) == ["dumps (line 4)", "os (line 2)"]
 
 
-RECORD_FUNCTIONS = {"write_tensor", "read_tensor"}
+# the tensor-record functions and the annotation readers that type-check JSON values
+RECORD_FUNCTIONS = {"write_tensor", "read_tensor", "get_origin", "get_args"}
 
 
 def record_function_names(tree: ast.Module) -> list[str]:
-    """The tensor-record functions a module names. Only tensor.py may, so the bundle format has one home."""
+    """The record functions a module names. Only tensor.py may: the bundle format and the field check live there."""
     return sorted(RECORD_FUNCTIONS & referenced_names(tree))
 
 
@@ -153,3 +154,5 @@ def test_record_scan_flags_a_module_that_names_them():
                      "t.write_tensor(fh, x)\nsave_bundle(d, {}, {})\n")
     assert record_function_names(tree) == ["read_tensor", "write_tensor"]
     assert record_function_names(ast.parse("getattr(tensor, 'write_tensor')\n")) == ["write_tensor"]
+    assert record_function_names(ast.parse("import typing\nfrom typing import get_args\n"
+                                           "typing.get_origin(hint)\n")) == ["get_args", "get_origin"]

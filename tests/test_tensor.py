@@ -1152,6 +1152,11 @@ class TestBundle:
             read_tensors(tmp_path / "x.bin", 0)
         assert str(tmp_path / "x.bin") in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["a\x00b", "\ud800"])
+    def test_read_tensors_refuses_a_name_no_file_can_have(self, tmp_path, name):
+        with pytest.raises(FormatError, match="payload file name"):
+            read_tensors(tmp_path / name, 1)
+
     def test_read_manifest_names_the_file(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         with pytest.raises(FormatError, match="no manifest") as exc:
@@ -1166,7 +1171,8 @@ class TestBundle:
         (int, 3, 3), (int, -2, -2), (float, 3, 3.0), (float, 0.25, 0.25), (str, "a", "a"),
         (dict, {"k": [1]}, {"k": [1]}), (list[int], [], []), (list[int], [1, 2], [1, 2]),
         (list[str], ["a"], ["a"]), (dict[str, str], {"a": "b"}, {"a": "b"}),
-        (int | None, None, None), (int | None, 4, 4), ({"a": int}, {"a": 1, "b": "extra"}, {"a": 1}),
+        (int | None, None, None), (int | None, 4, 4), (bool, True, True), (bool, False, False),
+        (float, 10**400, math.inf), (float, -(10**400), -math.inf),
     ])
     def test_typed_fields_pass(self, hint, value, expected):
         out = check_fields({"f": value}, {"f": hint})["f"]
@@ -1182,9 +1188,12 @@ class TestBundle:
         (list[int], [1, 1.9], "f[1]"), (list[int], [0, "3"], "f[1]"), (list[int], [True], "f[0]"),
         (list[int], {"0": 1}, "f"), (list[str], [3], "f[0]"), (dict[str, str], {"a": 1}, "f.a"),
         (int | None, 0.5, "f"), ({"a": int}, {"a": False}, "f.a"), ({"a": int}, 3, "f"),
+        (bool, 1, "f"), (bool, 0, "f"), (bool, "true", "f"), (bool, None, "f"), (float | None, True, "f"),
+        ({"a": int}, {"a": 1, "b": "extra"}, "unknown key f.b"),
     ])
     def test_wrongly_typed_field_is_named(self, hint, value, name):
-        with pytest.raises(FormatError, match=rf"^{re.escape(name)} must be "):
+        # a wrong value is "<name> must be ...", an extra key just "unknown key <name>"
+        with pytest.raises(FormatError, match=rf"^{re.escape(name)}( must be |$)"):
             check_fields({"f": value}, {"f": hint})
 
     def test_missing_field_is_named(self):

@@ -10,6 +10,7 @@ import pytest
 from eegalign.config import config_to_dict, default_config
 from eegalign.data import generate_synthetic, make_batch, zero_shot_split
 from eegalign.errors import ConfigError, ContractError, FormatError
+from eegalign.metrics import retrieval_ranks
 from eegalign.model import AlignmentModel
 from eegalign.tensor import Parameter, Tensor
 from eegalign.trainer import (
@@ -436,7 +437,7 @@ class TestCheckpointIO:
         path.write_text(json.dumps(manifest))
         restored = load_checkpoint(tmp_path / "run").build_model()
         assert abs(validation_loss(restored, splits["val"], 8) - ckpt.val_loss) < 1e-9
-        assert evaluate_zero_shot(restored, splits["test"], ks=[1]).top_k[1] >= 0.0
+        assert evaluate_zero_shot(restored, splits["test"], ks=[1])[0].top_k[1] >= 0.0
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
@@ -509,9 +510,10 @@ class TestEvaluateZeroShot:
         data = generate_synthetic(seed=7, n_classes=10, per_class=1, channels=4,
                                   timesteps=12, height=16, noise=0.1)
         model = tiny_model()
-        report = evaluate_zero_shot(model, data, ks=[10])
+        report, sim = evaluate_zero_shot(model, data, ks=[10])
         assert report.top_k[10] == 1.0
-        assert report.extras["n_queries"] == 10
+        assert len(report.ranks) == 10 and sim.shape == (10, 10)
+        assert np.array_equal(report.ranks, retrieval_ranks(sim))
 
     def test_untrained_accuracy_near_chance(self):
         # mean over 12 fresh models on 10 queries should hover near 1/10
@@ -520,7 +522,7 @@ class TestEvaluateZeroShot:
         accs = []
         for seed in range(12):
             model = tiny_model(seed=seed)
-            accs.append(evaluate_zero_shot(model, data, ks=[1]).top_k[1])
+            accs.append(evaluate_zero_shot(model, data, ks=[1])[0].top_k[1])
         assert 0.0 <= np.mean(accs) <= 0.3
 
     def test_embed_split_matches_forward(self):
