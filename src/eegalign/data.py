@@ -332,5 +332,5 @@ def apply_masks(
 
 
 def make_batch(split: SplitArrays, indices) -> PairedBatch:
-    idx = np.asarray(indices)
-    return PairedBatch(eeg=Tensor(split.eeg[idx]), images=Tensor(split.images[idx]))
+    """The pairs at ``indices``: an index array copies them, a slice gives views of the split."""
+    return PairedBatch(eeg=Tensor(split.eeg[indices]), images=Tensor(split.images[indices]))

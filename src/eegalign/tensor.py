@@ -59,6 +59,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 NORM_GUARD = 1e-12
 KL_CLAMP = 1e-12
+# _tap_sum sums over blocks of samples whose padded input is about this many bytes, so a block
+# stays in L2 across the taps (a 32-sample batch is one block at 16x16, four at 32x32); each
+# block sums from zeros in (u, v) order, so every output bit is the whole batch's
+TAP_BLOCK_BYTES = 320 * 2**10
 
 
 class Tensor:
@@ -689,11 +693,14 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view."""
+    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view, in blocks of samples."""
     out = np.zeros(padded.shape[:2] + (h, w))
-    for u in range(k.shape[2]):
-        for v in range(k.shape[3]):
-            out += np.einsum("bchw,bc->bchw", padded[:, :, u:u + h, v:v + w], k[:, :, u, v])
+    rows = max(1, TAP_BLOCK_BYTES // max(1, padded[:1].nbytes))
+    for s in range(0, len(out), rows):
+        block, kb, ob = padded[s:s + rows], k[s:s + rows], out[s:s + rows]
+        for u in range(k.shape[2]):
+            for v in range(k.shape[3]):
+                ob += np.einsum("bchw,bc->bchw", block[:, :, u:u + h, v:v + w], kb[:, :, u, v])
     return out
 
 

@@ -282,7 +282,11 @@ def _checkpoint_from_json(obj: dict) -> tuple[Checkpoint, list[str]]:
     fields = check_fields(obj, CHECKPOINT_FIELDS)
     if fields["format_version"] != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {fields['format_version']}")
-    ckpt = Checkpoint(config=config_from_dict(fields["config"]), **fields["geometry"], epoch=fields["epoch"],
+    try:
+        config = config_from_dict(fields["config"])
+    except ConfigError as e:
+        raise FormatError(str(e)) from e
+    ckpt = Checkpoint(config=config, **fields["geometry"], epoch=fields["epoch"],
                       val_loss=fields["val_loss"], train_class_ids=fields["train_class_ids"], values={})
     return ckpt, fields["parameters"]
 
@@ -302,8 +306,7 @@ def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32)
     z_e, z_i = [], []
     n = len(split.ids)
     for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        batch = make_batch(split, idx)
+        batch = make_batch(split, slice(start, min(start + batch_size, n)))
         with no_grad():
             z_e.append(model.encode_eeg(batch.eeg).data)
             z_i.append(model.encode_images(batch.images).data)

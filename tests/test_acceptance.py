@@ -6,6 +6,7 @@ they judge: convolution by explicit quadruple loop, ranks by full sort,
 mean average precision from its summation definition, InfoNCE from its
 cross-entropy definition.
 """
+import hashlib
 import time
 
 import numpy as np
@@ -32,6 +33,8 @@ from eegalign.trainer import (
 )
 
 GRADCHECK_SEEDS = (0, 1, 2)
+CRITERION_9_PARAMS_SHA256 = "b0cb0efb510d89a343bbff73af74b41cc78ad5898e7bb616dc6cfae59f5ce21c"
+CRITERION_9_VAL_LOSSES = [6.407445627397665, 4.104500700962092, 3.7003024137677096]
 
 
 def desk_config(seed=0, epochs=1, **kw):
@@ -323,12 +326,15 @@ def test_criterion_9_determinism_and_persistence(request, tmp_path):
     for run in ("a", "b"):
         model = AlignmentModel(desk_config(seed=5, epochs=2), channels=4, timesteps=12,
                                image_size=16)
-        ckpt, _ = fit(model, splits["train"], splits["val"])
+        ckpt, history = fit(model, splits["train"], splits["val"])
         save_checkpoint(ckpt, tmp_path / run)
         raw[run] = {name: (tmp_path / run / name).read_bytes()
                     for name in ("manifest.json", "params.bin")}
     assert raw["a"]["params.bin"] == raw["b"]["params.bin"]
     assert raw["a"]["manifest.json"] == raw["b"]["manifest.json"]
+    # the anchor every arithmetic-preserving change must keep, bit for bit
+    assert hashlib.sha256(raw["a"]["params.bin"]).hexdigest() == CRITERION_9_PARAMS_SHA256
+    assert [row["val_loss"] for row in history] == CRITERION_9_VAL_LOSSES
 
     ckpt = load_checkpoint(tmp_path / "a")
     reproduced = validation_loss(ckpt.build_model(), splits["val"],

@@ -459,6 +459,11 @@ def add_geometry_key(obj):
     return obj
 
 
+def set_loss_mu_to_a_string(obj):
+    obj["config"]["loss"]["mu"] = "x"
+    return obj
+
+
 def fractional_class_ids(obj):
     # each id plus a half, so a loader that truncates gets the trained ids back
     return {**obj, "train_class_ids": [c + 0.5 for c in obj["train_class_ids"]]}
@@ -478,6 +483,7 @@ MALFORMED_MANIFESTS = {
     "checkpoint-unknown-key": ("run", set_key("epoch_typo", 1)),
     "checkpoint-unknown-geometry-key": ("run", edit_json(add_geometry_key)),
     "checkpoint-val-loss-huge-integer": ("run", set_key("val_loss", 10**400)),
+    "checkpoint-config-leaf-wrong-type": ("run", edit_json(set_loss_mu_to_a_string)),
 }
 # well-typed values, so loading them is right too; they must only never raise out of main()
 MANIFESTS_THAT_MAY_LOAD = {"checkpoint-val-loss-huge-integer"}

@@ -483,6 +483,14 @@ class TestBatchesAndMasks:
         assert len(batch) == 3
         assert batch.eeg.data.tobytes() == data.eeg[[0, 3, 5]].tobytes()
 
+    @pytest.mark.parametrize("a,b", [(0, 6), (1, 4), (5, 6), (2, 2)])
+    def test_slice_batch_is_a_view_equal_to_the_index_batch(self, a, b):
+        data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=3, timesteps=5, height=16)
+        view, copy = make_batch(data, slice(a, b)), make_batch(data, np.arange(a, b))
+        for got, want, source in ((view.eeg, copy.eeg, data.eeg), (view.images, copy.images, data.images)):
+            assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+            assert got.data.base is source and want.data.base is not source
+
     def test_channel_mask_and_window(self):
         data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=6, timesteps=10, height=16)
         out = apply_masks(data, channel_mask=[0, 2, 5], time_window=[2, 7])

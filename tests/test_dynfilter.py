@@ -5,6 +5,7 @@ import pytest
 from eegalign.dynfilter import FilterGenerator, apply_dynamic_filter, delta_kernels
 from eegalign.errors import ConfigError, DimensionError
 from eegalign.tensor import Tensor, dynamic_conv, grad_check
+import eegalign.tensor as tensor_module
 
 
 def loop_convolve(images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -117,6 +118,13 @@ class TestApplyDynamicFilter:
         fast = apply_dynamic_filter(Tensor(images), Tensor(kernels)).data
         slow = loop_convolve(images, kernels)
         assert np.max(np.abs(fast - slow)) < 1e-9
+
+    def test_matches_naive_loop_convolution_across_sample_blocks(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        images, kernels = rng.normal(size=(5, 3, 6, 6)), rng.normal(size=(5, 3, 5, 5))
+        monkeypatch.setattr(tensor_module, "TAP_BLOCK_BYTES", 2 * 8 * 3 * 10 * 10)  # blocks of 2, 2, 1
+        fast = apply_dynamic_filter(Tensor(images), Tensor(kernels)).data
+        assert np.max(np.abs(fast - loop_convolve(images, kernels))) < 1e-9
 
     @pytest.mark.parametrize("size,kh,kw", [
         ((1, 3, 8, 8), 5, 5), ((2, 3, 6, 11), 3, 7), ((2, 3, 9, 5), 1, 3), ((1, 2, 7, 7), 1, 1),

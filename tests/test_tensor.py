@@ -626,6 +626,63 @@ class TestDynamicConv:
             dynamic_conv(Tensor(np.zeros(xshape)), Tensor(np.zeros(kshape)))
 
 
+def _whole_batch_tap_sum(padded, k, h, w):
+    """The 25-tap sum in one pass over the whole batch, unblocked."""
+    out = np.zeros(padded.shape[:2] + (h, w))
+    for u in range(k.shape[2]):
+        for v in range(k.shape[3]):
+            out += np.einsum("bchw,bc->bchw", padded[:, :, u:u + h, v:v + w], k[:, :, u, v])
+    return out
+
+
+def _tap_rows(side):
+    """Samples per _tap_sum block for 3-channel side x side images and 5x5 kernels."""
+    return tz.TAP_BLOCK_BYTES // (8 * 3 * (side + 4) ** 2)
+
+
+# batch sizes around the block edges, given the rows in one block
+BLOCK_EDGES = {"1": lambda rows: 1, "rows-1": lambda rows: rows - 1, "rows": lambda rows: rows,
+               "rows+1": lambda rows: rows + 1, "2rows+3": lambda rows: 2 * rows + 3}
+
+
+class TestDynamicConvBlocks:
+    @pytest.mark.parametrize("side", [16, 32])
+    @pytest.mark.parametrize("edge", sorted(BLOCK_EDGES))
+    def test_bitwise_the_whole_batch_sum(self, side, edge):
+        bsz = BLOCK_EDGES[edge](_tap_rows(side))
+        rng = np.random.default_rng(bsz + side)
+        x0, k0, g = _rand(rng, bsz, 3, side, side), _rand(rng, bsz, 3, 5, 5), _rand(rng, bsz, 3, side, side)
+        out = dynamic_conv(Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True))
+        gx, gk = out._vjp(g)
+        pad = ((0, 0), (0, 0), (2, 2), (2, 2))
+        padded = np.pad(x0, pad)
+        assert np.array_equal(out.data, _whole_batch_tap_sum(padded, k0, side, side))
+        assert np.array_equal(gx, _whole_batch_tap_sum(np.pad(g, pad), k0[:, :, ::-1, ::-1], side, side))
+        want_gk = np.empty(k0.shape)
+        for u in range(5):
+            for v in range(5):
+                want_gk[:, :, u, v] = np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + side, v:v + side])
+        assert np.array_equal(gk, want_gk)
+
+    def test_desk_batch_is_one_block_and_quickstart_four(self, monkeypatch):
+        assert _tap_rows(16) >= 32 and 8 <= _tap_rows(32) <= 10
+        seen, einsum = [], np.einsum  # the sample count of each tap einsum, in call order
+
+        def spy(spec, *operands):
+            if spec == "bchw,bc->bchw":
+                seen.append(operands[0].shape[0])
+            return einsum(spec, *operands)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        rng = np.random.default_rng(44)
+        dynamic_conv(Tensor(_rand(rng, 32, 3, 16, 16)), Tensor(_rand(rng, 32, 3, 5, 5)))
+        assert seen == [32] * 25
+        seen.clear()
+        dynamic_conv(Tensor(_rand(rng, 32, 3, 32, 32)), Tensor(_rand(rng, 32, 3, 5, 5)))
+        rows = _tap_rows(32)
+        assert seen == [rows] * 75 + [32 - 3 * rows] * 25
+
+
 # -- fused ops against the primitive compositions they replaced -----------
 
 

@@ -534,6 +534,20 @@ class TestEvaluateZeroShot:
         assert np.allclose(z_e, ze_ref.data, atol=1e-12)
         assert np.allclose(z_i, zi_ref.data, atol=1e-12)
 
+    @pytest.mark.parametrize("batch_size", [4, 5, 6, 32])
+    def test_embed_split_calls_make_batch_once_per_batch(self, monkeypatch, batch_size):
+        # the benchmark's retrieve workload times each batch as the span between these calls
+        split = tiny_splits()["val"]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return make_batch(*args)
+
+        monkeypatch.setattr(trainer_module, "make_batch", counting)
+        embed_split(tiny_model(), split, batch_size=batch_size)
+        assert len(calls) == math.ceil(len(split.ids) / batch_size)
+
     def test_embed_split_matches_a_taped_forward_bitwise(self, monkeypatch):
         split = tiny_splits()["val"]
         model = tiny_model()
