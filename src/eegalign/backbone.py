@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .tensor import (
     Parameter,
     Tensor,
@@ -83,7 +83,6 @@ class VisionBackbone:
             raise ConfigError(f"prompt count must be >= 0, got {prompt_count}")
         if rng is None:
             rng = np.random.default_rng(0)
-        self.image_size = image_size
         self.patch = patch
         self.dim = dim
         self.heads = heads
@@ -127,13 +126,6 @@ class VisionBackbone:
 
     def patch_embed(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> (B, N, dim); both image streams share this map."""
-        if images.ndim != 4 or images.shape[1] != 3:
-            raise DimensionError(f"expected images (B, 3, H, W), got {images.shape}")
-        if images.shape[2] != self.image_size or images.shape[3] != self.image_size:
-            raise DimensionError(
-                f"expected {self.image_size}x{self.image_size} images, got "
-                f"{images.shape[2]}x{images.shape[3]}"
-            )
         cols = unfold(images, self.patch, self.patch, stride=self.patch, padding=0)
         return linear(cols, self.patch_w.value, self.patch_b.value)
 
@@ -143,14 +135,6 @@ class VisionBackbone:
         The [CLS; prompts] prefix is built once and broadcast over the
         batch by adding zeros, so its gradient sums over the batch.
         """
-        if x_fused.ndim != 3 or x_fused.shape[1] != self.n_patches or x_fused.shape[2] != self.dim:
-            raise DimensionError(
-                f"expected fused tokens (B, {self.n_patches}, {self.dim}), got {x_fused.shape}"
-            )
-        if prompts.ndim != 2 or prompts.shape != (self.prompt_count, self.dim):
-            raise DimensionError(
-                f"expected prompts ({self.prompt_count}, {self.dim}), got {prompts.shape}"
-            )
         prefix = concat([self.cls.value.reshape((1, self.dim)), prompts], axis=0)
         batched = prefix + Tensor(np.zeros((x_fused.shape[0], 1 + self.prompt_count, self.dim)))
         return concat([batched, x_fused], axis=1) + self.pos.value
@@ -175,10 +159,6 @@ class VisionBackbone:
         projection, residual, second layer norm and MLP run for row 0
         only, because no other row of the last block's output is read.
         """
-        if seq.ndim != 3 or seq.shape[1] != self.sequence_length or seq.shape[2] != self.dim:
-            raise DimensionError(
-                f"expected sequence (B, {self.sequence_length}, {self.dim}), got {seq.shape}"
-            )
         x = seq
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):

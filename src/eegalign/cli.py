@@ -213,11 +213,14 @@ def cmd_train(args, extras) -> int:
 def _evaluate_checkpoint(args):
     """The retrieval report and similarity of ``args.checkpoint`` on one split of ``args.data``.
 
-    The split is masked as in training and must fit the checkpoint's geometry; a test split may hold no trained class.
+    The split must hold pairs, masked as in training, that fit the checkpoint's geometry; a test split may hold no
+    trained class.
     """
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_dataset(args.data)
     split = load_split(manifest, args.split)
+    if not len(split):
+        raise ConfigError(f"split {args.split!r} of {args.data} has no pairs to evaluate")
     split = apply_masks(split, ckpt.config.data.channel_mask, ckpt.config.data.time_window)
     c, t = split.eeg.shape[1], split.eeg.shape[2]
     if (c, t) != (ckpt.channels, ckpt.timesteps) or (manifest.height, manifest.width) != (ckpt.image_size,) * 2:

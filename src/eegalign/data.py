@@ -9,6 +9,8 @@ At noise 0 the two modalities are exact functions of a shared latent,
 and raising noise only degrades their mutual information. Generation
 fills rows in blocks that span classes and renders a chunk of classes
 per pass, so its working memory stays near NOISE_BLOCK_BYTES.
+A split's values are checked once, by ``load_split``; batch shapes are
+checked by the model, against the geometry it was built for.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .tensor import Tensor, check_fields, read_manifest, read_tensors, save_bundle
 
 LATENT_DIM = 8
@@ -51,26 +53,10 @@ class SplitArrays:
 
 @dataclass
 class PairedBatch:
-    """A batch of aligned EEG trials and images ready for the model."""
+    """A batch of aligned EEG trials and images; ``load_split`` checked its values, the model checks its shapes."""
 
     eeg: Tensor
     images: Tensor
-
-    def __post_init__(self):
-        if self.images.shape[0] != self.eeg.shape[0]:
-            raise DimensionError(
-                f"batch size mismatch: eeg {self.eeg.shape[0]}, images {self.images.shape[0]}"
-            )
-        if self.eeg.ndim != 3:
-            raise DimensionError(f"eeg must be (B, C, T), got {self.eeg.shape}")
-        if self.images.ndim != 4 or self.images.shape[1] != 3:
-            raise DimensionError(f"images must be (B, 3, H, W), got {self.images.shape}")
-        lo, hi = float(self.images.data.min(initial=0.0)), float(self.images.data.max(initial=1.0))
-        # NaN fails both comparisons, so a non-finite image is rejected too
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise DomainError(f"image values must lie in [0, 1], got range [{lo}, {hi}]")
-        if not np.isfinite(self.eeg.data).all():
-            raise DomainError("eeg values must be finite")
 
     def __len__(self) -> int:
         return self.eeg.shape[0]
@@ -276,8 +262,9 @@ def load_dataset(path: str) -> DatasetManifest:
 def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
     """Load one split, checking shapes against the manifest geometry.
 
-    Non-finite EEG or image values are a FormatError naming the split
-    and the first bad sample, and so are ids that are not integers.
+    Non-finite EEG, images outside [0, 1] (NaN included) and ids that
+    are not integers are a FormatError naming the split, the first bad
+    sample and the file. Batches of the split are not checked again.
     """
     if name not in manifest.splits:
         raise ConfigError(f"manifest has no split named {name!r}; has {sorted(manifest.splits)}")
@@ -293,10 +280,14 @@ def load_split(manifest: DatasetManifest, name: str) -> SplitArrays:
         raise FormatError(f"image shape {images.shape} does not match manifest")
     if ids.shape != (eeg.shape[0],) or class_ids.shape != (eeg.shape[0],):
         raise FormatError(f"id arrays do not match sample count {eeg.shape[0]}")
-    for what, values in (("EEG", eeg), ("images", images)):
-        if not np.isfinite(values).all():
-            first = int(np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))[0])
-            raise FormatError(f"split {name!r} has non-finite {what} at sample {first} in {path}")
+    if not np.isfinite(eeg).all():
+        first = int(np.flatnonzero(~np.isfinite(eeg).reshape(len(eeg), -1).all(axis=1))[0])
+        raise FormatError(f"split {name!r} has non-finite EEG at sample {first} in {path}")
+    # NaN fails both comparisons, so this one test also refuses non-finite images
+    if not (images.min(initial=0.0) >= 0.0 and images.max(initial=1.0) <= 1.0):
+        first = int(np.flatnonzero(~((images >= 0.0) & (images <= 1.0)).reshape(len(images), -1).all(axis=1))[0])
+        what = "images outside [0, 1]" if np.isfinite(images[first]).all() else "non-finite images"
+        raise FormatError(f"split {name!r} has {what} at sample {first} in {path}")
     for what, values in (("ids", ids), ("class ids", class_ids)):
         # NaN fails both tests; beyond 2**53 a float no longer holds every integer
         if not ((values == np.round(values)) & (np.abs(values) < 2.0 ** 53)).all():

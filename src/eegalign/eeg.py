@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .tensor import Parameter, Tensor, l2_normalize, linear
 
 
@@ -18,16 +17,10 @@ class Perturbation:
     """Per-entry gain and offset over the EEG grid, identity at init."""
 
     def __init__(self, channels: int, timesteps: int):
-        self.channels = channels
-        self.timesteps = timesteps
         self.gain = Parameter("perturb.gain", Tensor(np.ones((channels, timesteps))), group="A")
         self.offset = Parameter("perturb.offset", Tensor(np.zeros((channels, timesteps))), group="A")
 
     def apply(self, eeg: Tensor) -> Tensor:
-        if eeg.ndim != 3 or eeg.shape[1:] != (self.channels, self.timesteps):
-            raise DimensionError(
-                f"expected EEG of shape (B, {self.channels}, {self.timesteps}), got {eeg.shape}"
-            )
         return eeg * self.gain.value + self.offset.value
 
     def params(self) -> list[Parameter]:
@@ -40,7 +33,6 @@ class LinearEncoder:
     def __init__(self, channels: int, timesteps: int, dim: int, rng: np.random.Generator):
         self.channels = channels
         self.timesteps = timesteps
-        self.dim = dim
         fan_in = channels * timesteps
         self.weight = Parameter(
             "encoder.weight", Tensor(rng.normal(size=(fan_in, dim)) / np.sqrt(fan_in)), group="A"
@@ -49,10 +41,6 @@ class LinearEncoder:
 
     def project(self, eeg: Tensor) -> Tensor:
         """The pre-normalization linear map; linear in its input."""
-        if eeg.ndim != 3 or eeg.shape[1:] != (self.channels, self.timesteps):
-            raise DimensionError(
-                f"expected EEG of shape (B, {self.channels}, {self.timesteps}), got {eeg.shape}"
-            )
         flat = eeg.reshape((eeg.shape[0], self.channels * self.timesteps))
         return linear(flat, self.weight.value, self.bias.value)
 

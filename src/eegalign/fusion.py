@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .tensor import Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
 
 
@@ -24,7 +24,6 @@ class CrossAttentionFusion:
                  rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.dim = dim
         self.heads = heads
         scale = 1.0 / math.sqrt(dim)
         self.wq = Parameter("fusion.wq", Tensor(rng.normal(size=(dim, dim)) * scale), group="B")
@@ -38,10 +37,6 @@ class CrossAttentionFusion:
 
     def gate(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         """Per-token blend weight in (0, 1), shape (B, N, 1)."""
-        if x_orig.shape != x_filt.shape:
-            raise DimensionError(f"token streams differ: {x_orig.shape} vs {x_filt.shape}")
-        if x_orig.ndim != 3 or x_orig.shape[2] != self.dim:
-            raise DimensionError(f"expected (B, N, {self.dim}) tokens, got {x_orig.shape}")
         q = matmul(x_orig, self.wq.value)
         k = matmul(x_filt, self.wk.value)
         v = matmul(x_filt, self.wv.value)

@@ -91,12 +91,9 @@ def soft_targets(p_ee: Tensor, p_ii: Tensor, beta: float) -> tuple[Tensor, Tenso
 
     T = (1 - beta) * I + beta * P, where P = softmax(Z Z^T / tau) over
     one modality's unit rows. At beta 0 the targets are exactly the
-    identity.
+    identity, because P is finite.
     """
-    b = p_ee.shape[0]
-    eye = Tensor(np.eye(b))
-    if beta == 0.0:
-        return eye, Tensor(np.eye(b))
+    eye = Tensor(np.eye(p_ee.shape[0]))
     return eye * (1.0 - beta) + p_ee * beta, eye * (1.0 - beta) + p_ii * beta
 
 

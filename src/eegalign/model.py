@@ -8,6 +8,10 @@ through one frozen patch embedding; the two token streams are fused
 ablation); prompt tokens are inserted; the frozen transformer runs; the
 CLS output is projected into the shared space. One learnable log
 temperature serves every softmax in the objective.
+
+Each input is checked once, where it enters: the config when the model
+is built, batch shapes in ``encode_eeg``, ``encode_images`` and
+``forward``, sample values in ``data.load_split``. The parts trust them.
 """
 from __future__ import annotations
 
@@ -16,11 +20,11 @@ import math
 import numpy as np
 
 from .backbone import ProjectionHead, VisionBackbone, make_prompts
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .data import PairedBatch
 from .dynfilter import FilterGenerator, apply_dynamic_filter
 from .eeg import LinearEncoder, Perturbation
-from .errors import ConfigError
+from .errors import DimensionError
 from .fusion import BilinearMix, CrossAttentionFusion
 from .losses import LossWeights, total_loss
 from .tensor import Parameter, Tensor, exp
@@ -31,6 +35,7 @@ class AlignmentModel:
 
     def __init__(self, cfg: RunConfig, channels: int, timesteps: int, image_size: int,
                  rng: np.random.Generator | None = None):
+        validate_config(cfg)
         if rng is None:
             rng = np.random.default_rng(cfg.trainer.seed)
         self.cfg = cfg
@@ -56,10 +61,8 @@ class AlignmentModel:
                 dim=cfg.backbone.dim, heads=cfg.fusion.heads,
                 gate_bias_init=cfg.fusion.gate_bias_init, rng=rng,
             )
-        elif cfg.fusion.strategy == "bilinear":
-            self.fusion = BilinearMix(mix_init=cfg.fusion.mix_init)
         else:
-            raise ConfigError(f"unknown fusion strategy {cfg.fusion.strategy!r}")
+            self.fusion = BilinearMix(mix_init=cfg.fusion.mix_init)
         self.prompts = make_prompts(cfg.backbone.prompts, cfg.backbone.dim, rng)
         self.projection = ProjectionHead(cfg.backbone.dim, cfg.encoder.dim, rng)
         self.log_tau = Parameter("loss.log_tau", Tensor(math.log(cfg.loss.tau_init)), group="A")
@@ -67,9 +70,13 @@ class AlignmentModel:
     # -- forward -----------------------------------------------------------
 
     def encode_eeg(self, eeg: Tensor) -> Tensor:
+        """(B, channels, timesteps) trials -> (B, encoder.dim) unit rows."""
+        _require_shape("EEG", eeg, (self.channels, self.timesteps))
         return self.encoder.encode(self.perturb.apply(eeg))
 
     def encode_images(self, images: Tensor) -> Tensor:
+        """(B, 3, image_size, image_size) images -> (B, encoder.dim) unit rows."""
+        _require_shape("images", images, (3, self.image_size, self.image_size))
         kernels = self.filter_gen.generate(images)
         filtered = apply_dynamic_filter(images, kernels)
         if isinstance(self.fusion, CrossAttentionFusion):
@@ -82,6 +89,8 @@ class AlignmentModel:
         return self.projection.project(self.backbone.vit_forward(seq))
 
     def forward(self, batch: PairedBatch) -> tuple[Tensor, Tensor]:
+        if batch.eeg.shape[0] != batch.images.shape[0]:
+            raise DimensionError(f"batch size mismatch: eeg {batch.eeg.shape[0]}, images {batch.images.shape[0]}")
         return self.encode_eeg(batch.eeg), self.encode_images(batch.images)
 
     def tau(self) -> Tensor:
@@ -113,3 +122,8 @@ class AlignmentModel:
 
     def group(self, name: str) -> list[Parameter]:
         return [p for p in self.trainable_parameters() if p.group == name]
+
+
+def _require_shape(what: str, x: Tensor, sample: tuple[int, ...]) -> None:
+    if x.shape[1:] != sample:
+        raise DimensionError(f"expected {what} of shape (B, {', '.join(map(str, sample))}), got {x.shape}")

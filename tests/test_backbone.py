@@ -35,13 +35,6 @@ class TestPatchEmbed:
         tokens = bb.patch_embed(Tensor(np.zeros((1, 3, 16, 16))))
         assert np.array_equal(tokens.data, np.broadcast_to(bb.patch_b.value.data, (1, 4, 16)))
 
-    def test_wrong_size_rejected(self):
-        bb = small_backbone()
-        with pytest.raises(DimensionError):
-            bb.patch_embed(Tensor(np.zeros((1, 3, 8, 8))))
-        with pytest.raises(DimensionError):
-            bb.patch_embed(Tensor(np.zeros((1, 1, 16, 16))))
-
 
 class TestInsertPrompts:
     def test_sequence_lengths(self):
@@ -98,13 +91,6 @@ class TestVitForward:
         out = bb.vit_forward(Tensor(seq.data))
         out_shuffled = bb.vit_forward(shuffled)
         assert np.allclose(out.data, out_shuffled.data, atol=1e-12)
-
-    def test_sequence_length_contract(self):
-        bb = small_backbone(prompt_count=2)
-        with pytest.raises(DimensionError):
-            bb.vit_forward(Tensor(np.zeros((1, 6, 16))))
-        with pytest.raises(DimensionError):
-            bb.vit_forward(Tensor(np.zeros((1, 7, 8))))
 
     def test_everything_frozen(self):
         bb = small_backbone()

@@ -414,13 +414,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "payload bytes" in err
 
+    @pytest.mark.parametrize("field,bad,message", [("eeg", np.nan, "non-finite EEG"),
+                                                   ("images", 1.5, "images outside [0, 1]")], ids=["eeg", "images"])
     @pytest.mark.parametrize("command", ["eval", "train"])
-    def test_non_finite_split_exits_two(self, trained, tmp_path, capsys, command):
+    def test_bad_split_values_exit_two(self, trained, tmp_path, capsys, command, field, bad, message):
         data, run = trained
         manifest = load_dataset(str(data))
         split = "test" if command == "eval" else "train"
         arrays = load_split(manifest, split)
-        arrays.eeg[1, 0, 0] = np.nan
+        getattr(arrays, field)[1, 0, 0] = bad
         save_dataset(manifest, {split: arrays}, str(data))
         capsys.readouterr()
         if command == "eval":
@@ -430,7 +432,18 @@ class TestEval:
                          "--epochs", "1", *SMALL_NET])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"split '{split}' has non-finite EEG at sample 1" in err
+        assert err.startswith("error: ") and f"split '{split}' has {message} at sample 1" in err
+
+    @pytest.mark.parametrize("command", ["eval", "export-sim"])
+    def test_empty_split_exits_two_writing_nothing(self, trained, tmp_path, capsys, command):
+        _, run = trained
+        empty = gen(tmp_path, "empty", extra=["--val-samples", "0"])
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(run), "--data", str(empty), "--split", "val", "--out", str(out)])
+        assert code == 2
+        assert "split 'val'" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
 
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):
         data, _ = trained

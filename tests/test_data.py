@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from eegalign.data import (
     LATENT_DIM,
     NOISE_BLOCK_BYTES,
     DatasetManifest,
-    PairedBatch,
     apply_masks,
     dataset_bytes,
     generate_synthetic,
@@ -22,7 +22,7 @@ from eegalign.data import (
     split_indices,
     zero_shot_split,
 )
-from eegalign.errors import ConfigError, DimensionError, DomainError, FormatError
+from eegalign.errors import ConfigError, DomainError, FormatError
 from eegalign.tensor import Tensor, read_tensor, write_tensor
 
 
@@ -393,6 +393,18 @@ class TestPersistence:
             load_split(back, "train")
         assert len(load_split(back, "val").ids) == 2
 
+    @pytest.mark.parametrize("sample,bad,what", [(1, 1.5, "images outside [0, 1]"), (0, -0.1, "images outside [0, 1]"),
+                                                  (4, np.nan, "non-finite images")], ids=["above", "below", "nan"])
+    def test_out_of_range_images_rejected(self, tmp_path, sample, bad, what):
+        data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
+        splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
+        splits["train"].images[sample, 2, 0, 1] = bad
+        manifest = self._manifest(data, tmp_path)
+        save_dataset(manifest, splits, str(tmp_path))
+        message = f"split 'train' has {what} at sample {sample} in {tmp_path / manifest.splits['train']}"
+        with pytest.raises(FormatError, match=re.escape(message) + "$"):
+            load_split(load_dataset(str(tmp_path)), "train")
+
     @pytest.mark.parametrize("field,bad", [("ids", np.nan), ("ids", 2.5), ("class_ids", np.inf),
                                            ("class_ids", 2.0 ** 60)])
     def test_non_integer_ids_rejected(self, tmp_path, field, bad):
@@ -444,39 +456,6 @@ class TestPersistence:
 
 
 class TestBatchesAndMasks:
-    def test_batch_validates_pixel_range(self):
-        with pytest.raises(DomainError):
-            PairedBatch(
-                eeg=Tensor(np.zeros((2, 3, 4))),
-                images=Tensor(np.full((2, 3, 8, 8), 1.5)),
-            )
-
-    def test_batch_rejects_nan_images(self):
-        images = np.full((2, 3, 8, 8), 0.5)
-        images[1, 2, 3, 4] = np.nan
-        with pytest.raises(DomainError, match="image values"):
-            PairedBatch(
-                eeg=Tensor(np.zeros((2, 3, 4))),
-                images=Tensor(images),
-            )
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_batch_rejects_non_finite_eeg(self, bad):
-        eeg = np.zeros((2, 3, 4))
-        eeg[0, 1, 2] = bad
-        with pytest.raises(DomainError, match="eeg values must be finite"):
-            PairedBatch(
-                eeg=Tensor(eeg),
-                images=Tensor(np.full((2, 3, 8, 8), 0.5)),
-            )
-
-    def test_batch_validates_alignment(self):
-        with pytest.raises(DimensionError):
-            PairedBatch(
-                eeg=Tensor(np.zeros((2, 3, 4))),
-                images=Tensor(np.zeros((3, 3, 8, 8))),
-            )
-
     def test_make_batch(self):
         data = generate_synthetic(seed=4, n_classes=3, per_class=2, channels=3, timesteps=5, height=16)
         batch = make_batch(data, [0, 3, 5])

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from eegalign.config import default_config
-from eegalign.data import generate_synthetic, make_batch
-from eegalign.errors import DimensionError
+from eegalign.data import PairedBatch, generate_synthetic, make_batch
+from eegalign.errors import ConfigError, DimensionError
 from eegalign.fusion import BilinearMix, CrossAttentionFusion
 from eegalign.model import AlignmentModel
 from eegalign.tensor import Tensor
+from eegalign.trainer import embed_split
 
 
 def small_config(**loss_overrides):
@@ -56,18 +57,6 @@ class TestForward:
         zb = small_model(seed=3).encode_images(batch.images)
         assert np.array_equal(za.data, zb.data)
 
-    def test_wrong_channel_count_rejected(self):
-        model = small_model()
-        bad = Tensor(np.zeros((2, 7, 10)))
-        with pytest.raises(DimensionError):
-            model.encode_eeg(bad)
-
-    def test_wrong_image_size_rejected(self):
-        model = small_model()
-        bad = Tensor(np.zeros((2, 3, 24, 24)))
-        with pytest.raises(DimensionError):
-            model.encode_images(bad)
-
     def test_batch_loss_breakdown(self):
         model = small_model()
         total, parts = model.batch_loss(small_batch())
@@ -78,6 +67,45 @@ class TestForward:
     def test_tau_starts_at_configured_init(self):
         model = small_model(tau_init=0.25)
         assert model.tau().item() == pytest.approx(0.25, abs=1e-12)
+
+
+# the model's batch boundary: wrong shapes for small_model()'s (4, 10) EEG and 16x16 images
+BAD_EEG = {"rank 2": (4, 40), "rank 4": (4, 4, 10, 1), "channels": (4, 7, 10), "timesteps": (4, 4, 9)}
+BAD_IMAGES = {"rank 3": (4, 3, 16), "image channels": (4, 1, 16, 16), "height": (4, 3, 24, 24),
+              "non-square": (4, 3, 16, 8)}
+BAD_SHAPES = [("eeg", shape) for shape in BAD_EEG.values()] + [("images", shape) for shape in BAD_IMAGES.values()]
+BAD_IDS = list(BAD_EEG) + list(BAD_IMAGES)
+
+
+class TestBatchBoundary:
+    """Each batch shape is checked once, where it enters the model; the parts trust it."""
+
+    @pytest.mark.parametrize("field,shape", BAD_SHAPES, ids=BAD_IDS)
+    def test_wrong_shape_rejected_directly(self, field, shape):
+        model = small_model()
+        encode = model.encode_eeg if field == "eeg" else model.encode_images
+        with pytest.raises(DimensionError, match="expected"):
+            encode(Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("field,shape", BAD_SHAPES, ids=BAD_IDS)
+    def test_wrong_shape_rejected_through_embed_split(self, field, shape):
+        data = generate_synthetic(seed=0, n_classes=4, per_class=1, channels=4, timesteps=10, height=16)
+        setattr(data, field, np.zeros(shape))
+        with pytest.raises(DimensionError, match="expected"):
+            embed_split(small_model(), data, batch_size=4)
+
+    @pytest.mark.parametrize("n_eeg,n_images", [(3, 4), (4, 2)])
+    def test_mismatched_batch_sizes_rejected_through_forward(self, n_eeg, n_images):
+        batch = small_batch()
+        bad = PairedBatch(eeg=Tensor(batch.eeg.data[:n_eeg]), images=Tensor(batch.images.data[:n_images]))
+        with pytest.raises(DimensionError, match="batch size mismatch"):
+            small_model().forward(bad)
+
+    def test_unvalidated_config_refused_at_build(self):
+        cfg = small_config()
+        cfg.fusion.strategy = "nope"
+        with pytest.raises(ConfigError, match="fusion.strategy"):
+            AlignmentModel(cfg, channels=4, timesteps=10, image_size=16)
 
 
 class TestTapeSize:

@@ -10,6 +10,16 @@ SRC = ROOT / "src" / "eegalign"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+# ROADMAP's ceiling for code.src_lines, the figure at its last re-anchor
+MAX_SOURCE_LINES = 3491
+
+
+def test_source_stays_within_the_line_budget():
+    # counted as benchmarks/run.py::source_lines counts code.src_lines
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted(SRC.rglob("*.py")))
+    assert lines <= MAX_SOURCE_LINES
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by an import statement that the module never reads."""
     imported = {}
