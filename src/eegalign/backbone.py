@@ -17,12 +17,12 @@ because the next block attends to all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .tensor import (
+    Module,
     Parameter,
     Tensor,
     attention,
@@ -36,34 +36,33 @@ from .tensor import (
 )
 
 
-@dataclass
-class Block:
-    ln1_g: Parameter
-    ln1_b: Parameter
-    wq: Parameter
-    bq: Parameter
-    wk: Parameter
-    bk: Parameter
-    wv: Parameter
-    bv: Parameter
-    wo: Parameter
-    bo: Parameter
-    ln2_g: Parameter
-    ln2_b: Parameter
-    mlp_w1: Parameter
-    mlp_b1: Parameter
-    mlp_w2: Parameter
-    mlp_b2: Parameter
-
-    def params(self) -> list[Parameter]:
-        return [
-            self.ln1_g, self.ln1_b, self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-            self.wo, self.bo, self.ln2_g, self.ln2_b,
-            self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2,
-        ]
+def _frozen(name: str, array: np.ndarray) -> Parameter:
+    return Parameter(name, Tensor(array), frozen=True, group="B")
 
 
-class VisionBackbone:
+class Block(Module):
+    """One frozen pre-norm transformer block; draws wq, wk, wv, wo, mlp.w1 and mlp.w2 from ``rng``."""
+
+    def __init__(self, pre: str, dim: int, hidden: int, rng: np.random.Generator):
+        self.ln1_g = _frozen(f"{pre}.ln1.gain", np.ones(dim))
+        self.ln1_b = _frozen(f"{pre}.ln1.bias", np.zeros(dim))
+        self.wq = _frozen(f"{pre}.attn.wq", rng.normal(size=(dim, dim)) / math.sqrt(dim))
+        self.bq = _frozen(f"{pre}.attn.bq", np.zeros(dim))
+        self.wk = _frozen(f"{pre}.attn.wk", rng.normal(size=(dim, dim)) / math.sqrt(dim))
+        self.bk = _frozen(f"{pre}.attn.bk", np.zeros(dim))
+        self.wv = _frozen(f"{pre}.attn.wv", rng.normal(size=(dim, dim)) / math.sqrt(dim))
+        self.bv = _frozen(f"{pre}.attn.bv", np.zeros(dim))
+        self.wo = _frozen(f"{pre}.attn.wo", rng.normal(size=(dim, dim)) / math.sqrt(dim))
+        self.bo = _frozen(f"{pre}.attn.bo", np.zeros(dim))
+        self.ln2_g = _frozen(f"{pre}.ln2.gain", np.ones(dim))
+        self.ln2_b = _frozen(f"{pre}.ln2.bias", np.zeros(dim))
+        self.mlp_w1 = _frozen(f"{pre}.mlp.w1", rng.normal(size=(dim, hidden)) / math.sqrt(dim))
+        self.mlp_b1 = _frozen(f"{pre}.mlp.b1", np.zeros(hidden))
+        self.mlp_w2 = _frozen(f"{pre}.mlp.w2", rng.normal(size=(hidden, dim)) / math.sqrt(hidden))
+        self.mlp_b2 = _frozen(f"{pre}.mlp.b2", np.zeros(dim))
+
+
+class VisionBackbone(Module):
     """Patch embedding, prompt slots and L pre-norm transformer blocks."""
 
     def __init__(
@@ -90,37 +89,12 @@ class VisionBackbone:
         self.n_patches = (image_size // patch) ** 2
         self.sequence_length = 1 + prompt_count + self.n_patches
 
-        def frozen(name, array):
-            return Parameter(name, Tensor(array), frozen=True, group="B")
-
         patch_fan = 3 * patch * patch
-        self.patch_w = frozen("backbone.patch.weight", rng.normal(size=(patch_fan, dim)) / math.sqrt(patch_fan))
-        self.patch_b = frozen("backbone.patch.bias", 0.02 * rng.normal(size=dim))
-        self.cls = frozen("backbone.cls", 0.02 * rng.normal(size=dim))
-        self.pos = frozen("backbone.pos", 0.02 * rng.normal(size=(self.sequence_length, dim)))
-
-        self.blocks: list[Block] = []
-        hidden = mlp_ratio * dim
-        for i in range(layers):
-            pre = f"backbone.block{i}"
-            self.blocks.append(Block(
-                ln1_g=frozen(f"{pre}.ln1.gain", np.ones(dim)),
-                ln1_b=frozen(f"{pre}.ln1.bias", np.zeros(dim)),
-                wq=frozen(f"{pre}.attn.wq", rng.normal(size=(dim, dim)) / math.sqrt(dim)),
-                bq=frozen(f"{pre}.attn.bq", np.zeros(dim)),
-                wk=frozen(f"{pre}.attn.wk", rng.normal(size=(dim, dim)) / math.sqrt(dim)),
-                bk=frozen(f"{pre}.attn.bk", np.zeros(dim)),
-                wv=frozen(f"{pre}.attn.wv", rng.normal(size=(dim, dim)) / math.sqrt(dim)),
-                bv=frozen(f"{pre}.attn.bv", np.zeros(dim)),
-                wo=frozen(f"{pre}.attn.wo", rng.normal(size=(dim, dim)) / math.sqrt(dim)),
-                bo=frozen(f"{pre}.attn.bo", np.zeros(dim)),
-                ln2_g=frozen(f"{pre}.ln2.gain", np.ones(dim)),
-                ln2_b=frozen(f"{pre}.ln2.bias", np.zeros(dim)),
-                mlp_w1=frozen(f"{pre}.mlp.w1", rng.normal(size=(dim, hidden)) / math.sqrt(dim)),
-                mlp_b1=frozen(f"{pre}.mlp.b1", np.zeros(hidden)),
-                mlp_w2=frozen(f"{pre}.mlp.w2", rng.normal(size=(hidden, dim)) / math.sqrt(hidden)),
-                mlp_b2=frozen(f"{pre}.mlp.b2", np.zeros(dim)),
-            ))
+        self.patch_w = _frozen("backbone.patch.weight", rng.normal(size=(patch_fan, dim)) / math.sqrt(patch_fan))
+        self.patch_b = _frozen("backbone.patch.bias", 0.02 * rng.normal(size=dim))
+        self.cls = _frozen("backbone.cls", 0.02 * rng.normal(size=dim))
+        self.pos = _frozen("backbone.pos", 0.02 * rng.normal(size=(self.sequence_length, dim)))
+        self.blocks = [Block(f"backbone.block{i}", dim, mlp_ratio * dim, rng) for i in range(layers)]
 
     # -- pieces ----------------------------------------------------------
 
@@ -172,19 +146,13 @@ class VisionBackbone:
             x = x + matmul(hidden, blk.mlp_w2.value) + blk.mlp_b2.value
         return x[:, 0, :]
 
-    def params(self) -> list[Parameter]:
-        out = [self.patch_w, self.patch_b, self.cls, self.pos]
-        for blk in self.blocks:
-            out.extend(blk.params())
-        return out
-
 
 def make_prompts(count: int, dim: int, rng: np.random.Generator) -> Parameter:
     """Trainable prompt tokens, one row per slot."""
     return Parameter("prompts", Tensor(0.02 * rng.normal(size=(count, dim))), group="B")
 
 
-class ProjectionHead:
+class ProjectionHead(Module):
     """Linear map from trunk width to the shared embedding space."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -195,6 +163,3 @@ class ProjectionHead:
 
     def project(self, z: Tensor) -> Tensor:
         return l2_normalize(linear(z, self.weight.value, self.bias.value))
-
-    def params(self) -> list[Parameter]:
-        return [self.weight, self.bias]

@@ -1,7 +1,8 @@
 """Command-line entry point: gen-data, train, eval, export-sim, gradcheck.
 
-Every command is deterministic given its flags and seeds and refuses to
-clobber existing outputs without --force. Every file goes through
+Every command is deterministic given its flags and seeds, refuses to
+clobber existing outputs without --force, and refuses two outputs that
+resolve to one file. Every file goes through
 `write_atomically`, staged as `<path>.tmp` and moved into place when
 complete: a failed command removes only a directory it created, and a
 killed one may leave `.tmp` files but never a partial target. `train`
@@ -37,8 +38,8 @@ from .errors import ConfigError, ContractError, DimensionError, DomainError, For
 from .gradchecks import CHECKS, run_checks
 from .metrics import write_similarity_csv
 from .model import AlignmentModel
-from .tensor import write_atomically, write_json
-from .trainer import evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
+from .tensor import MANIFEST_NAME, write_atomically, write_json
+from .trainer import CHECKPOINT_PARAMS, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
 # what main() reports as `error: ...` with exit status 2; anything else is a bug
@@ -56,6 +57,16 @@ def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
         return
     if not force:
         raise ConfigError(f"output path {path} already exists; pass --force to overwrite")
+
+
+def _refuse_shared_outputs(outputs) -> None:
+    """Refuse two (what, path) outputs of one command that resolve to one file: one write would replace the other."""
+    seen = {}
+    for what, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {what} {path} are the same file")
+        seen[real] = f"{what} {path}"
 
 
 @contextlib.contextmanager
@@ -149,7 +160,8 @@ def _training_outputs(args) -> list[tuple[str, str]]:
     """Each repeat's (checkpoint directory, log path), checked before training.
 
     The log is written only after training, so a log path that collides or
-    lacks a directory is refused first.
+    lacks a directory is refused first, as is one that names a checkpoint
+    file, the checkpoint directory or a directory above it.
     """
     stem = args.log or os.path.join(args.out, "train_log.jsonl")
     if args.repeats == 1:
@@ -158,7 +170,14 @@ def _training_outputs(args) -> list[tuple[str, str]]:
         root, ext = os.path.splitext(stem)
         outputs = [(os.path.join(args.out, f"repeat-{r}"), f"{root}.{r}{ext}")
                    for r in range(args.repeats)]
+    _refuse_shared_outputs(output for out_dir, log_path in outputs for output in (
+        ("checkpoint file", os.path.join(out_dir, MANIFEST_NAME)),
+        ("checkpoint file", os.path.join(out_dir, CHECKPOINT_PARAMS)), ("log", log_path)))
     for _, log_path in outputs:
+        real_log = os.path.realpath(log_path)
+        for out_dir, _ in outputs:
+            if os.path.commonpath([real_log, os.path.realpath(out_dir)]) == real_log:
+                raise ConfigError(f"log {log_path} is checkpoint directory {out_dir} or a directory above it")
         _refuse_collision(log_path, args.force, is_dir=False)
         log_dir = os.path.dirname(log_path) or "."
         if not os.path.isdir(log_dir) and os.path.normpath(log_dir) != os.path.normpath(args.out):
@@ -249,6 +268,7 @@ def cmd_eval(args, extras) -> int:
 
 def cmd_export_sim(args, extras) -> int:
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
+    _refuse_shared_outputs([("CSV", args.out), ("report", report_path)])
     _refuse_collision(args.out, args.force, is_dir=False)
     _refuse_collision(report_path, args.force, is_dir=False)
     report, sim = _evaluate_checkpoint(args)

@@ -10,7 +10,6 @@ its artifacts.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import typing
@@ -19,8 +18,8 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, FormatError
 from .tensor import check_fields, read_json_object
 
-# config key -> attribute name, where the key is not a valid identifier
-_LOSS_ALIASES = {"lambda": "lam"}
+# attribute name -> public config key, where the key is not a valid identifier
+_PUBLIC_KEYS = {"lam": "lambda"}
 # geometry leaves that must be >= 1
 _POSITIVE_SIZES = (
     ("encoder", "dim"), ("filter", "height"), ("filter", "width"), ("fusion", "heads"),
@@ -106,14 +105,10 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _aliases_for(section: str) -> dict[str, str]:
-    return _LOSS_ALIASES if section == "loss" else {}
-
-
 _SECTIONS = typing.get_type_hints(RunConfig)
-# (section, attribute) -> the attribute's annotation
+# (section, public key) -> the attribute it sets and the attribute's annotation
 _LEAVES = {
-    (section, attr): hint
+    (section, _PUBLIC_KEYS.get(attr, attr)): (attr, hint)
     for section, section_type in _SECTIONS.items()
     for attr, hint in typing.get_type_hints(section_type).items()
 }
@@ -126,11 +121,11 @@ def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
         if value != "linear":
             raise ConfigError(f"encoder.kind must be 'linear', got {value!r}")
         return
-    attr = _aliases_for(section_name).get(key, key)
-    if (section_name, attr) not in _LEAVES:
+    if (section_name, key) not in _LEAVES:
         raise ConfigError(f"unknown config key {section_name}.{key}")
+    attr, hint = _LEAVES[(section_name, key)]
     try:
-        value = check_fields({key: value}, {key: _LEAVES[(section_name, attr)]}, f"{section_name}.")[key]
+        value = check_fields({key: value}, {key: hint}, f"{section_name}.")[key]
     except FormatError as e:
         raise ConfigError(str(e)) from e
     if isinstance(value, float) and not math.isfinite(value):
@@ -156,14 +151,9 @@ def config_from_dict(tree: dict) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Nested plain-dict form with the public key spelling."""
-    out: dict = {}
-    for f in dataclasses.fields(cfg):
-        section = getattr(cfg, f.name)
-        aliases = {attr: key for key, attr in _aliases_for(f.name).items()}
-        body = {}
-        for sf in dataclasses.fields(section):
-            body[aliases.get(sf.name, sf.name)] = getattr(section, sf.name)
-        out[f.name] = body
+    out: dict = {section: {} for section in _SECTIONS}
+    for (section, key), (attr, _) in _LEAVES.items():
+        out[section][key] = getattr(getattr(cfg, section), attr)
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Parameter, Tensor, dynamic_conv, gelu, linear, transpose, unfold
+from .tensor import Module, Parameter, Tensor, dynamic_conv, gelu, linear, transpose, unfold
 
 STEM_CHANNELS = (8, 16)
 HIDDEN = 64
@@ -31,7 +31,7 @@ def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding:
     return transpose(out, (0, 2, 1)).reshape((bsz, c_out, oh, ow))
 
 
-class FilterGenerator:
+class FilterGenerator(Module):
     """Conv stem, global average pool, MLP head emitting 3 kernels."""
 
     def __init__(self, fh: int = 5, fw: int = 5, rng: np.random.Generator | None = None):
@@ -70,12 +70,6 @@ class FilterGenerator:
         hid = gelu(linear(pooled, self.fc1_w.value, self.fc1_b.value))
         flat = linear(hid, self.fc2_w.value, self.fc2_b.value)           # (B, 3*fh*fw)
         return flat.reshape((images.shape[0], 3, self.fh, self.fw))
-
-    def params(self) -> list[Parameter]:
-        return [
-            self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b,
-            self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b,
-        ]
 
 
 def apply_dynamic_filter(images: Tensor, kernels: Tensor) -> Tensor:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, l2_normalize, linear
+from .tensor import Module, Parameter, Tensor, l2_normalize, linear
 
 
-class Perturbation:
+class Perturbation(Module):
     """Per-entry gain and offset over the EEG grid, identity at init."""
 
     def __init__(self, channels: int, timesteps: int):
@@ -23,11 +23,8 @@ class Perturbation:
     def apply(self, eeg: Tensor) -> Tensor:
         return eeg * self.gain.value + self.offset.value
 
-    def params(self) -> list[Parameter]:
-        return [self.gain, self.offset]
 
-
-class LinearEncoder:
+class LinearEncoder(Module):
     """Flatten, one fully connected layer, unit-normalize."""
 
     def __init__(self, channels: int, timesteps: int, dim: int, rng: np.random.Generator):
@@ -46,7 +43,3 @@ class LinearEncoder:
 
     def encode(self, eeg: Tensor) -> Tensor:
         return l2_normalize(self.project(eeg))
-
-    def params(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .tensor import Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
+from .tensor import Module, Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
 
 
-class CrossAttentionFusion:
+class CrossAttentionFusion(Module):
     """Gated cross-attention blending of two aligned token sequences."""
 
     def __init__(self, dim: int, heads: int = 1, gate_bias_init: float = -2.0,
@@ -48,11 +48,8 @@ class CrossAttentionFusion:
         alpha = self.gate(x_orig, x_filt)
         return alpha * x_filt + (1.0 - alpha) * x_orig
 
-    def params(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv, self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2]
 
-
-class BilinearMix:
+class BilinearMix(Module):
     """Single learnable mixing scalar, kept in (0, 1) via a sigmoid."""
 
     def __init__(self, mix_init: float = 0.5):
@@ -68,6 +65,3 @@ class BilinearMix:
         """Pixelwise blend lam * filtered + (1 - lam) * image with lam the coefficient."""
         lam = self.coefficient()
         return lam * filtered + (1.0 - lam) * image
-
-    def params(self) -> list[Parameter]:
-        return [self.mix_logit]

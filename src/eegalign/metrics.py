@@ -114,14 +114,13 @@ class RetrievalReport:
         }
 
 
-def build_report(sim, ks, similarity_path: str | None = None) -> RetrievalReport:
+def build_report(sim, ks) -> RetrievalReport:
     """Compute ranks once, then top-k accuracies and mAP from them."""
     ranks = retrieval_ranks(sim)
     report = RetrievalReport(
         top_k=_topk_from_ranks(ranks, ks),
         map_score=_map_from_ranks(ranks),
         ranks=ranks,
-        similarity_path=similarity_path,
     )
     report.check_invariants()
     return report

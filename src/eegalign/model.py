@@ -108,14 +108,14 @@ class AlignmentModel:
     # -- parameter registry --------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        """Every parameter, trainable and frozen, in a fixed order."""
-        out = self.perturb.params() + self.encoder.params() + self.filter_gen.params()
-        out += self.fusion.params()
-        out += [self.prompts]
-        out += self.projection.params()
-        out += [self.log_tau]
-        out += self.backbone.params()
-        return out
+        """Every parameter: the trainable parts first, the frozen trunk last.
+
+        This is the checkpoint layout. It differs from the order in which
+        ``__init__`` builds the parts and draws from the RNG, so it is
+        spelled out here rather than read off the attributes.
+        """
+        return (self.perturb.params() + self.encoder.params() + self.filter_gen.params() + self.fusion.params()
+                + [self.prompts] + self.projection.params() + [self.log_tau] + self.backbone.params())
 
     def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.parameters() if not p.frozen]

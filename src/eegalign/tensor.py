@@ -58,6 +58,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 NORM_GUARD = 1e-12
+LN_EPS = 1e-5
 KL_CLAMP = 1e-12
 # _tap_sum sums over blocks of samples whose padded input is about this many bytes, so a block
 # stays in L2 across the taps (a 32-sample batch is one block at 16x16, four at 32x32); each
@@ -534,7 +535,7 @@ def l2_normalize(x) -> Tensor:
     return x / ((x * x).sum(axis=-1, keepdims=True) + NORM_GUARD) ** 0.5
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine.
 
     One node. With xhat = (x - mean) / std and gh = g * gain, the input
@@ -545,7 +546,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** 0.5
+    std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
     xhat = centered / std
     try:
         data = xhat * gain.data + bias.data
@@ -565,18 +566,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), vjp)
 
 
-def kl_div_rows(p, q, clamp: float = KL_CLAMP) -> Tensor:
+def kl_div_rows(p, q) -> Tensor:
     """KL(p || q) summed along the last axis, averaged over rows.
 
-    Both arguments are clamped at ``clamp`` before the log. A zero entry
+    Both arguments are clamped at ``KL_CLAMP`` before the log. A zero entry
     in ``p`` contributes exactly zero (0 * log 0 convention) because the
     multiplication happens outside the clamp.
     """
     p, q = as_tensor(p), as_tensor(q)
     if p.shape != q.shape:
         raise DimensionError(f"KL needs matching shapes, got {p.shape} and {q.shape}")
-    lp = log(clamp_min(p, clamp))
-    lq = log(clamp_min(q, clamp))
+    lp = log(clamp_min(p, KL_CLAMP))
+    lq = log(clamp_min(q, KL_CLAMP))
     per_row = (p * (lp - lq)).sum(axis=-1)
     return per_row.mean()
 
@@ -765,6 +766,27 @@ class Parameter:
     def __repr__(self) -> str:
         state = "frozen" if self.frozen else f"group {self.group}"
         return f"Parameter({self.name!r}, shape={self.value.shape}, {state})"
+
+
+class Module:
+    """A model part whose parameters are its attributes, each declared once."""
+
+    def params(self) -> list[Parameter]:
+        """The ``Parameter`` attributes in the order they were assigned.
+
+        Attributes that are Modules, or lists of Modules, are expanded in
+        place. This order is the checkpoint layout: the model's parameter
+        list joins its parts' lists and a checkpoint stores the values in
+        that order, so reordering a part's assignments changes the file.
+        """
+        out = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Module):
+                    out += item.params()
+                elif isinstance(item, Parameter):
+                    out.append(item)
+        return out
 
 
 # -- finite-difference gradient checking ----------------------------------

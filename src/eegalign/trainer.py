@@ -34,6 +34,9 @@ CHECKPOINT_FIELDS = {
     "train_class_ids": list[int],
     "parameters": list[str],
 }
+# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv 1412.6980)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -43,8 +46,7 @@ class Adam:
     learning rate may be zero, which makes step() a no-op on values.
     """
 
-    def __init__(self, params: list[Parameter], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
         for p in params:
@@ -52,7 +54,6 @@ class Adam:
                 raise ContractError(f"frozen parameter {p.name} handed to an optimizer")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.value.data) for p in params]
         self.v = [np.zeros_like(p.value.data) for p in params]
@@ -72,7 +73,7 @@ class Adam:
         m, v, the value and two scratch buffers instead of fresh arrays.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.value.grad
@@ -90,7 +91,7 @@ class Adam:
             np.multiply(work, self.lr, out=work)
             np.divide(v, v_scale, out=denom)
             np.sqrt(denom, out=denom)
-            np.add(denom, self.eps, out=denom)
+            np.add(denom, ADAM_EPS, out=denom)
             np.divide(work, denom, out=work)
             np.subtract(p.value.data, work, out=p.value.data)
 
@@ -173,33 +174,32 @@ def train_step(model: AlignmentModel, batch, opt_a: Adam, opt_b: Adam,
     return parts
 
 
-def _batch_indices(n: int, batch_size: int, rng: np.random.Generator | None) -> list[np.ndarray]:
-    """Consecutive slices of a (possibly shuffled) index range.
+def _batch_slices(n: int, batch_size: int) -> list[slice]:
+    """Consecutive slices of ``range(n)``, the last one dropped if it holds fewer than two samples.
 
-    Tail slices with fewer than two samples are dropped: the objective
-    needs at least one negative per anchor.
+    The objective needs at least one negative per anchor.
     """
-    order = np.arange(n) if rng is None else rng.permutation(n)
-    out = []
-    for start in range(0, n, batch_size):
-        chunk = order[start:start + batch_size]
-        if len(chunk) >= 2:
-            out.append(chunk)
-    return out
+    return [slice(start, start + batch_size) for start in range(0, n, batch_size) if n - start >= 2]
+
+
+def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``_batch_slices`` of a shuffled index range."""
+    order = rng.permutation(n)
+    return [order[rows] for rows in _batch_slices(n, batch_size)]
 
 
 def validation_loss(model: AlignmentModel, val: SplitArrays, batch_size: int) -> float:
-    """Mean loss over deterministic, unshuffled validation batches.
+    """Mean loss over consecutive, unshuffled validation batches, each a view of the split.
 
     Nothing is recorded on the tape: the losses are only read.
     """
-    batches = _batch_indices(len(val.ids), batch_size, rng=None)
+    batches = _batch_slices(len(val.ids), batch_size)
     if not batches:
         raise ConfigError("validation split has fewer than 2 samples")
     losses = []
     with no_grad():
-        for idx in batches:
-            total, _ = model.batch_loss(make_batch(val, idx))
+        for rows in batches:
+            total, _ = model.batch_loss(make_batch(val, rows))
             losses.append(total.item())
     return float(np.mean(losses))
 

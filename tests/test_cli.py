@@ -50,6 +50,13 @@ def failing_report_writer(report, fh):
     raise OSError(28, "No space left on device")
 
 
+def one_error_line(capsys) -> str:
+    """The command's stderr, asserted to be one ``error: ...`` line."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 def read_files(root):
     out = {}
     for dirpath, _, names in os.walk(root):
@@ -165,12 +172,16 @@ class TestTrain:
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["config"]["fusion"]["strategy"] == "bilinear"
 
-    def test_unknown_override_names_the_key(self, tmp_path, capsys):
+    # loss.lam is the Python attribute behind loss.lambda, not a second spelling of it
+    @pytest.mark.parametrize("key", ["loss.gamma", "loss.lam"])
+    def test_unknown_override_names_the_key(self, tmp_path, capsys, monkeypatch, key):
         data = gen(tmp_path)
+        forbid_fit(monkeypatch)
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "x"),
-                     "--epochs", "0", "--loss.gamma", "1"])
+                     "--epochs", "0", f"--{key}", "1"])
         assert code == 2
-        assert "loss.gamma" in capsys.readouterr().err
+        assert one_error_line(capsys) == f"error: unknown config key {key}"
+        assert sorted(os.listdir(tmp_path)) == ["data"]
 
     def test_invalid_config_value_exits_nonzero(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -300,6 +311,19 @@ class TestTrain:
         assert code == 2
         assert "is a directory" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["data", "logs"]
+
+    @pytest.mark.parametrize("out_name, log_name, refusal", [
+        ("run", "run", "is checkpoint directory"), ("run/ckpt", "run", "is checkpoint directory"),
+        ("run", "run/manifest.json", "are the same file"), ("run", "run/params.bin", "are the same file")])
+    def test_log_naming_the_checkpoint_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                               out_name, log_name, refusal):
+        data = gen(tmp_path)
+        forbid_fit(monkeypatch)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / out_name), "--epochs", "0",
+                     "--log", str(tmp_path / log_name), *SMALL_NET])
+        assert code == 2
+        assert refusal in one_error_line(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["data"]
 
     def test_prints_the_log_rows(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -554,6 +578,20 @@ class TestExportSim:
         assert "already exists" in capsys.readouterr().err
         assert csv_path.read_text() == "occupied"
 
+
+    @pytest.mark.parametrize("out,report", [("sim.json", None), ("s.csv", "./s.csv")])
+    def test_report_naming_the_csv_refused_even_with_force(self, tmp_path, capsys, monkeypatch, out, report):
+        data = gen(tmp_path)
+        run = train(tmp_path, data)
+        (tmp_path / out).write_text("keep me")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_module, "evaluate_zero_shot", lambda *a, **k: pytest.fail("evaluated"))
+        argv = ["export-sim", "--checkpoint", str(run), "--data", str(data), "--out", out, "--force"]
+        code = main([*argv, *(["--report", report] if report else [])])
+        assert code == 2
+        assert one_error_line(capsys).endswith("are the same file")
+        assert sorted(os.listdir(tmp_path)) == sorted(["data", "run", out])
+        assert (tmp_path / out).read_text() == "keep me"
 
     def test_failed_force_keeps_the_old_csv_and_report(self, tmp_path, monkeypatch):
         data = gen(tmp_path)

@@ -69,6 +69,11 @@ class TestLambdaAlias:
         cfg = apply_overrides(default_config(), {"loss.lambda": "0"})
         assert cfg.loss.lam == 0.0
 
+    @pytest.mark.parametrize("tree", [{"loss": {"lam": 0.5}}, {"loss": {"lambda": 0.1, "lam": 0.9}}])
+    def test_attribute_spelling_is_an_unknown_key(self, tree):
+        with pytest.raises(ConfigError, match="unknown config key loss.lam"):
+            config_from_dict(tree)
+
 
 class TestStrictKeys:
     def test_unknown_section(self):

@@ -205,7 +205,8 @@ class TestReport:
 
     def test_json_report_round_trip(self, tmp_path):
         s = np.random.default_rng(8).normal(size=(6, 6))
-        report = build_report(s, ks=[1, 3], similarity_path="sim.csv")
+        report = build_report(s, ks=[1, 3])
+        report.similarity_path = "sim.csv"
         path = tmp_path / "report.json"
         with open(path, "wb") as fh:
             write_json(report.to_json_dict(), fh)

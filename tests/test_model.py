@@ -8,7 +8,49 @@ from eegalign.errors import ConfigError, DimensionError
 from eegalign.fusion import BilinearMix, CrossAttentionFusion
 from eegalign.model import AlignmentModel
 from eegalign.tensor import Tensor
-from eegalign.trainer import embed_split
+from eegalign.trainer import embed_split, parameter_digest
+
+# the checkpoint layout of a default-config model, captured before the parts' parameter lists were
+# read off their attributes: trainable parts first, the frozen trunk last
+CATF_PARAMETERS = [
+    "perturb.gain", "perturb.offset", "encoder.weight", "encoder.bias", "filter.conv1.weight",
+    "filter.conv1.bias", "filter.conv2.weight", "filter.conv2.bias", "filter.fc1.weight", "filter.fc1.bias",
+    "filter.fc2.weight", "filter.fc2.bias", "fusion.wq", "fusion.wk", "fusion.wv", "fusion.gate.w1",
+    "fusion.gate.b1", "fusion.gate.w2", "fusion.gate.b2", "prompts", "projection.weight", "projection.bias",
+    "loss.log_tau", "backbone.patch.weight", "backbone.patch.bias", "backbone.cls", "backbone.pos",
+    "backbone.block0.ln1.gain", "backbone.block0.ln1.bias", "backbone.block0.attn.wq",
+    "backbone.block0.attn.bq", "backbone.block0.attn.wk", "backbone.block0.attn.bk",
+    "backbone.block0.attn.wv", "backbone.block0.attn.bv", "backbone.block0.attn.wo",
+    "backbone.block0.attn.bo", "backbone.block0.ln2.gain", "backbone.block0.ln2.bias",
+    "backbone.block0.mlp.w1", "backbone.block0.mlp.b1", "backbone.block0.mlp.w2", "backbone.block0.mlp.b2",
+    "backbone.block1.ln1.gain", "backbone.block1.ln1.bias", "backbone.block1.attn.wq",
+    "backbone.block1.attn.bq", "backbone.block1.attn.wk", "backbone.block1.attn.bk",
+    "backbone.block1.attn.wv", "backbone.block1.attn.bv", "backbone.block1.attn.wo",
+    "backbone.block1.attn.bo", "backbone.block1.ln2.gain", "backbone.block1.ln2.bias",
+    "backbone.block1.mlp.w1", "backbone.block1.mlp.b1", "backbone.block1.mlp.w2", "backbone.block1.mlp.b2",
+]
+BILINEAR_PARAMETERS = [
+    "perturb.gain", "perturb.offset", "encoder.weight", "encoder.bias", "filter.conv1.weight",
+    "filter.conv1.bias", "filter.conv2.weight", "filter.conv2.bias", "filter.fc1.weight", "filter.fc1.bias",
+    "filter.fc2.weight", "filter.fc2.bias", "fusion.mix_logit", "prompts", "projection.weight",
+    "projection.bias", "loss.log_tau", "backbone.patch.weight", "backbone.patch.bias", "backbone.cls",
+    "backbone.pos", "backbone.block0.ln1.gain", "backbone.block0.ln1.bias", "backbone.block0.attn.wq",
+    "backbone.block0.attn.bq", "backbone.block0.attn.wk", "backbone.block0.attn.bk",
+    "backbone.block0.attn.wv", "backbone.block0.attn.bv", "backbone.block0.attn.wo",
+    "backbone.block0.attn.bo", "backbone.block0.ln2.gain", "backbone.block0.ln2.bias",
+    "backbone.block0.mlp.w1", "backbone.block0.mlp.b1", "backbone.block0.mlp.w2", "backbone.block0.mlp.b2",
+    "backbone.block1.ln1.gain", "backbone.block1.ln1.bias", "backbone.block1.attn.wq",
+    "backbone.block1.attn.bq", "backbone.block1.attn.wk", "backbone.block1.attn.bk",
+    "backbone.block1.attn.wv", "backbone.block1.attn.bv", "backbone.block1.attn.wo",
+    "backbone.block1.attn.bo", "backbone.block1.ln2.gain", "backbone.block1.ln2.bias",
+    "backbone.block1.mlp.w1", "backbone.block1.mlp.b1", "backbone.block1.mlp.w2", "backbone.block1.mlp.b2",
+]
+# parameter_digest of the same models at the quick-start geometry: every initial value, so the parts
+# draw from the RNG in the same order too
+DEFAULT_DIGESTS = {
+    "catf": "c1d99e79eaef23d83d42890dbbfca3c5e61a768a00a928528f0d327823fe93c8",
+    "bilinear": "a332cbde91eea0350c7c68559e6f89a40db751f7a859231d0be8b1f16b8408c1",
+}
 
 
 def small_config(**loss_overrides):
@@ -196,6 +238,14 @@ class TestParameterRegistry:
         b = [p.name for p in small_model(seed=2).parameters()]
         assert a == b
 
+
+    @pytest.mark.parametrize("strategy", ["catf", "bilinear"])
+    def test_default_layout_and_values_pinned(self, strategy):
+        cfg = default_config()
+        cfg.fusion.strategy = strategy
+        params = AlignmentModel(cfg, channels=17, timesteps=250, image_size=32).parameters()
+        assert [p.name for p in params] == (CATF_PARAMETERS if strategy == "catf" else BILINEAR_PARAMETERS)
+        assert parameter_digest(params) == DEFAULT_DIGESTS[strategy]
 
 class TestArchitecturalReduction:
     """No prompts + identity kernels + closed gate collapses the image

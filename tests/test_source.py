@@ -133,6 +133,25 @@ def test_affine_scan_flags_matmul_plus_bias():
     assert split_affine_layers(tree) == [1, 5]
 
 
+def params_definitions(tree: ast.Module) -> list[str]:
+    """Classes that define ``params``. Only ``tensor.Module`` may: each part's parameters are its attributes."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "params"
+                    for item in node.body)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_module_defines_params(path):
+    allowed = ["Module"] if path.name == "tensor.py" else []
+    assert params_definitions(ast.parse(path.read_text(encoding="utf-8"))) == allowed
+
+
+def test_params_scan_flags_a_hand_written_list():
+    tree = ast.parse("class Module:\n    def params(self): pass\nclass Head(Module):\n    def params(self): return []\n"
+                     "class Gate:\n    def gate(self): pass\ndef params(): pass\n")
+    assert params_definitions(tree) == ["Module", "Head"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

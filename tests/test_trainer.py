@@ -17,6 +17,7 @@ from eegalign.trainer import (
     Adam,
     Checkpoint,
     _batch_indices,
+    _batch_slices,
     clip_gradients,
     embed_split,
     evaluate_zero_shot,
@@ -240,17 +241,17 @@ class TestTrainStep:
 
 class TestBatchIndices:
     def test_tail_of_one_dropped(self):
-        batches = _batch_indices(9, 4, rng=None)
-        assert [len(b) for b in batches] == [4, 4]
+        assert _batch_slices(9, 4) == [slice(0, 4), slice(4, 8)]
 
     def test_exact_multiple_keeps_all(self):
-        batches = _batch_indices(8, 4, rng=None)
-        assert [len(b) for b in batches] == [4, 4]
-        assert np.array_equal(np.concatenate(batches), np.arange(8))
+        assert _batch_slices(8, 4) == [slice(0, 4), slice(4, 8)]
 
     def test_small_tail_of_two_kept(self):
-        batches = _batch_indices(10, 4, rng=None)
-        assert [len(b) for b in batches] == [4, 4, 2]
+        assert [len(range(10)[rows]) for rows in _batch_slices(10, 4)] == [4, 4, 2]
+
+    def test_shuffled_tail_of_one_dropped(self):
+        batches = _batch_indices(9, 4, rng=np.random.default_rng(0))
+        assert [len(b) for b in batches] == [4, 4]
 
     def test_shuffle_covers_every_index(self):
         batches = _batch_indices(12, 5, rng=np.random.default_rng(0))
@@ -274,11 +275,25 @@ class TestValidationLoss:
         model = tiny_model()
         val = tiny_splits()["val"]
         taped = []
-        for idx in _batch_indices(len(val.ids), 4, rng=None):
-            total, _ = model.batch_loss(make_batch(val, idx))
+        for rows in _batch_slices(len(val.ids), 4):
+            total, _ = model.batch_loss(make_batch(val, rows))
             assert total.requires_grad
             taped.append(total.item())
         assert validation_loss(model, val, 4) == float(np.mean(taped))
+
+    def test_batches_are_views_of_the_split(self, monkeypatch):
+        val = tiny_splits()["val"]
+        batches = []
+
+        def spy(split, rows):
+            batches.append(make_batch(split, rows))
+            return batches[-1]
+
+        monkeypatch.setattr(trainer_module, "make_batch", spy)
+        validation_loss(tiny_model(), val, 4)
+        assert sum(b.eeg.shape[0] for b in batches) >= len(val.ids) - 1
+        assert all(np.shares_memory(b.eeg.data, val.eeg) and np.shares_memory(b.images.data, val.images)
+                   for b in batches)
 
     def test_records_no_tape(self, monkeypatch):
         model = tiny_model()
