@@ -205,17 +205,18 @@ def cmd_train(args, extras) -> int:
     cfg = _resolve_config(args, extras)
     cfg.data.path = args.data
 
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    _refuse_collision(args.out, args.force, is_dir=True)
+    outputs = _training_outputs(args)
+
     manifest = load_dataset(args.data)
     train = apply_masks(load_split(manifest, "train"), cfg.data.channel_mask, cfg.data.time_window)
     val = apply_masks(load_split(manifest, "val"), cfg.data.channel_mask, cfg.data.time_window)
 
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    _refuse_collision(args.out, args.force, is_dir=True)
-
     base_seed = cfg.trainer.seed
     val_losses = []
-    for r, (out_dir, log_path) in enumerate(_training_outputs(args)):
+    for r, (out_dir, log_path) in enumerate(outputs):
         cfg.trainer.seed = base_seed + r
         ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
         val_losses.append(ckpt.val_loss)

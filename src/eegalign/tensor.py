@@ -351,8 +351,10 @@ def sigmoid(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
     a = as_tensor(a)
-    e = _erf(a.data / _SQRT2)
-    data = 0.5 * a.data * (1.0 + e)
+    e = np.divide(a.data, _SQRT2, out=np.empty_like(a.data))
+    _erf(e, out=e)
+    data = 0.5 * a.data
+    data *= 1.0 + e
 
     def vjp(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
@@ -383,16 +385,20 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """x @ w + b as one node: np.add(np.matmul(x, w), b), the two numpy operations
-    of ``matmul(x, w) + b``, with matmul's VJP for x and w and add's for b."""
+    of ``matmul(x, w) + b`` (the sum written into the product unless b widens it),
+    with matmul's VJP for x and w and add's for b."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim < 2:
         raise DimensionError(f"linear needs rank >= 2 operands, got {x.shape} and {w.shape}")
     try:
         product = np.matmul(x.data, w.data)
-        data = np.add(product, b.data)
+        inner = product.shape
+        try:
+            data = np.add(product, b.data, out=product)
+        except ValueError:  # a bias that widens the product
+            data = np.add(product, b.data)
     except ValueError as e:
         raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}") from e
-    inner = product.shape
 
     def vjp(g):  # add's rule sums g to the product's shape for matmul's, and to b's
         return _matmul_grads(_unbroadcast(g, inner), x, w) + (_unbroadcast(g, b.shape) if b.requires_grad else None,)
@@ -491,8 +497,9 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - np.max(z, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def softmax_rows(x, axis: int = -1) -> Tensor:
@@ -549,7 +556,8 @@ def layer_norm(x, gain, bias) -> Tensor:
     std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
     xhat = centered / std
     try:
-        data = xhat * gain.data + bias.data
+        data = xhat * gain.data
+        data += bias.data
     except ValueError as e:
         raise DimensionError(f"layer norm of {x.shape} cannot take gain {gain.shape} and bias {bias.shape}") from e
 
@@ -611,7 +619,8 @@ def attention(q, k, v, heads: int = 1) -> Tensor:
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(d // heads)
     try:
-        p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, -1)
+        scores = np.matmul(qh, kh.swapaxes(-1, -2))
+        p = _softmax(np.multiply(scores, scale, out=scores), -1)
         data = merge(np.matmul(p, vh))
     except ValueError as e:
         raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}") from e
@@ -699,9 +708,11 @@ def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
     rows = max(1, TAP_BLOCK_BYTES // max(1, padded[:1].nbytes))
     for s in range(0, len(out), rows):
         block, kb, ob = padded[s:s + rows], k[s:s + rows], out[s:s + rows]
+        tap = np.empty(ob.shape)
         for u in range(k.shape[2]):
             for v in range(k.shape[3]):
-                ob += np.einsum("bchw,bc->bchw", block[:, :, u:u + h, v:v + w], kb[:, :, u, v])
+                np.einsum("bchw,bc->bchw", block[:, :, u:u + h, v:v + w], kb[:, :, u, v], out=tap)
+                ob += tap
     return out
 
 

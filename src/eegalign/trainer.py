@@ -37,13 +37,18 @@ CHECKPOINT_FIELDS = {
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv 1412.6980)
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# step() updates a group in blocks of at most this many entries, so its six block-sized rows stay in L2
+ADAM_BLOCK = 32768
 
 
 class Adam:
     """Adaptive-moment optimizer with the standard decay constants.
 
-    A parameter without a gradient this step keeps its old value. The
-    learning rate may be zero, which makes step() a no-op on values.
+    Building one copies its parameters' values into one flat buffer and
+    rebinds each ``p.value.data`` to a view of its slice; ``m[i]`` and
+    ``v[i]`` are views of flat moments. A parameter without a gradient
+    this step keeps its old value. The learning rate may be zero, which
+    makes step() a no-op on values.
     """
 
     def __init__(self, params: list[Parameter], lr: float):
@@ -55,10 +60,15 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.value.data) for p in params]
-        self.v = [np.zeros_like(p.value.data) for p in params]
-        size = max((p.value.data.size for p in params), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        ends = np.cumsum([0] + [p.value.data.size for p in self.params]).tolist()
+        self._spans = list(zip(ends[:-1], ends[1:]))
+        self._flat = [np.zeros(ends[-1]) for _ in range(4)]  # value, gradient, m, v
+        values, self._grads, self.m, self.v = ([flat[lo:hi].reshape(p.value.shape) for p, (lo, hi)
+                                                in zip(self.params, self._spans)] for flat in self._flat)
+        for p, value in zip(self.params, values):
+            value[...] = p.value.data
+            p.value.data = value
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def zero_grads(self) -> None:
         for p in self.params:
@@ -69,31 +79,38 @@ class Adam:
 
         Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
         value -= lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected
-        moments, one numpy operation at a time in that order, writing into
-        m, v, the value and two scratch buffers instead of fresh arrays.
+        moments, one numpy operation at a time in that order, into m, v,
+        the value and two scratch blocks, over each run of consecutive
+        parameters with a gradient in blocks of ``ADAM_BLOCK`` entries.
         """
         self.t += 1
         b1, b2 = ADAM_BETAS
         m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.value.grad
-            if g is None:
-                continue
-            work, denom = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=work)
-            np.add(m, work, out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, 1.0 - b2, out=work)
-            np.multiply(work, g, out=work)
-            np.add(v, work, out=v)
-            np.divide(m, m_scale, out=work)
-            np.multiply(work, self.lr, out=work)
-            np.divide(v, v_scale, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, ADAM_EPS, out=denom)
-            np.divide(work, denom, out=work)
-            np.subtract(p.value.data, work, out=p.value.data)
+        runs: list[list[int]] = []
+        for p, (lo, hi), g in zip(self.params, self._spans, self._grads):
+            if p.value.grad is not None:
+                np.copyto(g, p.value.grad)
+                if not runs or runs[-1][1] < lo:
+                    runs.append([lo, hi])
+                runs[-1][1] = hi
+        for lo, hi in runs:
+            for start in range(lo, hi, ADAM_BLOCK):
+                value, g, m, v = (flat[start:min(start + ADAM_BLOCK, hi)] for flat in self._flat)
+                work, denom = (buf[:len(g)] for buf in self._scratch)
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1.0 - b1, out=work)
+                np.add(m, work, out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1.0 - b2, out=work)
+                np.multiply(work, g, out=work)
+                np.add(v, work, out=v)
+                np.divide(m, m_scale, out=work)
+                np.multiply(work, self.lr, out=work)
+                np.divide(v, v_scale, out=denom)
+                np.sqrt(denom, out=denom)
+                np.add(denom, ADAM_EPS, out=denom)
+                np.divide(work, denom, out=work)
+                np.subtract(value, work, out=value)
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:

@@ -353,6 +353,22 @@ class TestTrain:
         assert code == 2
         assert "already exists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out, extra, refusal", [
+        ("run", (), "already exists"), ("fresh", ("--repeats", "0"), "--repeats must be >= 1"),
+        ("fresh", ("--log", "no-such-dir/log.jsonl"), "does not exist")], ids=["existing-out", "repeats", "log-dir"])
+    @pytest.mark.parametrize("data_ok", [True, False], ids=["data", "no-data"])
+    def test_refused_outputs_read_no_split(self, tmp_path, capsys, monkeypatch, out, extra, refusal, data_ok):
+        data = gen(tmp_path) if data_ok else tmp_path / "no-such-data"
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "manifest.json").write_text("{}")
+        loaded = []
+        monkeypatch.setattr(cli_module, "load_split", lambda manifest, name: loaded.append(name))
+        monkeypatch.chdir(tmp_path)
+        code = main(["train", "--data", str(data), "--out", out, "--epochs", "0", *extra, *SMALL_NET])
+        assert code == 2
+        assert refusal in one_error_line(capsys)
+        assert loaded == []
+
 
 class TestEval:
     @pytest.fixture()

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -414,6 +415,12 @@ class TestOpGradients:
         report = grad_check(f, [x, g, b])
         assert report.passed, report.summary()
 
+    def test_gelu_of_a_scalar(self):
+        x = Parameter("x", Tensor(0.7, requires_grad=True))
+        assert gelu(x.value).data == 0.5 * 0.7 * (1.0 + scipy.special.erf(0.7 / math.sqrt(2.0)))
+        report = grad_check(lambda: gelu(x.value) * 3.0, [x])
+        assert report.passed, report.summary()
+
     def test_softmax_and_logsoftmax(self):
         rng = np.random.default_rng(12)
         x = Parameter("x", Tensor(_rand(rng, 4, 5), requires_grad=True))
@@ -668,10 +675,10 @@ class TestDynamicConvBlocks:
         assert _tap_rows(16) >= 32 and 8 <= _tap_rows(32) <= 10
         seen, einsum = [], np.einsum  # the sample count of each tap einsum, in call order
 
-        def spy(spec, *operands):
+        def spy(spec, *operands, **kwargs):
             if spec == "bchw,bc->bchw":
                 seen.append(operands[0].shape[0])
-            return einsum(spec, *operands)
+            return einsum(spec, *operands, **kwargs)
 
         monkeypatch.setattr(np, "einsum", spy)
         rng = np.random.default_rng(44)

@@ -24,6 +24,7 @@ from eegalign.trainer import (
     fit,
     load_checkpoint,
     parameter_digest,
+    restore_values,
     save_checkpoint,
     snapshot_values,
     train_step,
@@ -141,6 +142,109 @@ class TestAdam:
         p.value.grad = np.asarray(5.0)
         Adam([p], lr=0.1).zero_grads()
         assert p.value.grad is None
+
+
+class PerParameterAdam:
+    """Adam's update one parameter at a time, over whole arrays, without any shared buffer."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = list(params), lr, 0
+        self.m = [np.zeros_like(p.value.data) for p in params]
+        self.v = [np.zeros_like(p.value.data) for p in params]
+
+    def zero_grads(self):
+        for p in self.params:
+            p.value.grad = None
+
+    def step(self):
+        self.t += 1
+        m_scale, v_scale = 1.0 - 0.9 ** self.t, 1.0 - 0.999 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.value.grad
+            if g is None:
+                continue
+            work, denom = np.empty(g.shape), np.empty(g.shape)
+            np.multiply(m, 0.9, out=m)
+            np.multiply(g, 1.0 - 0.9, out=work)
+            np.add(m, work, out=m)
+            np.multiply(v, 0.999, out=v)
+            np.multiply(g, 1.0 - 0.999, out=work)
+            np.multiply(work, g, out=work)
+            np.add(v, work, out=v)
+            np.divide(m, m_scale, out=work)
+            np.multiply(work, self.lr, out=work)
+            np.divide(v, v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, 1e-8, out=denom)
+            np.divide(work, denom, out=work)
+            np.subtract(p.value.data, work, out=p.value.data)
+
+
+def group_buffer(params):
+    """The one array every value of an optimizer group is a view of."""
+    bases = {id(p.value.data.base): p.value.data.base for p in params}
+    assert len(bases) == 1
+    (base,) = bases.values()
+    assert base is not None and base.ndim == 1 and base.size == sum(p.value.data.size for p in params)
+    return base
+
+
+class TestFlatAdam:
+    def test_values_are_views_of_one_buffer_per_group(self):
+        model = tiny_model()
+        opt_a, opt_b = Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02)
+        buffers = {g: group_buffer(model.group(g)) for g in "AB"}
+        assert not np.shares_memory(buffers["A"], buffers["B"])
+        before = snapshot_values(model)
+        train_step(model, make_batch(tiny_splits()["train"], np.arange(8)), opt_a, opt_b)
+        for g, buffer in buffers.items():
+            assert group_buffer(model.group(g)) is buffer
+            assert np.array_equal(buffer, np.concatenate([p.value.data.ravel() for p in model.group(g)]))
+        assert all(not np.array_equal(p.value.data, before[p.name]) for p in model.trainable_parameters())
+
+    def test_snapshot_and_restore_round_trip_through_the_views(self):
+        model = tiny_model()
+        opt_a, opt_b = Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02)
+        buffer = group_buffer(model.group("B"))
+        saved = snapshot_values(model)
+        assert not any(np.shares_memory(saved[p.name], buffer) for p in model.group("B"))
+        train_step(model, make_batch(tiny_splits()["train"], np.arange(8)), opt_a, opt_b)
+        restore_values(model, saved)
+        assert group_buffer(model.group("B")) is buffer
+        assert all(np.array_equal(p.value.data, saved[p.name]) for p in model.parameters())
+        assert parameter_digest(model.parameters()) == parameter_digest(tiny_model().parameters())
+
+    def test_a_second_optimizer_keeps_every_value(self):
+        model = tiny_model()
+        batch = make_batch(tiny_splits()["train"], np.arange(8))
+        train_step(model, batch, Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02))
+        before = parameter_digest(model.parameters())
+        first = group_buffer(model.group("A"))
+        Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02)
+        assert parameter_digest(model.parameters()) == before
+        assert group_buffer(model.group("A")) is not first
+
+    def test_small_blocks_match_the_per_parameter_update_bitwise(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 7)
+        train = tiny_splits()["train"]
+        models = [tiny_model(seed=3) for _ in range(2)]
+        optimizers = []
+        for model, kind in zip(models, (Adam, PerParameterAdam)):
+            # a parameter in the middle of group B gets no gradient, so its neighbours form two runs
+            model.group("B")[5].value.requires_grad = False
+            optimizers.append((kind(model.group("A"), 0.002), kind(model.group("B"), 0.02)))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            batch = make_batch(train, rng.choice(len(train.ids), size=8, replace=False))
+            for model, (opt_a, opt_b) in zip(models, optimizers):
+                train_step(model, batch, opt_a, opt_b)
+        assert parameter_digest(models[0].parameters()) == parameter_digest(models[1].parameters())
+        for flat, plain in zip(optimizers[0], optimizers[1]):
+            for i in range(len(flat.params)):
+                assert np.array_equal(flat.m[i], plain.m[i]) and np.array_equal(flat.v[i], plain.v[i])
+        dropped = optimizers[0][1]
+        assert not dropped.m[5].any() and not dropped.v[5].any()
+        assert np.array_equal(models[0].group("B")[5].value.data, tiny_model(seed=3).group("B")[5].value.data)
 
 
 class TestClipGradients:
