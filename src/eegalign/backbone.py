@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .tensor import (
     Module,
     Parameter,
@@ -63,7 +62,7 @@ class Block(Module):
 
 
 class VisionBackbone(Module):
-    """Patch embedding, prompt slots and L pre-norm transformer blocks."""
+    """Patch embedding, prompt slots and L pre-norm transformer blocks; patch divides image_size."""
 
     def __init__(
         self,
@@ -76,10 +75,6 @@ class VisionBackbone(Module):
         mlp_ratio: int = 4,
         rng: np.random.Generator | None = None,
     ):
-        if image_size % patch != 0:
-            raise ConfigError(f"image size {image_size} is not divisible by patch size {patch}")
-        if prompt_count < 0:
-            raise ConfigError(f"prompt count must be >= 0, got {prompt_count}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.patch = patch

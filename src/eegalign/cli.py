@@ -233,8 +233,8 @@ def cmd_train(args, extras) -> int:
 def _evaluate_checkpoint(args):
     """The retrieval report and similarity of ``args.checkpoint`` on one split of ``args.data``.
 
-    The split must hold pairs, masked as in training, that fit the checkpoint's geometry; a test split may hold no
-    trained class.
+    The split must hold pairs, masked as in training; the model refuses a batch that does not fit its geometry. A test
+    split may hold no trained class.
     """
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_dataset(args.data)
@@ -242,12 +242,6 @@ def _evaluate_checkpoint(args):
     if not len(split):
         raise ConfigError(f"split {args.split!r} of {args.data} has no pairs to evaluate")
     split = apply_masks(split, ckpt.config.data.channel_mask, ckpt.config.data.time_window)
-    c, t = split.eeg.shape[1], split.eeg.shape[2]
-    if (c, t) != (ckpt.channels, ckpt.timesteps) or (manifest.height, manifest.width) != (ckpt.image_size,) * 2:
-        raise ConfigError(
-            f"checkpoint geometry (C={ckpt.channels}, T={ckpt.timesteps}, H={ckpt.image_size}) "
-            f"does not match dataset (C={c}, T={t}, H={manifest.height}x{manifest.width})"
-        )
     train_ids = ckpt.train_class_ids if args.split == "test" else None
     return evaluate_zero_shot(ckpt.build_model(), split, args.ks or ckpt.config.eval.ks,
                               train_class_ids=train_ids, batch_size=ckpt.config.trainer.batch_size)

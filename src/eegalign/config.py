@@ -128,8 +128,6 @@ def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
         value = check_fields({key: value}, {key: hint}, f"{section_name}.")[key]
     except FormatError as e:
         raise ConfigError(str(e)) from e
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section_name}.{key}: expected a finite number, got {value!r}")
     setattr(getattr(cfg, section_name), attr, value)
 
 
@@ -188,7 +186,11 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Cross-field checks that individual setters cannot express."""
+    """Every rule on a config value but the two on the image size, which ``AlignmentModel`` checks."""
+    for (section, key), (attr, _) in _LEAVES.items():
+        value = getattr(getattr(cfg, section), attr)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
     if cfg.trainer.batch_size < 2:
         raise ConfigError(f"trainer.batch_size must be >= 2, got {cfg.trainer.batch_size}")
     if cfg.trainer.epochs < 0:
@@ -199,6 +201,10 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(getattr(cfg, section), attr)
         if value < 1:
             raise ConfigError(f"{section}.{attr} must be >= 1, got {value}")
+    if cfg.filter.height % 2 == 0 or cfg.filter.width % 2 == 0:
+        raise ConfigError(f"filter.height and filter.width must be odd, got {cfg.filter.height}x{cfg.filter.width}")
+    if cfg.backbone.prompts < 0:
+        raise ConfigError(f"backbone.prompts must be >= 0, got {cfg.backbone.prompts}")
     for section in ("backbone", "fusion"):
         heads = getattr(cfg, section).heads
         if cfg.backbone.dim % heads:
@@ -211,6 +217,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"trainer.clip_norm must be positive, got {cfg.trainer.clip_norm}")
     if cfg.fusion.strategy not in ("catf", "bilinear"):
         raise ConfigError(f"fusion.strategy must be 'catf' or 'bilinear', got {cfg.fusion.strategy!r}")
+    if cfg.fusion.strategy == "bilinear" and not 0.0 < cfg.fusion.mix_init < 1.0:
+        raise ConfigError(f"fusion.mix_init must lie strictly inside (0, 1) for bilinear, got {cfg.fusion.mix_init}")
     if cfg.loss.mu < 0 or cfg.loss.alpha < 0 or cfg.loss.lam < 0:
         raise ConfigError("loss weights mu, alpha, lambda must be >= 0")
     if not 0.0 <= cfg.loss.beta <= 1.0:
@@ -219,6 +227,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"loss.tau_init must be positive, got {cfg.loss.tau_init}")
     if not cfg.eval.ks or any(k < 1 for k in cfg.eval.ks):
         raise ConfigError(f"eval.ks must be positive integers, got {cfg.eval.ks}")
+    mask = cfg.data.channel_mask
+    if mask is not None and (not mask or min(mask) < 0):
+        raise ConfigError(f"data.channel_mask must list channel indices >= 0, got {mask}")
     window = cfg.data.time_window
     if window is not None and (len(window) != 2 or window[0] < 0 or window[0] >= window[1]):
         raise ConfigError(f"data.time_window must be [start, stop) with start < stop, got {window}")

@@ -305,20 +305,17 @@ def apply_masks(
     channel_mask: list[int] | None = None,
     time_window: list[int] | None = None,
 ) -> SplitArrays:
-    """Channel / temporal ablations: keep listed channels, crop a window."""
+    """Keep the listed channels and crop the window; ``validate_config`` checked both, this checks their fit."""
     eeg = split.eeg
     if channel_mask is not None:
         # checked as Python ints: numpy cannot hold one beyond int64
-        if not channel_mask or min(channel_mask) < 0 or max(channel_mask) >= eeg.shape[1]:
+        if max(channel_mask) >= eeg.shape[1]:
             raise ConfigError(f"channel mask {channel_mask} invalid for {eeg.shape[1]} channels")
         eeg = eeg[:, np.asarray(channel_mask, dtype=np.int64), :]
     if time_window is not None:
-        if len(time_window) != 2:
-            raise ConfigError(f"time window must be [start, stop), got {time_window}")
-        t0, t1 = int(time_window[0]), int(time_window[1])
-        if not 0 <= t0 < t1 <= eeg.shape[2]:
+        if time_window[1] > eeg.shape[2]:
             raise ConfigError(f"time window {time_window} invalid for {eeg.shape[2]} steps")
-        eeg = eeg[:, :, t0:t1]
+        eeg = eeg[:, :, time_window[0]:time_window[1]]
     return SplitArrays(eeg=eeg, images=split.images, ids=split.ids, class_ids=split.class_ids)
 
 

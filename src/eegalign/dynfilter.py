@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .tensor import Module, Parameter, Tensor, dynamic_conv, gelu, linear, transpose, unfold
 
 STEM_CHANNELS = (8, 16)
@@ -32,11 +31,9 @@ def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding:
 
 
 class FilterGenerator(Module):
-    """Conv stem, global average pool, MLP head emitting 3 kernels."""
+    """Conv stem, global average pool, MLP head emitting 3 kernels of odd size fh x fw."""
 
     def __init__(self, fh: int = 5, fw: int = 5, rng: np.random.Generator | None = None):
-        if fh % 2 == 0 or fw % 2 == 0 or fh < 1 or fw < 1:
-            raise ConfigError(f"filter size must be odd and positive, got {fh}x{fw}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.fh = fh
@@ -58,12 +55,7 @@ class FilterGenerator(Module):
         self.fc2_b = Parameter("filter.fc2.bias", Tensor(delta_kernels(1, 3, fh, fw).data.reshape(-1)), group="B")
 
     def generate(self, images: Tensor) -> Tensor:
-        """(B, 3, H, W) -> per-instance kernels (B, 3, fh, fw)."""
-        if images.shape[2] < MIN_INPUT or images.shape[3] < MIN_INPUT:
-            raise ConfigError(
-                f"filter generator needs images of at least {MIN_INPUT}x{MIN_INPUT}, got "
-                f"{images.shape[2]}x{images.shape[3]}"
-            )
+        """(B, 3, H, W) -> per-instance kernels (B, 3, fh, fw); H and W at least ``MIN_INPUT``."""
         h = gelu(_conv2d(images, self.conv1_w, self.conv1_b, stride=2, padding=1))
         h = gelu(_conv2d(h, self.conv2_w, self.conv2_b, stride=2, padding=1))
         pooled = h.mean(axis=(2, 3))                                     # (B, C2)

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
 from .tensor import Module, Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
 
 
@@ -50,11 +49,9 @@ class CrossAttentionFusion(Module):
 
 
 class BilinearMix(Module):
-    """Single learnable mixing scalar, kept in (0, 1) via a sigmoid."""
+    """Single learnable mixing scalar, kept in (0, 1) via a sigmoid; mix_init lies inside (0, 1)."""
 
     def __init__(self, mix_init: float = 0.5):
-        if not 0.0 < mix_init < 1.0:
-            raise DomainError(f"mix_init must lie strictly inside (0, 1), got {mix_init}")
         logit = math.log(mix_init / (1.0 - mix_init))
         self.mix_logit = Parameter("fusion.mix_logit", Tensor(logit), group="B")
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import ProjectionHead, VisionBackbone, make_prompts
+from .config import LossConfig
 from .dynfilter import FilterGenerator, apply_dynamic_filter
 from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError
 from .fusion import CrossAttentionFusion
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .tensor import GradCheckReport, Parameter, Tensor, exp, grad_check
 
 BATCH = 4
@@ -132,10 +133,10 @@ def _check_loss_term(seed: int, mu: float = 0.0, alpha: float = 0.0, lam: float 
     zi = _param("z_i", rng.normal(size=(BATCH, 6)))
     log_tau = _param("log_tau", np.log(CHECK_TAU))
 
+    weights = LossConfig(mu=mu, alpha=alpha, lam=lam, beta=0.3, detach_targets=False)
+
     def loss():
-        weights = LossWeights(mu=mu, alpha=alpha, lam=lam, beta=0.3,
-                              tau=exp(log_tau.value), detach_targets=False)
-        return total_loss(ze.value, zi.value, weights)[0]
+        return total_loss(ze.value, zi.value, weights, exp(log_tau.value))[0]
 
     return grad_check(loss, [ze, zi, log_tau])
 

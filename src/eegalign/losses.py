@@ -10,18 +10,19 @@ Three ingredients, combined as a weighted sum:
 * an off-diagonal relation term that matches how each modality
   distributes probability over its negatives.
 
-`total_loss` is the one place they are assembled. It normalizes the
-embeddings, divides the similarity by the temperature and builds the
-intra-modal distributions once per batch; the term functions take those
-as inputs and compute nothing twice.
+`total_loss` is the one place they are assembled. It reads the weights
+from a ``LossConfig``, which ``config.validate_config`` has checked, and
+trusts them. It normalizes the embeddings, divides the similarity by the
+temperature and builds the intra-modal distributions once per batch; the
+term functions take those as inputs and compute nothing twice.
 
 The temperature is shared by every softmax here and is learned through
-the exponential of a free scalar, so it stays positive by construction.
+the exponential of a free scalar. Training, not the config, produces it,
+so `total_loss` refuses one that is not a finite, positive scalar.
 """
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +42,6 @@ from .tensor import (
 )
 
 ROW_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the three loss terms plus softening and temperature; the defaults are LossConfig's.
-
-    Frozen, so the checks in ``__post_init__`` hold for every use of an instance.
-    """
-
-    mu: float = LossConfig.mu
-    alpha: float = LossConfig.alpha
-    lam: float = LossConfig.lam
-    beta: float = LossConfig.beta
-    tau: Tensor | float = LossConfig.tau_init
-    detach_targets: bool = LossConfig.detach_targets
-
-    def __post_init__(self):
-        if not all(w >= 0 and np.isfinite(w) for w in (self.mu, self.alpha, self.lam)):
-            raise DomainError(f"loss weights must be finite and >= 0, got mu={self.mu} alpha={self.alpha} "
-                              f"lambda={self.lam}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        if isinstance(self.tau, Tensor) and self.tau.size != 1:
-            raise DomainError(f"temperature must be scalar, got shape {self.tau.shape}")
-        tau = self.tau.item() if isinstance(self.tau, Tensor) else float(self.tau)
-        if not (tau > 0 and np.isfinite(tau)):
-            raise DomainError(f"temperature must be finite and positive, got {tau}")
 
 
 def infonce(logits: Tensor) -> Tensor:
@@ -142,7 +116,7 @@ def relation_loss(p_ee: Tensor, p_ii: Tensor, p_ei: Tensor, p_ie: Tensor) -> Ten
     return (kl_e + kl_i) * 0.5
 
 
-def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, dict[str, float]]:
+def total_loss(z_e: Tensor, z_i: Tensor, loss: LossConfig, tau: Tensor | float) -> tuple[Tensor, dict[str, float]]:
     """Weighted sum of the three terms with a per-component breakdown.
 
     The one place the objective is assembled: the unit rows, the logits
@@ -151,32 +125,34 @@ def total_loss(z_e: Tensor, z_i: Tensor, weights: LossWeights) -> tuple[Tensor, 
     a zero weight are skipped entirely, so a (1, 0, 0) weighting
     reproduces plain InfoNCE exactly.
     """
+    value = np.asarray(tau.data if isinstance(tau, Tensor) else tau, dtype=float)
+    if value.size != 1 or not (value.item() > 0 and np.isfinite(value.item())):
+        raise DomainError(f"temperature must be a finite, positive scalar, got {value}")
     z_e, z_i = l2_normalize(as_tensor(z_e)), l2_normalize(as_tensor(z_i))
     if z_e.shape != z_i.shape:
         raise DimensionError(f"embedding shapes differ: {z_e.shape} vs {z_i.shape}")
-    tau = weights.tau
     logits = matmul(z_e, transpose(z_i)) / tau
 
     l_clip = infonce(logits)
-    total = l_clip * weights.mu
+    total = l_clip * loss.mu
     parts = {"l_clip": l_clip.item(), "l_soft": 0.0, "l_rel": 0.0}
 
-    if weights.alpha > 0 or weights.lam > 0:
+    if loss.alpha > 0 or loss.lam > 0:
         p_ei = softmax_rows(logits)
         p_ie = softmax_rows(transpose(logits))
-        with no_grad() if weights.detach_targets else contextlib.nullcontext():
+        with no_grad() if loss.detach_targets else contextlib.nullcontext():
             p_ee = softmax_rows(matmul(z_e, transpose(z_e)) / tau)
             p_ii = softmax_rows(matmul(z_i, transpose(z_i)) / tau)
 
-    if weights.alpha > 0:
-        t_e, t_i = soft_targets(p_ee, p_ii, weights.beta)
+    if loss.alpha > 0:
+        t_e, t_i = soft_targets(p_ee, p_ii, loss.beta)
         l_soft = soft_loss(t_e, t_i, p_ei, p_ie)
-        total = total + l_soft * weights.alpha
+        total = total + l_soft * loss.alpha
         parts["l_soft"] = l_soft.item()
 
-    if weights.lam > 0:
+    if loss.lam > 0:
         l_rel = relation_loss(p_ee, p_ii, p_ei, p_ie)
-        total = total + l_rel * weights.lam
+        total = total + l_rel * loss.lam
         parts["l_rel"] = l_rel.item()
 
     parts["l_total"] = total.item()

@@ -9,9 +9,11 @@ ablation); prompt tokens are inserted; the frozen transformer runs; the
 CLS output is projected into the shared space. One learnable log
 temperature serves every softmax in the objective.
 
-Each input is checked once, where it enters: the config when the model
-is built, batch shapes in ``encode_eeg``, ``encode_images`` and
-``forward``, sample values in ``data.load_split``. The parts trust them.
+Each input is checked once, where it enters: the config by
+``config.validate_config`` and, for the rules that need the image size,
+when the model is built; batch shapes in ``encode_eeg``,
+``encode_images`` and ``forward``; sample values in
+``data.load_split``. The parts and the loss trust them.
 """
 from __future__ import annotations
 
@@ -22,20 +24,29 @@ import numpy as np
 from .backbone import ProjectionHead, VisionBackbone, make_prompts
 from .config import RunConfig, validate_config
 from .data import PairedBatch
-from .dynfilter import FilterGenerator, apply_dynamic_filter
+from .dynfilter import MIN_INPUT, FilterGenerator, apply_dynamic_filter
 from .eeg import LinearEncoder, Perturbation
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .fusion import BilinearMix, CrossAttentionFusion
-from .losses import LossWeights, total_loss
-from .tensor import Parameter, Tensor, exp
+from .losses import total_loss
+from .tensor import Module, Parameter, Tensor, exp
 
 
-class AlignmentModel:
-    """Everything trainable plus the frozen trunk, in one object."""
+class AlignmentModel(Module):
+    """Everything trainable plus the frozen trunk, in one object.
+
+    ``params()`` is the checkpoint layout: the trainable parts in the
+    order they are built, ``log_tau``, then the frozen trunk, which is
+    built (and draws from the RNG) third but assigned last.
+    """
 
     def __init__(self, cfg: RunConfig, channels: int, timesteps: int, image_size: int,
                  rng: np.random.Generator | None = None):
         validate_config(cfg)
+        if image_size % cfg.backbone.patch:
+            raise ConfigError(f"image size {image_size} is not divisible by patch size {cfg.backbone.patch}")
+        if image_size < MIN_INPUT:
+            raise ConfigError(f"image size {image_size} is below the filter generator's minimum {MIN_INPUT}")
         if rng is None:
             rng = np.random.default_rng(cfg.trainer.seed)
         self.cfg = cfg
@@ -46,7 +57,7 @@ class AlignmentModel:
         self.perturb = Perturbation(channels, timesteps)
         self.encoder = LinearEncoder(channels, timesteps, cfg.encoder.dim, rng)
         self.filter_gen = FilterGenerator(cfg.filter.height, cfg.filter.width, rng)
-        self.backbone = VisionBackbone(
+        backbone = VisionBackbone(
             image_size=image_size,
             patch=cfg.backbone.patch,
             dim=cfg.backbone.dim,
@@ -66,6 +77,7 @@ class AlignmentModel:
         self.prompts = make_prompts(cfg.backbone.prompts, cfg.backbone.dim, rng)
         self.projection = ProjectionHead(cfg.backbone.dim, cfg.encoder.dim, rng)
         self.log_tau = Parameter("loss.log_tau", Tensor(math.log(cfg.loss.tau_init)), group="A")
+        self.backbone = backbone
 
     # -- forward -----------------------------------------------------------
 
@@ -96,29 +108,16 @@ class AlignmentModel:
     def tau(self) -> Tensor:
         return exp(self.log_tau.value)
 
-    def loss_weights(self) -> LossWeights:
-        c = self.cfg.loss
-        return LossWeights(mu=c.mu, alpha=c.alpha, lam=c.lam, beta=c.beta,
-                           tau=self.tau(), detach_targets=c.detach_targets)
-
     def batch_loss(self, batch: PairedBatch):
         z_e, z_i = self.forward(batch)
-        return total_loss(z_e, z_i, self.loss_weights())
+        return total_loss(z_e, z_i, self.cfg.loss, self.tau())
 
     # -- parameter registry --------------------------------------------------
 
-    def parameters(self) -> list[Parameter]:
-        """Every parameter: the trainable parts first, the frozen trunk last.
-
-        This is the checkpoint layout. It differs from the order in which
-        ``__init__`` builds the parts and draws from the RNG, so it is
-        spelled out here rather than read off the attributes.
-        """
-        return (self.perturb.params() + self.encoder.params() + self.filter_gen.params() + self.fusion.params()
-                + [self.prompts] + self.projection.params() + [self.log_tau] + self.backbone.params())
+    parameters = Module.params
 
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if not p.frozen]
+        return [p for p in self.params() if not p.frozen]
 
     def group(self, name: str) -> list[Parameter]:
         return [p for p in self.trainable_parameters() if p.group == name]
@@ -126,4 +125,5 @@ class AlignmentModel:
 
 def _require_shape(what: str, x: Tensor, sample: tuple[int, ...]) -> None:
     if x.shape[1:] != sample:
-        raise DimensionError(f"expected {what} of shape (B, {', '.join(map(str, sample))}), got {x.shape}")
+        expected = ", ".join(map(str, sample))
+        raise DimensionError(f"{what} of shape {x.shape} does not match the expected (B, {expected})")

@@ -52,8 +52,6 @@ class Adam:
     """
 
     def __init__(self, params: list[Parameter], lr: float):
-        if lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {lr}")
         for p in params:
             if p.frozen:
                 raise ContractError(f"frozen parameter {p.name} handed to an optimizer")
@@ -332,11 +330,14 @@ def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32)
 
 def evaluate_zero_shot(model: AlignmentModel, test: SplitArrays, ks,
                        train_class_ids=None, batch_size: int = 32) -> tuple[RetrievalReport, np.ndarray]:
-    """Retrieval metrics on classes never seen during training, and the (query, candidate) similarity."""
+    """Retrieval metrics on classes never seen during training, and the (query, candidate) similarity.
+
+    The model refuses a split of another geometry at its first batch, before the class overlap is checked.
+    """
+    z_e, z_i = embed_split(model, test, batch_size)
     if train_class_ids is not None:
         overlap = set(int(c) for c in test.class_ids) & set(int(c) for c in train_class_ids)
         if overlap:
             raise ContractError(f"test classes overlap training classes: {sorted(overlap)[:5]}")
-    z_e, z_i = embed_split(model, test, batch_size)
     sim = z_e @ z_i.T
     return build_report(sim, ks), sim

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from eegalign.config import default_config
+from eegalign.config import LossConfig, default_config
 from eegalign.data import generate_synthetic, make_batch, zero_shot_split
 from eegalign.dynfilter import apply_dynamic_filter
 from eegalign.gradchecks import run_checks
-from eegalign.losses import LossWeights, infonce, soft_targets, total_loss
+from eegalign.losses import infonce, soft_targets, total_loss
 from eegalign.metrics import build_report, mean_average_precision, retrieval_ranks
 from eegalign.model import AlignmentModel
 from eegalign.tensor import Tensor, l2_normalize, matmul, softmax_rows, transpose
@@ -163,8 +163,8 @@ def test_criterion_3_loss_degeneracy(request):
         z_e = Tensor(rng.normal(size=(b, d)))
         z_i = Tensor(rng.normal(size=(b, d)))
         tau = float(rng.uniform(0.05, 1.0))
-        weights = LossWeights(mu=1.0, alpha=0.0, lam=0.0, tau=tau)
-        total, _ = total_loss(z_e, z_i, weights)
+        weights = LossConfig(mu=1.0, alpha=0.0, lam=0.0)
+        total, _ = total_loss(z_e, z_i, weights, tau)
         standalone = oracle_infonce_by_definition(z_e.data, z_i.data, tau)
         worst = max(worst, abs(total.item() - standalone))
     assert worst < 1e-9
@@ -307,11 +307,11 @@ def test_criterion_8_metric_sanity(request):
 
     z_e = Tensor(rng.normal(size=(12, 10)))
     z_i = Tensor(rng.normal(size=(12, 10)))
-    _, parts = total_loss(z_e, z_i, LossWeights())
+    _, parts = total_loss(z_e, z_i, LossConfig(), LossConfig.tau_init)
     worst = 0.0
     for _ in range(10):
         perm = rng.permutation(12)
-        _, permuted = total_loss(Tensor(z_e.data[perm]), Tensor(z_i.data[perm]), LossWeights())
+        _, permuted = total_loss(Tensor(z_e.data[perm]), Tensor(z_i.data[perm]), LossConfig(), LossConfig.tau_init)
         for key in ("l_clip", "l_soft", "l_rel", "l_total"):
             worst = max(worst, abs(parts[key] - permuted[key]))
     assert worst < 1e-12

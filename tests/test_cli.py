@@ -207,6 +207,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [
         ("backbone.heads", "3"), ("fusion.heads", "3"), ("backbone.patch", "5"), ("filter.height", "4"),
+        ("backbone.prompts", "-1"),
     ])
     def test_geometry_the_model_cannot_build_exits_two_before_fit(self, tmp_path, capsys, monkeypatch, key, value):
         data = gen(tmp_path)
@@ -218,6 +219,17 @@ class TestTrain:
         assert code == 2, err
         assert err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("filter.height", "4"), ("backbone.prompts", "-1")])
+    def test_config_rule_refuses_before_reading_a_split(self, tmp_path, capsys, monkeypatch, key, value):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        loaded = []
+        monkeypatch.setattr(cli_module, "load_split", lambda manifest, name: loaded.append(name))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "x"), *SMALL_NET, f"--{key}", value])
+        assert code == 2
+        assert key in one_error_line(capsys)
+        assert loaded == []
 
     @pytest.mark.parametrize("content", [b"\xff", b'{"trainer": {"epochs": 0}}\xfe', b'{"trainer": ', b"[1, 2]"],
                              ids=["invalid-utf8", "invalid-utf8-after-json", "not-json", "top-level-list"])

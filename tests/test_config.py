@@ -108,7 +108,8 @@ class TestTypeChecking:
             config_from_dict({"loss": {"mu": "big"}})
 
     @pytest.mark.parametrize("raw", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400])
-    @pytest.mark.parametrize("key", ["loss.tau_init", "trainer.clip_norm"])
+    @pytest.mark.parametrize("key", ["loss.tau_init", "trainer.clip_norm", "loss.mu", "loss.alpha", "loss.lambda",
+                                     "loss.beta"])
     def test_non_finite_number_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
             apply_overrides(default_config(), {key: raw})
@@ -202,6 +203,8 @@ class TestValidation:
         ("eval", "ks", [0], "eval.ks"),
         ("data", "time_window", [5, 2], "time_window"),
         ("data", "time_window", [-1, 4], "time_window"),
+        ("data", "channel_mask", [], "channel_mask"),
+        ("data", "channel_mask", [0, -1], "channel_mask"),
         ("encoder", "kind", "tsconv", "encoder.kind"),
         ("encoder", "kind", "foo", "encoder.kind"),
         ("backbone", "dim", 0, "backbone.dim"),
@@ -216,6 +219,9 @@ class TestValidation:
         ("fusion", "heads", 5, "fusion.heads"),
         ("filter", "height", 0, "filter.height"),
         ("filter", "width", 0, "filter.width"),
+        ("filter", "height", 4, "filter.height"),
+        ("filter", "width", 2, "filter.width"),
+        ("backbone", "prompts", -1, "backbone.prompts"),
         ("trainer", "seed", -1, "trainer.seed"),
     ])
     def test_rejects_bad_field(self, section, key, value, message):
@@ -223,6 +229,13 @@ class TestValidation:
         # holds the legacy encoder.kind key, which is no longer a field
         with pytest.raises(ConfigError, match=message):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("mix_init", [-0.1, 0.0, 1.0, 1.5])
+    def test_bilinear_mix_init_must_lie_inside_the_open_interval(self, mix_init):
+        with pytest.raises(ConfigError, match="fusion.mix_init"):
+            config_from_dict({"fusion": {"strategy": "bilinear", "mix_init": mix_init}})
+        # the cross-attention strategy never reads mix_init
+        assert config_from_dict({"fusion": {"strategy": "catf", "mix_init": mix_init}}).fusion.mix_init == mix_init
 
     def test_legacy_encoder_kind_linear_accepted(self):
         assert config_to_dict(config_from_dict({"encoder": {"kind": "linear", "dim": 8}})) == \

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eegalign.errors import DimensionError, DomainError
+from eegalign.errors import DimensionError
 from eegalign.fusion import BilinearMix, CrossAttentionFusion
 from eegalign.tensor import Tensor, grad_check, matmul, softmax_rows, transpose
 
@@ -130,11 +130,6 @@ class TestBilinearMix:
         out = BilinearMix(mix_init=0.25).mix(img, filt)
         assert np.array_equal(out.data, np.full((1, 3, 2, 2), 0.25))
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.1, 1.5])
-    def test_lambda_outside_open_interval_rejected(self, lam):
-        with pytest.raises(DomainError):
-            BilinearMix(mix_init=lam)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             BilinearMix().mix(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((1, 3, 4, 4))))
@@ -155,10 +150,6 @@ class TestBilinearMix:
         mix = BilinearMix(mix_init=0.3)
         assert abs(mix.coefficient().item() - 0.3) < 1e-12
         assert mix.params()[0].group == "B"
-
-    def test_bad_init_rejected(self):
-        with pytest.raises(DomainError):
-            BilinearMix(mix_init=1.0)
 
     def test_mix_gradient_reaches_logit(self):
         mix = BilinearMix(mix_init=0.5)

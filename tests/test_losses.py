@@ -1,13 +1,11 @@
 """Contrastive objective: InfoNCE, softened targets, relation matching."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 from eegalign import losses
+from eegalign.config import LossConfig
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.losses import (
-    LossWeights,
     infonce,
     relation_loss,
     soft_loss,
@@ -15,6 +13,8 @@ from eegalign.losses import (
     total_loss,
 )
 from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, matmul, no_grad, softmax_rows, transpose
+
+TAU = LossConfig.tau_init
 
 
 def unit_rows(rng, b, d):
@@ -62,7 +62,7 @@ class TestCosineSimMatrix:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            total_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), LossWeights())
+            total_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), LossConfig(), TAU)
 
 
 class TestInfoNCE:
@@ -84,10 +84,11 @@ class TestInfoNCE:
             assert abs(scaled - base) < 1e-12
 
     def test_nonpositive_temperature_rejected(self):
+        z = Tensor(np.eye(2))
         with pytest.raises(DomainError):
-            LossWeights(tau=0.0)
+            total_loss(z, z, LossConfig(), 0.0)
         with pytest.raises(DomainError):
-            LossWeights(tau=Tensor(-1.0))
+            total_loss(z, z, LossConfig(), Tensor(-1.0))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -141,7 +142,7 @@ class TestSoftTargets:
         ze = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         zi = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         for detach in (True, False):
-            total_loss(ze, zi, LossWeights(beta=0.5, tau=0.5, detach_targets=detach))
+            total_loss(ze, zi, LossConfig(beta=0.5, detach_targets=detach), 0.5)
         detached, attached = built
         assert not any(t.requires_grad for t in detached)
         assert all(t.requires_grad for t in attached)
@@ -239,54 +240,42 @@ class TestRelationLoss:
             relation_loss(p, p, p, q)
 
 
-class TestLossWeights:
-    def test_defaults_match_reference_configuration(self):
-        w = LossWeights()
-        assert (w.mu, w.alpha, w.lam, w.beta) == (0.6, 0.3, 0.1, 0.3)
-        assert abs(float(w.tau) - 1.0 / 14.0) < 1e-12
-        assert w.detach_targets
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
-            LossWeights(mu=-0.1)
-
-    def test_bad_beta_rejected(self):
-        with pytest.raises(DomainError):
-            LossWeights(beta=-0.2)
-
+class TestTotalLoss:
+    # the weights come from a validated LossConfig; the temperature comes from training and is checked here
     def test_bad_tau_rejected(self):
+        z = Tensor(np.eye(2))
         with pytest.raises(DomainError):
-            LossWeights(tau=0.0)
+            total_loss(z, z, LossConfig(), 0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["mu", "alpha", "lam", "tau"])
-    def test_non_finite_value_rejected(self, field, bad):
+    def test_non_finite_tau_rejected(self, bad):
+        z = Tensor(np.eye(2))
         with pytest.raises(DomainError, match="finite"):
-            LossWeights(**{field: bad})
+            total_loss(z, z, LossConfig(), bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_tensor_tau_rejected(self, bad):
+        z = Tensor(np.eye(2))
         with pytest.raises(DomainError, match="temperature"):
-            LossWeights(tau=Tensor(bad))
+            total_loss(z, z, LossConfig(), Tensor(bad))
 
-    def test_fields_cannot_change_after_the_checks(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            LossWeights().tau = 0.0
+    def test_non_scalar_tau_rejected(self):
+        z = Tensor(np.eye(2))
+        with pytest.raises(DomainError, match="scalar"):
+            total_loss(z, z, LossConfig(), Tensor(np.full(2, 0.5)))
 
-
-class TestTotalLoss:
     def test_pure_clip_weighting_equals_infonce(self):
         rng = np.random.default_rng(12)
         ze, zi = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6)))
-        w = LossWeights(mu=1.0, alpha=0.0, lam=0.0, tau=0.2)
-        got, parts = total_loss(ze, zi, w)
+        w = LossConfig(mu=1.0, alpha=0.0, lam=0.0)
+        got, parts = total_loss(ze, zi, w, 0.2)
         reference = infonce(cosine_sim_matrix(ze, zi) / 0.2)
         assert abs(got.item() - reference.item()) < 1e-12
         assert parts["l_soft"] == 0.0 and parts["l_rel"] == 0.0
 
     def test_default_weights_produce_breakdown(self):
         rng = np.random.default_rng(13)
-        got, parts = total_loss(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6))), LossWeights())
+        got, parts = total_loss(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6))), LossConfig(), TAU)
         assert set(parts) == {"l_clip", "l_soft", "l_rel", "l_total"}
         assert parts["l_clip"] >= 0.0 and parts["l_soft"] >= 0.0 and parts["l_rel"] >= 0.0
         combined = 0.6 * parts["l_clip"] + 0.3 * parts["l_soft"] + 0.1 * parts["l_rel"]
@@ -294,25 +283,25 @@ class TestTotalLoss:
 
     def test_aligned_orthonormal_embeddings_at_cold_temperature(self):
         z = Tensor(np.eye(4))
-        w = LossWeights(mu=0.6, alpha=0.3, lam=0.1, beta=0.0, tau=0.005)
-        got, _ = total_loss(z, z, w)
+        w = LossConfig(mu=0.6, alpha=0.3, lam=0.1, beta=0.0)
+        got, _ = total_loss(z, z, w, 0.005)
         assert got.item() < 1e-6
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(14)
         ze, zi = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-        w = LossWeights()
-        base, _ = total_loss(Tensor(ze), Tensor(zi), w)
+        w = LossConfig()
+        base, _ = total_loss(Tensor(ze), Tensor(zi), w, TAU)
         for seed in range(3):
             perm = np.random.default_rng(seed).permutation(6)
-            permuted, _ = total_loss(Tensor(ze[perm]), Tensor(zi[perm]), w)
+            permuted, _ = total_loss(Tensor(ze[perm]), Tensor(zi[perm]), w, TAU)
             assert abs(base.item() - permuted.item()) < 1e-12
 
     def test_relation_term_needs_pairs(self):
         z = Tensor(np.ones((1, 4)))
         with pytest.raises(ContractError):
-            total_loss(z, z, LossWeights(lam=0.1))
-        got, _ = total_loss(z, z, LossWeights(mu=1.0, alpha=0.0, lam=0.0))
+            total_loss(z, z, LossConfig(lam=0.1), TAU)
+        got, _ = total_loss(z, z, LossConfig(mu=1.0, alpha=0.0, lam=0.0), TAU)
         assert got.item() == 0.0
 
     def test_grad_check_embeddings_and_temperature(self):
@@ -328,8 +317,8 @@ class TestTotalLoss:
         log_tau = Parameter("log_tau", Tensor(np.log(0.5)), group="A")
 
         def loss():
-            w = LossWeights(tau=exp(log_tau.value), detach_targets=False)
-            return total_loss(ze.value, zi.value, w)[0]
+            w = LossConfig(detach_targets=False)
+            return total_loss(ze.value, zi.value, w, exp(log_tau.value))[0]
 
         report = grad_check(loss, [ze, zi, log_tau], max_entries=30, rng=np.random.default_rng(16))
         assert report.passed, report.summary()
@@ -345,9 +334,9 @@ class TestTotalLoss:
         ze = Parameter("ze", Tensor(rng.normal(size=(4, 5))), group="A")
         zi = Parameter("zi", Tensor(rng.normal(size=(4, 5))), group="A")
         tau = 0.5
-        w = LossWeights(mu=0.6, alpha=0.3, lam=0.1, beta=0.3, tau=tau, detach_targets=True)
+        w = LossConfig(mu=0.6, alpha=0.3, lam=0.1, beta=0.3, detach_targets=True)
 
-        total, _ = total_loss(ze.value, zi.value, w)
+        total, _ = total_loss(ze.value, zi.value, w, tau)
         total.backward()
         detached_ze = ze.value.grad.copy()
         detached_zi = zi.value.grad.copy()
@@ -383,7 +372,7 @@ class TestTotalLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            total_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), LossWeights())
+            total_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), LossConfig(), TAU)
 
     def test_shared_quantities_are_built_once(self, monkeypatch):
         # unit rows once per modality; p_ei, p_ie, p_ee and p_ii once
@@ -398,5 +387,5 @@ class TestTotalLoss:
 
             monkeypatch.setattr(losses, name, counted)
         rng = np.random.default_rng(19)
-        total_loss(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6))), LossWeights())
+        total_loss(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 6))), LossConfig(), TAU)
         assert calls == {"softmax_rows": 4, "l2_normalize": 2}

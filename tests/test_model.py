@@ -149,6 +149,14 @@ class TestBatchBoundary:
         with pytest.raises(ConfigError, match="fusion.strategy"):
             AlignmentModel(cfg, channels=4, timesteps=10, image_size=16)
 
+    @pytest.mark.parametrize("image_size,patch,message", [(20, 8, "not divisible"), (6, 2, "minimum")],
+                             ids=["indivisible", "below-min-input"])
+    def test_image_size_the_parts_cannot_use_refused_at_build(self, image_size, patch, message):
+        cfg = small_config()
+        cfg.backbone.patch = patch
+        with pytest.raises(ConfigError, match=message):
+            AlignmentModel(cfg, channels=4, timesteps=10, image_size=image_size)
+
 
 class TestTapeSize:
     """A split-apart fused op shows up here, not only in the traced benchmark."""

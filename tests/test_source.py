@@ -185,3 +185,23 @@ def test_record_scan_flags_a_module_that_names_them():
     assert record_function_names(ast.parse("getattr(tensor, 'write_tensor')\n")) == ["write_tensor"]
     assert record_function_names(ast.parse("import typing\nfrom typing import get_args\n"
                                            "typing.get_origin(hint)\n")) == ["get_args", "get_origin"]
+
+
+# the modules that build the model's parts and its loss; config.validate_config holds every config rule
+PART_MODULES = ["eeg.py", "dynfilter.py", "fusion.py", "backbone.py", "losses.py"]
+
+
+def names_config_error(tree: ast.Module) -> bool:
+    """Whether a module names ``ConfigError``: imports it, raises it or reaches it as an attribute."""
+    return "ConfigError" in referenced_names(tree)
+
+
+@pytest.mark.parametrize("name", PART_MODULES)
+def test_parts_trust_their_config(name):
+    assert not names_config_error(ast.parse((SRC / name).read_text(encoding="utf-8")))
+
+
+def test_config_error_scan_flags_a_part_that_checks_its_config():
+    assert names_config_error(ast.parse("from .errors import ConfigError\nraise ConfigError('odd')\n"))
+    assert names_config_error(ast.parse("from . import errors\nraise errors.ConfigError('odd')\n"))
+    assert not names_config_error(ast.parse("from .errors import DomainError\nraise DomainError('even kernel')\n"))

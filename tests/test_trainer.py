@@ -128,10 +128,6 @@ class TestAdam:
         opt.step()
         assert np.array_equal(p.value.data, np.asarray([4.0, -1.0]))
 
-    def test_negative_learning_rate_rejected(self):
-        with pytest.raises(ConfigError, match="learning rate"):
-            Adam([scalar_param(0.0)], lr=-0.1)
-
     def test_frozen_parameter_rejected(self):
         frozen = Parameter("backbone.w", Tensor(np.zeros(2)), frozen=True)
         with pytest.raises(ContractError, match="frozen"):
