@@ -72,11 +72,9 @@ class VisionBackbone(Module):
         layers: int,
         heads: int,
         prompt_count: int,
+        rng: np.random.Generator,
         mlp_ratio: int = 4,
-        rng: np.random.Generator | None = None,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.patch = patch
         self.dim = dim
         self.heads = heads

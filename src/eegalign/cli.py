@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .bundle import MANIFEST_NAME, write_atomically, write_json
 from .config import (
     RunConfig,
     apply_overrides,
@@ -35,10 +36,9 @@ from .data import (
     zero_shot_split,
 )
 from .errors import ConfigError, ContractError, DimensionError, DomainError, FormatError
-from .gradchecks import CHECKS, run_checks
+from .gradchecks import CHECKS, REL_TOL, run_checks
 from .metrics import write_similarity_csv
 from .model import AlignmentModel
-from .tensor import MANIFEST_NAME, write_atomically, write_json
 from .trainer import CHECKPOINT_PARAMS, evaluate_zero_shot, fit, load_checkpoint, save_checkpoint
 
 CONFIG_ENV = "EEGALIGN_CONFIG"
@@ -288,7 +288,7 @@ def cmd_gradcheck(args, extras) -> int:
     reports = run_checks(names, seed=args.seed)
     failed = []
     for name, rep in reports.items():
-        print(f"[{name}] tol={rep.tol:g}")
+        print(f"[{name}] tol={REL_TOL:g}")
         print(rep.summary())
         if not rep.passed:
             failed.append(name)

@@ -2,7 +2,7 @@
 
 The on-disk form is JSON with one object per section. Unknown sections
 or keys are rejected with the full dotted path, and each leaf is typed
-by its annotation through `tensor.check_fields`, the check the dataset
+by its annotation through `bundle.check_fields`, the check the dataset
 and checkpoint manifests go through, so a wrong value names its dotted
 key too. Defaults fill anything omitted, and the resolved tree is
 embedded into every checkpoint so a run can always be reproduced from
@@ -15,8 +15,8 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from .bundle import check_fields, read_json_object
 from .errors import ConfigError, FormatError
-from .tensor import check_fields, read_json_object
 
 # attribute name -> public config key, where the key is not a valid identifier
 _PUBLIC_KEYS = {"lam": "lambda"}

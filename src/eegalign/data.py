@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .bundle import check_fields, read_manifest, read_tensors, save_bundle
 from .errors import ConfigError, DomainError, FormatError
-from .tensor import Tensor, check_fields, read_manifest, read_tensors, save_bundle
+from .tensor import Tensor
 
 LATENT_DIM = 8
 # generate_synthetic refuses a dataset whose arrays would pass this size;

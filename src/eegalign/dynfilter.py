@@ -33,9 +33,7 @@ def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding:
 class FilterGenerator(Module):
     """Conv stem, global average pool, MLP head emitting 3 kernels of odd size fh x fw."""
 
-    def __init__(self, fh: int = 5, fw: int = 5, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, fh: int, fw: int, rng: np.random.Generator):
         self.fh = fh
         self.fw = fw
         c1, c2 = STEM_CHANNELS

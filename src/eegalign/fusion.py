@@ -19,10 +19,7 @@ from .tensor import Module, Parameter, Tensor, attention, gelu, linear, matmul, 
 class CrossAttentionFusion(Module):
     """Gated cross-attention blending of two aligned token sequences."""
 
-    def __init__(self, dim: int, heads: int = 1, gate_bias_init: float = -2.0,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, dim: int, rng: np.random.Generator, heads: int = 1, gate_bias_init: float = -2.0):
         self.heads = heads
         scale = 1.0 / math.sqrt(dim)
         self.wq = Parameter("fusion.wq", Tensor(rng.normal(size=(dim, dim)) * scale), group="B")

@@ -2,15 +2,19 @@
 
 Each named check builds one component at tiny dimensions on a batch of
 four, defines a smooth scalar objective over it, and compares backward
-gradients against central differences. The three loss checks run
-`total_loss` itself, the composition training runs, with one term's
-weight at 1 and the others at 0. They let the gradients flow through
-the target construction (no detaching): with targets detached the
-numeric derivative of the recomputed objective measures a different
-quantity than backward deliberately reports, so the detached path is
-validated separately by algebraic identity tests instead.
+gradients against central differences with ``grad_check``. The three loss
+checks run `total_loss` itself, the composition training runs, with one
+term's weight at 1 and the others at 0. They let the gradients flow through
+the target construction (no detaching): with targets detached the numeric
+derivative of the recomputed objective measures a different quantity than
+backward deliberately reports, so the detached path is validated
+separately by algebraic identity tests instead.
 """
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,12 +25,94 @@ from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError
 from .fusion import CrossAttentionFusion
 from .losses import total_loss
-from .tensor import GradCheckReport, Parameter, Tensor, exp, grad_check
+from .tensor import Parameter, Tensor, exp
 
 BATCH = 4
 # tau for the loss checks; cold temperatures push softmax entries under
 # the KL clamp where the objective has a corner
 CHECK_TAU = 0.5
+# the central-difference step, and the relative error at which an entry fails
+PROBE_STEP = 1e-5
+REL_TOL = 1e-4
+
+
+@dataclass
+class GradCheckResult:
+    name: str
+    max_rel_err: float
+    checked: int
+    passed: bool
+
+
+@dataclass
+class GradCheckReport:
+    results: list[GradCheckResult] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    @property
+    def max_rel_err(self) -> float:
+        return max((r.max_rel_err for r in self.results), default=0.0)
+
+    def summary(self) -> str:
+        lines = []
+        for r in self.results:
+            flag = "ok" if r.passed else "FAIL"
+            lines.append(f"{flag:4s} {r.name:<28s} max_rel_err={r.max_rel_err:.3e} ({r.checked} entries)")
+        return "\n".join(lines)
+
+
+def grad_check(
+    f: Callable[[], Tensor],
+    params: Sequence[Parameter],
+    max_entries: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> GradCheckReport:
+    """Compare backward() gradients of ``f`` against central differences.
+
+    ``f`` must rebuild its forward graph from the current parameter
+    values on every call and return a scalar. The relative error of each
+    checked entry is |analytic - numeric| / max(|analytic|, |numeric|, 1),
+    with numeric differences at ``PROBE_STEP``; an entry fails at
+    ``REL_TOL``. ``max_entries`` caps the entries probed per parameter,
+    chosen by ``rng``, which must then be given; by default every entry
+    is probed.
+    """
+    for p in params:
+        p.value.grad = None
+    loss = f()
+    loss.backward()
+    analytic = {}
+    for p in params:
+        g = p.value.grad
+        analytic[p.name] = np.zeros_like(p.value.data) if g is None else g.copy()
+        p.value.grad = None
+
+    report = GradCheckReport()
+    for p in params:
+        flat = p.value.data.reshape(-1)
+        ana = analytic[p.name].reshape(-1)
+        if max_entries is not None and flat.size > max_entries:
+            indices = rng.choice(flat.size, size=max_entries, replace=False)
+        else:
+            indices = np.arange(flat.size)
+        worst = 0.0
+        for i in indices:
+            saved = flat[i]
+            flat[i] = saved + PROBE_STEP
+            plus = f().item()
+            flat[i] = saved - PROBE_STEP
+            minus = f().item()
+            flat[i] = saved
+            numeric = (plus - minus) / (2.0 * PROBE_STEP)
+            denom = max(abs(ana[i]), abs(numeric), 1.0)
+            worst = max(worst, abs(ana[i] - numeric) / denom)
+        report.results.append(
+            GradCheckResult(name=p.name, max_rel_err=worst, checked=len(indices), passed=worst < REL_TOL)
+        )
+    return report
 
 
 def _param(name: str, array: np.ndarray) -> Parameter:
@@ -141,18 +227,6 @@ def _check_loss_term(seed: int, mu: float = 0.0, alpha: float = 0.0, lam: float 
     return grad_check(loss, [ze, zi, log_tau])
 
 
-def check_loss_clip(seed: int) -> GradCheckReport:
-    return _check_loss_term(seed, mu=1.0)
-
-
-def check_loss_soft(seed: int) -> GradCheckReport:
-    return _check_loss_term(seed, alpha=1.0)
-
-
-def check_loss_rel(seed: int) -> GradCheckReport:
-    return _check_loss_term(seed, lam=1.0)
-
-
 CHECKS = {
     "perturbation": check_perturbation,
     "encoder": check_encoder,
@@ -161,14 +235,16 @@ CHECKS = {
     "fusion": check_fusion,
     "prompts": check_prompts,
     "projection": check_projection,
-    "loss_clip": check_loss_clip,
-    "loss_soft": check_loss_soft,
-    "loss_rel": check_loss_rel,
+    "loss_clip": functools.partial(_check_loss_term, mu=1.0),
+    "loss_soft": functools.partial(_check_loss_term, alpha=1.0),
+    "loss_rel": functools.partial(_check_loss_term, lam=1.0),
 }
 
 
-def run_checks(names, seed: int = 0) -> dict[str, GradCheckReport]:
-    """Run the named checks (all of them for `None`) at one seed."""
+def run_checks(names, seed: int) -> dict[str, GradCheckReport]:
+    """Run the named checks (all of them for `None`) at one seed; ConfigError before any runs if it is negative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if names is None:
         names = list(CHECKS)
     reports = {}

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import check_fields, read_manifest, read_tensors, save_bundle
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, check_fields, no_grad, read_manifest, read_tensors, save_bundle
+from .tensor import Parameter, no_grad
 
 CHECKPOINT_PARAMS = "params.bin"
 CHECKPOINT_FORMAT = 1
@@ -150,8 +152,7 @@ class Checkpoint:
     values: dict[str, np.ndarray]
 
     def build_model(self) -> AlignmentModel:
-        model = AlignmentModel(self.config, self.channels, self.timesteps, self.image_size,
-                               rng=np.random.default_rng(self.config.trainer.seed))
+        model = AlignmentModel(self.config, self.channels, self.timesteps, self.image_size)
         restore_values(model, self.values)
         return model
 
@@ -161,7 +162,11 @@ def snapshot_values(model: AlignmentModel) -> dict[str, np.ndarray]:
 
 
 def restore_values(model: AlignmentModel, values: dict[str, np.ndarray]) -> None:
-    for p in model.parameters():
+    params = model.parameters()
+    unknown = set(values) - {p.name for p in params}
+    if unknown:
+        raise FormatError(f"checkpoint parameter {min(unknown)} is not in the model")
+    for p in params:
         if p.name not in values:
             raise FormatError(f"checkpoint is missing parameter {p.name}")
         stored = values[p.name]
@@ -297,6 +302,9 @@ def _checkpoint_from_json(obj: dict) -> tuple[Checkpoint, list[str]]:
     fields = check_fields(obj, CHECKPOINT_FIELDS)
     if fields["format_version"] != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {fields['format_version']}")
+    repeated = [name for name, count in Counter(fields["parameters"]).items() if count > 1]
+    if repeated:
+        raise FormatError(f"checkpoint lists parameter {repeated[0]} more than once")
     try:
         config = config_from_dict(fields["config"])
     except ConfigError as e:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eegalign.tensor import write_tensor
+from eegalign.bundle import write_tensor
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -8,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from eegalign import bundle as bundle_module
 from eegalign import cli as cli_module
-from eegalign import tensor as tensor_module
+from eegalign.bundle import read_tensor, write_tensor
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
-from eegalign.tensor import read_tensor
 from eegalign.trainer import load_checkpoint, parameter_digest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -99,7 +99,7 @@ class TestGenData:
     def test_failed_force_keeps_the_old_dataset(self, tmp_path, fail_write_tensor):
         out = gen(tmp_path)
         before = read_files(out)
-        fail_write_tensor(tensor_module, 5)
+        fail_write_tensor(bundle_module, 5)
         code = main(["gen-data", "--out", str(out), "--seed", "4", *SMALL_GEN, "--force"])
         assert code == 2
         assert read_files(out) == before
@@ -350,7 +350,7 @@ class TestTrain:
         run = train(tmp_path, data)
         old = parameter_digest(load_checkpoint(run).build_model().parameters())
         old_log = (run / "train_log.jsonl").read_bytes()
-        fail_write_tensor(tensor_module, 3)
+        fail_write_tensor(bundle_module, 3)
         code = main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--seed", "2", *SMALL_NET, "--force"])
         assert code == 2
@@ -497,6 +497,21 @@ class TestEval:
         assert "split 'val'" in capsys.readouterr().err
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("name", ["ghost.weight", "perturb.gain"], ids=["unknown", "repeated"])
+    def test_parameter_list_not_the_models_exits_two_writing_nothing(self, trained, tmp_path, capsys, name):
+        data, run = trained
+        extra = load_checkpoint(str(run)).values.get(name, np.zeros(3)) + 1.0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"].append(name)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        with open(run / "params.bin", "ab") as fh:
+            write_tensor(fh, extra)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
+        assert f"parameter {name} " in one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):
         data, _ = trained
         code = main(["eval", "--checkpoint", str(data / "nope"), "--data", str(data)])
@@ -641,7 +656,7 @@ import io, os, signal, sys
 
 import numpy as np
 
-from eegalign import cli, tensor
+from eegalign import bundle, cli
 
 
 def die_after_half(fh, payload):
@@ -669,8 +684,8 @@ def savetxt(fname, X, *args, **kwargs):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-real_write_tensor, real_write_json, real_savetxt = tensor.write_tensor, cli.write_json, np.savetxt
-tensor.write_tensor = write_tensor
+real_write_tensor, real_write_json, real_savetxt = bundle.write_tensor, cli.write_json, np.savetxt
+bundle.write_tensor = write_tensor
 cli.write_json = write_json
 np.savetxt = savetxt
 sys.exit(cli.main(sys.argv[1:]))
@@ -734,9 +749,14 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "mystery"]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["gradcheck", "--all", "--seed", "-1"]) == 2
+        assert one_error_line(capsys) == "error: seed must be >= 0, got -1"
+
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
         import eegalign.gradchecks as gc
-        from eegalign.tensor import Parameter, Tensor, grad_check
+        from eegalign.gradchecks import grad_check
+        from eegalign.tensor import Parameter, Tensor
 
         def broken(seed):
             rng = np.random.default_rng(seed)

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eegalign.bundle as bundle_module
 import eegalign.data as data_module
-import eegalign.tensor as tensor_module
+from eegalign.bundle import read_tensor, write_tensor
 from eegalign.data import (
     LATENT_DIM,
     NOISE_BLOCK_BYTES,
@@ -23,7 +24,6 @@ from eegalign.data import (
     zero_shot_split,
 )
 from eegalign.errors import ConfigError, DomainError, FormatError
-from eegalign.tensor import Tensor, read_tensor, write_tensor
 
 
 def _lsq_train_accuracy(eeg, class_ids):
@@ -426,7 +426,7 @@ class TestPersistence:
     def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
         data = generate_synthetic(seed=4, n_classes=4, per_class=3, channels=3, timesteps=5, height=16)
         splits = zero_shot_split(data, n_test_classes=1, n_val_samples=2, seed=0)
-        fail_write_tensor(tensor_module, 5)
+        fail_write_tensor(bundle_module, 5)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(self._manifest(data, tmp_path), splits, str(tmp_path / "out"))
         assert os.listdir(tmp_path / "out") == []
@@ -436,7 +436,7 @@ class TestPersistence:
         old_splits = zero_shot_split(old, n_test_classes=1, n_val_samples=2, seed=0)
         save_dataset(self._manifest(old, tmp_path), old_splits, str(tmp_path))
         new = generate_synthetic(seed=5, n_classes=4, per_class=3, channels=3, timesteps=6, height=16)
-        fail_write_tensor(tensor_module, 9)
+        fail_write_tensor(bundle_module, 9)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(self._manifest(new, tmp_path), zero_shot_split(new, 1, 2, seed=0), str(tmp_path))
         back = load_dataset(str(tmp_path))

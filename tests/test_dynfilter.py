@@ -4,7 +4,8 @@ import pytest
 
 from eegalign.dynfilter import FilterGenerator, apply_dynamic_filter, delta_kernels
 from eegalign.errors import DimensionError
-from eegalign.tensor import Tensor, dynamic_conv, grad_check
+from eegalign.gradchecks import grad_check
+from eegalign.tensor import Tensor, dynamic_conv
 import eegalign.tensor as tensor_module
 
 

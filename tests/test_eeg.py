@@ -5,8 +5,9 @@ import pytest
 from eegalign.config import config_from_dict, default_config
 from eegalign.eeg import LinearEncoder, Perturbation
 from eegalign.errors import ConfigError
+from eegalign.gradchecks import grad_check
 from eegalign.model import AlignmentModel
-from eegalign.tensor import Tensor, grad_check
+from eegalign.tensor import Tensor
 
 
 class TestPerturbation:

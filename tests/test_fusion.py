@@ -4,7 +4,8 @@ import pytest
 
 from eegalign.errors import DimensionError
 from eegalign.fusion import BilinearMix, CrossAttentionFusion
-from eegalign.tensor import Tensor, grad_check, matmul, softmax_rows, transpose
+from eegalign.gradchecks import grad_check
+from eegalign.tensor import Tensor, matmul, softmax_rows, transpose
 
 
 def token_pair(seed, b=2, n=5, d=8):
@@ -79,7 +80,7 @@ class TestCrossAttentionFusion:
         x_orig, x_filt = token_pair(15)
         for heads in (3, 0):
             with pytest.raises(DimensionError, match="heads"):
-                CrossAttentionFusion(dim=8, heads=heads).fuse(x_orig, x_filt)
+                CrossAttentionFusion(dim=8, heads=heads, rng=np.random.default_rng(0)).fuse(x_orig, x_filt)
 
     def test_stream_shape_mismatch_rejected(self):
         fusion = CrossAttentionFusion(dim=8, rng=np.random.default_rng(0))

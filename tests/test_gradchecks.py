@@ -1,10 +1,11 @@
-"""The named component registry behind `gradcheck --all`."""
+"""The named component registry behind `gradcheck --all`, and the grad_check harness it runs."""
 import numpy as np
 import pytest
 
+from eegalign import tensor as tz
 from eegalign.errors import ConfigError
-from eegalign.gradchecks import CHECKS, run_checks
-from eegalign.tensor import Parameter, Tensor, grad_check
+from eegalign.gradchecks import CHECKS, grad_check, run_checks
+from eegalign.tensor import Parameter, Tensor, matmul
 
 EXPECTED_COMPONENTS = {
     "perturbation", "encoder", "filter_generator", "dynamic_filter",
@@ -32,6 +33,13 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown gradcheck component"):
             run_checks(["attention"], seed=0)
 
+    def test_negative_seed_rejected_before_any_check(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(CHECKS, "encoder", ran.append)
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            run_checks(["encoder"], seed=-1)
+        assert ran == []
+
     def test_seed_changes_the_probe(self):
         a = run_checks(["encoder"], seed=0)["encoder"]
         b = run_checks(["encoder"], seed=1)["encoder"]
@@ -52,3 +60,47 @@ class TestNegativeControl:
         report = grad_check(loss, [p])
         assert not report.passed
         assert report.max_rel_err > 1e-2
+
+
+class TestGradCheckHarness:
+    def test_quadratic_form_passes_tightly(self):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(4, 4))
+        sym = Tensor(m + m.T)
+        x = Parameter("x", Tensor(rng.normal(size=(4, 1)), requires_grad=True))
+
+        def f():
+            return (matmul(matmul(x.value.transpose(), sym), x.value) * 0.5).sum()
+
+        report = grad_check(f, [x])
+        assert report.passed, report.summary()
+        assert report.max_rel_err < 1e-6
+
+    def test_corrupted_rule_fails(self):
+        # an op whose vjp is deliberately wrong must be caught
+        def bad_square(t):
+            data = t.data ** 2
+
+            def vjp(g):
+                return (g * 3.0 * t.data,)  # should be 2x
+
+            return tz._make(data, (t,), vjp)
+
+        x = Parameter("x", Tensor(np.array([1.7, -0.4]), requires_grad=True))
+
+        def f():
+            return bad_square(x.value).sum()
+
+        report = grad_check(f, [x])
+        assert not report.passed
+
+    def test_max_entries_subsampling(self):
+        rng = np.random.default_rng(22)
+        x = Parameter("x", Tensor(rng.normal(size=(30, 30)), requires_grad=True))
+
+        def f():
+            return (x.value ** 2.0).sum()
+
+        report = grad_check(f, [x], max_entries=17, rng=np.random.default_rng(1))
+        assert report.results[0].checked == 17
+        assert report.passed

@@ -5,6 +5,7 @@ import pytest
 from eegalign import losses
 from eegalign.config import LossConfig
 from eegalign.errors import ContractError, DimensionError, DomainError
+from eegalign.gradchecks import grad_check
 from eegalign.losses import (
     infonce,
     relation_loss,
@@ -12,7 +13,7 @@ from eegalign.losses import (
     soft_targets,
     total_loss,
 )
-from eegalign.tensor import Tensor, exp, grad_check, l2_normalize, matmul, no_grad, softmax_rows, transpose
+from eegalign.tensor import Tensor, exp, l2_normalize, matmul, no_grad, softmax_rows, transpose
 
 TAU = LossConfig.tau_init
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eegalign import metrics
+from eegalign.bundle import write_json
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.metrics import (
     RetrievalReport,
@@ -13,7 +14,6 @@ from eegalign.metrics import (
     retrieval_ranks,
     write_similarity_csv,
 )
-from eegalign.tensor import write_json
 
 
 def top_k(sim, ks):

@@ -168,13 +168,13 @@ RECORD_FUNCTIONS = {"write_tensor", "read_tensor", "get_origin", "get_args"}
 
 
 def record_function_names(tree: ast.Module) -> list[str]:
-    """The record functions a module names. Only tensor.py may: the bundle format and the field check live there."""
+    """The record functions a module names. Only bundle.py may: the bundle format and the field check live there."""
     return sorted(RECORD_FUNCTIONS & referenced_names(tree))
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "tensor.py"),
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "bundle.py"),
                          ids=lambda p: p.name)
-def test_only_tensor_names_the_record_functions(path):
+def test_only_bundle_names_the_record_functions(path):
     assert record_function_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -185,6 +185,53 @@ def test_record_scan_flags_a_module_that_names_them():
     assert record_function_names(ast.parse("getattr(tensor, 'write_tensor')\n")) == ["write_tensor"]
     assert record_function_names(ast.parse("import typing\nfrom typing import get_args\n"
                                            "typing.get_origin(hint)\n")) == ["get_args", "get_origin"]
+
+
+# what the tape must not name: it touches no file, so neither the file modules nor the bundle format
+FILE_NAMES = {"os", "json", "open", "bundle"}
+
+
+def imported_and_named(tree: ast.Module) -> set[str]:
+    """``referenced_names`` plus every dotted part of each module an import statement names."""
+    out = referenced_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.update(node.module.split("."))
+        elif isinstance(node, ast.Import):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+    return out
+
+
+def package_imports(tree: ast.Module) -> list[str]:
+    """The package modules a module imports: ``from .m import x``, ``from . import m``, ``eegalign.m``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("eegalign")):
+            module = (node.module or "").removeprefix("eegalign").strip(".")
+            out.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.removeprefix("eegalign.") for alias in node.names
+                       if alias.name.startswith("eegalign."))
+    return sorted(out)
+
+
+def test_tensor_names_no_file_code():
+    assert sorted(FILE_NAMES & imported_and_named(ast.parse((SRC / "tensor.py").read_text(encoding="utf-8")))) == []
+
+
+def test_bundle_imports_only_errors_from_the_package():
+    # neither the tape nor any model module: the format knows arrays and JSON only
+    assert package_imports(ast.parse((SRC / "bundle.py").read_text(encoding="utf-8"))) == ["errors"]
+
+
+def test_layer_scans_flag_toy_sources():
+    tape = ast.parse("import os.path\nfrom json import dumps\nfrom .bundle import write_tensor\n"
+                     "import numpy as np\nwith open(p) as fh: pass\n")
+    assert sorted(FILE_NAMES & imported_and_named(tape)) == ["bundle", "json", "open", "os"]
+    assert sorted(FILE_NAMES & imported_and_named(ast.parse("import numpy as np\nnp.exp(x)\n"))) == []
+    fmt = ast.parse("import numpy as np\nfrom .errors import FormatError\nfrom .tensor import Tensor\n"
+                    "from . import model\nimport eegalign.losses\nfrom eegalign.trainer import fit\n")
+    assert package_imports(fmt) == ["errors", "losses", "model", "tensor", "trainer"]
 
 
 # the modules that build the model's parts and its loss; config.validate_config holds every config rule

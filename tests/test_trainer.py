@@ -30,7 +30,7 @@ from eegalign.trainer import (
     train_step,
     validation_loss,
 )
-import eegalign.tensor as tensor_module
+import eegalign.bundle as bundle_module
 import eegalign.trainer as trainer_module
 
 
@@ -560,7 +560,7 @@ class TestCheckpointIO:
 
     def test_failed_write_leaves_no_manifest(self, tmp_path, fail_write_tensor):
         ckpt, _ = self.make_checkpoint()
-        fail_write_tensor(tensor_module, 3)
+        fail_write_tensor(bundle_module, 3)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, tmp_path / "run")
         assert os.listdir(tmp_path / "run") == []
@@ -572,7 +572,7 @@ class TestCheckpointIO:
         old_loss = ckpt.val_loss
         ckpt.values = {name: v + 1.0 for name, v in ckpt.values.items()}
         ckpt.val_loss += 1.0
-        fail_write_tensor(tensor_module, 3)
+        fail_write_tensor(bundle_module, 3)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, tmp_path / "run")
         again = load_checkpoint(tmp_path / "run")
@@ -611,6 +611,28 @@ class TestCheckpointIO:
         ckpt.values["prompts"] = np.zeros((1, 1))
         with pytest.raises(FormatError, match="shape"):
             ckpt.build_model()
+
+    def test_parameter_the_model_lacks_refused(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        ckpt.values["ghost.weight"] = np.zeros(3)
+        save_checkpoint(ckpt, tmp_path / "run")
+        again = load_checkpoint(tmp_path / "run")
+        with pytest.raises(FormatError, match=r"parameter ghost\.weight is not in the model"):
+            again.build_model()
+
+    def test_parameter_listed_twice_refused(self, tmp_path):
+        # a second tensor under one name must not silently replace the first
+        ckpt, _ = self.make_checkpoint()
+        save_checkpoint(ckpt, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"].append("perturb.gain")
+        path.write_text(json.dumps(manifest))
+        with open(tmp_path / "run" / "params.bin", "ab") as fh:
+            bundle_module.write_tensor(fh, ckpt.values["perturb.gain"] + 1.0)
+        with pytest.raises(FormatError, match=r"lists parameter perturb\.gain more than once") as exc:
+            load_checkpoint(tmp_path / "run")
+        assert str(path) in str(exc.value)
 
 
 class TestEvaluateZeroShot:
