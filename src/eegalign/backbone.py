@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .tensor import (
+    Init,
     Module,
     Parameter,
     Tensor,
@@ -31,34 +32,31 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
+    param,
     unfold,
 )
 
 
-def _frozen(name: str, array: np.ndarray) -> Parameter:
-    return Parameter(name, Tensor(array), frozen=True, group="B")
-
-
 class Block(Module):
-    """One frozen pre-norm transformer block; draws wq, wk, wv, wo, mlp.w1 and mlp.w2 from ``rng``."""
+    """One frozen pre-norm transformer block; draws wq, wk, wv, wo, mlp.w1 and mlp.w2 when ``init`` is a generator."""
 
-    def __init__(self, pre: str, dim: int, hidden: int, rng: np.random.Generator):
-        self.ln1_g = _frozen(f"{pre}.ln1.gain", np.ones(dim))
-        self.ln1_b = _frozen(f"{pre}.ln1.bias", np.zeros(dim))
-        self.wq = _frozen(f"{pre}.attn.wq", rng.normal(size=(dim, dim)) / math.sqrt(dim))
-        self.bq = _frozen(f"{pre}.attn.bq", np.zeros(dim))
-        self.wk = _frozen(f"{pre}.attn.wk", rng.normal(size=(dim, dim)) / math.sqrt(dim))
-        self.bk = _frozen(f"{pre}.attn.bk", np.zeros(dim))
-        self.wv = _frozen(f"{pre}.attn.wv", rng.normal(size=(dim, dim)) / math.sqrt(dim))
-        self.bv = _frozen(f"{pre}.attn.bv", np.zeros(dim))
-        self.wo = _frozen(f"{pre}.attn.wo", rng.normal(size=(dim, dim)) / math.sqrt(dim))
-        self.bo = _frozen(f"{pre}.attn.bo", np.zeros(dim))
-        self.ln2_g = _frozen(f"{pre}.ln2.gain", np.ones(dim))
-        self.ln2_b = _frozen(f"{pre}.ln2.bias", np.zeros(dim))
-        self.mlp_w1 = _frozen(f"{pre}.mlp.w1", rng.normal(size=(dim, hidden)) / math.sqrt(dim))
-        self.mlp_b1 = _frozen(f"{pre}.mlp.b1", np.zeros(hidden))
-        self.mlp_w2 = _frozen(f"{pre}.mlp.w2", rng.normal(size=(hidden, dim)) / math.sqrt(hidden))
-        self.mlp_b2 = _frozen(f"{pre}.mlp.b2", np.zeros(dim))
+    def __init__(self, pre: str, dim: int, hidden: int, init: Init):
+        self.ln1_g = param(init, f"{pre}.ln1.gain", (dim,), frozen=True, group="B", fill=1.0)
+        self.ln1_b = param(init, f"{pre}.ln1.bias", (dim,), frozen=True, group="B", fill=0.0)
+        self.wq = param(init, f"{pre}.attn.wq", (dim, dim), frozen=True, group="B", over=math.sqrt(dim))
+        self.bq = param(init, f"{pre}.attn.bq", (dim,), frozen=True, group="B", fill=0.0)
+        self.wk = param(init, f"{pre}.attn.wk", (dim, dim), frozen=True, group="B", over=math.sqrt(dim))
+        self.bk = param(init, f"{pre}.attn.bk", (dim,), frozen=True, group="B", fill=0.0)
+        self.wv = param(init, f"{pre}.attn.wv", (dim, dim), frozen=True, group="B", over=math.sqrt(dim))
+        self.bv = param(init, f"{pre}.attn.bv", (dim,), frozen=True, group="B", fill=0.0)
+        self.wo = param(init, f"{pre}.attn.wo", (dim, dim), frozen=True, group="B", over=math.sqrt(dim))
+        self.bo = param(init, f"{pre}.attn.bo", (dim,), frozen=True, group="B", fill=0.0)
+        self.ln2_g = param(init, f"{pre}.ln2.gain", (dim,), frozen=True, group="B", fill=1.0)
+        self.ln2_b = param(init, f"{pre}.ln2.bias", (dim,), frozen=True, group="B", fill=0.0)
+        self.mlp_w1 = param(init, f"{pre}.mlp.w1", (dim, hidden), frozen=True, group="B", over=math.sqrt(dim))
+        self.mlp_b1 = param(init, f"{pre}.mlp.b1", (hidden,), frozen=True, group="B", fill=0.0)
+        self.mlp_w2 = param(init, f"{pre}.mlp.w2", (hidden, dim), frozen=True, group="B", over=math.sqrt(hidden))
+        self.mlp_b2 = param(init, f"{pre}.mlp.b2", (dim,), frozen=True, group="B", fill=0.0)
 
 
 class VisionBackbone(Module):
@@ -72,7 +70,7 @@ class VisionBackbone(Module):
         layers: int,
         heads: int,
         prompt_count: int,
-        rng: np.random.Generator,
+        init: Init,
         mlp_ratio: int = 4,
     ):
         self.patch = patch
@@ -83,11 +81,12 @@ class VisionBackbone(Module):
         self.sequence_length = 1 + prompt_count + self.n_patches
 
         patch_fan = 3 * patch * patch
-        self.patch_w = _frozen("backbone.patch.weight", rng.normal(size=(patch_fan, dim)) / math.sqrt(patch_fan))
-        self.patch_b = _frozen("backbone.patch.bias", 0.02 * rng.normal(size=dim))
-        self.cls = _frozen("backbone.cls", 0.02 * rng.normal(size=dim))
-        self.pos = _frozen("backbone.pos", 0.02 * rng.normal(size=(self.sequence_length, dim)))
-        self.blocks = [Block(f"backbone.block{i}", dim, mlp_ratio * dim, rng) for i in range(layers)]
+        self.patch_w = param(init, "backbone.patch.weight", (patch_fan, dim), frozen=True, group="B",
+                             over=math.sqrt(patch_fan))
+        self.patch_b = param(init, "backbone.patch.bias", (dim,), frozen=True, group="B", times=0.02)
+        self.cls = param(init, "backbone.cls", (dim,), frozen=True, group="B", times=0.02)
+        self.pos = param(init, "backbone.pos", (self.sequence_length, dim), frozen=True, group="B", times=0.02)
+        self.blocks = [Block(f"backbone.block{i}", dim, mlp_ratio * dim, init) for i in range(layers)]
 
     # -- pieces ----------------------------------------------------------
 
@@ -140,19 +139,17 @@ class VisionBackbone(Module):
         return x[:, 0, :]
 
 
-def make_prompts(count: int, dim: int, rng: np.random.Generator) -> Parameter:
+def make_prompts(count: int, dim: int, init: Init) -> Parameter:
     """Trainable prompt tokens, one row per slot."""
-    return Parameter("prompts", Tensor(0.02 * rng.normal(size=(count, dim))), group="B")
+    return param(init, "prompts", (count, dim), group="B", times=0.02)
 
 
 class ProjectionHead(Module):
     """Linear map from trunk width to the shared embedding space."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.weight = Parameter(
-            "projection.weight", Tensor(rng.normal(size=(in_dim, out_dim)) / math.sqrt(in_dim)), group="A"
-        )
-        self.bias = Parameter("projection.bias", Tensor(np.zeros(out_dim)), group="A")
+    def __init__(self, in_dim: int, out_dim: int, init: Init):
+        self.weight = param(init, "projection.weight", (in_dim, out_dim), over=math.sqrt(in_dim))
+        self.bias = param(init, "projection.bias", (out_dim,), fill=0.0)
 
     def project(self, z: Tensor) -> Tensor:
         return l2_normalize(linear(z, self.weight.value, self.bias.value))

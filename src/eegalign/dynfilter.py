@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Module, Parameter, Tensor, dynamic_conv, gelu, linear, transpose, unfold
+from .tensor import Init, Module, Parameter, Tensor, dynamic_conv, gelu, linear, param, transpose, unfold
 
 STEM_CHANNELS = (8, 16)
 HIDDEN = 64
@@ -33,24 +33,21 @@ def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding:
 class FilterGenerator(Module):
     """Conv stem, global average pool, MLP head emitting 3 kernels of odd size fh x fw."""
 
-    def __init__(self, fh: int, fw: int, rng: np.random.Generator):
+    def __init__(self, fh: int, fw: int, init: Init):
         self.fh = fh
         self.fw = fw
         c1, c2 = STEM_CHANNELS
         out_dim = 3 * fh * fw
-
-        def dense(shape, fan_in, scale=1.0):
-            return Tensor(rng.normal(size=shape) * (scale / np.sqrt(fan_in)))
-
-        self.conv1_w = Parameter("filter.conv1.weight", dense((c1, 3, 3, 3), 3 * 9), group="B")
-        self.conv1_b = Parameter("filter.conv1.bias", Tensor(np.zeros(c1)), group="B")
-        self.conv2_w = Parameter("filter.conv2.weight", dense((c2, c1, 3, 3), c1 * 9), group="B")
-        self.conv2_b = Parameter("filter.conv2.bias", Tensor(np.zeros(c2)), group="B")
-        self.fc1_w = Parameter("filter.fc1.weight", dense((c2, HIDDEN), c2), group="B")
-        self.fc1_b = Parameter("filter.fc1.bias", Tensor(np.zeros(HIDDEN)), group="B")
+        self.conv1_w = param(init, "filter.conv1.weight", (c1, 3, 3, 3), group="B", times=1.0 / np.sqrt(3 * 9))
+        self.conv1_b = param(init, "filter.conv1.bias", (c1,), group="B", fill=0.0)
+        self.conv2_w = param(init, "filter.conv2.weight", (c2, c1, 3, 3), group="B", times=1.0 / np.sqrt(c1 * 9))
+        self.conv2_b = param(init, "filter.conv2.bias", (c2,), group="B", fill=0.0)
+        self.fc1_w = param(init, "filter.fc1.weight", (c2, HIDDEN), group="B", times=1.0 / np.sqrt(c2))
+        self.fc1_b = param(init, "filter.fc1.bias", (HIDDEN,), group="B", fill=0.0)
         # small head weights plus a center-spike bias keep the initial kernels near-delta
-        self.fc2_w = Parameter("filter.fc2.weight", dense((HIDDEN, out_dim), HIDDEN, scale=0.01), group="B")
-        self.fc2_b = Parameter("filter.fc2.bias", Tensor(delta_kernels(1, 3, fh, fw).data.reshape(-1)), group="B")
+        self.fc2_w = param(init, "filter.fc2.weight", (HIDDEN, out_dim), group="B", times=0.01 / np.sqrt(HIDDEN))
+        self.fc2_b = param(init, "filter.fc2.bias", (out_dim,), group="B",
+                           fill=delta_kernels(1, 3, fh, fw).data.reshape(-1))
 
     def generate(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> per-instance kernels (B, 3, fh, fw); H and W at least ``MIN_INPUT``."""

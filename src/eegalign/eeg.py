@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Module, Parameter, Tensor, l2_normalize, linear
+from .tensor import Init, Module, Tensor, l2_normalize, linear, param
 
 
 class Perturbation(Module):
     """Per-entry gain and offset over the EEG grid, identity at init."""
 
-    def __init__(self, channels: int, timesteps: int):
-        self.gain = Parameter("perturb.gain", Tensor(np.ones((channels, timesteps))), group="A")
-        self.offset = Parameter("perturb.offset", Tensor(np.zeros((channels, timesteps))), group="A")
+    def __init__(self, channels: int, timesteps: int, init: Init):
+        self.gain = param(init, "perturb.gain", (channels, timesteps), fill=1.0)
+        self.offset = param(init, "perturb.offset", (channels, timesteps), fill=0.0)
 
     def apply(self, eeg: Tensor) -> Tensor:
         return eeg * self.gain.value + self.offset.value
@@ -27,14 +27,12 @@ class Perturbation(Module):
 class LinearEncoder(Module):
     """Flatten, one fully connected layer, unit-normalize."""
 
-    def __init__(self, channels: int, timesteps: int, dim: int, rng: np.random.Generator):
+    def __init__(self, channels: int, timesteps: int, dim: int, init: Init):
         self.channels = channels
         self.timesteps = timesteps
         fan_in = channels * timesteps
-        self.weight = Parameter(
-            "encoder.weight", Tensor(rng.normal(size=(fan_in, dim)) / np.sqrt(fan_in)), group="A"
-        )
-        self.bias = Parameter("encoder.bias", Tensor(np.zeros(dim)), group="A")
+        self.weight = param(init, "encoder.weight", (fan_in, dim), over=np.sqrt(fan_in))
+        self.bias = param(init, "encoder.bias", (dim,), fill=0.0)
 
     def project(self, eeg: Tensor) -> Tensor:
         """The pre-normalization linear map; linear in its input."""

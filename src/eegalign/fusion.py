@@ -11,25 +11,23 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .tensor import Module, Parameter, Tensor, attention, gelu, linear, matmul, sigmoid
+from .tensor import Init, Module, Tensor, attention, gelu, linear, matmul, param, sigmoid
 
 
 class CrossAttentionFusion(Module):
     """Gated cross-attention blending of two aligned token sequences."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, heads: int = 1, gate_bias_init: float = -2.0):
+    def __init__(self, dim: int, init: Init, heads: int = 1, gate_bias_init: float = -2.0):
         self.heads = heads
         scale = 1.0 / math.sqrt(dim)
-        self.wq = Parameter("fusion.wq", Tensor(rng.normal(size=(dim, dim)) * scale), group="B")
-        self.wk = Parameter("fusion.wk", Tensor(rng.normal(size=(dim, dim)) * scale), group="B")
-        self.wv = Parameter("fusion.wv", Tensor(rng.normal(size=(dim, dim)) * scale), group="B")
+        self.wq = param(init, "fusion.wq", (dim, dim), group="B", times=scale)
+        self.wk = param(init, "fusion.wk", (dim, dim), group="B", times=scale)
+        self.wv = param(init, "fusion.wv", (dim, dim), group="B", times=scale)
         half = max(dim // 2, 1)
-        self.gate_w1 = Parameter("fusion.gate.w1", Tensor(rng.normal(size=(dim, half)) * scale), group="B")
-        self.gate_b1 = Parameter("fusion.gate.b1", Tensor(np.zeros(half)), group="B")
-        self.gate_w2 = Parameter("fusion.gate.w2", Tensor(rng.normal(size=(half, 1)) / math.sqrt(half)), group="B")
-        self.gate_b2 = Parameter("fusion.gate.b2", Tensor(np.full(1, float(gate_bias_init))), group="B")
+        self.gate_w1 = param(init, "fusion.gate.w1", (dim, half), group="B", times=scale)
+        self.gate_b1 = param(init, "fusion.gate.b1", (half,), group="B", fill=0.0)
+        self.gate_w2 = param(init, "fusion.gate.w2", (half, 1), group="B", over=math.sqrt(half))
+        self.gate_b2 = param(init, "fusion.gate.b2", (1,), group="B", fill=gate_bias_init)
 
     def gate(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         """Per-token blend weight in (0, 1), shape (B, N, 1)."""
@@ -48,9 +46,8 @@ class CrossAttentionFusion(Module):
 class BilinearMix(Module):
     """Single learnable mixing scalar, kept in (0, 1) via a sigmoid; mix_init lies inside (0, 1)."""
 
-    def __init__(self, mix_init: float = 0.5):
-        logit = math.log(mix_init / (1.0 - mix_init))
-        self.mix_logit = Parameter("fusion.mix_logit", Tensor(logit), group="B")
+    def __init__(self, init: Init, mix_init: float = 0.5):
+        self.mix_logit = param(init, "fusion.mix_logit", (), group="B", fill=math.log(mix_init / (1.0 - mix_init)))
 
     def coefficient(self) -> Tensor:
         return sigmoid(self.mix_logit.value)

@@ -52,10 +52,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def max_rel_err(self) -> float:
-        return max((r.max_rel_err for r in self.results), default=0.0)
-
     def summary(self) -> str:
         lines = []
         for r in self.results:
@@ -121,7 +117,7 @@ def _param(name: str, array: np.ndarray) -> Parameter:
 
 def check_perturbation(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    perturb = Perturbation(channels=3, timesteps=5)
+    perturb = Perturbation(channels=3, timesteps=5, init=rng)
     perturb.gain.value.data += 0.1 * rng.normal(size=(3, 5))
     perturb.offset.value.data += 0.1 * rng.normal(size=(3, 5))
     eeg = Tensor(rng.normal(size=(BATCH, 3, 5)))
@@ -136,7 +132,7 @@ def check_perturbation(seed: int) -> GradCheckReport:
 
 def check_encoder(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    enc = LinearEncoder(channels=3, timesteps=5, dim=6, rng=rng)
+    enc = LinearEncoder(channels=3, timesteps=5, dim=6, init=rng)
     eeg = Tensor(rng.normal(size=(BATCH, 3, 5)))
     target = Tensor(rng.normal(size=(BATCH, 6)))
 
@@ -149,7 +145,7 @@ def check_encoder(seed: int) -> GradCheckReport:
 
 def check_filter_generator(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    gen = FilterGenerator(fh=3, fw=3, rng=rng)
+    gen = FilterGenerator(fh=3, fw=3, init=rng)
     images = Tensor(rng.uniform(size=(BATCH, 3, 8, 8)))
     weights = Tensor(rng.normal(size=(BATCH, 3, 3, 3)))
 
@@ -174,7 +170,7 @@ def check_dynamic_filter(seed: int) -> GradCheckReport:
 
 def check_fusion(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    fusion = CrossAttentionFusion(dim=8, heads=2, rng=rng)
+    fusion = CrossAttentionFusion(dim=8, heads=2, init=rng)
     x_orig = _param("x_orig", rng.normal(size=(BATCH, 3, 8)))
     x_filt = _param("x_filt", rng.normal(size=(BATCH, 3, 8)))
 
@@ -188,7 +184,7 @@ def check_fusion(seed: int) -> GradCheckReport:
 
 def check_prompts(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    bb = VisionBackbone(image_size=8, patch=4, dim=8, layers=1, heads=2, prompt_count=2, rng=rng)
+    bb = VisionBackbone(image_size=8, patch=4, dim=8, layers=1, heads=2, prompt_count=2, init=rng)
     prompts = make_prompts(2, 8, rng)
     fused = Tensor(rng.normal(size=(BATCH, 4, 8)))
 

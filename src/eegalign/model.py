@@ -29,7 +29,7 @@ from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError, DimensionError
 from .fusion import BilinearMix, CrossAttentionFusion
 from .losses import total_loss
-from .tensor import Module, Parameter, Tensor, exp
+from .tensor import Init, Module, Parameter, Tensor, exp, param
 
 
 class AlignmentModel(Module):
@@ -37,26 +37,27 @@ class AlignmentModel(Module):
 
     ``params()`` is the checkpoint layout: the trainable parts in the
     order they are built, ``log_tau``, then the frozen trunk, which is
-    built (and draws from the RNG) third but assigned last.
+    built third but assigned last. Every part takes its values from
+    ``init``: the generator seeded by ``cfg.trainer.seed`` unless one is
+    given, or a checkpoint's lookup, which draws nothing.
     """
 
-    def __init__(self, cfg: RunConfig, channels: int, timesteps: int, image_size: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, cfg: RunConfig, channels: int, timesteps: int, image_size: int, init: Init | None = None):
         validate_config(cfg)
         if image_size % cfg.backbone.patch:
             raise ConfigError(f"image size {image_size} is not divisible by patch size {cfg.backbone.patch}")
         if image_size < MIN_INPUT:
             raise ConfigError(f"image size {image_size} is below the filter generator's minimum {MIN_INPUT}")
-        if rng is None:
-            rng = np.random.default_rng(cfg.trainer.seed)
+        if init is None:
+            init = np.random.default_rng(cfg.trainer.seed)
         self.cfg = cfg
         self.channels = channels
         self.timesteps = timesteps
         self.image_size = image_size
 
-        self.perturb = Perturbation(channels, timesteps)
-        self.encoder = LinearEncoder(channels, timesteps, cfg.encoder.dim, rng)
-        self.filter_gen = FilterGenerator(cfg.filter.height, cfg.filter.width, rng)
+        self.perturb = Perturbation(channels, timesteps, init)
+        self.encoder = LinearEncoder(channels, timesteps, cfg.encoder.dim, init)
+        self.filter_gen = FilterGenerator(cfg.filter.height, cfg.filter.width, init)
         backbone = VisionBackbone(
             image_size=image_size,
             patch=cfg.backbone.patch,
@@ -65,18 +66,18 @@ class AlignmentModel(Module):
             heads=cfg.backbone.heads,
             prompt_count=cfg.backbone.prompts,
             mlp_ratio=cfg.backbone.mlp_ratio,
-            rng=rng,
+            init=init,
         )
         if cfg.fusion.strategy == "catf":
             self.fusion = CrossAttentionFusion(
                 dim=cfg.backbone.dim, heads=cfg.fusion.heads,
-                gate_bias_init=cfg.fusion.gate_bias_init, rng=rng,
+                gate_bias_init=cfg.fusion.gate_bias_init, init=init,
             )
         else:
-            self.fusion = BilinearMix(mix_init=cfg.fusion.mix_init)
-        self.prompts = make_prompts(cfg.backbone.prompts, cfg.backbone.dim, rng)
-        self.projection = ProjectionHead(cfg.backbone.dim, cfg.encoder.dim, rng)
-        self.log_tau = Parameter("loss.log_tau", Tensor(math.log(cfg.loss.tau_init)), group="A")
+            self.fusion = BilinearMix(init, mix_init=cfg.fusion.mix_init)
+        self.prompts = make_prompts(cfg.backbone.prompts, cfg.backbone.dim, init)
+        self.projection = ProjectionHead(cfg.backbone.dim, cfg.encoder.dim, init)
+        self.log_tau = param(init, "loss.log_tau", (), fill=math.log(cfg.loss.tau_init))
         self.backbone = backbone
 
     # -- forward -----------------------------------------------------------

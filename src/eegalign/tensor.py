@@ -87,10 +87,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -773,6 +769,24 @@ class Parameter:
     def __repr__(self) -> str:
         state = "frozen" if self.frozen else f"group {self.group}"
         return f"Parameter({self.name!r}, shape={self.value.shape}, {state})"
+
+
+# where a parameter's value comes from: the seeded generator, or a checkpoint's lookup (name, shape) -> array
+Init = np.random.Generator | Callable[[str, tuple[int, ...]], np.ndarray]
+
+
+def param(init: Init, name: str, shape: tuple[int, ...], frozen: bool = False, group: str = "A",
+          over: float = 1.0, times: float = 1.0, fill: float | np.ndarray | None = None) -> Parameter:
+    """The one maker of a model part's parameters. A checkpoint's lookup ``init`` gives ``init(name, shape)``; the
+    seeded generator gives ``fill`` broadcast to ``shape`` or else ``normal(shape) / over * times``, where the
+    default 1.0 is exact, so each part keeps the arithmetic it states."""
+    if not isinstance(init, np.random.Generator):
+        value = init(name, shape)
+    elif fill is None:
+        value = init.normal(size=shape) / over * times
+    else:
+        value = np.full(shape, fill, dtype=np.float64)
+    return Parameter(name, Tensor(value), frozen, group)
 
 
 class Module:

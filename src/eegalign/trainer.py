@@ -152,29 +152,25 @@ class Checkpoint:
     values: dict[str, np.ndarray]
 
     def build_model(self) -> AlignmentModel:
-        model = AlignmentModel(self.config, self.channels, self.timesteps, self.image_size)
-        restore_values(model, self.values)
+        """The model built from copies of the stored values, drawing nothing; a name or shape it lacks is refused."""
+        unread = dict(self.values)
+
+        def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name not in unread:
+                raise FormatError(f"checkpoint is missing parameter {name}")
+            value = unread.pop(name)
+            if value.shape != shape:
+                raise FormatError(f"checkpoint parameter {name} has shape {value.shape}, model expects {shape}")
+            return value.copy()
+
+        model = AlignmentModel(self.config, self.channels, self.timesteps, self.image_size, init=stored)
+        if unread:
+            raise FormatError(f"checkpoint parameter {min(unread)} is not in the model")
         return model
 
 
 def snapshot_values(model: AlignmentModel) -> dict[str, np.ndarray]:
     return {p.name: p.value.data.copy() for p in model.parameters()}
-
-
-def restore_values(model: AlignmentModel, values: dict[str, np.ndarray]) -> None:
-    params = model.parameters()
-    unknown = set(values) - {p.name for p in params}
-    if unknown:
-        raise FormatError(f"checkpoint parameter {min(unknown)} is not in the model")
-    for p in params:
-        if p.name not in values:
-            raise FormatError(f"checkpoint is missing parameter {p.name}")
-        stored = values[p.name]
-        if stored.shape != p.value.shape:
-            raise FormatError(
-                f"checkpoint parameter {p.name} has shape {stored.shape}, model expects {p.value.shape}"
-            )
-        p.value.data[...] = stored
 
 
 def train_step(model: AlignmentModel, batch, opt_a: Adam, opt_b: Adam,
@@ -302,6 +298,9 @@ def _checkpoint_from_json(obj: dict) -> tuple[Checkpoint, list[str]]:
     fields = check_fields(obj, CHECKPOINT_FIELDS)
     if fields["format_version"] != CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {fields['format_version']}")
+    for key, value in fields["geometry"].items():
+        if value < 1:
+            raise FormatError(f"checkpoint geometry.{key} must be >= 1, got {value}")
     repeated = [name for name, count in Counter(fields["parameters"]).items() if count > 1]
     if repeated:
         raise FormatError(f"checkpoint lists parameter {repeated[0]} more than once")

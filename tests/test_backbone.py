@@ -13,13 +13,13 @@ from eegalign.tensor import Tensor, attention, gelu, layer_norm, matmul, transpo
 def small_backbone(prompt_count=2, layers=2, image_size=16, patch=8, dim=16, heads=4, seed=0):
     return VisionBackbone(
         image_size=image_size, patch=patch, dim=dim, layers=layers, heads=heads,
-        prompt_count=prompt_count, rng=np.random.default_rng(seed),
+        prompt_count=prompt_count, init=np.random.default_rng(seed),
     )
 
 
 class TestPatchEmbed:
     def test_token_geometry(self):
-        bb = VisionBackbone(32, 8, 64, 2, 4, prompt_count=0, rng=np.random.default_rng(0))
+        bb = VisionBackbone(32, 8, 64, 2, 4, prompt_count=0, init=np.random.default_rng(0))
         images = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 32, 32)))
         tokens = bb.patch_embed(images)
         assert tokens.shape == (2, 16, 64)
@@ -184,7 +184,7 @@ class TestClsOnlyLastBlock:
 class TestValidation:
     def test_bad_heads_rejected(self):
         # a config is refused by validate_config; a direct build by the attention op
-        bb = VisionBackbone(16, 8, 16, 1, 3, prompt_count=0, rng=np.random.default_rng(0))
+        bb = VisionBackbone(16, 8, 16, 1, 3, prompt_count=0, init=np.random.default_rng(0))
         with pytest.raises(DimensionError, match="heads"):
             bb.vit_forward(Tensor(np.zeros((1, bb.sequence_length, 16))))
 

@@ -13,7 +13,7 @@ from eegalign import cli as cli_module
 from eegalign.bundle import read_tensor, write_tensor
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
-from eegalign.trainer import load_checkpoint, parameter_digest
+from eegalign.trainer import load_checkpoint, parameter_digest, save_checkpoint
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL_GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12",
@@ -510,6 +510,37 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
         assert f"parameter {name} " in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,stored,message", [
+        ("prompts", None, "checkpoint is missing parameter prompts"),
+        ("prompts", np.zeros((1, 1)), "checkpoint parameter prompts has shape (1, 1), model expects (2, 16)"),
+    ], ids=["missing", "shape"])
+    def test_value_the_model_cannot_take_exits_two_writing_nothing(self, trained, tmp_path, capsys, name, stored,
+                                                                  message):
+        data, run = trained
+        ckpt = load_checkpoint(str(run))
+        if stored is None:
+            del ckpt.values[name]
+        else:
+            ckpt.values[name] = stored
+        save_checkpoint(ckpt, str(run))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
+        assert one_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("channels", -3), ("timesteps", -8)])
+    def test_geometry_below_one_exits_two_writing_nothing(self, trained, tmp_path, capsys, key, value):
+        data, run = trained
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["geometry"][key] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
+        assert one_error_line(capsys).endswith(f"checkpoint geometry.{key} must be >= 1, got {value}")
         assert not out.exists()
 
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):

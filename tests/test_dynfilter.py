@@ -31,26 +31,26 @@ def loop_convolve(images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
 class TestFilterGenerator:
     def test_kernel_count_and_shape(self):
-        gen = FilterGenerator(fh=5, fw=5, rng=np.random.default_rng(0))
+        gen = FilterGenerator(fh=5, fw=5, init=np.random.default_rng(0))
         images = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 16, 16)))
         kernels = gen.generate(images)
         assert kernels.shape == (2, 3, 5, 5)
-        assert kernels.size == 2 * 75
+        assert kernels.data.size == 2 * 75
 
     def test_identical_images_identical_kernels(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(0))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(0))
         one = np.random.default_rng(2).uniform(size=(1, 3, 12, 12))
         kernels = gen.generate(Tensor(np.concatenate([one, one], axis=0)))
         assert np.array_equal(kernels.data[0], kernels.data[1])
 
     def test_deterministic_in_inputs(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(0))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(0))
         images = Tensor(np.random.default_rng(3).uniform(size=(2, 3, 12, 12)))
         assert np.array_equal(gen.generate(images).data, gen.generate(images).data)
 
     def test_initial_kernels_near_delta(self):
         # the head starts with a center-spike bias so filtering starts near identity
-        gen = FilterGenerator(fh=5, fw=5, rng=np.random.default_rng(4))
+        gen = FilterGenerator(fh=5, fw=5, init=np.random.default_rng(4))
         images = Tensor(np.random.default_rng(5).uniform(size=(3, 3, 16, 16)))
         k = gen.generate(images).data
         centers = k[:, :, 2, 2]
@@ -60,17 +60,17 @@ class TestFilterGenerator:
         assert np.all(np.abs(off) < 0.2)
 
     def test_non_image_input_rejected(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(0))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(0))
         with pytest.raises(DimensionError):
             gen.generate(Tensor(np.zeros((1, 4, 12, 12))))
 
     def test_all_params_group_b(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(0))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(0))
         assert all(p.group == "B" for p in gen.params())
         assert all(p.name.startswith("filter.") for p in gen.params())
 
     def test_gradient_reaches_parameters_and_image(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(6))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(6))
         base = np.random.default_rng(7).uniform(size=(2, 3, 8, 8))
         images = Tensor(base.copy(), requires_grad=True)
 
@@ -161,7 +161,7 @@ class TestApplyDynamicFilter:
             apply_dynamic_filter(images, Tensor(np.zeros((2, 2, 3, 3))))
 
     def test_end_to_end_grad_check(self):
-        gen = FilterGenerator(fh=3, fw=3, rng=np.random.default_rng(12))
+        gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(12))
         base = np.random.default_rng(13).uniform(size=(2, 3, 8, 8))
         images = Tensor(base, requires_grad=True)
 

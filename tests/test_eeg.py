@@ -12,13 +12,13 @@ from eegalign.tensor import Tensor
 
 class TestPerturbation:
     def test_identity_at_init(self):
-        p = Perturbation(channels=3, timesteps=5)
+        p = Perturbation(channels=3, timesteps=5, init=np.random.default_rng(0))
         eeg = Tensor(np.random.default_rng(0).normal(size=(2, 3, 5)))
         out = p.apply(eeg)
         assert np.array_equal(out.data, eeg.data)
 
     def test_forced_affine_arithmetic(self):
-        p = Perturbation(channels=1, timesteps=2)
+        p = Perturbation(channels=1, timesteps=2, init=np.random.default_rng(0))
         p.gain.value.data[:] = [[2.0, 2.0]]
         p.offset.value.data[:] = [[1.0, 1.0]]
         out = p.apply(Tensor(np.array([[[1.0, 2.0]]])))
@@ -26,19 +26,19 @@ class TestPerturbation:
 
     def test_gain_gradient_equals_input(self):
         # d sum(E*W + B) / dW = sum of E over the batch axis
-        p = Perturbation(channels=2, timesteps=3)
+        p = Perturbation(channels=2, timesteps=3, init=np.random.default_rng(0))
         eeg = Tensor(np.random.default_rng(1).normal(size=(4, 2, 3)))
         p.apply(eeg).sum().backward()
         assert np.allclose(p.gain.value.grad, eeg.data.sum(axis=0), atol=1e-12)
         assert np.allclose(p.offset.value.grad, 4.0, atol=1e-12)
 
     def test_parameters_in_group_a(self):
-        p = Perturbation(channels=2, timesteps=2)
+        p = Perturbation(channels=2, timesteps=2, init=np.random.default_rng(0))
         assert [q.group for q in p.params()] == ["A", "A"]
         assert [q.name for q in p.params()] == ["perturb.gain", "perturb.offset"]
 
     def test_grad_check(self):
-        p = Perturbation(channels=2, timesteps=3)
+        p = Perturbation(channels=2, timesteps=3, init=np.random.default_rng(0))
         eeg = Tensor(np.random.default_rng(2).normal(size=(4, 2, 3)))
 
         def loss():
@@ -52,7 +52,7 @@ class TestPerturbation:
 class TestLinearEncoder:
     def test_constant_map_with_zero_weight(self):
         rng = np.random.default_rng(0)
-        enc = LinearEncoder(channels=2, timesteps=3, dim=4, rng=rng)
+        enc = LinearEncoder(channels=2, timesteps=3, dim=4, init=rng)
         enc.weight.value.data[:] = 0.0
         enc.bias.value.data[:] = [1.0, 0.0, 0.0, 0.0]
         out = enc.encode(Tensor(rng.normal(size=(5, 2, 3))))
@@ -60,19 +60,19 @@ class TestLinearEncoder:
 
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(3)
-        enc = LinearEncoder(channels=3, timesteps=7, dim=5, rng=rng)
+        enc = LinearEncoder(channels=3, timesteps=7, dim=5, init=rng)
         out = enc.encode(Tensor(rng.normal(size=(6, 3, 7))))
         assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
 
     def test_trial_scale_output_shape(self):
         rng = np.random.default_rng(4)
-        enc = LinearEncoder(channels=17, timesteps=250, dim=128, rng=rng)
+        enc = LinearEncoder(channels=17, timesteps=250, dim=128, init=rng)
         out = enc.encode(Tensor(rng.normal(size=(4, 17, 250))))
         assert out.shape == (4, 128)
 
     def test_pre_norm_linearity(self):
         rng = np.random.default_rng(5)
-        enc = LinearEncoder(channels=2, timesteps=4, dim=3, rng=rng)
+        enc = LinearEncoder(channels=2, timesteps=4, dim=3, init=rng)
         enc.bias.value.data[:] = 0.0
         e1 = rng.normal(size=(3, 2, 4))
         e2 = rng.normal(size=(3, 2, 4))
@@ -87,8 +87,8 @@ class TestLinearEncoder:
 
     def test_grad_check_through_encode(self):
         rng = np.random.default_rng(6)
-        perturb = Perturbation(channels=2, timesteps=3)
-        enc = LinearEncoder(channels=2, timesteps=3, dim=4, rng=rng)
+        perturb = Perturbation(channels=2, timesteps=3, init=np.random.default_rng(0))
+        enc = LinearEncoder(channels=2, timesteps=3, dim=4, init=rng)
         eeg = Tensor(rng.normal(size=(4, 2, 3)))
         target = rng.normal(size=(4, 4))
 
@@ -107,7 +107,7 @@ class TestEncoderFactory:
     def test_linear_is_built(self):
         cfg = default_config()
         cfg.encoder.dim = 4
-        model = AlignmentModel(cfg, channels=2, timesteps=3, image_size=16, rng=np.random.default_rng(0))
+        model = AlignmentModel(cfg, channels=2, timesteps=3, image_size=16, init=np.random.default_rng(0))
         assert isinstance(model.encoder, LinearEncoder)
 
     @pytest.mark.parametrize("kind", ("tsconv", "eegnet", "shallownet", "deepnet", "eegfusenet", "eegproject"))

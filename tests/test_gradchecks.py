@@ -22,7 +22,7 @@ class TestRegistry:
         assert set(reports) == EXPECTED_COMPONENTS
         for name, report in reports.items():
             assert report.passed, f"{name}: {report.summary()}"
-            assert report.max_rel_err < 1e-4
+            assert max(r.max_rel_err for r in report.results) < 1e-4
 
     def test_single_component_selection(self):
         reports = run_checks(["fusion"], seed=1)
@@ -43,7 +43,7 @@ class TestRegistry:
     def test_seed_changes_the_probe(self):
         a = run_checks(["encoder"], seed=0)["encoder"]
         b = run_checks(["encoder"], seed=1)["encoder"]
-        assert a.max_rel_err != b.max_rel_err
+        assert max(r.max_rel_err for r in a.results) != max(r.max_rel_err for r in b.results)
 
 
 class TestNegativeControl:
@@ -59,7 +59,7 @@ class TestNegativeControl:
 
         report = grad_check(loss, [p])
         assert not report.passed
-        assert report.max_rel_err > 1e-2
+        assert max(r.max_rel_err for r in report.results) > 1e-2
 
 
 class TestGradCheckHarness:
@@ -74,7 +74,7 @@ class TestGradCheckHarness:
 
         report = grad_check(f, [x])
         assert report.passed, report.summary()
-        assert report.max_rel_err < 1e-6
+        assert max(r.max_rel_err for r in report.results) < 1e-6
 
     def test_corrupted_rule_fails(self):
         # an op whose vjp is deliberately wrong must be caught

@@ -70,7 +70,7 @@ def small_config(**loss_overrides):
 def small_model(seed=0, **loss_overrides):
     cfg = small_config(**loss_overrides)
     return AlignmentModel(cfg, channels=4, timesteps=10, image_size=16,
-                          rng=np.random.default_rng(seed))
+                          init=np.random.default_rng(seed))
 
 
 def small_batch(seed=0, b=4):
@@ -185,7 +185,7 @@ class TestTapeSize:
         cfg.backbone.dim = 32
         b = cfg.trainer.batch_size
         model = AlignmentModel(cfg, channels=8, timesteps=50, image_size=16,
-                               rng=np.random.default_rng(0))
+                               init=np.random.default_rng(0))
         data = generate_synthetic(seed=0, n_classes=b, per_class=1, channels=8,
                                   timesteps=50, height=16, noise=0.2)
         total, _ = model.batch_loss(make_batch(data, np.arange(b)))
@@ -263,7 +263,7 @@ class TestArchitecturalReduction:
         cfg = small_config()
         cfg.backbone.prompts = 0
         model = AlignmentModel(cfg, channels=4, timesteps=10, image_size=16,
-                               rng=np.random.default_rng(11))
+                               init=np.random.default_rng(11))
         model.filter_gen.fc2_w.value.data[:] = 0.0   # kernels collapse to the delta bias
         model.fusion.gate_b2.value.data[:] = -np.inf  # sigmoid gate pinned to 0
         return model

@@ -252,3 +252,35 @@ def test_config_error_scan_flags_a_part_that_checks_its_config():
     assert names_config_error(ast.parse("from .errors import ConfigError\nraise ConfigError('odd')\n"))
     assert names_config_error(ast.parse("from . import errors\nraise errors.ConfigError('odd')\n"))
     assert not names_config_error(ast.parse("from .errors import DomainError\nraise DomainError('even kernel')\n"))
+
+
+# the modules that build the model; tensor.param makes every value their parameters start from
+MODEL_MODULES = ["eeg.py", "dynfilter.py", "fusion.py", "backbone.py", "model.py"]
+VALUE_MAKERS = {"Parameter", "normal", "default_rng"}
+
+
+def value_maker_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each call to ``Parameter``, a generator's ``normal`` or ``default_rng``, plain or as an attribute."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in VALUE_MAKERS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("name", MODEL_MODULES)
+def test_only_param_makes_parameter_values(name):
+    # the one generator is the default the model seeds when no checkpoint's lookup is given
+    calls = [call for _, call in value_maker_calls(ast.parse((SRC / name).read_text(encoding="utf-8")))]
+    assert calls == (["default_rng"] if name == "model.py" else [])
+
+
+def test_value_maker_scan_flags_toy_sources():
+    tree = ast.parse("from .tensor import Parameter, param\nw = Parameter('w', Tensor(rng.normal(size=3)))\n"
+                     "b = param(init, 'b', (3,), fill=0.0)\nrng = np.random.default_rng(0)\n"
+                     "g = tensor.Parameter('g', x)\nx = init.normal(size=2) / over\nu = rng.uniform(size=2)\n")
+    assert value_maker_calls(tree) == [(2, "Parameter"), (2, "normal"), (4, "default_rng"), (5, "Parameter"),
+                                       (6, "normal")]
+    assert value_maker_calls(ast.parse("p = param(rng, 'p', (2,), times=0.02)\nrng.normal\n")) == []

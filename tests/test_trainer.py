@@ -24,13 +24,13 @@ from eegalign.trainer import (
     fit,
     load_checkpoint,
     parameter_digest,
-    restore_values,
     save_checkpoint,
     snapshot_values,
     train_step,
     validation_loss,
 )
 import eegalign.bundle as bundle_module
+import eegalign.tensor as tensor_module
 import eegalign.trainer as trainer_module
 
 
@@ -57,6 +57,12 @@ def tiny_splits(seed=0, noise=0.2):
     data = generate_synthetic(seed=seed, n_classes=5, per_class=6, channels=4,
                               timesteps=12, height=16, noise=noise)
     return zero_shot_split(data, n_test_classes=1, n_val_samples=6, seed=seed)
+
+
+def snapshot_checkpoint(cfg, values):
+    """An untrained checkpoint of ``tiny_model``'s geometry holding ``values``."""
+    return Checkpoint(config=cfg, channels=4, timesteps=12, image_size=16, epoch=0,
+                      val_loss=math.nan, train_class_ids=[], values=values)
 
 
 def scalar_param(value, name="w"):
@@ -205,10 +211,9 @@ class TestFlatAdam:
         saved = snapshot_values(model)
         assert not any(np.shares_memory(saved[p.name], buffer) for p in model.group("B"))
         train_step(model, make_batch(tiny_splits()["train"], np.arange(8)), opt_a, opt_b)
-        restore_values(model, saved)
-        assert group_buffer(model.group("B")) is buffer
-        assert all(np.array_equal(p.value.data, saved[p.name]) for p in model.parameters())
-        assert parameter_digest(model.parameters()) == parameter_digest(tiny_model().parameters())
+        restored = snapshot_checkpoint(model.cfg, saved).build_model()
+        assert all(np.array_equal(p.value.data, saved[p.name]) for p in restored.parameters())
+        assert parameter_digest(restored.parameters()) == parameter_digest(tiny_model().parameters())
 
     def test_a_second_optimizer_keeps_every_value(self):
         model = tiny_model()
@@ -612,6 +617,35 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="shape"):
             ckpt.build_model()
 
+    def test_missing_parameter_refused(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        del ckpt.values["projection.bias"]
+        save_checkpoint(ckpt, tmp_path / "run")
+        again = load_checkpoint(tmp_path / "run")
+        with pytest.raises(FormatError, match=r"^checkpoint is missing parameter projection\.bias$"):
+            again.build_model()
+
+    @pytest.mark.parametrize("key,value", [("channels", -3), ("timesteps", -8), ("image_size", 0)])
+    def test_geometry_below_one_refused(self, tmp_path, key, value):
+        save_checkpoint(snapshot_checkpoint(tiny_config(), snapshot_values(tiny_model())), tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["geometry"][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=rf"checkpoint geometry\.{key} must be >= 1, got {value}$") as exc:
+            load_checkpoint(tmp_path / "run")
+        assert str(path) in str(exc.value)
+
+    def test_geometry_that_disagrees_with_the_values_refused_before_any_parameter(self, monkeypatch):
+        ckpt = snapshot_checkpoint(tiny_config(), snapshot_values(tiny_model()))
+        ckpt.channels += 1
+        made = []
+        monkeypatch.setattr(tensor_module.Parameter, "__init__", lambda self, name, *rest: made.append(name))
+        with pytest.raises(FormatError, match=r"^checkpoint parameter perturb\.gain has shape \(4, 12\), "
+                                              r"model expects \(5, 12\)$"):
+            ckpt.build_model()
+        assert made == []
+
     def test_parameter_the_model_lacks_refused(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         ckpt.values["ghost.weight"] = np.zeros(3)
@@ -633,6 +667,34 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match=r"lists parameter perturb\.gain more than once") as exc:
             load_checkpoint(tmp_path / "run")
         assert str(path) in str(exc.value)
+
+
+class TestBuildModel:
+    """A checkpoint's model is built in one pass from its values: no generator, no second write."""
+
+    def test_builds_while_no_generator_can_be_made(self, monkeypatch):
+        model = tiny_model(seed=4)
+        ckpt = snapshot_checkpoint(model.cfg, snapshot_values(model))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert parameter_digest(ckpt.build_model().parameters()) == parameter_digest(model.parameters())
+
+    @pytest.mark.parametrize("strategy", ["catf", "bilinear"])
+    def test_values_are_bitwise_copies_of_the_checkpoint(self, strategy):
+        cfg = tiny_config(seed=5)
+        cfg.fusion.strategy = strategy
+        rng = np.random.default_rng(6)
+        values = {name: rng.normal(size=value.shape)
+                  for name, value in snapshot_values(AlignmentModel(cfg, 4, 12, 16)).items()}
+        ckpt = snapshot_checkpoint(cfg, values)
+        params = ckpt.build_model().parameters()
+        assert [p.name for p in params] == list(values)
+        for p in params:
+            assert p.value.data.tobytes() == values[p.name].tobytes(), p.name
+            assert not any(np.shares_memory(p.value.data, stored) for stored in ckpt.values.values()), p.name
 
 
 class TestEvaluateZeroShot:
