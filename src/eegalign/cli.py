@@ -1,12 +1,13 @@
 """Command-line entry point: gen-data, train, eval, export-sim, gradcheck.
 
 Every command is deterministic given its flags and seeds, refuses to
-clobber existing outputs without --force, and refuses two outputs that
-resolve to one file. Every file goes through
-`write_atomically`, staged as `<path>.tmp` and moved into place when
-complete: a failed command removes only a directory it created, and a
-killed one may leave `.tmp` files but never a partial target. `train`
-accepts dotted config overrides such as `--loss.mu 1` after its flags.
+clobber existing outputs without --force, and refuses, even with --force,
+an output that resolves to another output or to one of its inputs. Every
+file goes through `write_atomically`, staged as `<path>.tmp` and moved
+into place when complete: a failed command removes only a directory it
+created, and a killed one may leave `.tmp` files but never a partial
+target. `train` accepts dotted config overrides such as `--loss.mu 1`
+after its flags.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ CONFIG_ENV = "EEGALIGN_CONFIG"
 # what main() reports as `error: ...` with exit status 2; anything else is a bug
 HANDLED_ERRORS = (ConfigError, ContractError, DimensionError, DomainError, FormatError, OSError)
 SPLIT_FILES = {"train": "train.bin", "val": "val.bin", "test": "test.bin"}
+CHECKPOINT_FILES = (MANIFEST_NAME, CHECKPOINT_PARAMS)
 
 
 def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
@@ -59,9 +61,13 @@ def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
         raise ConfigError(f"output path {path} already exists; pass --force to overwrite")
 
 
-def _refuse_shared_outputs(outputs) -> None:
-    """Refuse two (what, path) outputs of one command that resolve to one file: one write would replace the other."""
-    seen = {}
+def _refuse_shared_outputs(outputs, dataset: DatasetManifest | None = None, checkpoint: str | None = None) -> None:
+    """Refuse a (what, path) output of one command that resolves to another output or to an input, even with --force:
+    the write would replace that file. The inputs are ``dataset``'s manifest and split payloads and ``checkpoint``'s."""
+    inputs = [] if dataset is None else [os.path.join(dataset.root, name)
+                                         for name in (MANIFEST_NAME, *dataset.splits.values())]
+    inputs += [] if checkpoint is None else [os.path.join(checkpoint, name) for name in CHECKPOINT_FILES]
+    seen = {os.path.realpath(path): f"input {path}" for path in inputs}
     for what, path in outputs:
         real = os.path.realpath(path)
         if real in seen:
@@ -160,8 +166,9 @@ def _training_outputs(args) -> list[tuple[str, str]]:
     """Each repeat's (checkpoint directory, log path), checked before training.
 
     The log is written only after training, so a log path that collides or
-    lacks a directory is refused first, as is one that names a checkpoint
-    file, the checkpoint directory or a directory above it.
+    lacks a directory is refused first, as is one that names the checkpoint
+    directory or a directory above it. ``cmd_train`` refuses a file that two
+    outputs, or an output and an input, share.
     """
     stem = args.log or os.path.join(args.out, "train_log.jsonl")
     if args.repeats == 1:
@@ -170,9 +177,6 @@ def _training_outputs(args) -> list[tuple[str, str]]:
         root, ext = os.path.splitext(stem)
         outputs = [(os.path.join(args.out, f"repeat-{r}"), f"{root}.{r}{ext}")
                    for r in range(args.repeats)]
-    _refuse_shared_outputs(output for out_dir, log_path in outputs for output in (
-        ("checkpoint file", os.path.join(out_dir, MANIFEST_NAME)),
-        ("checkpoint file", os.path.join(out_dir, CHECKPOINT_PARAMS)), ("log", log_path)))
     for _, log_path in outputs:
         real_log = os.path.realpath(log_path)
         for out_dir, _ in outputs:
@@ -209,8 +213,11 @@ def cmd_train(args, extras) -> int:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     _refuse_collision(args.out, args.force, is_dir=True)
     outputs = _training_outputs(args)
-
     manifest = load_dataset(args.data)
+    _refuse_shared_outputs((output for out_dir, log_path in outputs for output in (
+        *(("checkpoint file", os.path.join(out_dir, name)) for name in CHECKPOINT_FILES), ("log", log_path))),
+        dataset=manifest)
+
     train = apply_masks(load_split(manifest, "train"), cfg.data.channel_mask, cfg.data.time_window)
     val = apply_masks(load_split(manifest, "val"), cfg.data.channel_mask, cfg.data.time_window)
 
@@ -230,14 +237,18 @@ def cmd_train(args, extras) -> int:
 # -- eval / export-sim -------------------------------------------------------
 
 
-def _evaluate_checkpoint(args):
+def _evaluate_checkpoint(args, outputs):
     """The retrieval report and similarity of ``args.checkpoint`` on one split of ``args.data``.
 
-    The split must hold pairs, masked as in training; the model refuses a batch that does not fit its geometry. A test
-    split may hold no trained class.
+    The command's (what, path) ``outputs`` are refused before the checkpoint is read if one names another or an
+    input, or exists without --force. The split must hold pairs, masked as in training; the model refuses a batch
+    that does not fit its geometry. A test split may hold no trained class.
     """
-    ckpt = load_checkpoint(args.checkpoint)
     manifest = load_dataset(args.data)
+    _refuse_shared_outputs(outputs, dataset=manifest, checkpoint=args.checkpoint)
+    for _, path in outputs:
+        _refuse_collision(path, args.force, is_dir=False)
+    ckpt = load_checkpoint(args.checkpoint)
     split = load_split(manifest, args.split)
     if not len(split):
         raise ConfigError(f"split {args.split!r} of {args.data} has no pairs to evaluate")
@@ -248,9 +259,7 @@ def _evaluate_checkpoint(args):
 
 
 def cmd_eval(args, extras) -> int:
-    if args.out:
-        _refuse_collision(args.out, args.force, is_dir=False)
-    report, _ = _evaluate_checkpoint(args)
+    report, _ = _evaluate_checkpoint(args, [("report", args.out)] if args.out else [])
     out = {f"Top-{k}": report.top_k[k] for k in sorted(report.top_k)}
     out["mAP"] = report.map_score
     out["n_queries"] = len(report.ranks)
@@ -263,10 +272,7 @@ def cmd_eval(args, extras) -> int:
 
 def cmd_export_sim(args, extras) -> int:
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
-    _refuse_shared_outputs([("CSV", args.out), ("report", report_path)])
-    _refuse_collision(args.out, args.force, is_dir=False)
-    _refuse_collision(report_path, args.force, is_dir=False)
-    report, sim = _evaluate_checkpoint(args)
+    report, sim = _evaluate_checkpoint(args, [("CSV", args.out), ("report", report_path)])
     report.similarity_path = args.out
     write_atomically({
         args.out: lambda fh: write_similarity_csv(fh, sim),

@@ -29,6 +29,9 @@ LATENT_DIM = 8
 # generate_synthetic refuses a dataset whose arrays would pass this size;
 # splitting holds about one more copy at once, saving none
 MAX_DATASET_BYTES = 2 * 2**30
+# AlignmentModel refuses, before it draws a value, a model whose parameters alone would pass this
+# size; training holds a few more copies of the trainable ones (gradients, Adam's moments, a snapshot)
+MAX_PARAMETER_BYTES = 2 * 2**30
 # generate_synthetic draws its noise into one reused buffer of about this
 # many bytes (at least one sample's worth) whose rows span classes, and
 # renders classes in chunks of 1/32 of it (at least one class)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
-from .tensor import Tensor
 
 
 def _as_square_array(sim) -> np.ndarray:
-    s = sim.data if isinstance(sim, Tensor) else np.asarray(sim, dtype=np.float64)
+    s = np.asarray(sim, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {s.shape}")
     return s
@@ -128,7 +127,7 @@ def build_report(sim, ks) -> RetrievalReport:
 
 def write_similarity_csv(fh, sim) -> None:
     """Write the matrix to a binary handle as CSV with full float64 round-trip precision."""
-    s = sim.data if isinstance(sim, Tensor) else np.asarray(sim, dtype=np.float64)
+    s = np.asarray(sim, dtype=np.float64)
     if s.ndim != 2:
         raise DimensionError(f"similarity matrix must be 2-d, got {s.shape}")
     np.savetxt(fh, s, delimiter=",", fmt="%.17g")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backbone import ProjectionHead, VisionBackbone, make_prompts
 from .config import RunConfig, validate_config
-from .data import PairedBatch
+from .data import MAX_PARAMETER_BYTES, PairedBatch
 from .dynfilter import MIN_INPUT, FilterGenerator, apply_dynamic_filter
 from .eeg import LinearEncoder, Perturbation
 from .errors import ConfigError, DimensionError
@@ -39,7 +39,8 @@ class AlignmentModel(Module):
     order they are built, ``log_tau``, then the frozen trunk, which is
     built third but assigned last. Every part takes its values from
     ``init``: the generator seeded by ``cfg.trainer.seed`` unless one is
-    given, or a checkpoint's lookup, which draws nothing.
+    given, or a checkpoint's lookup, which draws nothing. A model that
+    would draw more than ``MAX_PARAMETER_BYTES`` is refused first.
     """
 
     def __init__(self, cfg: RunConfig, channels: int, timesteps: int, image_size: int, init: Init | None = None):
@@ -48,7 +49,18 @@ class AlignmentModel(Module):
             raise ConfigError(f"image size {image_size} is not divisible by patch size {cfg.backbone.patch}")
         if image_size < MIN_INPUT:
             raise ConfigError(f"image size {image_size} is below the filter generator's minimum {MIN_INPUT}")
-        if init is None:
+        if init is None:  # the one path that draws: first a build that adds up the bytes and allocates nothing
+            size = 0
+
+            def shape_only(name: str, shape: tuple[int, ...]) -> np.ndarray:
+                nonlocal size
+                size += 8 * math.prod(shape)
+                if size > MAX_PARAMETER_BYTES:
+                    raise ConfigError(f"the model's parameters reach {size} bytes at {name} {shape}, over the "
+                                      f"{MAX_PARAMETER_BYTES}-byte cap")
+                return np.broadcast_to(0.0, shape)
+
+            AlignmentModel(cfg, channels, timesteps, image_size, init=shape_only)
             init = np.random.default_rng(cfg.trainer.seed)
         self.cfg = cfg
         self.channels = channels

@@ -24,8 +24,7 @@ is closed-form and gated per parent in the same way.
   layer-norm input gradient;
 * ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
   softmax-Jacobian VJP; the heads are split from and merged back into
-  the last axis inside the node, and the score side is skipped when
-  neither q nor k needs a gradient;
+  the last axis inside the node;
 * ``softmax_rows`` and ``log_softmax_rows``;
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
   sums the k*k shifted views of one zero-padded image, so no window
@@ -153,15 +152,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -377,18 +367,15 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """x @ w + b as one node: np.add(np.matmul(x, w), b), the two numpy operations
-    of ``matmul(x, w) + b`` (the sum written into the product unless b widens it),
-    with matmul's VJP for x and w and add's for b."""
+    of ``matmul(x, w) + b`` with the sum written into the product, so a b that
+    widens the product is refused; matmul's VJP for x and w and add's for b."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim < 2:
         raise DimensionError(f"linear needs rank >= 2 operands, got {x.shape} and {w.shape}")
     try:
         product = np.matmul(x.data, w.data)
         inner = product.shape
-        try:
-            data = np.add(product, b.data, out=product)
-        except ValueError:  # a bias that widens the product
-            data = np.add(product, b.data)
+        data = np.add(product, b.data, out=product)
     except ValueError as e:
         raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}") from e
 
@@ -590,8 +577,8 @@ def attention(q, k, v, heads: int = 1) -> Tensor:
     are concatenated back along the last axis. Any leading axes are batch.
     One node: the split and merge are numpy reshapes inside it, the value
     gradient is p^T g, and the score gradient is the softmax Jacobian
-    applied to g v^T, scaled and multiplied out to q and k. The score side
-    is skipped when neither q nor k needs a gradient.
+    applied to g v^T, scaled and multiplied out to q and k; each parent's
+    gradient is computed only when that parent needs one.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -620,8 +607,6 @@ def attention(q, k, v, heads: int = 1) -> Tensor:
     def vjp(g):
         gh = split(g)
         gv = _unbroadcast(merge(np.matmul(p.swapaxes(-1, -2), gh)), v.shape) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
-            return None, None, gv
         gp = np.matmul(gh, vh.swapaxes(-1, -2))
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
         gq = _unbroadcast(merge(np.matmul(gs, kh)), q.shape) if q.requires_grad else None

@@ -10,6 +10,7 @@ import pytest
 
 from eegalign import bundle as bundle_module
 from eegalign import cli as cli_module
+from eegalign import model as model_module
 from eegalign.bundle import read_tensor, write_tensor
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
@@ -337,6 +338,15 @@ class TestTrain:
         assert refusal in one_error_line(capsys)
         assert sorted(os.listdir(tmp_path)) == ["data"]
 
+    def test_parameters_over_the_cap_exit_two_before_drawing(self, tmp_path, capsys, monkeypatch):
+        data = gen(tmp_path)
+        monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", 1000)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("the refused model drew values"))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "0", *SMALL_NET])
+        assert code == 2
+        assert one_error_line(capsys).endswith("over the 1000-byte cap")
+        assert sorted(os.listdir(tmp_path)) == ["data"]
+
     def test_prints_the_log_rows(self, tmp_path, capsys):
         data = gen(tmp_path)
         capsys.readouterr()
@@ -615,6 +625,28 @@ class TestMalformedManifests:
             return
         assert code == 2, err
         assert err.startswith("error: ") and str(path) in err
+
+
+class TestOutputNamingAnInput:
+    """An output that resolves to one of the command's inputs is refused even with --force, keeping the input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "run", "--data", "data", "--out", "run/params.bin"],
+        ["eval", "--checkpoint", "run", "--data", "data", "--out", "data/test.bin"],
+        ["train", "--data", "data", "--out", "data", "--epochs", "0", *SMALL_NET],
+        ["train", "--data", "data", "--out", "fresh", "--log", "data/train.bin", "--epochs", "0", *SMALL_NET],
+        ["export-sim", "--checkpoint", "run", "--data", "data", "--out", "sim.csv", "--report", "run/manifest.json"],
+    ], ids=["eval-checkpoint-params", "eval-split-payload", "train-dataset-manifest", "train-log-split-payload",
+            "export-sim-checkpoint-manifest"])
+    def test_refused_even_with_force(self, tmp_path, capsys, monkeypatch, argv):
+        data = gen(tmp_path)
+        train(tmp_path, data)
+        monkeypatch.chdir(tmp_path)
+        before = read_files(tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--force"]) == 2
+        assert one_error_line(capsys).endswith("are the same file")
+        assert read_files(tmp_path) == before
 
 
 class TestExportSim:

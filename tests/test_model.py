@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
+from eegalign import model as model_module
 from eegalign.config import default_config
 from eegalign.data import PairedBatch, generate_synthetic, make_batch
 from eegalign.errors import ConfigError, DimensionError
 from eegalign.fusion import BilinearMix, CrossAttentionFusion
 from eegalign.model import AlignmentModel
 from eegalign.tensor import Tensor
-from eegalign.trainer import embed_split, parameter_digest
+from eegalign.trainer import Checkpoint, embed_split, parameter_digest, snapshot_values
 
 # the checkpoint layout of a default-config model, captured before the parts' parameter lists were
 # read off their attributes: trainable parts first, the frozen trunk last
@@ -190,6 +191,26 @@ class TestTapeSize:
                                   timesteps=50, height=16, noise=0.2)
         total, _ = model.batch_loss(make_batch(data, np.arange(b)))
         assert self.recorded_nodes(total) <= self.MAX_NODES
+
+
+class TestParameterCap:
+    """A model that would draw more than MAX_PARAMETER_BYTES is refused before it draws; a loaded one is not checked."""
+
+    def test_cap_is_the_exact_parameter_bytes(self, monkeypatch):
+        size = sum(p.value.data.nbytes for p in small_model().parameters())
+        monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", size)
+        AlignmentModel(small_config(), channels=4, timesteps=10, image_size=16)
+        monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", size - 1)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("the refused model drew values"))
+        with pytest.raises(ConfigError, match=f"over the {size - 1}-byte cap"):
+            AlignmentModel(small_config(), channels=4, timesteps=10, image_size=16)
+
+    def test_a_checkpoint_build_is_not_checked(self, monkeypatch):
+        model = small_model()
+        ckpt = Checkpoint(model.cfg, 4, 10, 16, epoch=0, val_loss=1.0, train_class_ids=[],
+                          values=snapshot_values(model))
+        monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", 0)
+        assert parameter_digest(ckpt.build_model().parameters()) == parameter_digest(model.parameters())
 
 
 class TestFusionStrategies:

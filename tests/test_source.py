@@ -1,8 +1,15 @@
-"""Static checks over the package source."""
+"""Checks over the package source: static scans, and one scan of what the commands run."""
 import ast
+import contextlib
+import inspect
+import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from eegalign.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eegalign"
@@ -224,6 +231,11 @@ def test_bundle_imports_only_errors_from_the_package():
     assert package_imports(ast.parse((SRC / "bundle.py").read_text(encoding="utf-8"))) == ["errors"]
 
 
+def test_metrics_imports_only_errors_from_the_package():
+    # the metrics score plain arrays: eval hands them the similarity, never a tape tensor
+    assert package_imports(ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))) == ["errors"]
+
+
 def test_layer_scans_flag_toy_sources():
     tape = ast.parse("import os.path\nfrom json import dumps\nfrom .bundle import write_tensor\n"
                      "import numpy as np\nwith open(p) as fh: pass\n")
@@ -232,6 +244,8 @@ def test_layer_scans_flag_toy_sources():
     fmt = ast.parse("import numpy as np\nfrom .errors import FormatError\nfrom .tensor import Tensor\n"
                     "from . import model\nimport eegalign.losses\nfrom eegalign.trainer import fit\n")
     assert package_imports(fmt) == ["errors", "losses", "model", "tensor", "trainer"]
+    scores = ast.parse("import numpy as np\nfrom .errors import DimensionError\nfrom .tensor import Tensor\n")
+    assert package_imports(scores) == ["errors", "tensor"]
 
 
 # the modules that build the model's parts and its loss; config.validate_config holds every config rule
@@ -284,3 +298,123 @@ def test_value_maker_scan_flags_toy_sources():
     assert value_maker_calls(tree) == [(2, "Parameter"), (2, "normal"), (4, "default_rng"), (5, "Parameter"),
                                        (6, "normal")]
     assert value_maker_calls(ast.parse("p = param(rng, 'p', (2,), times=0.02)\nrng.normal\n")) == []
+
+
+# functions no command enters that stay in src/, and why each stays
+UNRUN_ALLOWED = {
+    "data.PairedBatch.__len__": "benchmarks/workloads.py counts a step's samples with len(batch)",
+    "trainer.parameter_digest": "benchmarks/workloads.py checks that a reloaded checkpoint has the same digest",
+    "metrics.mean_average_precision": "benchmarks/workloads.py scores its relevance mask with it",
+    "tensor.Tensor.__repr__": "what a failed assertion prints",
+    "tensor.Parameter.__repr__": "what a failed assertion prints",
+}
+# compiled as functions, but they run wherever they are written, at import too
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def function_codes(code: types.CodeType) -> list[types.CodeType]:
+    """Every ``def`` and ``lambda`` compiled within ``code``, nested ones too; not comprehensions or class bodies."""
+    out = []
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_NEWLOCALS and const.co_name not in COMPREHENSIONS:
+                out.append(const)
+            out += function_codes(const)
+    return out
+
+
+def unentered(sources: dict[str, str], entered: set, allowed) -> list[str]:
+    """``module.qualname (line n)`` of each function in ``sources`` (module -> text) that no code object in ``entered``
+    is and ``allowed`` does not name. Code compiled from the same text compares equal to the imported code."""
+    return [f"{module}.{code.co_qualname} (line {code.co_firstlineno})" for module, text in sorted(sources.items())
+            for code in function_codes(compile(text, module, "exec"))
+            if code not in entered and f"{module}.{code.co_qualname}" not in allowed]
+
+
+@contextlib.contextmanager
+def entered_code():
+    """The set of code objects that this thread's calls enter while the block runs."""
+    entered = set()
+
+    def trace(frame, event, arg):
+        entered.add(frame.f_code)  # returns None: no line events inside the frame
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield entered
+    finally:
+        sys.settrace(previous)
+
+
+TOY_GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12",
+           "--height", "16", "--held-out", "2", "--val-samples", "4"]
+TOY_NET = ["--epochs", "1", "--backbone.dim", "16", "--backbone.layers", "1", "--backbone.heads", "2",
+           "--backbone.prompts", "2", "--encoder.dim", "16", "--trainer.batch_size", "8"]
+
+
+def run_every_command(root: Path) -> None:
+    """The five commands at toy size, over both fusion strategies, a config file and the options, plus three refused
+    inputs: an unknown config key, a truncated params.bin and a missing checkpoint."""
+    data, run, cut = root / "data", root / "run", root / "cut"
+    config = root / "config.json"
+    config.write_text(json.dumps({"trainer": {"clip_norm": 0.5}}))
+    assert main(["gen-data", "--out", str(data), "--seed", "3", *TOY_GEN]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--config", str(config), *TOY_NET]) == 0
+    assert main(["train", "--data", str(data), "--out", str(root / "mix"), "--repeats", "2", "--seed", "5",
+                 "--fusion.strategy=bilinear", "--data.channel_mask", "[0, 2, 3]", "--data.time_window", "[1, 11]",
+                 *TOY_NET]) == 0
+    assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--ks", "1", "2",
+                 "--out", str(root / "report.json")]) == 0
+    assert main(["export-sim", "--checkpoint", str(run), "--data", str(data), "--ks", "1", "2",
+                 "--out", str(root / "sim.csv")]) == 0
+    assert main(["gradcheck", "--all"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(root / "bad"), "--loss.nope", "1", *TOY_NET]) == 2
+    cut.mkdir()
+    (cut / "manifest.json").write_bytes((run / "manifest.json").read_bytes())
+    (cut / "params.bin").write_bytes((run / "params.bin").read_bytes()[:100])
+    assert main(["eval", "--checkpoint", str(cut), "--data", str(data)]) == 2
+    assert main(["eval", "--checkpoint", str(root / "none"), "--data", str(data)]) == 2
+
+
+def test_every_function_in_src_runs_in_a_command_or_is_allowed(tmp_path):
+    with entered_code() as entered:
+        run_every_command(tmp_path)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unentered(sources, entered, UNRUN_ALLOWED) == []
+    # an entry that a command now runs, or that names no function, is stale
+    assert {name.split(" ")[0] for name in unentered(sources, entered, ())} == set(UNRUN_ALLOWED)
+
+
+TOY_MODULE = """\
+SQUARES = [n * n for n in range(3)]
+square = lambda x: x * x
+cube = lambda x: x ** 3
+def called(xs):
+    def helper(x):
+        return x
+    return sum(helper(x) for x in xs)
+def outer():
+    def closure():
+        return {k: k for k in ()}
+    return closure
+def dead():
+    pass
+class Box:
+    def __repr__(self):
+        return "Box"
+    def unused(self):
+        pass
+"""
+
+
+def test_reachability_scan_flags_what_no_call_enters():
+    namespace = {}
+    exec(compile(TOY_MODULE, "toy", "exec"), namespace)  # untraced, like an import
+    with entered_code() as entered:
+        namespace["square"](2)
+        namespace["called"]([1, 2])
+        namespace["outer"]()
+    assert unentered({"toy": TOY_MODULE}, entered, {"toy.Box.__repr__"}) == [
+        "toy.<lambda> (line 3)", "toy.outer.<locals>.closure (line 9)", "toy.dead (line 12)",
+        "toy.Box.unused (line 17)"]
