@@ -2,8 +2,9 @@
 
 Every command is deterministic given its flags and seeds, refuses to
 clobber existing outputs without --force, and refuses, even with --force,
-an output that resolves to another output or to one of its inputs. Every
-file goes through `write_atomically`, staged as `<path>.tmp` and moved
+an output that resolves to another output or to one of its inputs (the
+dataset's manifest and splits, the checkpoint's files, the config file).
+Every file goes through `write_atomically`, staged as `<path>.tmp` and moved
 into place when complete: a failed command removes only a directory it
 created, and a killed one may leave `.tmp` files but never a partial
 target. `train` accepts dotted config overrides such as `--loss.mu 1`
@@ -49,30 +50,35 @@ SPLIT_FILES = {"train": "train.bin", "val": "val.bin", "test": "test.bin"}
 CHECKPOINT_FILES = (MANIFEST_NAME, CHECKPOINT_PARAMS)
 
 
-def _refuse_collision(path: str, force: bool, is_dir: bool) -> None:
-    """Directories count as collisions only when non-empty; a file may never replace one."""
-    if not os.path.exists(path):
-        return
-    if os.path.isdir(path) and not is_dir:
-        raise ConfigError(f"output path {path} is a directory")
-    if is_dir and os.path.isdir(path) and not os.listdir(path):
-        return
-    if not force:
-        raise ConfigError(f"output path {path} already exists; pass --force to overwrite")
+def _claim_outputs(outputs, inputs, force: bool) -> None:
+    """Refuse, before any work, every (what, path, is_dir) output the command may not write.
 
-
-def _refuse_shared_outputs(outputs, dataset: DatasetManifest | None = None, checkpoint: str | None = None) -> None:
-    """Refuse a (what, path) output of one command that resolves to another output or to an input, even with --force:
-    the write would replace that file. The inputs are ``dataset``'s manifest and split payloads and ``checkpoint``'s."""
-    inputs = [] if dataset is None else [os.path.join(dataset.root, name)
-                                         for name in (MANIFEST_NAME, *dataset.splits.values())]
-    inputs += [] if checkpoint is None else [os.path.join(checkpoint, name) for name in CHECKPOINT_FILES]
+    An output that resolves to one of ``inputs`` or to another output is refused even with --force, as is a file
+    that would replace a directory, be a directory output or sit above one. A file whose directory does not exist
+    is refused unless that directory is itself an output. Without --force an existing file or non-empty directory
+    is refused.
+    """
+    dirs = {os.path.realpath(path): f"{what} {path}" for what, path, is_dir in outputs if is_dir}
     seen = {os.path.realpath(path): f"input {path}" for path in inputs}
-    for what, path in outputs:
+    for what, path, is_dir in outputs:
         real = os.path.realpath(path)
+        for real_dir, dir_output in dirs.items():
+            if not is_dir and os.path.commonpath([real, real_dir]) == real:
+                raise ConfigError(f"{what} {path} is {dir_output} or a directory above it")
         if real in seen:
             raise ConfigError(f"{seen[real]} and {what} {path} are the same file")
         seen[real] = f"{what} {path}"
+        if not is_dir and os.path.isdir(path):
+            raise ConfigError(f"{what} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not is_dir and not os.path.isdir(parent) and os.path.realpath(parent) not in dirs:
+            raise ConfigError(f"{what} directory {parent} does not exist")
+        if not force and os.path.exists(path) and not (os.path.isdir(path) and not os.listdir(path)):
+            raise ConfigError(f"{what} {path} already exists; pass --force to overwrite")
+
+
+def _dataset_files(manifest: DatasetManifest) -> list[str]:
+    return [os.path.join(manifest.root, name) for name in (MANIFEST_NAME, *manifest.splits.values())]
 
 
 @contextlib.contextmanager
@@ -94,7 +100,7 @@ def _fresh_outputs(dirs):
 
 
 def cmd_gen_data(args, extras) -> int:
-    _refuse_collision(args.out, args.force, is_dir=True)
+    _claim_outputs([("dataset directory", args.out, True)], inputs=[], force=args.force)
     data = generate_synthetic(
         seed=args.seed,
         n_classes=args.classes,
@@ -150,8 +156,7 @@ def _parse_dotted_overrides(tokens: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _resolve_config(args, extras) -> RunConfig:
-    config_path = args.config or os.environ.get(CONFIG_ENV)
+def _resolve_config(config_path: str | None, args, extras) -> RunConfig:
     cfg = load_config(config_path) if config_path else default_config()
     overrides = {}
     if args.epochs is not None:
@@ -162,31 +167,19 @@ def _resolve_config(args, extras) -> RunConfig:
     return apply_overrides(cfg, overrides)
 
 
-def _training_outputs(args) -> list[tuple[str, str]]:
-    """Each repeat's (checkpoint directory, log path), checked before training.
-
-    The log is written only after training, so a log path that collides or
-    lacks a directory is refused first, as is one that names the checkpoint
-    directory or a directory above it. ``cmd_train`` refuses a file that two
-    outputs, or an output and an input, share.
-    """
+def _training_outputs(args):
+    """Each repeat's (checkpoint directory, log path), and every output of the command as (what, path, is_dir)."""
     stem = args.log or os.path.join(args.out, "train_log.jsonl")
     if args.repeats == 1:
-        outputs = [(args.out, stem)]
+        runs = [(args.out, stem)]
     else:
         root, ext = os.path.splitext(stem)
-        outputs = [(os.path.join(args.out, f"repeat-{r}"), f"{root}.{r}{ext}")
-                   for r in range(args.repeats)]
-    for _, log_path in outputs:
-        real_log = os.path.realpath(log_path)
-        for out_dir, _ in outputs:
-            if os.path.commonpath([real_log, os.path.realpath(out_dir)]) == real_log:
-                raise ConfigError(f"log {log_path} is checkpoint directory {out_dir} or a directory above it")
-        _refuse_collision(log_path, args.force, is_dir=False)
-        log_dir = os.path.dirname(log_path) or "."
-        if not os.path.isdir(log_dir) and os.path.normpath(log_dir) != os.path.normpath(args.out):
-            raise ConfigError(f"log directory {log_dir} does not exist")
-    return outputs
+        runs = [(os.path.join(args.out, f"repeat-{r}"), f"{root}.{r}{ext}") for r in range(args.repeats)]
+    outputs = [] if args.repeats == 1 else [("output directory", args.out, True)]
+    for out_dir, log_path in runs:
+        outputs += [("checkpoint directory", out_dir, True), ("log", log_path, False),
+                    *(("checkpoint file", os.path.join(out_dir, name), False) for name in CHECKPOINT_FILES)]
+    return runs, outputs
 
 
 def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_path: str):
@@ -206,24 +199,23 @@ def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_pa
 
 
 def cmd_train(args, extras) -> int:
-    cfg = _resolve_config(args, extras)
+    config_path = args.config or os.environ.get(CONFIG_ENV)
+    cfg = _resolve_config(config_path, args, extras)
     cfg.data.path = args.data
 
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    _refuse_collision(args.out, args.force, is_dir=True)
-    outputs = _training_outputs(args)
+    runs, outputs = _training_outputs(args)
     manifest = load_dataset(args.data)
-    _refuse_shared_outputs((output for out_dir, log_path in outputs for output in (
-        *(("checkpoint file", os.path.join(out_dir, name)) for name in CHECKPOINT_FILES), ("log", log_path))),
-        dataset=manifest)
+    _claim_outputs(outputs, inputs=_dataset_files(manifest) + ([config_path] if config_path else []),
+                   force=args.force)
 
     train = apply_masks(load_split(manifest, "train"), cfg.data.channel_mask, cfg.data.time_window)
     val = apply_masks(load_split(manifest, "val"), cfg.data.channel_mask, cfg.data.time_window)
 
     base_seed = cfg.trainer.seed
     val_losses = []
-    for r, (out_dir, log_path) in enumerate(outputs):
+    for r, (out_dir, log_path) in enumerate(runs):
         cfg.trainer.seed = base_seed + r
         ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
         val_losses.append(ckpt.val_loss)
@@ -240,14 +232,13 @@ def cmd_train(args, extras) -> int:
 def _evaluate_checkpoint(args, outputs):
     """The retrieval report and similarity of ``args.checkpoint`` on one split of ``args.data``.
 
-    The command's (what, path) ``outputs`` are refused before the checkpoint is read if one names another or an
-    input, or exists without --force. The split must hold pairs, masked as in training; the model refuses a batch
+    The command's (what, path, is_dir) ``outputs`` are claimed after the dataset manifest is read and before the
+    checkpoint is. The split must hold pairs, masked as in training; the model refuses a batch
     that does not fit its geometry. A test split may hold no trained class.
     """
     manifest = load_dataset(args.data)
-    _refuse_shared_outputs(outputs, dataset=manifest, checkpoint=args.checkpoint)
-    for _, path in outputs:
-        _refuse_collision(path, args.force, is_dir=False)
+    _claim_outputs(outputs, inputs=_dataset_files(manifest) + [os.path.join(args.checkpoint, name)
+                                                                for name in CHECKPOINT_FILES], force=args.force)
     ckpt = load_checkpoint(args.checkpoint)
     split = load_split(manifest, args.split)
     if not len(split):
@@ -259,7 +250,7 @@ def _evaluate_checkpoint(args, outputs):
 
 
 def cmd_eval(args, extras) -> int:
-    report, _ = _evaluate_checkpoint(args, [("report", args.out)] if args.out else [])
+    report, _ = _evaluate_checkpoint(args, [("report", args.out, False)] if args.out else [])
     out = {f"Top-{k}": report.top_k[k] for k in sorted(report.top_k)}
     out["mAP"] = report.map_score
     out["n_queries"] = len(report.ranks)
@@ -272,7 +263,7 @@ def cmd_eval(args, extras) -> int:
 
 def cmd_export_sim(args, extras) -> int:
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
-    report, sim = _evaluate_checkpoint(args, [("CSV", args.out), ("report", report_path)])
+    report, sim = _evaluate_checkpoint(args, [("CSV", args.out, False), ("report", report_path, False)])
     report.similarity_path = args.out
     write_atomically({
         args.out: lambda fh: write_similarity_csv(fh, sim),

@@ -281,12 +281,20 @@ class TestTrain:
         assert manifest["config"]["backbone"]["dim"] == 16
         assert manifest["epoch"] == 0
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path, capsys):
-        data = gen(tmp_path)
+    def test_partial_outputs_removed_on_failure(self, tmp_path, capsys, monkeypatch):
+        # one training pair: fit refuses it after the checkpoint directory is made
+        data = gen(tmp_path, extra=["--classes", "3", "--per-class", "2", "--held-out", "1", "--val-samples", "3"])
         out = tmp_path / "broken"
-        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
-                     "--log", str(tmp_path / "no-such-dir" / "log.jsonl"), *SMALL_NET])
+        real_fit = cli_module.fit
+
+        def fit(*args, **kwargs):
+            assert out.is_dir()
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "fit", fit)
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", *SMALL_NET])
         assert code == 2
+        assert one_error_line(capsys) == "error: training split has fewer than 2 samples"
         assert not out.exists()
 
     @pytest.mark.parametrize("repeats,existing", [("1", "log.jsonl"), ("2", "log.1.jsonl")])
@@ -375,11 +383,15 @@ class TestTrain:
         assert code == 2
         assert "already exists" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out, extra, refusal", [
-        ("run", (), "already exists"), ("fresh", ("--repeats", "0"), "--repeats must be >= 1"),
-        ("fresh", ("--log", "no-such-dir/log.jsonl"), "does not exist")], ids=["existing-out", "repeats", "log-dir"])
+    # --repeats is checked before the dataset manifest is read, and the outputs after it
+    @pytest.mark.parametrize("out, extra, refusal, without_data", [
+        ("run", (), "already exists", "no manifest at"),
+        ("fresh", ("--repeats", "0"), "--repeats must be >= 1", "--repeats must be >= 1"),
+        ("fresh", ("--log", "no-such-dir/log.jsonl"), "does not exist", "no manifest at")],
+        ids=["existing-out", "repeats", "log-dir"])
     @pytest.mark.parametrize("data_ok", [True, False], ids=["data", "no-data"])
-    def test_refused_outputs_read_no_split(self, tmp_path, capsys, monkeypatch, out, extra, refusal, data_ok):
+    def test_refused_outputs_read_no_split(self, tmp_path, capsys, monkeypatch, out, extra, refusal, without_data,
+                                           data_ok):
         data = gen(tmp_path) if data_ok else tmp_path / "no-such-data"
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "manifest.json").write_text("{}")
@@ -388,7 +400,7 @@ class TestTrain:
         monkeypatch.chdir(tmp_path)
         code = main(["train", "--data", str(data), "--out", out, "--epochs", "0", *extra, *SMALL_NET])
         assert code == 2
-        assert refusal in one_error_line(capsys)
+        assert (refusal if data_ok else without_data) in one_error_line(capsys)
         assert loaded == []
 
 
@@ -553,6 +565,24 @@ class TestEval:
         assert one_error_line(capsys).endswith(f"checkpoint geometry.{key} must be >= 1, got {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, what", [
+        (["eval", "--ks", "1", "--out", "nodir/rep.json"], "report"),
+        (["export-sim", "--out", "nodir/sim.csv"], "CSV"),
+        (["export-sim", "--out", "sim.csv", "--report", "nodir/rep.json"], "report"),
+    ], ids=["eval-out", "export-sim-csv", "export-sim-report"])
+    def test_output_in_a_missing_directory_refused_before_the_checkpoint_is_read(self, trained, tmp_path, capsys,
+                                                                                 monkeypatch, argv, what):
+        data, run = trained
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: pytest.fail("the checkpoint was read"))
+        before = read_files(tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--checkpoint", str(run), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {what} directory nodir does not exist"]
+        assert read_files(tmp_path) == before
+
     def test_missing_checkpoint_exits_nonzero(self, trained, capsys):
         data, _ = trained
         code = main(["eval", "--checkpoint", str(data / "nope"), "--data", str(data)])
@@ -630,17 +660,23 @@ class TestMalformedManifests:
 class TestOutputNamingAnInput:
     """An output that resolves to one of the command's inputs is refused even with --force, keeping the input."""
 
-    @pytest.mark.parametrize("argv", [
-        ["eval", "--checkpoint", "run", "--data", "data", "--out", "run/params.bin"],
-        ["eval", "--checkpoint", "run", "--data", "data", "--out", "data/test.bin"],
-        ["train", "--data", "data", "--out", "data", "--epochs", "0", *SMALL_NET],
-        ["train", "--data", "data", "--out", "fresh", "--log", "data/train.bin", "--epochs", "0", *SMALL_NET],
-        ["export-sim", "--checkpoint", "run", "--data", "data", "--out", "sim.csv", "--report", "run/manifest.json"],
+    @pytest.mark.parametrize("argv, config_env", [
+        (["eval", "--checkpoint", "run", "--data", "data", "--out", "run/params.bin"], None),
+        (["eval", "--checkpoint", "run", "--data", "data", "--out", "data/test.bin"], None),
+        (["train", "--data", "data", "--out", "data", "--epochs", "0", *SMALL_NET], None),
+        (["train", "--data", "data", "--out", "fresh", "--log", "data/train.bin", "--epochs", "0", *SMALL_NET], None),
+        (["export-sim", "--checkpoint", "run", "--data", "data", "--out", "sim.csv", "--report", "run/manifest.json"],
+         None),
+        (["train", "--data", "data", "--out", "fresh", "--config", "c.json", "--log", "c.json", *SMALL_NET], None),
+        (["train", "--data", "data", "--out", "fresh", "--log", "c.json", *SMALL_NET], "c.json"),
     ], ids=["eval-checkpoint-params", "eval-split-payload", "train-dataset-manifest", "train-log-split-payload",
-            "export-sim-checkpoint-manifest"])
-    def test_refused_even_with_force(self, tmp_path, capsys, monkeypatch, argv):
+            "export-sim-checkpoint-manifest", "train-log-config", "train-log-env-config"])
+    def test_refused_even_with_force(self, tmp_path, capsys, monkeypatch, argv, config_env):
         data = gen(tmp_path)
         train(tmp_path, data)
+        (tmp_path / "c.json").write_text(json.dumps({"trainer": {"epochs": 0}}))
+        if config_env:
+            monkeypatch.setenv("EEGALIGN_CONFIG", config_env)
         monkeypatch.chdir(tmp_path)
         before = read_files(tmp_path)
         capsys.readouterr()
@@ -854,3 +890,19 @@ class TestTopLevel:
     def test_extras_rejected_outside_train(self, capsys):
         assert main(["gradcheck", "fusion", "--loss.mu", "2"]) == 2
         assert "unrecognized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "data", "--out", "run", "--foo"], "unrecognized argument '--foo'"),
+        (["train", "--data", "data", "--out", "run", "--loss.mu"], "override '--loss.mu' is missing a value"),
+        (["train", "--data", "data", "--out", "run", "--nosuch.key", "1"], "unknown config section 'nosuch'"),
+        (["gen-data", "--out", "run", *SMALL_GEN, "--classes", "0"], "need at least one class"),
+        (["gen-data", "--out", "run", *SMALL_GEN, "--channels", "0"], "dimensions must be positive"),
+    ], ids=["train-unknown-flag", "train-override-without-value", "train-unknown-section", "gen-data-no-classes",
+            "gen-data-no-channels"])
+    def test_refused_argument_exits_two_writing_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
+        gen(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in one_error_line(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["data"]
