@@ -217,7 +217,8 @@ def cmd_train(args, extras) -> int:
     val_losses = []
     for r, (out_dir, log_path) in enumerate(runs):
         cfg.trainer.seed = base_seed + r
-        ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
+        with _fresh_outputs([args.out] if r == 0 else []):  # a failed first repeat removes the --out it made
+            ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
         val_losses.append(ckpt.val_loss)
         print(f"seed {cfg.trainer.seed}: best epoch {ckpt.epoch}, val loss {ckpt.val_loss:.6f} -> {out_dir}")
     if args.repeats > 1:

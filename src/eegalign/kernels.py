@@ -1,0 +1,59 @@
+"""The compiled kernels of ``kernels.c``, built with the system C compiler on first use.
+
+``compiled()`` returns the loaded library, or None when anything failed: no ``cc`` on PATH, a compiler that
+exits non-zero or overruns ``COMPILE_SECONDS``, a cache that cannot be written. Its callers then run their
+numpy code, which gives the same bits, so the kernels change speed only. The library is cached under
+``$XDG_CACHE_HOME/eegalign`` (``~/.cache/eegalign`` by default), named by the SHA-256 of the source, the
+flags, the compiler's version and the platform; it is compiled to a name of this process's own and moved into
+place, so concurrent first runs each load a whole file. Compiler output is captured and never shown.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import sysconfig
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("kernels.c")
+# never -ffast-math or -Ofast: they reorder operations, and a shared object built with them sets
+# flush-to-zero for the whole process
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+COMPILE_SECONDS = 60
+_loaded: list = []  # empty until the first call, then [the library or None]
+
+
+def compiled() -> ctypes.CDLL | None:
+    """The kernels, loaded on the first call; None if they could not be built or loaded."""
+    if not _loaded:
+        _loaded.append(_load())
+    return _loaded[0]
+
+
+def _load() -> ctypes.CDLL | None:
+    size, double = ctypes.c_ssize_t, ctypes.c_double
+    try:
+        source = SOURCE.read_bytes()
+        version = subprocess.run(["cc", "--version"], capture_output=True, check=True,
+                                 timeout=COMPILE_SECONDS).stdout
+        key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(), version,
+                                         sysconfig.get_platform().encode()])).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "eegalign"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        target = cache / f"kernels-{key[:32]}.so"
+        if not target.exists():
+            staged = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run(["cc", *FLAGS, "-o", str(staged), "-x", "c", "-"], input=source,
+                               capture_output=True, check=True, timeout=COMPILE_SECONDS)
+                os.replace(staged, target)
+            finally:
+                staged.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(target))
+        lib.tap_sum.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [size] * 4 + [ctypes.c_void_p] + [size] * 6
+        lib.adam.argtypes = [ctypes.c_void_p] * 4 + [size] + [double] * 8
+        lib.tap_sum.restype = lib.adam.restype = None
+        return lib
+    except Exception:  # a boundary: a failed build costs speed only, so any failure leaves the numpy code running
+        return None

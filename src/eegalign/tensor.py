@@ -28,8 +28,8 @@ is closed-form and gated per parent in the same way.
 * ``softmax_rows`` and ``log_softmax_rows``;
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
   sums the k*k shifted views of one zero-padded image, so no window
-  matrix is built. ``unfold`` remains for ordinary strided
-  convolutions.
+  matrix is built; ``kernels.c`` does that sum when it loaded, with
+  numpy's bits. ``unfold`` remains for ordinary strided convolutions.
 
 backward() stores gradients on leaves only; intermediate results are
 never given a ``.grad``.
@@ -48,6 +48,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .errors import ContractError, DimensionError, DomainError
+from .kernels import compiled
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -55,7 +56,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 NORM_GUARD = 1e-12
 LN_EPS = 1e-5
 KL_CLAMP = 1e-12
-# _tap_sum sums over blocks of samples whose padded input is about this many bytes, so a block
+# _tap_sum's numpy path sums over blocks of samples whose padded input is about this many bytes, so a block
 # stays in L2 across the taps (a 32-sample batch is one block at 16x16, four at 32x32); each
 # block sums from zeros in (u, v) order, so every output bit is the whole batch's
 TAP_BLOCK_BYTES = 320 * 2**10
@@ -680,8 +681,21 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view, in blocks of samples."""
+    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view of the C-contiguous ``padded``.
+
+    The compiled ``tap_sum`` does it when the kernels loaded; otherwise numpy does, in blocks of samples. Both add
+    each tap's product into zeros in (u, v) order, so they give the same bits; ``k`` may be any strided view.
+    """
+    if not (padded.flags.c_contiguous and padded.dtype == k.dtype == _FLOAT64
+            and padded.shape == k.shape[:2] + (h + k.shape[2] - 1, w + k.shape[3] - 1)):
+        raise ContractError(f"tap sum needs a C-contiguous float64 padded input that fits its {k.shape} kernels "
+                            f"and {h}x{w} output, got {padded.dtype} {padded.shape}")
     out = np.zeros(padded.shape[:2] + (h, w))
+    lib = compiled()
+    if lib is not None:
+        strides = (s // k.itemsize for s in k.strides)
+        lib.tap_sum(padded.ctypes.data, k.ctypes.data, *strides, out.ctypes.data, *out.shape, *k.shape[2:])
+        return out
     rows = max(1, TAP_BLOCK_BYTES // max(1, padded[:1].nbytes))
     for s in range(0, len(out), rows):
         block, kb, ob = padded[s:s + rows], k[s:s + rows], out[s:s + rows]

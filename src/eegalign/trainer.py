@@ -20,6 +20,7 @@ from .bundle import check_fields, read_manifest, read_tensors, save_bundle
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import SplitArrays, make_batch
 from .errors import ConfigError, ContractError, FormatError
+from .kernels import compiled
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
 from .tensor import Parameter, no_grad
@@ -82,6 +83,8 @@ class Adam:
         moments, one numpy operation at a time in that order, into m, v,
         the value and two scratch blocks, over each run of consecutive
         parameters with a gradient in blocks of ``ADAM_BLOCK`` entries.
+        When the kernels loaded, the compiled ``adam`` does the same 14
+        operations per entry over each whole run, with the same bits.
         """
         self.t += 1
         b1, b2 = ADAM_BETAS
@@ -93,7 +96,12 @@ class Adam:
                 if not runs or runs[-1][1] < lo:
                     runs.append([lo, hi])
                 runs[-1][1] = hi
+        lib = compiled()
         for lo, hi in runs:
+            if lib is not None:
+                lib.adam(*(flat[lo:].ctypes.data for flat in self._flat), hi - lo, b1, 1.0 - b1, b2, 1.0 - b2,
+                         m_scale, v_scale, self.lr, ADAM_EPS)
+                continue
             for start in range(lo, hi, ADAM_BLOCK):
                 value, g, m, v = (flat[start:min(start + ADAM_BLOCK, hi)] for flat in self._flat)
                 work, denom = (buf[:len(g)] for buf in self._scratch)

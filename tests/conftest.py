@@ -1,7 +1,32 @@
 import numpy as np
 import pytest
 
+from eegalign import kernels
 from eegalign.bundle import write_tensor
+
+
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """Build the compiled kernels into a cache of this test session's own, not the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture()
+def numpy_fallback(monkeypatch):
+    """Run the test with the compiled kernels unloaded, on the numpy code whose bits they must give."""
+    monkeypatch.setattr(kernels, "_loaded", [None])
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel_path(request):
+    """Run the test once on the compiled kernels and once on the numpy fallback."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_fallback")
+    elif kernels.compiled() is None:
+        pytest.skip("the compiled kernels did not load")
+    return request.param
 
 
 @pytest.hookimpl(hookwrapper=True)

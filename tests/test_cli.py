@@ -14,6 +14,7 @@ from eegalign import model as model_module
 from eegalign.bundle import read_tensor, write_tensor
 from eegalign.cli import main
 from eegalign.data import load_dataset, load_split, save_dataset
+from eegalign.errors import ConfigError
 from eegalign.trainer import load_checkpoint, parameter_digest, save_checkpoint
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -281,8 +282,10 @@ class TestTrain:
         assert manifest["config"]["backbone"]["dim"] == 16
         assert manifest["epoch"] == 0
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path, capsys, monkeypatch):
-        # one training pair: fit refuses it after the checkpoint directory is made
+    @staticmethod
+    def train_on_one_pair(tmp_path, capsys, monkeypatch, repeats):
+        """Train on a dataset whose train split holds one pair: fit refuses it after the output directory is made.
+        The command must exit 2 and leave no --out."""
         data = gen(tmp_path, extra=["--classes", "3", "--per-class", "2", "--held-out", "1", "--val-samples", "3"])
         out = tmp_path / "broken"
         real_fit = cli_module.fit
@@ -292,10 +295,35 @@ class TestTrain:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(cli_module, "fit", fit)
-        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", *SMALL_NET])
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--repeats", repeats,
+                     *SMALL_NET])
         assert code == 2
         assert one_error_line(capsys) == "error: training split has fewer than 2 samples"
         assert not out.exists()
+
+    def test_partial_outputs_removed_on_failure(self, tmp_path, capsys, monkeypatch):
+        self.train_on_one_pair(tmp_path, capsys, monkeypatch, "1")
+
+    def test_failed_first_repeat_removes_the_out_it_made(self, tmp_path, capsys, monkeypatch):
+        self.train_on_one_pair(tmp_path, capsys, monkeypatch, "2")
+
+    def test_failed_repeat_keeps_the_repeats_that_finished(self, tmp_path, capsys, monkeypatch):
+        data = gen(tmp_path)
+        out = tmp_path / "multi"
+        real_fit = cli_module.fit
+
+        def fit(model, *args, **kwargs):
+            if model.cfg.trainer.seed == 2:
+                raise ConfigError("the second repeat fails")
+            return real_fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "fit", fit)
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--seed", "1",
+                     "--repeats", "3", *SMALL_NET])
+        assert code == 2
+        assert one_error_line(capsys) == "error: the second repeat fails"
+        assert sorted(os.listdir(out)) == ["repeat-0", "train_log.0.jsonl"]
+        assert sorted(os.listdir(out / "repeat-0")) == ["manifest.json", "params.bin"]
 
     @pytest.mark.parametrize("repeats,existing", [("1", "log.jsonl"), ("2", "log.1.jsonl")])
     def test_existing_log_refused_without_force(self, tmp_path, capsys, monkeypatch, repeats, existing):

@@ -85,7 +85,7 @@ class TestFilterGenerator:
 
 
 class TestApplyDynamicFilter:
-    def test_delta_kernel_is_identity(self):
+    def test_delta_kernel_is_identity(self, kernel_path):
         images = Tensor(np.random.default_rng(0).uniform(size=(2, 3, 10, 10)))
         out = apply_dynamic_filter(images, delta_kernels(2, 3, 5, 5))
         assert np.array_equal(out.data, images.data)
@@ -99,7 +99,7 @@ class TestApplyDynamicFilter:
         assert np.allclose(out[:, :, 0, 0], 2.0 * 4.0 / 9.0, atol=1e-12)
 
     @pytest.mark.parametrize("size,kh,kw", [((1, 3, 8, 8), 3, 3), ((2, 3, 7, 9), 5, 3), ((1, 2, 6, 6), 1, 5)])
-    def test_matches_naive_loop_convolution(self, size, kh, kw):
+    def test_matches_naive_loop_convolution(self, size, kh, kw, kernel_path):
         rng = np.random.default_rng(hash((size, kh, kw)) % (2**32))
         images = rng.normal(size=size)
         kernels = rng.normal(size=(size[0], size[1], kh, kw))
@@ -107,7 +107,7 @@ class TestApplyDynamicFilter:
         slow = loop_convolve(images, kernels)
         assert np.max(np.abs(fast - slow)) < 1e-9
 
-    def test_matches_naive_loop_convolution_across_sample_blocks(self, monkeypatch):
+    def test_matches_naive_loop_convolution_across_sample_blocks(self, monkeypatch, kernel_path):
         rng = np.random.default_rng(45)
         images, kernels = rng.normal(size=(5, 3, 6, 6)), rng.normal(size=(5, 3, 5, 5))
         monkeypatch.setattr(tensor_module, "TAP_BLOCK_BYTES", 2 * 8 * 3 * 10 * 10)  # blocks of 2, 2, 1
@@ -118,7 +118,7 @@ class TestApplyDynamicFilter:
         ((1, 3, 8, 8), 5, 5), ((2, 3, 6, 11), 3, 7), ((2, 3, 9, 5), 1, 3), ((1, 2, 7, 7), 1, 1),
         ((3, 1, 4, 10), 5, 1),
     ])
-    def test_op_matches_naive_loop_convolution(self, size, kh, kw):
+    def test_op_matches_naive_loop_convolution(self, size, kh, kw, kernel_path):
         rng = np.random.default_rng(sum(size) * 100 + kh * 10 + kw)
         images = rng.normal(size=size)
         kernels = rng.normal(size=(size[0], size[1], kh, kw))
@@ -160,7 +160,7 @@ class TestApplyDynamicFilter:
         with pytest.raises(DimensionError):
             apply_dynamic_filter(images, Tensor(np.zeros((2, 2, 3, 3))))
 
-    def test_end_to_end_grad_check(self):
+    def test_end_to_end_grad_check(self, kernel_path):
         gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(12))
         base = np.random.default_rng(13).uniform(size=(2, 3, 8, 8))
         images = Tensor(base, requires_grad=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from eegalign import kernels
 from eegalign.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,6 +237,22 @@ def test_metrics_imports_only_errors_from_the_package():
     assert package_imports(ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))) == ["errors"]
 
 
+def test_kernels_import_nothing_from_the_package():
+    # the loader knows a C source, a compiler and a cache; the tape and the optimizer import it
+    assert package_imports(ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))) == []
+
+
+def kernel_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports from the package's ``kernels`` loader."""
+    return sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "kernels" for alias in node.names)
+
+
+@pytest.mark.parametrize("name", ["tensor.py", "trainer.py"])
+def test_tape_and_optimizer_import_only_the_kernel_handle(name):
+    assert kernel_imports(ast.parse((SRC / name).read_text(encoding="utf-8"))) == ["compiled"]
+
+
 def test_layer_scans_flag_toy_sources():
     tape = ast.parse("import os.path\nfrom json import dumps\nfrom .bundle import write_tensor\n"
                      "import numpy as np\nwith open(p) as fh: pass\n")
@@ -246,6 +263,8 @@ def test_layer_scans_flag_toy_sources():
     assert package_imports(fmt) == ["errors", "losses", "model", "tensor", "trainer"]
     scores = ast.parse("import numpy as np\nfrom .errors import DimensionError\nfrom .tensor import Tensor\n")
     assert package_imports(scores) == ["errors", "tensor"]
+    reach = ast.parse("from .kernels import compiled, _load\nfrom eegalign.kernels import SOURCE\nimport ctypes\n")
+    assert kernel_imports(reach) == ["SOURCE", "_load", "compiled"]
 
 
 # the modules that build the model's parts and its loss; config.validate_config holds every config rule
@@ -377,7 +396,8 @@ def run_every_command(root: Path) -> None:
     assert main(["eval", "--checkpoint", str(root / "none"), "--data", str(data)]) == 2
 
 
-def test_every_function_in_src_runs_in_a_command_or_is_allowed(tmp_path):
+def test_every_function_in_src_runs_in_a_command_or_is_allowed(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "_loaded", [])  # the commands load the kernels again, as a new process does
     with entered_code() as entered:
         run_every_command(tmp_path)
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}

@@ -567,7 +567,7 @@ class TestDynamicConv:
     @pytest.mark.parametrize("size,kh,kw", [
         ((2, 3, 8, 8), 3, 3), ((1, 3, 7, 10), 5, 3), ((2, 2, 6, 9), 1, 5), ((3, 1, 5, 4), 1, 1),
     ])
-    def test_matches_the_unfold_formulation(self, size, kh, kw):
+    def test_matches_the_unfold_formulation(self, size, kh, kw, kernel_path):
         rng = np.random.default_rng(40)
         x0, k0 = _rand(rng, *size), _rand(rng, size[0], size[1], kh, kw)
         probe = Tensor(_rand(rng, *size))
@@ -582,7 +582,7 @@ class TestDynamicConv:
             assert np.max(np.abs(direct - unfolded)) < 1e-12
 
     @pytest.mark.parametrize("live", ["image", "kernel"])
-    def test_finite_differences_per_parent(self, live):
+    def test_finite_differences_per_parent(self, live, kernel_path):
         rng = np.random.default_rng(41)
         x = Tensor(_rand(rng, 2, 2, 5, 6), requires_grad=live == "image")
         k = Tensor(_rand(rng, 2, 2, 3, 5), requires_grad=live == "kernel")
@@ -592,7 +592,7 @@ class TestDynamicConv:
         report = grad_check(lambda: (dynamic_conv(x, k) ** 2.0 * probe).sum(), [param])
         assert report.passed, report.summary()
 
-    def test_frozen_image_gets_none_and_kernel_gradient_is_unchanged(self):
+    def test_frozen_image_gets_none_and_kernel_gradient_is_unchanged(self, kernel_path):
         rng = np.random.default_rng(42)
         x0, k0 = _rand(rng, 2, 3, 6, 6), _rand(rng, 2, 3, 3, 3)
         g = _rand(rng, 2, 3, 6, 6)
@@ -645,7 +645,7 @@ BLOCK_EDGES = {"1": lambda rows: 1, "rows-1": lambda rows: rows - 1, "rows": lam
 class TestDynamicConvBlocks:
     @pytest.mark.parametrize("side", [16, 32])
     @pytest.mark.parametrize("edge", sorted(BLOCK_EDGES))
-    def test_bitwise_the_whole_batch_sum(self, side, edge):
+    def test_bitwise_the_whole_batch_sum(self, side, edge, kernel_path):
         bsz = BLOCK_EDGES[edge](_tap_rows(side))
         rng = np.random.default_rng(bsz + side)
         x0, k0, g = _rand(rng, bsz, 3, side, side), _rand(rng, bsz, 3, 5, 5), _rand(rng, bsz, 3, side, side)
@@ -661,7 +661,7 @@ class TestDynamicConvBlocks:
                 want_gk[:, :, u, v] = np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + side, v:v + side])
         assert np.array_equal(gk, want_gk)
 
-    def test_desk_batch_is_one_block_and_quickstart_four(self, monkeypatch):
+    def test_desk_batch_is_one_block_and_quickstart_four(self, monkeypatch, numpy_fallback):
         assert _tap_rows(16) >= 32 and 8 <= _tap_rows(32) <= 10
         seen, einsum = [], np.einsum  # the sample count of each tap einsum, in call order
 
@@ -678,6 +678,48 @@ class TestDynamicConvBlocks:
         dynamic_conv(Tensor(_rand(rng, 32, 3, 32, 32)), Tensor(_rand(rng, 32, 3, 5, 5)))
         rows = _tap_rows(32)
         assert seen == [rows] * 75 + [32 - 3 * rows] * 25
+
+
+# (samples, channels, h, w, kh, kw) that the block tests above do not reach
+TAP_SUM_CASES = {"one-sample": (1, 3, 8, 8, 5, 5), "1x1": (2, 3, 6, 7, 1, 1), "3x5": (2, 2, 7, 9, 3, 5),
+                 "5x1": (3, 1, 6, 4, 5, 1)}
+# signed zeros, subnormals, overflow and non-finite values (rarer, so that most sums stay numbers), whose bits
+# a reordered or flushed sum would change
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -1e-310, 1e-300, 1e200, 1.5, -2.25, np.inf, -np.inf, np.nan]
+SPECIAL_ODDS = np.array([12] * 8 + [1] * 3) / 99
+
+
+class TestTapSum:
+    @pytest.mark.parametrize("case", sorted(TAP_SUM_CASES))
+    @pytest.mark.parametrize("flipped", [False, True], ids=["kernel", "flipped-view"])
+    def test_bitwise_the_whole_batch_sum(self, case, flipped, kernel_path):
+        bsz, ch, h, w, kh, kw = TAP_SUM_CASES[case]
+        rng = np.random.default_rng(46)
+        padded = np.pad(_rand(rng, bsz, ch, h, w), ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        k = _rand(rng, bsz, ch, kh, kw)
+        if flipped:  # the view with negative strides that the image-side VJP passes
+            k = k[:, :, ::-1, ::-1]
+        assert np.array_equal(tz._tap_sum(padded, k, h, w), _whole_batch_tap_sum(padded, k, h, w))
+
+    @pytest.mark.parametrize("wrong", ["strided", "float32", "short", "batch"])
+    def test_an_input_the_kernel_cannot_read_is_refused(self, wrong, kernel_path):
+        # the 3x3 kernels of two 3-channel samples and a 6x6 output need a C-contiguous float64 (2, 3, 8, 8)
+        padded = {"strided": np.zeros((2, 3, 8, 16))[..., ::2], "float32": np.zeros((2, 3, 8, 8), np.float32),
+                  "short": np.zeros((2, 3, 7, 8)), "batch": np.zeros((1, 3, 8, 8))}[wrong]
+        with pytest.raises(ContractError, match="tap sum needs"):
+            tz._tap_sum(padded, np.zeros((2, 3, 3, 3)), 6, 6)
+
+    def test_special_values_keep_their_bits(self, kernel_path):
+        # a NaN's sign and payload are not compared: which of two NaN addends a sum keeps is the order in which
+        # the machine code passes them, which neither numpy's loops nor a C compiler fixes
+        rng = np.random.default_rng(47)
+        x, k = (rng.choice(SPECIAL_VALUES, size=size, p=SPECIAL_ODDS) for size in ((4, 3, 6, 6), (4, 3, 3, 3)))
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = tz._tap_sum(padded, k, 6, 6), _whole_batch_tap_sum(padded, k, 6, 6)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~number) and 100 < number.sum() < got.size
+        assert got[number].tobytes() == want[number].tobytes()
 
 
 # -- fused ops against the primitive compositions they replaced -----------

@@ -98,7 +98,7 @@ class TestAdam:
         expected = 1.0 - 0.01 * g / (np.sqrt(g * g) + 1e-8)
         assert p.value.data == pytest.approx(expected, abs=1e-15)
 
-    def test_matches_the_out_of_place_formula_bitwise(self):
+    def test_matches_the_out_of_place_formula_bitwise(self, kernel_path):
         rng = np.random.default_rng(40)
         shapes = [(6, 5), (5,), (), (3, 2, 2)]
         # values far below the step size, so a last-bit change in the step survives the subtraction
@@ -127,7 +127,7 @@ class TestAdam:
                 assert np.array_equal(p.value.data, values[i]), (t, i)
                 assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i]), (t, i)
 
-    def test_zero_learning_rate_is_inert(self):
+    def test_zero_learning_rate_is_inert(self, kernel_path):
         p = scalar_param([4.0, -1.0])
         opt = Adam([p], lr=0.0)
         p.value.grad = np.asarray([1.0, 2.0])
@@ -225,7 +225,7 @@ class TestFlatAdam:
         assert parameter_digest(model.parameters()) == before
         assert group_buffer(model.group("A")) is not first
 
-    def test_small_blocks_match_the_per_parameter_update_bitwise(self, monkeypatch):
+    def test_small_blocks_match_the_per_parameter_update_bitwise(self, monkeypatch, kernel_path):
         monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 7)
         train = tiny_splits()["train"]
         models = [tiny_model(seed=3) for _ in range(2)]
@@ -246,6 +246,28 @@ class TestFlatAdam:
         dropped = optimizers[0][1]
         assert not dropped.m[5].any() and not dropped.v[5].any()
         assert np.array_equal(models[0].group("B")[5].value.data, tiny_model(seed=3).group("B")[5].value.data)
+
+
+    @pytest.mark.parametrize("lr", [0.003, 0.0])
+    def test_a_run_longer_than_a_block_matches_the_per_parameter_update_bitwise(self, lr, kernel_path):
+        rng = np.random.default_rng(6)
+        sizes = [2 * trainer_module.ADAM_BLOCK + 5, 3, trainer_module.ADAM_BLOCK - 1]
+        pairs = [[Parameter(f"p{i}", Tensor(1e-4 * rng.normal(size=n))) for i, n in enumerate(sizes)] for _ in "ab"]
+        for p, q in zip(*pairs):
+            q.value.data = p.value.data.copy()
+        start = [p.value.data.copy() for p in pairs[0]]
+        flat, plain = Adam(pairs[0], lr), PerParameterAdam(pairs[1], lr)
+        for _ in range(3):
+            for p, q in zip(*pairs):
+                # gradients across the exponent range, so some squares and moments are subnormal
+                p.value.grad = rng.normal(size=p.value.shape) * 10.0 ** rng.uniform(-170, 20, size=p.value.shape)
+                q.value.grad = p.value.grad.copy()
+            flat.step()
+            plain.step()
+        for i, (p, q) in enumerate(zip(*pairs)):
+            assert p.value.data.tobytes() == q.value.data.tobytes()
+            assert flat.m[i].tobytes() == plain.m[i].tobytes() and flat.v[i].tobytes() == plain.v[i].tobytes()
+        assert lr or all(np.array_equal(p.value.data, value) for p, value in zip(pairs[0], start))
 
 
 class TestClipGradients:
