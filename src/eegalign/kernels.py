@@ -1,17 +1,20 @@
 """The compiled kernels of ``kernels.c``, built with the system C compiler on first use.
 
 ``compiled()`` returns the loaded library, or None when anything failed: no ``cc`` on PATH, a compiler that
-exits non-zero or overruns ``COMPILE_SECONDS``, a cache that cannot be written. Its callers then run their
-numpy code, which gives the same bits, so the kernels change speed only. The library is cached under
-``$XDG_CACHE_HOME/eegalign`` (``~/.cache/eegalign`` by default), named by the SHA-256 of the source, the
-flags, the compiler's version and the platform; it is compiled to a name of this process's own and moved into
-place, so concurrent first runs each load a whole file. Compiler output is captured and never shown.
+exits non-zero or overruns ``COMPILE_SECONDS``, a cache that cannot be written or that is not private. Its
+callers then run their numpy code, which gives the same bits, so the kernels change speed only. The library is
+cached under ``$XDG_CACHE_HOME/eegalign`` (``~/.cache/eegalign`` when that is unset or relative, as the XDG
+spec says), named by the SHA-256 of the source, the flags, the compiler's version and the platform; it is
+compiled to a name of this process's own and moved into place, so concurrent first runs each load a whole
+file. Compiler output is captured and never shown. Only a private cache is used, one that this user owns and
+no one else can write, and only a private library in it is loaded: one that is not is built again over it.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import sysconfig
 from pathlib import Path
@@ -31,22 +34,32 @@ def compiled() -> ctypes.CDLL | None:
     return _loaded[0]
 
 
+def _private(path: Path) -> bool:
+    """Whether this user owns ``path`` and neither its group nor others can write it."""
+    info = path.stat()
+    return info.st_uid == os.getuid() and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
 def _load() -> ctypes.CDLL | None:
     size, double = ctypes.c_ssize_t, ctypes.c_double
     try:
+        home = os.environ.get("XDG_CACHE_HOME", "")
+        cache = Path(home if os.path.isabs(home) else Path.home() / ".cache") / "eegalign"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(cache):
+            return None
         source = SOURCE.read_bytes()
         version = subprocess.run(["cc", "--version"], capture_output=True, check=True,
                                  timeout=COMPILE_SECONDS).stdout
         key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(), version,
                                          sysconfig.get_platform().encode()])).hexdigest()
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "eegalign"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         target = cache / f"kernels-{key[:32]}.so"
-        if not target.exists():
+        if not (target.exists() and _private(target)):
             staged = target.with_name(f"{target.name}.{os.getpid()}.tmp")
             try:
                 subprocess.run(["cc", *FLAGS, "-o", str(staged), "-x", "c", "-"], input=source,
                                capture_output=True, check=True, timeout=COMPILE_SECONDS)
+                staged.chmod(0o700)  # whatever the umask, so the next run finds it private
                 os.replace(staged, target)
             finally:
                 staged.unlink(missing_ok=True)

@@ -96,8 +96,25 @@ def stale_tmp_in_the_way(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
 
 
+def cache_others_can_write(tmp_path, monkeypatch):
+    # a real library, planted in a cache that was made world-writable before the loader came
+    name = library_name(tmp_path, monkeypatch)
+    (tmp_path / "cold" / "eegalign").mkdir(parents=True)
+    (tmp_path / "cold" / "eegalign").chmod(0o777)
+    shutil.copy(tmp_path / "warm" / "eegalign" / name, tmp_path / "cold" / "eegalign" / name)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
+
+
+def cache_of_another_user(tmp_path, monkeypatch):
+    # a private cache with a real library in it, owned by a uid other than this process's
+    library_name(tmp_path, monkeypatch)
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+
+
 FAILURES = {f.__name__.replace("_", "-"): f for f in (no_compiler, failing_compiler, cache_not_a_directory,
-                                                       stale_tmp_in_the_way)}
+                                                       stale_tmp_in_the_way, cache_others_can_write,
+                                                       cache_of_another_user)}
 
 
 def train_and_eval(root: Path, data: Path, capfd) -> tuple[str, bytes]:
@@ -124,6 +141,29 @@ def test_a_failed_build_runs_numpy_with_the_same_output(failure, tmp_path, monke
     assert reload(monkeypatch) is None
     assert train_and_eval(tmp_path, data, capfd) == with_kernels
     assert not list(tmp_path.glob("cache/eegalign/*"))  # a failed compile leaves no staged file
+
+
+@needs_cc
+def test_a_library_others_can_write_is_built_again_not_loaded(tmp_path, monkeypatch):
+    # in a private cache only this user can have put it there; a umask of 002 gives cc's output mode 0775
+    name = library_name(tmp_path, monkeypatch)
+    library = tmp_path / "warm" / "eegalign" / name
+    library.unlink()  # not written over: this process has it mapped
+    library.write_bytes(b"not a library")
+    library.chmod(0o666)
+    assert reload(monkeypatch) is not None
+    assert stat.S_IMODE(library.stat().st_mode) == 0o700 and library.read_bytes() != b"not a library"
+
+
+@needs_cc
+def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    assert reload(monkeypatch) is not None
+    assert os.listdir(tmp_path / "work") == []
+    assert [path.suffix for path in (tmp_path / "home" / ".cache" / "eegalign").iterdir()] == [".so"]
 
 
 @needs_cc

@@ -4,7 +4,7 @@ import pytest
 
 from eegalign import losses
 from eegalign.config import LossConfig
-from eegalign.errors import ContractError, DimensionError, DomainError
+from eegalign.errors import DimensionError, DomainError
 from eegalign.gradchecks import grad_check
 from eegalign.losses import (
     infonce,
@@ -91,10 +91,6 @@ class TestInfoNCE:
         with pytest.raises(DomainError):
             total_loss(z, z, LossConfig(), Tensor(-1.0))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            infonce(Tensor(np.zeros((2, 3))))
-
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=(5, 5))
@@ -171,12 +167,6 @@ class TestSoftLoss:
         got = soft_loss(Tensor(t), Tensor(t), Tensor(p), Tensor(p)).item()
         assert abs(got - expected) < 1e-12
 
-    def test_non_stochastic_rows_rejected(self):
-        good = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        bad = Tensor(np.array([[0.7, 0.7], [0.5, 0.5]]))
-        with pytest.raises(ContractError):
-            soft_loss(good, good, bad, good)
-
     def test_zero_rows_in_targets_are_fine(self):
         # identity targets contain exact zeros; 0 log 0 counts as 0
         eye = Tensor(np.eye(2))
@@ -228,11 +218,6 @@ class TestRelationLoss:
         expected = 0.5 * (kl(n[0], n[2]) + kl(n[1], n[3]))
         got = relation_loss(*mats).item()
         assert abs(got - expected) < 1e-12
-
-    def test_single_pair_rejected(self):
-        one = Tensor(np.ones((1, 1)))
-        with pytest.raises(ContractError):
-            relation_loss(one, one, one, one)
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.full((3, 3), 1.0 / 3.0))
@@ -299,9 +284,13 @@ class TestTotalLoss:
             assert abs(base.item() - permuted.item()) < 1e-12
 
     def test_relation_term_needs_pairs(self):
-        z = Tensor(np.ones((1, 4)))
-        with pytest.raises(ContractError):
-            total_loss(z, z, LossConfig(lam=0.1), TAU)
+        # a batch of one has no negatives: every term scores exactly 0
+        z = Tensor(np.ones((1, 4)), requires_grad=True)
+        for detach in (True, False):
+            w = LossConfig(lam=0.1, detach_targets=detach)
+            got, parts = total_loss(z, Tensor(np.arange(4.0)[None], requires_grad=True), w, TAU)
+            assert got.item() == 0.0
+            assert parts == {"l_clip": 0.0, "l_soft": 0.0, "l_rel": 0.0, "l_total": 0.0}
         got, _ = total_loss(z, z, LossConfig(mu=1.0, alpha=0.0, lam=0.0), TAU)
         assert got.item() == 0.0
 

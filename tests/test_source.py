@@ -287,6 +287,27 @@ def test_config_error_scan_flags_a_part_that_checks_its_config():
     assert not names_config_error(ast.parse("from .errors import DomainError\nraise DomainError('even kernel')\n"))
 
 
+def raises_outside(tree: ast.Module, function: str) -> list[int]:
+    """The line of each ``raise`` that is not inside the top-level function named ``function``."""
+    inside = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise) and id(node) not in inside)
+
+
+def test_the_loss_checks_only_what_enters_total_loss():
+    # the term functions trust the matrices total_loss builds from the embeddings and the temperature
+    assert raises_outside(ast.parse((SRC / "losses.py").read_text(encoding="utf-8")), "total_loss") == []
+
+
+def test_raise_scan_flags_a_check_outside_total_loss():
+    tree = ast.parse("def infonce(x):\n    if x.ndim != 2:\n        raise DimensionError('odd')\n"
+                     "def total_loss(z):\n    if z is None:\n        raise DomainError('none')\n"
+                     "    def inner():\n        raise ValueError\n"
+                     "class Terms:\n    def total_loss(self):\n        raise ContractError('rows')\n"
+                     "raise ImportError\n")
+    assert raises_outside(tree, "total_loss") == [3, 11, 12]
+
+
 # the modules that build the model; tensor.param makes every value their parameters start from
 MODEL_MODULES = ["eeg.py", "dynfilter.py", "fusion.py", "backbone.py", "model.py"]
 VALUE_MAKERS = {"Parameter", "normal", "default_rng"}
