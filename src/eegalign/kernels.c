@@ -1,8 +1,12 @@
-/* Compiled kernels for tensor._tap_sum and trainer.Adam.step.
+/* Compiled kernels for tensor._tap_sum, trainer.Adam.step and tensor._gelu_parts.
 
    Each does the floating-point operations of the numpy code it stands in for, in the same order for every
    entry, so its results are numpy's bit for bit. kernels.py builds it with -ffp-contract=off, so no multiply
-   and add are fused, and never with -ffast-math, which reorders operations and flushes subnormals. */
+   and add are fused, and never with -ffast-math, which reorders operations and flushes subnormals.
+
+   gelu's erf is scipy.special.erf's own: the Cephes erf and erfc of Stephen L. Moshier, as scipy (BSD-3)
+   carries them in xsf, with their coefficients. libm's erf gives other bits. Its passes are branch-free on
+   purpose, the |t| <= 1 form over every entry first: a port that branched per entry ran no faster than numpy. */
 #include <math.h>
 #include <stddef.h>
 
@@ -40,5 +44,82 @@ void adam(double *restrict value, const double *restrict g, double *restrict m, 
         double work = m[i] / m_scale * lr;
         double denom = sqrt(v[i] / v_scale) + eps;
         value[i] = value[i] - work / denom;
+    }
+}
+
+/* Cephes' polevl and p1evl: c[0] x^n + ... + c[n], and the same with a leading coefficient of 1 not stored. */
+static inline double polevl(double x, const double *c, int n)
+{
+    double ans = c[0];
+    for (int i = 1; i <= n; i++)
+        ans = ans * x + c[i];
+    return ans;
+}
+
+static inline double p1evl(double x, const double *c, int n)
+{
+    double ans = x + c[0];
+    for (int i = 1; i < n; i++)
+        ans = ans * x + c[i];
+    return ans;
+}
+
+static const double P[] = {2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+                           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+                           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2};
+static const double Q[] = {1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+                           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+                           1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double T[] = {9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+                           7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double U[] = {3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+                           2.26290000613890934246E4, 4.92673942608635921086E4};
+static const double SQRT2 = 1.4142135623730951; /* math.sqrt(2.0), tensor._SQRT2 */
+#define GELU_BLOCK 512
+
+/* For each of n entries: t = x / sqrt(2), e = erf(t) and out = (0.5 * x) * (1 + e), as tensor._gelu_parts, in
+   blocks that stay in L1. Cephes' erf(t) is t T(t^2) / U(t^2) for |t| <= 1 and +-(1 - erfc(a)) above, a = |t|,
+   with erfc(a) = exp(-a * a) P(a) / Q(a) for a < 8. From 8 on Cephes' erfc turns to other coefficients and
+   underflows to 0 past MAXLOG, but it is below 1e-28 there, and 1 - erfc rounds to 1 below 2^-54: so a >= 8 is
+   taken as 8 with a factor 0 for exp, which gives 1 too. The passes are branch-free on purpose, so that the
+   compiler vectorises the arithmetic and neither an entry's sign nor its side of |t| = 1 costs a mispredicted
+   branch:
+   1. the |t| <= 1 form and out for every entry; for t < 0 it is Cephes' -erf(-t), since negation commutes with
+      rounding;
+   2. the list of the entries with |t| > 1 or a NaN;
+   3. exp(-a * a) for those, by libm's scalar exp, as scipy calls it;
+   4. 1 - erfc(a) for those;
+   5. their e and out: the sign of t, or for a NaN the quiet NaN Cephes returns, out keeping x's NaN from pass 1. */
+void gelu(const double *restrict x, double *restrict e, double *restrict out, ptrdiff_t n)
+{
+    ptrdiff_t far[GELU_BLOCK];
+    double a[GELU_BLOCK], w[GELU_BLOCK];
+    for (ptrdiff_t lo = 0; lo < n; lo += GELU_BLOCK) {
+        ptrdiff_t hi = n - lo < GELU_BLOCK ? n : lo + GELU_BLOCK, m = 0;
+        for (ptrdiff_t i = lo; i < hi; i++) {
+            double t = x[i] / SQRT2, z = t * t;
+            e[i] = t * polevl(z, T, 4) / p1evl(z, U, 5);
+            out[i] = (0.5 * x[i]) * (1.0 + e[i]);
+        }
+        for (ptrdiff_t i = lo; i < hi; i++) {
+            far[m] = i;
+            m += !(fabs(x[i] / SQRT2) <= 1.0);
+        }
+        for (ptrdiff_t k = 0; k < m; k++) {
+            double t = fabs(x[far[k]] / SQRT2);
+            w[k] = t < 8.0 ? exp(-t * t) : 0.0;
+            a[k] = t < 8.0 ? t : 8.0;
+        }
+        for (ptrdiff_t k = 0; k < m; k++)
+            w[k] = 1.0 - (w[k] * polevl(a[k], P, 8)) / p1evl(a[k], Q, 8);
+        for (ptrdiff_t k = 0; k < m; k++) {
+            ptrdiff_t i = far[k];
+            if (isnan(x[i]))
+                e[i] = NAN;
+            else {
+                e[i] = copysign(w[k], x[i]);
+                out[i] = (0.5 * x[i]) * (1.0 + e[i]);
+            }
+        }
     }
 }

@@ -66,7 +66,8 @@ def _load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(target))
         lib.tap_sum.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [size] * 4 + [ctypes.c_void_p] + [size] * 6
         lib.adam.argtypes = [ctypes.c_void_p] * 4 + [size] + [double] * 8
-        lib.tap_sum.restype = lib.adam.restype = None
+        lib.gelu.argtypes = [ctypes.c_void_p] * 3 + [size]
+        lib.tap_sum.restype = lib.adam.restype = lib.gelu.restype = None
         return lib
     except Exception:  # a boundary: a failed build costs speed only, so any failure leaves the numpy code running
         return None

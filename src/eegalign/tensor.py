@@ -29,7 +29,9 @@ is closed-form and gated per parent in the same way.
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
   sums the k*k shifted views of one zero-padded image, so no window
   matrix is built; ``kernels.c`` does that sum when it loaded, with
-  numpy's bits. ``unfold`` remains for ordinary strided convolutions.
+  numpy's bits. ``unfold`` remains for ordinary strided convolutions;
+* ``gelu``, whose forward is ``kernels.c``'s when it loaded, with scipy's
+  ``erf`` ported there, so its bits are the numpy and scipy code's.
 
 backward() stores gradients on leaves only; intermediate results are
 never given a ``.grad``.
@@ -254,7 +256,16 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
 # the binary ops' gradient rules, built once rather than on every call
 _keep, _negate = (lambda g, x, y: g), (lambda g, x, y: -g)
 _times_y, _times_x = (lambda g, x, y: g * y), (lambda g, x, y: g * x)
-_over_y, _neg_x_over_y_sq = (lambda g, x, y: g / y), (lambda g, x, y: -g * x / (y * y))
+_over_y = (lambda g, x, y: g / y)
+
+
+def _neg_x_over_y_sq(g, x, y):
+    """-g * x / (y * y), and (-g * x / y) / y where y * y underflows to 0, so that a tiny y has a finite gradient."""
+    y_sq = y * y
+    if y_sq.all():
+        return -g * x / y_sq
+    tiny = y_sq == 0
+    return -g * x / np.where(tiny, y, y_sq) / np.where(tiny, y, 1.0)
 
 
 def add(a, b) -> Tensor:
@@ -331,17 +342,41 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """erf(x / sqrt(2)) and (0.5 * x) * (1 + that erf), entry by entry.
+
+    The compiled ``gelu`` does it when the kernels loaded and ``x`` is C-contiguous float64; otherwise numpy and
+    scipy do. The kernel carries scipy's own erf, so both give the same bits.
+    """
+    lib = compiled()
+    if lib is not None and x.flags.c_contiguous and x.dtype == _FLOAT64:
+        e, out = np.empty_like(x), np.empty_like(x)
+        lib.gelu(x.ctypes.data, e.ctypes.data, out.ctypes.data, x.size)
+        return e, out
+    e = np.divide(x, _SQRT2, out=np.empty_like(x))
+    _erf(e, out=e)
+    out = 0.5 * x
+    out *= 1.0 + e
+    return e, out
+
+
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
     a = as_tensor(a)
-    e = np.divide(a.data, _SQRT2, out=np.empty_like(a.data))
-    _erf(e, out=e)
-    data = 0.5 * a.data
-    data *= 1.0 + e
+    e, data = _gelu_parts(a.data)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (0.5 * (1.0 + e) + a.data * pdf),)
+        # g * (0.5 * (1 + e) + x * pdf(x)) by the same numpy operations, in two buffers of its own
+        pdf = np.multiply(-0.5, a.data, out=np.empty_like(a.data))
+        pdf *= a.data
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        pdf *= a.data
+        grad = np.add(e, 1.0, out=np.empty_like(e))
+        grad *= 0.5
+        grad += pdf
+        # in place only where that gives g * grad's layout, which later BLAS calls' bits depend on
+        return (np.multiply(g, grad, out=grad if g.strides == grad.strides else None),)
 
     return _make(data, (a,), vjp)
 

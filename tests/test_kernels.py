@@ -1,5 +1,6 @@
 """The compiled kernels' loader: where it caches them, and every way a build can fail into the numpy path."""
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -68,6 +69,51 @@ def test_the_cache_is_private_and_named_by_its_key(tmp_path, monkeypatch):
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     (name,) = os.listdir(cache)
     assert name.startswith("kernels-") and name.endswith(".so") and len(name) == len("kernels-.so") + 32
+
+
+@needs_cc
+def test_every_kernel_is_bound_with_its_argument_types():
+    # a pointer passed to a function with no argtypes goes as a 32-bit C int; restype None reads no result
+    kernels_c = re.findall(r"^void (\w+)\(([^)]*)\)", kernels.SOURCE.read_text(), re.M)
+    assert {"tap_sum", "adam", "gelu"} <= {name for name, _ in kernels_c}
+    lib = kernels.compiled()
+    for name, params in kernels_c:
+        function = getattr(lib, name)
+        assert function.restype is None and len(function.argtypes or ()) == params.count(",") + 1, name
+
+
+# numpy's AVX-512 code, turned off so that its AVX2 loops run, as on a host without AVX-512
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+GELU_UNDER_AVX2 = f"""
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from eegalign import kernels, tensor
+assert not any(__cpu_features__[name] for name in "{NO_AVX512}".split())
+x = np.concatenate([np.linspace(-60.0, 60.0, 240_001), np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0]),
+                    [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]])
+assert kernels.compiled() is not None
+compiled = tensor._gelu_parts(x)
+kernels._loaded[:] = [None]
+with np.errstate(invalid="ignore"):
+    assert [a.tobytes() for a in compiled] == [a.tobytes() for a in tensor._gelu_parts(x)]
+"""
+
+
+def avx512_dispatched() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x names it numpy.core
+        return False
+    return all(__cpu_features__.get(name) for name in NO_AVX512.split())
+
+
+@needs_cc
+@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
+def test_gelu_bits_do_not_depend_on_numpys_simd_dispatch():
+    # the numpy path uses only exact IEEE operations and scipy's scalar erf, and the kernel neither
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", GELU_UNDER_AVX2], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def no_compiler(tmp_path, monkeypatch):

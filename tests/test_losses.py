@@ -294,6 +294,15 @@ class TestTotalLoss:
         got, _ = total_loss(z, z, LossConfig(mu=1.0, alpha=0.0, lam=0.0), TAU)
         assert got.item() == 0.0
 
+    @pytest.mark.parametrize("detach", [True, False])
+    def test_a_batch_of_one_has_a_finite_relation_gradient(self, detach):
+        # the one row masks to 0, so its sum is clamped to 1e-300, whose square underflows to 0
+        z_e = Tensor(np.ones((1, 4)), requires_grad=True)
+        z_i = Tensor(np.arange(4.0)[None], requires_grad=True)
+        got, _ = total_loss(z_e, z_i, LossConfig(mu=0.0, alpha=0.0, lam=1.0, detach_targets=detach), TAU)
+        got.backward()
+        assert np.isfinite(z_e.grad).all() and np.isfinite(z_i.grad).all()
+
     def test_grad_check_embeddings_and_temperature(self):
         # with targets flowing (detach off) the objective is an ordinary
         # function of its parameters, so central differences apply

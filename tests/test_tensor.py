@@ -390,7 +390,7 @@ class TestOpGradients:
         report = grad_check(f, [a, b, c])
         assert report.passed, report.summary()
 
-    def test_activations_and_norms(self):
+    def test_activations_and_norms(self, kernel_path):
         rng = np.random.default_rng(11)
         x = Parameter("x", Tensor(_rand(rng, 5, 6), requires_grad=True))
         g = Parameter("g", Tensor(1.0 + 0.1 * _rand(rng, 6), requires_grad=True))
@@ -405,11 +405,23 @@ class TestOpGradients:
         report = grad_check(f, [x, g, b])
         assert report.passed, report.summary()
 
-    def test_gelu_of_a_scalar(self):
+    def test_gelu_of_a_scalar(self, kernel_path):
         x = Parameter("x", Tensor(0.7, requires_grad=True))
         assert gelu(x.value).data == 0.5 * 0.7 * (1.0 + scipy.special.erf(0.7 / math.sqrt(2.0)))
         report = grad_check(lambda: gelu(x.value) * 3.0, [x])
         assert report.passed, report.summary()
+
+    def test_div_by_a_divisor_whose_square_underflows(self):
+        # below |y| of about 1e-162, y * y is 0, and -g * x / (y * y) would read inf or nan
+        x = Tensor(np.array([1e-250, -1e-250, 0.0, 3.0, 1.0]), requires_grad=True)
+        y = Tensor(np.array([1e-200, 1e-200, -3e-170, 2.0, 1e-150]), requires_grad=True)
+        div(x, y).sum().backward()
+        assert np.isfinite(y.grad).all()
+        assert y.grad.tobytes() == np.array([-1e-250 / 1e-200 / 1e-200, 1e-250 / 1e-200 / 1e-200, -0.0,
+                                             -3.0 / (2.0 * 2.0), -1.0 / (1e-150 * 1e-150)]).tobytes()
+        scalar = Tensor(1e-200, requires_grad=True)  # broadcast, so its gradient is a sum
+        div(Tensor(np.array([1e-250, 2e-250])), scalar).sum().backward()
+        assert scalar.grad == -1e-250 / 1e-200 / 1e-200 + -2e-250 / 1e-200 / 1e-200
 
     def test_softmax_and_logsoftmax(self):
         rng = np.random.default_rng(12)
@@ -720,6 +732,81 @@ class TestTapSum:
         number = ~np.isnan(want)
         assert np.array_equal(np.isnan(got), ~number) and 100 < number.sum() < got.size
         assert got[number].tobytes() == want[number].tobytes()
+
+
+def _gelu_numpy(x):
+    """tensor.gelu's forward by numpy and scipy: e = erf(x / sqrt(2)) and (0.5 * x) * (1 + e)."""
+    e = scipy.special.erf(x / math.sqrt(2.0))
+    out = 0.5 * x
+    out *= 1.0 + e
+    return e, out
+
+
+def _steps(x, n):
+    """x and its n nearest floats on each side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+MAXLOG = 7.09782712893383996732e2  # Cephes' erfc is 0 once x * x passes it
+# |x / sqrt(2)| near 1 (where Cephes' erf turns to 1 - erfc), 8 (where erfc changes coefficients) and
+# sqrt(MAXLOG) (where erfc underflows), with both signs
+GELU_EDGES = np.array([sign * v for t in (1.0, 8.0, math.sqrt(MAXLOG)) for v in _steps(t * math.sqrt(2.0), 40)
+                       for sign in (1.0, -1.0)])
+GELU_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, np.inf, -np.inf, 1e308, -1e308])
+
+
+class TestGelu:
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 2.0, 5.0, 12.0, 40.0])
+    def test_bitwise_numpy_on_normal_draws(self, scale, kernel_path):
+        x = scale * np.random.default_rng(48).normal(size=(3, 7, 1001))
+        e, out = tz._gelu_parts(x)
+        want_e, want_out = _gelu_numpy(x)
+        assert np.array_equal(e.view(np.uint64), want_e.view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), want_out.view(np.uint64))
+
+    def test_bitwise_numpy_at_the_branch_points_and_special_values(self, kernel_path):
+        # np.nan is the quiet NaN erf returns, so a product of it and x's NaN has the same bits whichever it
+        # keeps; it sits at every position of an 8-entry SIMD block and last, in a loop's tail
+        x = np.concatenate([GELU_EDGES, GELU_SPECIALS, np.linspace(-60.0, 60.0, 2001)])
+        x = np.append(np.insert(x, np.arange(0, 40 * 37, 37), np.nan), np.nan)
+        with np.errstate(invalid="ignore"):
+            e, out = tz._gelu_parts(x)
+            want_e, want_out = _gelu_numpy(x)
+        assert e.tobytes() == want_e.tobytes() and out.tobytes() == want_out.tobytes()
+
+    def test_a_negative_nan_gives_nan(self, kernel_path):
+        # which NaN a product of two keeps is its operand order in the machine code, and numpy's own loops give
+        # x's NaN in their body and erf's in their tail, so only erf's bits are compared
+        x = np.where(np.arange(19) % 3 == 0, -np.nan, np.linspace(-3.0, 3.0, 19))
+        e, out = tz._gelu_parts(x)
+        want_e, want_out = _gelu_numpy(x)
+        assert e.tobytes() == want_e.tobytes()
+        assert np.array_equal(np.isnan(out), np.isnan(x))
+        assert out[~np.isnan(x)].tobytes() == want_out[~np.isnan(x)].tobytes()
+
+    def test_a_strided_input_gives_the_same_bits(self, kernel_path):
+        x = np.random.default_rng(49).normal(size=(6, 40))[:, ::3].T
+        e, out = tz._gelu_parts(x)
+        want_e, want_out = _gelu_numpy(x)
+        assert e.tobytes() == want_e.tobytes() and out.tobytes() == want_out.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c-order", "transposed"])
+    def test_vjp_is_the_closed_form_bit_for_bit(self, layout, kernel_path):
+        # the same numpy operations as g * (0.5 * (1 + e) + x * pdf(x)), and the layout g * that gives, since
+        # a later matmul's bits depend on its operands' layout
+        rng = np.random.default_rng(50)
+        x, g = 2.0 * _rand(rng, 5, 9, 13), _rand(rng, 5, 9, 13)
+        if layout == "transposed":
+            x = x.transpose(2, 0, 1)
+        g = g.reshape(x.shape)
+        (got,) = gelu(Tensor(x, requires_grad=True))._vjp(g)
+        e, pdf = scipy.special.erf(x / math.sqrt(2.0)), np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        want = g * (0.5 * (1.0 + e) + x * pdf)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 # -- fused ops against the primitive compositions they replaced -----------
