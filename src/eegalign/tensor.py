@@ -54,6 +54,7 @@ from .kernels import compiled
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 NORM_GUARD = 1e-12
 LN_EPS = 1e-5
@@ -260,11 +261,9 @@ _over_y = (lambda g, x, y: g / y)
 
 
 def _neg_x_over_y_sq(g, x, y):
-    """-g * x / (y * y), and (-g * x / y) / y where y * y underflows to 0, so that a tiny y has a finite gradient."""
+    """-g * x / (y * y), and (-g * x / y) / y where y * y is subnormal or 0, so that a tiny y has a sound gradient."""
     y_sq = y * y
-    if y_sq.all():
-        return -g * x / y_sq
-    tiny = y_sq == 0
+    tiny = y_sq < _TINY
     return -g * x / np.where(tiny, y, y_sq) / np.where(tiny, y, 1.0)
 
 
@@ -366,17 +365,8 @@ def gelu(a) -> Tensor:
     e, data = _gelu_parts(a.data)
 
     def vjp(g):
-        # g * (0.5 * (1 + e) + x * pdf(x)) by the same numpy operations, in two buffers of its own
-        pdf = np.multiply(-0.5, a.data, out=np.empty_like(a.data))
-        pdf *= a.data
-        np.exp(pdf, out=pdf)
-        pdf *= _INV_SQRT_2PI
-        pdf *= a.data
-        grad = np.add(e, 1.0, out=np.empty_like(e))
-        grad *= 0.5
-        grad += pdf
-        # in place only where that gives g * grad's layout, which later BLAS calls' bits depend on
-        return (np.multiply(g, grad, out=grad if g.strides == grad.strides else None),)
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+        return (g * (0.5 * (1.0 + e) + a.data * pdf),)
 
     return _make(data, (a,), vjp)
 

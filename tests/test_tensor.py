@@ -412,13 +412,16 @@ class TestOpGradients:
         assert report.passed, report.summary()
 
     def test_div_by_a_divisor_whose_square_underflows(self):
-        # below |y| of about 1e-162, y * y is 0, and -g * x / (y * y) would read inf or nan
-        x = Tensor(np.array([1e-250, -1e-250, 0.0, 3.0, 1.0]), requires_grad=True)
-        y = Tensor(np.array([1e-200, 1e-200, -3e-170, 2.0, 1e-150]), requires_grad=True)
+        # below |y| of about 1e-162, y * y is 0, and -g * x / (y * y) would read inf or nan; up to about 1.5e-154
+        # it is subnormal, with too few bits: at y = 3e-162 that quotient is 9 % off
+        x = Tensor(np.array([1e-250, -1e-250, 0.0, 3.0, 1.0, 1e-170, 1e-170]), requires_grad=True)
+        y = Tensor(np.array([1e-200, 1e-200, -3e-170, 2.0, 1e-150, 3e-162, 1e-160]), requires_grad=True)
         div(x, y).sum().backward()
         assert np.isfinite(y.grad).all()
         assert y.grad.tobytes() == np.array([-1e-250 / 1e-200 / 1e-200, 1e-250 / 1e-200 / 1e-200, -0.0,
-                                             -3.0 / (2.0 * 2.0), -1.0 / (1e-150 * 1e-150)]).tobytes()
+                                             -3.0 / (2.0 * 2.0), -1.0 / (1e-150 * 1e-150),
+                                             -1e-170 / 3e-162 / 3e-162, -1e-170 / 1e-160 / 1e-160]).tobytes()
+        assert abs(-1e-170 / (3e-162 * 3e-162) / y.grad[5] - 1.0) > 0.05
         scalar = Tensor(1e-200, requires_grad=True)  # broadcast, so its gradient is a sum
         div(Tensor(np.array([1e-250, 2e-250])), scalar).sum().backward()
         assert scalar.grad == -1e-250 / 1e-200 / 1e-200 + -2e-250 / 1e-200 / 1e-200
@@ -796,8 +799,8 @@ class TestGelu:
 
     @pytest.mark.parametrize("layout", ["c-order", "transposed"])
     def test_vjp_is_the_closed_form_bit_for_bit(self, layout, kernel_path):
-        # the same numpy operations as g * (0.5 * (1 + e) + x * pdf(x)), and the layout g * that gives, since
-        # a later matmul's bits depend on its operands' layout
+        # with the e the forward kept on either path, the bits and the layout of g * (0.5 * (1 + e) + x * pdf(x)),
+        # since a later matmul's bits depend on its operands' layout
         rng = np.random.default_rng(50)
         x, g = 2.0 * _rand(rng, 5, 9, 13), _rand(rng, 5, 9, 13)
         if layout == "transposed":
