@@ -93,7 +93,7 @@ def relation_loss(p_ee: Tensor, p_ii: Tensor, p_ei: Tensor, p_ie: Tensor) -> Ten
 
     Rows are renormalized after removing the diagonal. It trusts
     `total_loss`'s four (B, B) row-stochastic matrices. A batch of one
-    has no negatives and scores 0, with a NaN gradient; the trainer
+    has no negatives and scores 0, with a zero gradient; the trainer
     forms no batch of one.
     """
     kl_e = kl_div_rows(_off_diagonal_renormalize(p_ee), _off_diagonal_renormalize(p_ei))

@@ -59,10 +59,6 @@ _TINY = np.finfo(np.float64).tiny  # the smallest normal float
 NORM_GUARD = 1e-12
 LN_EPS = 1e-5
 KL_CLAMP = 1e-12
-# _tap_sum's numpy path sums over blocks of samples whose padded input is about this many bytes, so a block
-# stays in L2 across the taps (a 32-sample batch is one block at 16x16, four at 32x32); each
-# block sums from zeros in (u, v) order, so every output bit is the whole batch's
-TAP_BLOCK_BYTES = 320 * 2**10
 
 
 class Tensor:
@@ -352,11 +348,8 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e, out = np.empty_like(x), np.empty_like(x)
         lib.gelu(x.ctypes.data, e.ctypes.data, out.ctypes.data, x.size)
         return e, out
-    e = np.divide(x, _SQRT2, out=np.empty_like(x))
-    _erf(e, out=e)
-    out = 0.5 * x
-    out *= 1.0 + e
-    return e, out
+    e = _erf(x / _SQRT2)
+    return e, 0.5 * x * (1.0 + e)
 
 
 def gelu(a) -> Tensor:
@@ -708,7 +701,7 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
 def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
     """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view of the C-contiguous ``padded``.
 
-    The compiled ``tap_sum`` does it when the kernels loaded; otherwise numpy does, in blocks of samples. Both add
+    The compiled ``tap_sum`` does it when the kernels loaded; otherwise numpy does, on the whole batch. Both add
     each tap's product into zeros in (u, v) order, so they give the same bits; ``k`` may be any strided view.
     """
     if not (padded.flags.c_contiguous and padded.dtype == k.dtype == _FLOAT64
@@ -721,14 +714,9 @@ def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
         strides = (s // k.itemsize for s in k.strides)
         lib.tap_sum(padded.ctypes.data, k.ctypes.data, *strides, out.ctypes.data, *out.shape, *k.shape[2:])
         return out
-    rows = max(1, TAP_BLOCK_BYTES // max(1, padded[:1].nbytes))
-    for s in range(0, len(out), rows):
-        block, kb, ob = padded[s:s + rows], k[s:s + rows], out[s:s + rows]
-        tap = np.empty(ob.shape)
-        for u in range(k.shape[2]):
-            for v in range(k.shape[3]):
-                np.einsum("bchw,bc->bchw", block[:, :, u:u + h, v:v + w], kb[:, :, u, v], out=tap)
-                ob += tap
+    for u in range(k.shape[2]):
+        for v in range(k.shape[3]):
+            out += np.einsum("bchw,bc->bchw", padded[:, :, u:u + h, v:v + w], k[:, :, u, v])
     return out
 
 

@@ -40,8 +40,6 @@ CHECKPOINT_FIELDS = {
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv 1412.6980)
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# step() updates a group in blocks of at most this many entries, so its six block-sized rows stay in L2
-ADAM_BLOCK = 32768
 
 
 class Adam:
@@ -69,7 +67,6 @@ class Adam:
         for p, value in zip(self.params, values):
             value[...] = p.value.data
             p.value.data = value
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def zero_grads(self) -> None:
         for p in self.params:
@@ -80,11 +77,10 @@ class Adam:
 
         Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
         value -= lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected
-        moments, one numpy operation at a time in that order, into m, v,
-        the value and two scratch blocks, over each run of consecutive
-        parameters with a gradient in blocks of ``ADAM_BLOCK`` entries.
-        When the kernels loaded, the compiled ``adam`` does the same 14
-        operations per entry over each whole run, with the same bits.
+        moments, over each run of consecutive parameters with a gradient.
+        When the kernels loaded, the compiled ``adam`` does it, faster;
+        otherwise the numpy lines below do. Both take the same operations
+        in the same order for every entry, so they give the same bits.
         """
         self.t += 1
         b1, b2 = ADAM_BETAS
@@ -98,27 +94,16 @@ class Adam:
                 runs[-1][1] = hi
         lib = compiled()
         for lo, hi in runs:
+            value, g, m, v = (flat[lo:hi] for flat in self._flat)
             if lib is not None:
-                lib.adam(*(flat[lo:].ctypes.data for flat in self._flat), hi - lo, b1, 1.0 - b1, b2, 1.0 - b2,
+                lib.adam(*(a.ctypes.data for a in (value, g, m, v)), hi - lo, b1, 1.0 - b1, b2, 1.0 - b2,
                          m_scale, v_scale, self.lr, ADAM_EPS)
                 continue
-            for start in range(lo, hi, ADAM_BLOCK):
-                value, g, m, v = (flat[start:min(start + ADAM_BLOCK, hi)] for flat in self._flat)
-                work, denom = (buf[:len(g)] for buf in self._scratch)
-                np.multiply(m, b1, out=m)
-                np.multiply(g, 1.0 - b1, out=work)
-                np.add(m, work, out=m)
-                np.multiply(v, b2, out=v)
-                np.multiply(g, 1.0 - b2, out=work)
-                np.multiply(work, g, out=work)
-                np.add(v, work, out=v)
-                np.divide(m, m_scale, out=work)
-                np.multiply(work, self.lr, out=work)
-                np.divide(v, v_scale, out=denom)
-                np.sqrt(denom, out=denom)
-                np.add(denom, ADAM_EPS, out=denom)
-                np.divide(work, denom, out=work)
-                np.subtract(value, work, out=value)
+            m *= b1
+            m += g * (1.0 - b1)
+            v *= b2
+            v += g * (1.0 - b2) * g
+            value -= m / m_scale * self.lr / (np.sqrt(v / v_scale) + ADAM_EPS)
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:

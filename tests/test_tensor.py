@@ -639,7 +639,7 @@ class TestDynamicConv:
 
 
 def _whole_batch_tap_sum(padded, k, h, w):
-    """The 25-tap sum in one pass over the whole batch, unblocked."""
+    """The tap sum written out: each tap's product added into zeros in (u, v) order."""
     out = np.zeros(padded.shape[:2] + (h, w))
     for u in range(k.shape[2]):
         for v in range(k.shape[3]):
@@ -647,21 +647,10 @@ def _whole_batch_tap_sum(padded, k, h, w):
     return out
 
 
-def _tap_rows(side):
-    """Samples per _tap_sum block for 3-channel side x side images and 5x5 kernels."""
-    return tz.TAP_BLOCK_BYTES // (8 * 3 * (side + 4) ** 2)
-
-
-# batch sizes around the block edges, given the rows in one block
-BLOCK_EDGES = {"1": lambda rows: 1, "rows-1": lambda rows: rows - 1, "rows": lambda rows: rows,
-               "rows+1": lambda rows: rows + 1, "2rows+3": lambda rows: 2 * rows + 3}
-
-
-class TestDynamicConvBlocks:
+class TestDynamicConvBatchSizes:
     @pytest.mark.parametrize("side", [16, 32])
-    @pytest.mark.parametrize("edge", sorted(BLOCK_EDGES))
-    def test_bitwise_the_whole_batch_sum(self, side, edge, kernel_path):
-        bsz = BLOCK_EDGES[edge](_tap_rows(side))
+    @pytest.mark.parametrize("bsz", [1, 9, 10, 11, 23, 32])
+    def test_bitwise_the_whole_batch_sum(self, side, bsz, kernel_path):
         rng = np.random.default_rng(bsz + side)
         x0, k0, g = _rand(rng, bsz, 3, side, side), _rand(rng, bsz, 3, 5, 5), _rand(rng, bsz, 3, side, side)
         out = dynamic_conv(Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True))
@@ -676,26 +665,8 @@ class TestDynamicConvBlocks:
                 want_gk[:, :, u, v] = np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + side, v:v + side])
         assert np.array_equal(gk, want_gk)
 
-    def test_desk_batch_is_one_block_and_quickstart_four(self, monkeypatch, numpy_fallback):
-        assert _tap_rows(16) >= 32 and 8 <= _tap_rows(32) <= 10
-        seen, einsum = [], np.einsum  # the sample count of each tap einsum, in call order
 
-        def spy(spec, *operands, **kwargs):
-            if spec == "bchw,bc->bchw":
-                seen.append(operands[0].shape[0])
-            return einsum(spec, *operands, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", spy)
-        rng = np.random.default_rng(44)
-        dynamic_conv(Tensor(_rand(rng, 32, 3, 16, 16)), Tensor(_rand(rng, 32, 3, 5, 5)))
-        assert seen == [32] * 25
-        seen.clear()
-        dynamic_conv(Tensor(_rand(rng, 32, 3, 32, 32)), Tensor(_rand(rng, 32, 3, 5, 5)))
-        rows = _tap_rows(32)
-        assert seen == [rows] * 75 + [32 - 3 * rows] * 25
-
-
-# (samples, channels, h, w, kh, kw) that the block tests above do not reach
+# (samples, channels, h, w, kh, kw) that the batch-size tests above do not reach
 TAP_SUM_CASES = {"one-sample": (1, 3, 8, 8, 5, 5), "1x1": (2, 3, 6, 7, 1, 1), "3x5": (2, 2, 7, 9, 3, 5),
                  "5x1": (3, 1, 6, 4, 5, 1)}
 # signed zeros, subnormals, overflow and non-finite values (rarer, so that most sums stay numbers), whose bits
