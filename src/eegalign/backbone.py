@@ -93,7 +93,7 @@ class VisionBackbone(Module):
     def patch_embed(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> (B, N, dim); both image streams share this map."""
         cols = unfold(images, self.patch, self.patch, stride=self.patch, padding=0)
-        return linear(cols, self.patch_w.value, self.patch_b.value)
+        return linear(cols, self.patch_w, self.patch_b)
 
     def insert_prompts(self, prompts: Tensor, x_fused: Tensor) -> Tensor:
         """Assemble [CLS; prompts; patches] then add positional rows.
@@ -101,9 +101,9 @@ class VisionBackbone(Module):
         The [CLS; prompts] prefix is built once and broadcast over the
         batch by adding zeros, so its gradient sums over the batch.
         """
-        prefix = concat([self.cls.value.reshape((1, self.dim)), prompts], axis=0)
+        prefix = concat([self.cls.reshape((1, self.dim)), prompts], axis=0)
         batched = prefix + Tensor(np.zeros((x_fused.shape[0], 1 + self.prompt_count, self.dim)))
-        return concat([batched, x_fused], axis=1) + self.pos.value
+        return concat([batched, x_fused], axis=1) + self.pos
 
     def _mha(self, x: Tensor, blk: Block, queries: int | None = None) -> Tensor:
         """Self-attention output for the first ``queries`` rows (all by default).
@@ -112,10 +112,10 @@ class VisionBackbone(Module):
         ``attention`` op splits them into ``heads`` and merges them back.
         """
         x_q = x if queries is None else x[:, :queries, :]
-        q = linear(x_q, blk.wq.value, blk.bq.value)
-        k = linear(x, blk.wk.value, blk.bk.value)
-        v = linear(x, blk.wv.value, blk.bv.value)
-        return linear(attention(q, k, v, self.heads), blk.wo.value, blk.bo.value)
+        q = linear(x_q, blk.wq, blk.bq)
+        k = linear(x, blk.wk, blk.bk)
+        v = linear(x, blk.wv, blk.bv)
+        return linear(attention(q, k, v, self.heads), blk.wo, blk.bo)
 
     def vit_forward(self, seq: Tensor) -> Tensor:
         """Run the frozen blocks and return the CLS-position output, (B, dim).
@@ -128,14 +128,14 @@ class VisionBackbone(Module):
         x = seq
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
-            attended = layer_norm(x, blk.ln1_g.value, blk.ln1_b.value)
+            attended = layer_norm(x, blk.ln1_g, blk.ln1_b)
             if i == last:
                 x = x[:, :1, :] + self._mha(attended, blk, queries=1)
             else:
                 x = x + self._mha(attended, blk)
             # not linear: x + h @ w2 + b2 adds the bias after the residual
-            hidden = gelu(linear(layer_norm(x, blk.ln2_g.value, blk.ln2_b.value), blk.mlp_w1.value, blk.mlp_b1.value))
-            x = x + matmul(hidden, blk.mlp_w2.value) + blk.mlp_b2.value
+            hidden = gelu(linear(layer_norm(x, blk.ln2_g, blk.ln2_b), blk.mlp_w1, blk.mlp_b1))
+            x = x + matmul(hidden, blk.mlp_w2) + blk.mlp_b2
         return x[:, 0, :]
 
 
@@ -152,4 +152,4 @@ class ProjectionHead(Module):
         self.bias = param(init, "projection.bias", (out_dim,), fill=0.0)
 
     def project(self, z: Tensor) -> Tensor:
-        return l2_normalize(linear(z, self.weight.value, self.bias.value))
+        return l2_normalize(linear(z, self.weight, self.bias))

@@ -189,12 +189,11 @@ def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_pa
     """
     model = AlignmentModel(cfg, channels=train.eeg.shape[1], timesteps=train.eeg.shape[2],
                            image_size=manifest.height)
-    with _fresh_outputs([out_dir]):
-        os.makedirs(out_dir, exist_ok=True)
-        ckpt, history = fit(model, train, val, progress=lambda row: print(json.dumps(row), flush=True))
-        save_checkpoint(ckpt, out_dir)
-        text = "".join(json.dumps(row) + "\n" for row in history)
-        write_atomically({log_path: lambda fh: fh.write(text.encode())})
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt, history = fit(model, train, val, progress=lambda row: print(json.dumps(row), flush=True))
+    save_checkpoint(ckpt, out_dir)
+    text = "".join(json.dumps(row) + "\n" for row in history)
+    write_atomically({log_path: lambda fh: fh.write(text.encode())})
     return ckpt, history
 
 
@@ -217,7 +216,7 @@ def cmd_train(args, extras) -> int:
     val_losses = []
     for r, (out_dir, log_path) in enumerate(runs):
         cfg.trainer.seed = base_seed + r
-        with _fresh_outputs([args.out] if r == 0 else []):  # a failed first repeat removes the --out it made
+        with _fresh_outputs([args.out, out_dir]):  # a failed repeat removes the directories it made
             ckpt, _ = _run_one_training(cfg, manifest, train, val, out_dir, log_path)
         val_losses.append(ckpt.val_loss)
         print(f"seed {cfg.trainer.seed}: best epoch {ckpt.epoch}, val loss {ckpt.val_loss:.6f} -> {out_dir}")

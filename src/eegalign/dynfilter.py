@@ -20,13 +20,13 @@ MIN_INPUT = 7  # receptive field of the two stride-2 3x3 stem convolutions
 
 def _conv2d(x: Tensor, weight: Parameter, bias: Parameter, stride: int, padding: int) -> Tensor:
     """Standard convolution via unfold + linear; weight is (out, in, kh, kw)."""
-    c_out, c_in, kh, kw = weight.value.shape
+    c_out, c_in, kh, kw = weight.shape
     bsz, _, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     cols = unfold(x, kh, kw, stride=stride, padding=padding)              # (B, L, Cin*kh*kw)
-    flat_w = weight.value.reshape((c_out, c_in * kh * kw)).transpose()    # (Cin*kh*kw, Cout)
-    out = linear(cols, flat_w, bias.value)                                # (B, L, Cout)
+    flat_w = weight.reshape((c_out, c_in * kh * kw)).transpose()          # (Cin*kh*kw, Cout)
+    out = linear(cols, flat_w, bias)                                      # (B, L, Cout)
     return transpose(out, (0, 2, 1)).reshape((bsz, c_out, oh, ow))
 
 
@@ -54,8 +54,8 @@ class FilterGenerator(Module):
         h = gelu(_conv2d(images, self.conv1_w, self.conv1_b, stride=2, padding=1))
         h = gelu(_conv2d(h, self.conv2_w, self.conv2_b, stride=2, padding=1))
         pooled = h.mean(axis=(2, 3))                                     # (B, C2)
-        hid = gelu(linear(pooled, self.fc1_w.value, self.fc1_b.value))
-        flat = linear(hid, self.fc2_w.value, self.fc2_b.value)           # (B, 3*fh*fw)
+        hid = gelu(linear(pooled, self.fc1_w, self.fc1_b))
+        flat = linear(hid, self.fc2_w, self.fc2_b)                       # (B, 3*fh*fw)
         return flat.reshape((images.shape[0], 3, self.fh, self.fw))
 
 

@@ -21,7 +21,7 @@ class Perturbation(Module):
         self.offset = param(init, "perturb.offset", (channels, timesteps), fill=0.0)
 
     def apply(self, eeg: Tensor) -> Tensor:
-        return eeg * self.gain.value + self.offset.value
+        return eeg * self.gain + self.offset
 
 
 class LinearEncoder(Module):
@@ -37,7 +37,7 @@ class LinearEncoder(Module):
     def project(self, eeg: Tensor) -> Tensor:
         """The pre-normalization linear map; linear in its input."""
         flat = eeg.reshape((eeg.shape[0], self.channels * self.timesteps))
-        return linear(flat, self.weight.value, self.bias.value)
+        return linear(flat, self.weight, self.bias)
 
     def encode(self, eeg: Tensor) -> Tensor:
         return l2_normalize(self.project(eeg))

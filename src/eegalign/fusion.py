@@ -31,12 +31,12 @@ class CrossAttentionFusion(Module):
 
     def gate(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         """Per-token blend weight in (0, 1), shape (B, N, 1)."""
-        q = matmul(x_orig, self.wq.value)
-        k = matmul(x_filt, self.wk.value)
-        v = matmul(x_filt, self.wv.value)
+        q = matmul(x_orig, self.wq)
+        k = matmul(x_filt, self.wk)
+        v = matmul(x_filt, self.wv)
         z = attention(q, k, v, self.heads)
-        hidden = gelu(linear(z, self.gate_w1.value, self.gate_b1.value))
-        return sigmoid(linear(hidden, self.gate_w2.value, self.gate_b2.value))
+        hidden = gelu(linear(z, self.gate_w1, self.gate_b1))
+        return sigmoid(linear(hidden, self.gate_w2, self.gate_b2))
 
     def fuse(self, x_orig: Tensor, x_filt: Tensor) -> Tensor:
         alpha = self.gate(x_orig, x_filt)
@@ -50,7 +50,7 @@ class BilinearMix(Module):
         self.mix_logit = param(init, "fusion.mix_logit", (), group="B", fill=math.log(mix_init / (1.0 - mix_init)))
 
     def coefficient(self) -> Tensor:
-        return sigmoid(self.mix_logit.value)
+        return sigmoid(self.mix_logit)
 
     def mix(self, image: Tensor, filtered: Tensor) -> Tensor:
         """Pixelwise blend lam * filtered + (1 - lam) * image with lam the coefficient."""

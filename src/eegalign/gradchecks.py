@@ -77,18 +77,18 @@ def grad_check(
     is probed.
     """
     for p in params:
-        p.value.grad = None
+        p.grad = None
     loss = f()
     loss.backward()
     analytic = {}
     for p in params:
-        g = p.value.grad
-        analytic[p.name] = np.zeros_like(p.value.data) if g is None else g.copy()
-        p.value.grad = None
+        g = p.grad
+        analytic[p.name] = np.zeros_like(p.data) if g is None else g.copy()
+        p.grad = None
 
     report = GradCheckReport()
     for p in params:
-        flat = p.value.data.reshape(-1)
+        flat = p.data.reshape(-1)
         ana = analytic[p.name].reshape(-1)
         if max_entries is not None and flat.size > max_entries:
             indices = rng.choice(flat.size, size=max_entries, replace=False)
@@ -111,15 +111,11 @@ def grad_check(
     return report
 
 
-def _param(name: str, array: np.ndarray) -> Parameter:
-    return Parameter(name, Tensor(array), group="A")
-
-
 def check_perturbation(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     perturb = Perturbation(channels=3, timesteps=5, init=rng)
-    perturb.gain.value.data += 0.1 * rng.normal(size=(3, 5))
-    perturb.offset.value.data += 0.1 * rng.normal(size=(3, 5))
+    perturb.gain.data += 0.1 * rng.normal(size=(3, 5))
+    perturb.offset.data += 0.1 * rng.normal(size=(3, 5))
     eeg = Tensor(rng.normal(size=(BATCH, 3, 5)))
     weights = Tensor(rng.normal(size=(BATCH, 3, 5)))
 
@@ -158,11 +154,11 @@ def check_filter_generator(seed: int) -> GradCheckReport:
 
 def check_dynamic_filter(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    images = _param("images", rng.uniform(size=(BATCH, 3, 6, 6)))
-    kernels = _param("kernels", 0.3 * rng.normal(size=(BATCH, 3, 3, 3)))
+    images = Parameter("images", rng.uniform(size=(BATCH, 3, 6, 6)))
+    kernels = Parameter("kernels", 0.3 * rng.normal(size=(BATCH, 3, 3, 3)))
 
     def loss():
-        out = apply_dynamic_filter(images.value, kernels.value)
+        out = apply_dynamic_filter(images, kernels)
         return (out * out).sum()
 
     return grad_check(loss, [images, kernels], max_entries=40, rng=np.random.default_rng(seed + 1))
@@ -171,11 +167,11 @@ def check_dynamic_filter(seed: int) -> GradCheckReport:
 def check_fusion(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     fusion = CrossAttentionFusion(dim=8, heads=2, init=rng)
-    x_orig = _param("x_orig", rng.normal(size=(BATCH, 3, 8)))
-    x_filt = _param("x_filt", rng.normal(size=(BATCH, 3, 8)))
+    x_orig = Parameter("x_orig", rng.normal(size=(BATCH, 3, 8)))
+    x_filt = Parameter("x_filt", rng.normal(size=(BATCH, 3, 8)))
 
     def loss():
-        fused = fusion.fuse(x_orig.value, x_filt.value)
+        fused = fusion.fuse(x_orig, x_filt)
         return (fused * fused).sum()
 
     return grad_check(loss, fusion.params() + [x_orig, x_filt], max_entries=30,
@@ -189,7 +185,7 @@ def check_prompts(seed: int) -> GradCheckReport:
     fused = Tensor(rng.normal(size=(BATCH, 4, 8)))
 
     def loss():
-        out = bb.vit_forward(bb.insert_prompts(prompts.value, fused))
+        out = bb.vit_forward(bb.insert_prompts(prompts, fused))
         return (out * out).sum()
 
     return grad_check(loss, [prompts])
@@ -211,14 +207,14 @@ def check_projection(seed: int) -> GradCheckReport:
 def _check_loss_term(seed: int, mu: float = 0.0, alpha: float = 0.0, lam: float = 0.0) -> GradCheckReport:
     """Check `total_loss` with one term weighted and the others at 0."""
     rng = np.random.default_rng(seed)
-    ze = _param("z_e", rng.normal(size=(BATCH, 6)))
-    zi = _param("z_i", rng.normal(size=(BATCH, 6)))
-    log_tau = _param("log_tau", np.log(CHECK_TAU))
+    ze = Parameter("z_e", rng.normal(size=(BATCH, 6)))
+    zi = Parameter("z_i", rng.normal(size=(BATCH, 6)))
+    log_tau = Parameter("log_tau", np.log(CHECK_TAU))
 
     weights = LossConfig(mu=mu, alpha=alpha, lam=lam, beta=0.3, detach_targets=False)
 
     def loss():
-        return total_loss(ze.value, zi.value, weights, exp(log_tau.value))[0]
+        return total_loss(ze, zi, weights, exp(log_tau))[0]
 
     return grad_check(loss, [ze, zi, log_tau])
 

@@ -110,7 +110,7 @@ class AlignmentModel(Module):
             fused = self.fusion.fuse(x_orig, x_filt)
         else:
             fused = self.backbone.patch_embed(self.fusion.mix(images, filtered))
-        seq = self.backbone.insert_prompts(self.prompts.value, fused)
+        seq = self.backbone.insert_prompts(self.prompts, fused)
         return self.projection.project(self.backbone.vit_forward(seq))
 
     def forward(self, batch: PairedBatch) -> tuple[Tensor, Tensor]:
@@ -119,7 +119,7 @@ class AlignmentModel(Module):
         return self.encode_eeg(batch.eeg), self.encode_images(batch.images)
 
     def tau(self) -> Tensor:
-        return exp(self.log_tau.value)
+        return exp(self.log_tau)
 
     def batch_loss(self, batch: PairedBatch):
         z_e, z_i = self.forward(batch)

@@ -66,7 +66,8 @@ class Tensor:
 
     Tensors are treated as immutable within a forward pass. ``grad`` is
     ``None`` until backward() reaches the tensor as a leaf and is
-    accumulated additively afterwards; an op's output never gets one.
+    accumulated additively afterwards; an op's output never gets one. A
+    model part's leaves are ``Parameter``s, Tensors that carry a name.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -760,27 +761,25 @@ def dynamic_conv(x, k) -> Tensor:
 # -- parameters ----------------------------------------------------------
 
 
-class Parameter:
-    """A named, optionally frozen tensor with an optimizer group tag.
+class Parameter(Tensor):
+    """A named leaf Tensor, optionally frozen, with an optimizer group tag.
 
     ``group`` is "A" or "B"; the trainer runs one optimizer per group.
-    Frozen parameters never require grad and are excluded from updates.
+    A frozen parameter never requires grad and is excluded from updates;
+    ``frozen`` is a flag of its own, since a caller may clear ``requires_grad``.
     """
 
-    __slots__ = ("name", "value", "frozen", "group")
+    __slots__ = ("name", "frozen", "group")
 
-    def __init__(self, name: str, value: Tensor, frozen: bool = False, group: str = "A"):
+    def __init__(self, name: str, data, frozen: bool = False, group: str = "A"):
         if group not in ("A", "B"):
             raise DomainError(f"parameter group must be 'A' or 'B', got {group!r}")
-        self.name = name
-        self.value = value
-        self.frozen = bool(frozen)
-        self.group = group
-        self.value.requires_grad = not self.frozen
+        super().__init__(data, requires_grad=not frozen)
+        self.name, self.frozen, self.group = name, bool(frozen), group
 
     def __repr__(self) -> str:
         state = "frozen" if self.frozen else f"group {self.group}"
-        return f"Parameter({self.name!r}, shape={self.value.shape}, {state})"
+        return f"Parameter({self.name!r}, shape={self.shape}, {state})"
 
 
 # where a parameter's value comes from: the seeded generator, or a checkpoint's lookup (name, shape) -> array
@@ -789,16 +788,17 @@ Init = np.random.Generator | Callable[[str, tuple[int, ...]], np.ndarray]
 
 def param(init: Init, name: str, shape: tuple[int, ...], frozen: bool = False, group: str = "A",
           over: float = 1.0, times: float = 1.0, fill: float | np.ndarray | None = None) -> Parameter:
-    """The one maker of a model part's parameters. A checkpoint's lookup ``init`` gives ``init(name, shape)``; the
-    seeded generator gives ``fill`` broadcast to ``shape`` or else ``normal(shape) / over * times``, where the
-    default 1.0 is exact, so each part keeps the arithmetic it states."""
+    """The one maker of a model part's parameters, each a ``Parameter`` over the array drawn or looked up. A
+    checkpoint's lookup ``init`` gives ``init(name, shape)``; the seeded generator gives ``fill`` broadcast to
+    ``shape`` or else ``normal(shape) / over * times``, where the default 1.0 is exact, so each part keeps the
+    arithmetic it states."""
     if not isinstance(init, np.random.Generator):
         value = init(name, shape)
     elif fill is None:
         value = init.normal(size=shape) / over * times
     else:
         value = np.full(shape, fill, dtype=np.float64)
-    return Parameter(name, Tensor(value), frozen, group)
+    return Parameter(name, value, frozen, group)
 
 
 class Module:

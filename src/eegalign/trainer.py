@@ -46,7 +46,7 @@ class Adam:
     """Adaptive-moment optimizer with the standard decay constants.
 
     Building one copies its parameters' values into one flat buffer and
-    rebinds each ``p.value.data`` to a view of its slice; ``m[i]`` and
+    rebinds each ``p.data`` to a view of its slice; ``m[i]`` and
     ``v[i]`` are views of flat moments. A parameter without a gradient
     this step keeps its old value. The learning rate may be zero, which
     makes step() a no-op on values.
@@ -59,18 +59,18 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        ends = np.cumsum([0] + [p.value.data.size for p in self.params]).tolist()
+        ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self._spans = list(zip(ends[:-1], ends[1:]))
         self._flat = [np.zeros(ends[-1]) for _ in range(4)]  # value, gradient, m, v
-        values, self._grads, self.m, self.v = ([flat[lo:hi].reshape(p.value.shape) for p, (lo, hi)
+        values, self._grads, self.m, self.v = ([flat[lo:hi].reshape(p.shape) for p, (lo, hi)
                                                 in zip(self.params, self._spans)] for flat in self._flat)
         for p, value in zip(self.params, values):
-            value[...] = p.value.data
-            p.value.data = value
+            value[...] = p.data
+            p.data = value
 
     def zero_grads(self) -> None:
         for p in self.params:
-            p.value.grad = None
+            p.grad = None
 
     def step(self) -> None:
         """Update every parameter that has a gradient, in place.
@@ -87,8 +87,8 @@ class Adam:
         m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         runs: list[list[int]] = []
         for p, (lo, hi), g in zip(self.params, self._spans, self._grads):
-            if p.value.grad is not None:
-                np.copyto(g, p.value.grad)
+            if p.grad is not None:
+                np.copyto(g, p.grad)
                 if not runs or runs[-1][1] < lo:
                     runs.append([lo, hi])
                 runs[-1][1] = hi
@@ -110,14 +110,14 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm."""
     total = 0.0
     for p in params:
-        if p.value.grad is not None:
-            total += float((p.value.grad ** 2).sum())
+        if p.grad is not None:
+            total += float((p.grad ** 2).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:
-            if p.value.grad is not None:
-                p.value.grad *= scale
+            if p.grad is not None:
+                p.grad *= scale
     return norm
 
 
@@ -126,8 +126,8 @@ def parameter_digest(params: list[Parameter]) -> str:
     h = hashlib.sha256()
     for p in params:
         h.update(p.name.encode())
-        h.update(repr(p.value.shape).encode())
-        h.update(np.ascontiguousarray(p.value.data, dtype="<f8").tobytes())
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -163,7 +163,7 @@ class Checkpoint:
 
 
 def snapshot_values(model: AlignmentModel) -> dict[str, np.ndarray]:
-    return {p.name: p.value.data.copy() for p in model.parameters()}
+    return {p.name: p.data.copy() for p in model.parameters()}
 
 
 def train_step(model: AlignmentModel, batch, opt_a: Adam, opt_b: Adam,

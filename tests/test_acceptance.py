@@ -149,7 +149,7 @@ def test_criterion_2_freeze_contract(request):
         train_step(model, make_batch(train, idx), opt_a, opt_b)
     assert parameter_digest([p for p in model.parameters() if p.frozen]) == frozen_before
     for p in model.trainable_parameters():
-        assert not np.array_equal(p.value.data, values_before[p.name]), \
+        assert not np.array_equal(p.data, values_before[p.name]), \
             f"trainable {p.name} never moved"
 
 
@@ -188,12 +188,12 @@ def test_criterion_4_architectural_reduction(request):
     cfg.backbone.prompts = 0
     model = AlignmentModel(cfg, channels=4, timesteps=12, image_size=16,
                            init=np.random.default_rng(11))
-    model.filter_gen.fc2_w.value.data[:] = 0.0
-    model.fusion.gate_b2.value.data[:] = -np.inf
+    model.filter_gen.fc2_w.data[:] = 0.0
+    model.fusion.gate_b2.data[:] = -np.inf
     images = make_batch(desk_splits()["train"], np.arange(4)).images
 
     backbone = model.backbone
-    seq = backbone.insert_prompts(model.prompts.value, backbone.patch_embed(images))
+    seq = backbone.insert_prompts(model.prompts, backbone.patch_embed(images))
     plain = model.projection.project(backbone.vit_forward(seq))
     reduced = model.encode_images(images)
 

@@ -34,7 +34,7 @@ class TestPatchEmbed:
     def test_zero_image_gives_bias_tokens(self):
         bb = small_backbone()
         tokens = bb.patch_embed(Tensor(np.zeros((1, 3, 16, 16))))
-        assert np.array_equal(tokens.data, np.broadcast_to(bb.patch_b.value.data, (1, 4, 16)))
+        assert np.array_equal(tokens.data, np.broadcast_to(bb.patch_b.data, (1, 4, 16)))
 
 
 class TestInsertPrompts:
@@ -43,15 +43,15 @@ class TestInsertPrompts:
             bb = small_backbone(prompt_count=count)
             prompts = make_prompts(count, 16, np.random.default_rng(3))
             fused = Tensor(np.random.default_rng(4).normal(size=(2, 4, 16)))
-            seq = bb.insert_prompts(prompts.value, fused)
+            seq = bb.insert_prompts(prompts, fused)
             assert seq.shape == (2, expected, 16)
 
     def test_prompt_rows_are_prompts_plus_positions(self):
         bb = small_backbone(prompt_count=3)
         prompts = make_prompts(3, 16, np.random.default_rng(5))
         fused = Tensor(np.random.default_rng(6).normal(size=(2, 4, 16)))
-        seq = bb.insert_prompts(prompts.value, fused)
-        expected = prompts.value.data + bb.pos.value.data[1:4]
+        seq = bb.insert_prompts(prompts, fused)
+        expected = prompts.data + bb.pos.data[1:4]
         assert np.array_equal(seq.data[0, 1:4], expected)
         assert np.array_equal(seq.data[1, 1:4], expected)
 
@@ -59,8 +59,8 @@ class TestInsertPrompts:
         bb = small_backbone(prompt_count=1)
         prompts = make_prompts(1, 16, np.random.default_rng(7))
         fused = Tensor(np.random.default_rng(8).normal(size=(3, 4, 16)))
-        seq = bb.insert_prompts(prompts.value, fused)
-        expected = bb.cls.value.data + bb.pos.value.data[0]
+        seq = bb.insert_prompts(prompts, fused)
+        expected = bb.cls.data + bb.pos.data[0]
         for b in range(3):
             assert np.array_equal(seq.data[b, 0], expected)
 
@@ -76,8 +76,8 @@ class TestVitForward:
         bb = small_backbone(prompt_count=2, layers=0)
         prompts = make_prompts(2, 16, np.random.default_rng(9))
         fused = Tensor(np.random.default_rng(10).normal(size=(2, 4, 16)))
-        out = bb.vit_forward(bb.insert_prompts(prompts.value, fused))
-        expected = bb.cls.value.data + bb.pos.value.data[0]
+        out = bb.vit_forward(bb.insert_prompts(prompts, fused))
+        expected = bb.cls.data + bb.pos.data[0]
         assert np.array_equal(out.data, np.broadcast_to(expected, (2, 16)))
 
     def test_patch_permutation_equivariance(self):
@@ -86,7 +86,7 @@ class TestVitForward:
         bb = small_backbone(prompt_count=2, layers=2)
         prompts = make_prompts(2, 16, np.random.default_rng(11))
         fused = Tensor(np.random.default_rng(12).normal(size=(2, 4, 16)))
-        seq = bb.insert_prompts(prompts.value, fused)
+        seq = bb.insert_prompts(prompts, fused)
         perm = np.array([0, 1, 2, 5, 3, 6, 4])
         shuffled = Tensor(seq.data[:, perm, :])
         out = bb.vit_forward(Tensor(seq.data))
@@ -96,18 +96,18 @@ class TestVitForward:
     def test_everything_frozen(self):
         bb = small_backbone()
         assert all(p.frozen for p in bb.params())
-        assert all(not p.value.requires_grad for p in bb.params())
+        assert all(not p.requires_grad for p in bb.params())
         assert len(bb.params()) == 4 + 2 * 16
 
     def test_gradient_reaches_prompts_and_tokens_not_backbone(self):
         bb = small_backbone(prompt_count=2, layers=2)
         prompts = make_prompts(2, 16, np.random.default_rng(13))
         fused = Tensor(np.random.default_rng(14).normal(size=(2, 4, 16)), requires_grad=True)
-        out = bb.vit_forward(bb.insert_prompts(prompts.value, fused))
+        out = bb.vit_forward(bb.insert_prompts(prompts, fused))
         (out * out).sum().backward()
-        assert prompts.value.grad is not None and np.any(prompts.value.grad != 0.0)
+        assert prompts.grad is not None and np.any(prompts.grad != 0.0)
         assert fused.grad is not None and np.any(fused.grad != 0.0)
-        assert all(p.value.grad is None for p in bb.params())
+        assert all(p.grad is None for p in bb.params())
 
     def test_grad_check_through_blocks(self):
         bb = small_backbone(prompt_count=2, layers=1, dim=8, heads=2)
@@ -115,7 +115,7 @@ class TestVitForward:
         fused = Tensor(np.random.default_rng(16).normal(size=(2, 4, 8)))
 
         def loss():
-            out = bb.vit_forward(bb.insert_prompts(prompts.value, fused))
+            out = bb.vit_forward(bb.insert_prompts(prompts, fused))
             return (out * out).sum()
 
         report = grad_check(loss, [prompts], max_entries=16, rng=np.random.default_rng(17))
@@ -132,14 +132,14 @@ def reference_vit(bb, seq):
 
     x = seq
     for blk in bb.blocks:
-        a = layer_norm(x, blk.ln1_g.value, blk.ln1_b.value)
-        q = heads_of(matmul(a, blk.wq.value) + blk.bq.value)
-        k = heads_of(matmul(a, blk.wk.value) + blk.bk.value)
-        v = heads_of(matmul(a, blk.wv.value) + blk.bv.value)
+        a = layer_norm(x, blk.ln1_g, blk.ln1_b)
+        q = heads_of(matmul(a, blk.wq) + blk.bq)
+        k = heads_of(matmul(a, blk.wk) + blk.bk)
+        v = heads_of(matmul(a, blk.wv) + blk.bv)
         z = transpose(attention(q, k, v), (0, 2, 1, 3)).reshape((b, n, d))
-        x = x + matmul(z, blk.wo.value) + blk.bo.value
-        m = layer_norm(x, blk.ln2_g.value, blk.ln2_b.value)
-        x = x + matmul(gelu(matmul(m, blk.mlp_w1.value) + blk.mlp_b1.value), blk.mlp_w2.value) + blk.mlp_b2.value
+        x = x + matmul(z, blk.wo) + blk.bo
+        m = layer_norm(x, blk.ln2_g, blk.ln2_b)
+        x = x + matmul(gelu(matmul(m, blk.mlp_w1) + blk.mlp_b1), blk.mlp_w2) + blk.mlp_b2
     return x[:, 0, :]
 
 
@@ -149,9 +149,9 @@ class TestClsOnlyLastBlock:
         rng = np.random.default_rng(seed)
         prompts = make_prompts(bb.prompt_count, bb.dim, np.random.default_rng(seed + 1))
         fused = Tensor(rng.normal(size=(3, bb.n_patches, bb.dim)), requires_grad=True)
-        out = forward(bb.insert_prompts(prompts.value, fused))
+        out = forward(bb.insert_prompts(prompts, fused))
         (out * Tensor(rng.normal(size=out.shape))).sum().backward()
-        return out.data, fused.grad, prompts.value.grad
+        return out.data, fused.grad, prompts.grad
 
     @pytest.mark.parametrize("prompt_count", [0, 2])
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -177,7 +177,7 @@ class TestClsOnlyLastBlock:
         monkeypatch.setattr(backbone_module, "gelu", recording_gelu)
         bb = small_backbone(prompt_count=2, layers=2)
         fused = Tensor(np.random.default_rng(30).normal(size=(3, 4, 16)))
-        bb.vit_forward(bb.insert_prompts(make_prompts(2, 16, np.random.default_rng(31)).value, fused))
+        bb.vit_forward(bb.insert_prompts(make_prompts(2, 16, np.random.default_rng(31)), fused))
         assert shapes == [(3, 7, 64), (3, 1, 64)]
 
 
@@ -192,8 +192,8 @@ class TestValidation:
 class TestProjectionHead:
     def test_identity_weight_normalizes_input(self):
         head = ProjectionHead(4, 4, np.random.default_rng(18))
-        head.weight.value.data[:] = np.eye(4)
-        head.bias.value.data[:] = 0.0
+        head.weight.data[:] = np.eye(4)
+        head.bias.data[:] = 0.0
         z = np.array([[3.0, 4.0, 0.0, 0.0]])
         out = head.project(Tensor(z))
         assert np.allclose(out.data, [[0.6, 0.8, 0.0, 0.0]], atol=1e-9)

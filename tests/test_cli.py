@@ -887,10 +887,10 @@ class TestGradcheckCommand:
 
         def broken(seed):
             rng = np.random.default_rng(seed)
-            p = Parameter("broken", Tensor(rng.normal(size=3)))
+            p = Parameter("broken", rng.normal(size=3))
 
             def loss():
-                detached = Tensor(p.value.data.copy())
+                detached = Tensor(p.data.copy())
                 return (detached * detached).sum()
 
             return grad_check(loss, [p])

@@ -19,8 +19,8 @@ class TestPerturbation:
 
     def test_forced_affine_arithmetic(self):
         p = Perturbation(channels=1, timesteps=2, init=np.random.default_rng(0))
-        p.gain.value.data[:] = [[2.0, 2.0]]
-        p.offset.value.data[:] = [[1.0, 1.0]]
+        p.gain.data[:] = [[2.0, 2.0]]
+        p.offset.data[:] = [[1.0, 1.0]]
         out = p.apply(Tensor(np.array([[[1.0, 2.0]]])))
         assert np.array_equal(out.data, [[[3.0, 5.0]]])
 
@@ -29,8 +29,8 @@ class TestPerturbation:
         p = Perturbation(channels=2, timesteps=3, init=np.random.default_rng(0))
         eeg = Tensor(np.random.default_rng(1).normal(size=(4, 2, 3)))
         p.apply(eeg).sum().backward()
-        assert np.allclose(p.gain.value.grad, eeg.data.sum(axis=0), atol=1e-12)
-        assert np.allclose(p.offset.value.grad, 4.0, atol=1e-12)
+        assert np.allclose(p.gain.grad, eeg.data.sum(axis=0), atol=1e-12)
+        assert np.allclose(p.offset.grad, 4.0, atol=1e-12)
 
     def test_parameters_in_group_a(self):
         p = Perturbation(channels=2, timesteps=2, init=np.random.default_rng(0))
@@ -53,8 +53,8 @@ class TestLinearEncoder:
     def test_constant_map_with_zero_weight(self):
         rng = np.random.default_rng(0)
         enc = LinearEncoder(channels=2, timesteps=3, dim=4, init=rng)
-        enc.weight.value.data[:] = 0.0
-        enc.bias.value.data[:] = [1.0, 0.0, 0.0, 0.0]
+        enc.weight.data[:] = 0.0
+        enc.bias.data[:] = [1.0, 0.0, 0.0, 0.0]
         out = enc.encode(Tensor(rng.normal(size=(5, 2, 3))))
         assert np.allclose(out.data, [[1.0, 0.0, 0.0, 0.0]] * 5, atol=1e-6)
 
@@ -73,7 +73,7 @@ class TestLinearEncoder:
     def test_pre_norm_linearity(self):
         rng = np.random.default_rng(5)
         enc = LinearEncoder(channels=2, timesteps=4, dim=3, init=rng)
-        enc.bias.value.data[:] = 0.0
+        enc.bias.data[:] = 0.0
         e1 = rng.normal(size=(3, 2, 4))
         e2 = rng.normal(size=(3, 2, 4))
         a, b = 0.7, -1.3

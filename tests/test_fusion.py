@@ -16,14 +16,14 @@ def token_pair(seed, b=2, n=5, d=8):
 class TestCrossAttentionFusion:
     def test_gate_forced_closed_returns_original(self):
         fusion = CrossAttentionFusion(dim=8, init=np.random.default_rng(0))
-        fusion.gate_b2.value.data[:] = -np.inf
+        fusion.gate_b2.data[:] = -np.inf
         x_orig, x_filt = token_pair(1)
         fused = fusion.fuse(x_orig, x_filt)
         assert np.array_equal(fused.data, x_orig.data)
 
     def test_gate_forced_open_returns_filtered(self):
         fusion = CrossAttentionFusion(dim=8, init=np.random.default_rng(0))
-        fusion.gate_b2.value.data[:] = np.inf
+        fusion.gate_b2.data[:] = np.inf
         x_orig, x_filt = token_pair(2)
         fused = fusion.fuse(x_orig, x_filt)
         assert np.array_equal(fused.data, x_filt.data)
@@ -43,7 +43,7 @@ class TestCrossAttentionFusion:
 
     def test_gate_bias_initialization_leans_original(self):
         fusion = CrossAttentionFusion(dim=8, gate_bias_init=-2.0, init=np.random.default_rng(7))
-        assert fusion.gate_b2.value.data[0] == -2.0
+        assert fusion.gate_b2.data[0] == -2.0
         x_orig, x_filt = token_pair(8)
         # with zero gate inputs alpha would be sigmoid(-2) ~ 0.12; random
         # tokens move it but the gate should still favor the original stream
@@ -61,8 +61,8 @@ class TestCrossAttentionFusion:
     def test_attention_rows_are_stochastic(self):
         fusion = CrossAttentionFusion(dim=8, init=np.random.default_rng(11))
         x_orig, x_filt = token_pair(12)
-        q = matmul(x_orig, fusion.wq.value)
-        k = matmul(x_filt, fusion.wk.value)
+        q = matmul(x_orig, fusion.wq)
+        k = matmul(x_filt, fusion.wk)
         probs = softmax_rows(matmul(q, transpose(k)) / np.sqrt(8.0))
         assert np.allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -141,11 +141,11 @@ class TestBilinearMix:
         rng = np.random.default_rng(3)
         images = {"image": Tensor(rng.uniform(size=(1, 3, 4, 4))), "filtered": Tensor(rng.uniform(size=(1, 3, 4, 4)))}
         mix = BilinearMix(np.random.default_rng(0))
-        mix.mix_logit.value.data[...] = logit
+        mix.mix_logit.data[...] = logit
         out = mix.mix(images["image"], images["filtered"])
         assert np.array_equal(out.data, images[picked].data)
         out.sum().backward()
-        assert np.isfinite(mix.mix_logit.value.grad).all()
+        assert np.isfinite(mix.mix_logit.grad).all()
 
     def test_learnable_coefficient_round_trip(self):
         mix = BilinearMix(np.random.default_rng(0), mix_init=0.3)

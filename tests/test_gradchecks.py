@@ -51,10 +51,10 @@ class TestNegativeControl:
         # constructing the loss from a detached copy hides the true
         # dependency from backward, so the numeric probe must disagree
         rng = np.random.default_rng(0)
-        p = Parameter("broken", Tensor(rng.normal(size=3)))
+        p = Parameter("broken", rng.normal(size=3))
 
         def loss():
-            detached = Tensor(p.value.data.copy())
+            detached = Tensor(p.data.copy())
             return (detached * detached).sum()
 
         report = grad_check(loss, [p])
@@ -67,10 +67,10 @@ class TestGradCheckHarness:
         rng = np.random.default_rng(21)
         m = rng.normal(size=(4, 4))
         sym = Tensor(m + m.T)
-        x = Parameter("x", Tensor(rng.normal(size=(4, 1)), requires_grad=True))
+        x = Parameter("x", rng.normal(size=(4, 1)))
 
         def f():
-            return (matmul(matmul(x.value.transpose(), sym), x.value) * 0.5).sum()
+            return (matmul(matmul(x.transpose(), sym), x) * 0.5).sum()
 
         report = grad_check(f, [x])
         assert report.passed, report.summary()
@@ -86,20 +86,20 @@ class TestGradCheckHarness:
 
             return tz._make(data, (t,), vjp)
 
-        x = Parameter("x", Tensor(np.array([1.7, -0.4]), requires_grad=True))
+        x = Parameter("x", np.array([1.7, -0.4]))
 
         def f():
-            return bad_square(x.value).sum()
+            return bad_square(x).sum()
 
         report = grad_check(f, [x])
         assert not report.passed
 
     def test_max_entries_subsampling(self):
         rng = np.random.default_rng(22)
-        x = Parameter("x", Tensor(rng.normal(size=(30, 30)), requires_grad=True))
+        x = Parameter("x", rng.normal(size=(30, 30)))
 
         def f():
-            return (x.value ** 2.0).sum()
+            return (x ** 2.0).sum()
 
         report = grad_check(f, [x], max_entries=17, rng=np.random.default_rng(1))
         assert report.results[0].checked == 17

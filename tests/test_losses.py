@@ -309,15 +309,15 @@ class TestTotalLoss:
         rng = np.random.default_rng(15)
         from eegalign.tensor import Parameter
 
-        ze = Parameter("ze", Tensor(rng.normal(size=(4, 5))), group="A")
-        zi = Parameter("zi", Tensor(rng.normal(size=(4, 5))), group="A")
+        ze = Parameter("ze", rng.normal(size=(4, 5)), group="A")
+        zi = Parameter("zi", rng.normal(size=(4, 5)), group="A")
         # tau 0.5 keeps every softmax entry far above the KL clamp floor,
         # where the objective is smooth enough for central differences
-        log_tau = Parameter("log_tau", Tensor(np.log(0.5)), group="A")
+        log_tau = Parameter("log_tau", np.log(0.5), group="A")
 
         def loss():
             w = LossConfig(detach_targets=False)
-            return total_loss(ze.value, zi.value, w, exp(log_tau.value))[0]
+            return total_loss(ze, zi, w, exp(log_tau))[0]
 
         report = grad_check(loss, [ze, zi, log_tau], max_entries=30, rng=np.random.default_rng(16))
         assert report.passed, report.summary()
@@ -330,25 +330,25 @@ class TestTotalLoss:
         from eegalign.tensor import Parameter
 
         rng = np.random.default_rng(17)
-        ze = Parameter("ze", Tensor(rng.normal(size=(4, 5))), group="A")
-        zi = Parameter("zi", Tensor(rng.normal(size=(4, 5))), group="A")
+        ze = Parameter("ze", rng.normal(size=(4, 5)), group="A")
+        zi = Parameter("zi", rng.normal(size=(4, 5)), group="A")
         tau = 0.5
         w = LossConfig(mu=0.6, alpha=0.3, lam=0.1, beta=0.3, detach_targets=True)
 
-        total, _ = total_loss(ze.value, zi.value, w, tau)
+        total, _ = total_loss(ze, zi, w, tau)
         total.backward()
-        detached_ze = ze.value.grad.copy()
-        detached_zi = zi.value.grad.copy()
-        ze.value.grad = None
-        zi.value.grad = None
+        detached_ze = ze.grad.copy()
+        detached_zi = zi.grad.copy()
+        ze.grad = None
+        zi.grad = None
 
-        p_ee_fixed = intra_modal(ze.value.data, tau)
-        p_ii_fixed = intra_modal(zi.value.data, tau)
+        p_ee_fixed = intra_modal(ze.data, tau)
+        p_ii_fixed = intra_modal(zi.data, tau)
         t_e, t_i = soft_targets(p_ee_fixed, p_ii_fixed, w.beta)
 
         def fixed_target_loss():
-            a = l2_normalize(ze.value)
-            b = l2_normalize(zi.value)
+            a = l2_normalize(ze)
+            b = l2_normalize(zi)
             sim = matmul(a, transpose(b))
             p_ei = softmax_rows(sim / tau)
             p_ie = softmax_rows(transpose(sim) / tau)
@@ -363,11 +363,11 @@ class TestTotalLoss:
         )
         assert report.passed, report.summary()
 
-        ze.value.grad = None
-        zi.value.grad = None
+        ze.grad = None
+        zi.grad = None
         fixed_target_loss().backward()
-        assert np.allclose(detached_ze, ze.value.grad, atol=1e-12)
-        assert np.allclose(detached_zi, zi.value.grad, atol=1e-12)
+        assert np.allclose(detached_ze, ze.grad, atol=1e-12)
+        assert np.allclose(detached_zi, zi.grad, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):

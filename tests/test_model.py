@@ -197,7 +197,7 @@ class TestParameterCap:
     """A model that would draw more than MAX_PARAMETER_BYTES is refused before it draws; a loaded one is not checked."""
 
     def test_cap_is_the_exact_parameter_bytes(self, monkeypatch):
-        size = sum(p.value.data.nbytes for p in small_model().parameters())
+        size = sum(p.data.nbytes for p in small_model().parameters())
         monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", size)
         AlignmentModel(small_config(), channels=4, timesteps=10, image_size=16)
         monkeypatch.setattr(model_module, "MAX_PARAMETER_BYTES", size - 1)
@@ -285,8 +285,8 @@ class TestArchitecturalReduction:
         cfg.backbone.prompts = 0
         model = AlignmentModel(cfg, channels=4, timesteps=10, image_size=16,
                                init=np.random.default_rng(11))
-        model.filter_gen.fc2_w.value.data[:] = 0.0   # kernels collapse to the delta bias
-        model.fusion.gate_b2.value.data[:] = -np.inf  # sigmoid gate pinned to 0
+        model.filter_gen.fc2_w.data[:] = 0.0   # kernels collapse to the delta bias
+        model.fusion.gate_b2.data[:] = -np.inf  # sigmoid gate pinned to 0
         return model
 
     def test_matches_plain_vit_plus_projection(self):
@@ -294,7 +294,7 @@ class TestArchitecturalReduction:
         images = small_batch(seed=5).images
 
         bb = model.backbone
-        seq = bb.insert_prompts(model.prompts.value, bb.patch_embed(images))
+        seq = bb.insert_prompts(model.prompts, bb.patch_embed(images))
         reference = model.projection.project(bb.vit_forward(seq))
 
         reduced = model.encode_images(images)

@@ -160,6 +160,22 @@ def test_params_scan_flags_a_hand_written_list():
     assert params_definitions(tree) == ["Module", "Head"]
 
 
+def value_attributes(tree: ast.Module) -> list[int]:
+    """Lines that name an attribute ``value``. A ``Parameter`` is its own tensor, so there is nothing to unwrap."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "value")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_a_value_attribute(path):
+    assert value_attributes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_value_scan_flags_toy_sources():
+    tree = ast.parse("y = linear(x, blk.wq.value, b)\np.value.data = view\nvalue = p.data\nf(value=1)\n"
+                     "q.value = w\nd.values()\ng = getattr(p, 'value')\n")
+    assert value_attributes(tree) == [1, 2, 5]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -332,7 +348,7 @@ def test_only_param_makes_parameter_values(name):
 
 
 def test_value_maker_scan_flags_toy_sources():
-    tree = ast.parse("from .tensor import Parameter, param\nw = Parameter('w', Tensor(rng.normal(size=3)))\n"
+    tree = ast.parse("from .tensor import Parameter, param\nw = Parameter('w', rng.normal(size=3))\n"
                      "b = param(init, 'b', (3,), fill=0.0)\nrng = np.random.default_rng(0)\n"
                      "g = tensor.Parameter('g', x)\nx = init.normal(size=2) / over\nu = rng.uniform(size=2)\n")
     assert value_maker_calls(tree) == [(2, "Parameter"), (2, "normal"), (4, "default_rng"), (5, "Parameter"),

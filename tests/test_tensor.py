@@ -378,13 +378,13 @@ class TestOpGradients:
 
     def test_broadcast_arithmetic(self):
         rng = np.random.default_rng(10)
-        a = Parameter("a", Tensor(_rand(rng, 4, 3), requires_grad=True))
-        b = Parameter("b", Tensor(_rand(rng, 3), requires_grad=True))
-        c = Parameter("c", Tensor(_rand(rng, 4, 1), requires_grad=True))
+        a = Parameter("a", _rand(rng, 4, 3))
+        b = Parameter("b", _rand(rng, 3))
+        c = Parameter("c", _rand(rng, 4, 1))
         probe = Tensor(_rand(rng, 4, 3))
 
         def f():
-            out = (a.value + b.value) * c.value - b.value / 2.0
+            out = (a + b) * c - b / 2.0
             return (out * probe).sum()
 
         report = grad_check(f, [a, b, c])
@@ -392,23 +392,23 @@ class TestOpGradients:
 
     def test_activations_and_norms(self, kernel_path):
         rng = np.random.default_rng(11)
-        x = Parameter("x", Tensor(_rand(rng, 5, 6), requires_grad=True))
-        g = Parameter("g", Tensor(1.0 + 0.1 * _rand(rng, 6), requires_grad=True))
-        b = Parameter("b", Tensor(0.1 * _rand(rng, 6), requires_grad=True))
+        x = Parameter("x", _rand(rng, 5, 6))
+        g = Parameter("g", 1.0 + 0.1 * _rand(rng, 6))
+        b = Parameter("b", 0.1 * _rand(rng, 6))
         probe = Tensor(_rand(rng, 5, 6))
 
         def f():
-            out = layer_norm(gelu(x.value), g.value, b.value)
-            out = sigmoid(out) + l2_normalize(x.value)
+            out = layer_norm(gelu(x), g, b)
+            out = sigmoid(out) + l2_normalize(x)
             return (out * probe).sum()
 
         report = grad_check(f, [x, g, b])
         assert report.passed, report.summary()
 
     def test_gelu_of_a_scalar(self, kernel_path):
-        x = Parameter("x", Tensor(0.7, requires_grad=True))
-        assert gelu(x.value).data == 0.5 * 0.7 * (1.0 + scipy.special.erf(0.7 / math.sqrt(2.0)))
-        report = grad_check(lambda: gelu(x.value) * 3.0, [x])
+        x = Parameter("x", 0.7)
+        assert gelu(x).data == 0.5 * 0.7 * (1.0 + scipy.special.erf(0.7 / math.sqrt(2.0)))
+        report = grad_check(lambda: gelu(x) * 3.0, [x])
         assert report.passed, report.summary()
 
     def test_div_by_a_divisor_whose_square_underflows(self):
@@ -428,12 +428,12 @@ class TestOpGradients:
 
     def test_softmax_and_logsoftmax(self):
         rng = np.random.default_rng(12)
-        x = Parameter("x", Tensor(_rand(rng, 4, 5), requires_grad=True))
-        t = Parameter("t", Tensor(0.7, requires_grad=True))
+        x = Parameter("x", _rand(rng, 4, 5))
+        t = Parameter("t", 0.7)
         probe = Tensor(_rand(rng, 4, 5))
 
         def f():
-            out = softmax_rows(x.value / t.value) + log_softmax_rows(x.value)
+            out = softmax_rows(x / t) + log_softmax_rows(x)
             return (out * probe).sum()
 
         report = grad_check(f, [x, t])
@@ -441,12 +441,12 @@ class TestOpGradients:
 
     def test_structural_ops(self):
         rng = np.random.default_rng(13)
-        a = Parameter("a", Tensor(_rand(rng, 2, 3, 4), requires_grad=True))
-        b = Parameter("b", Tensor(_rand(rng, 2, 2, 4), requires_grad=True))
+        a = Parameter("a", _rand(rng, 2, 3, 4))
+        b = Parameter("b", _rand(rng, 2, 2, 4))
         probe = Tensor(_rand(rng, 2, 5, 2))
 
         def f():
-            joined = concat([a.value, b.value], axis=1)
+            joined = concat([a, b], axis=1)
             picked = joined[:, :, 1:3]
             out = transpose(picked, (0, 1, 2)).reshape((2, 5, 2))
             return (out * probe).sum()
@@ -456,27 +456,27 @@ class TestOpGradients:
 
     def test_diag_gather(self):
         rng = np.random.default_rng(14)
-        x = Parameter("x", Tensor(_rand(rng, 4, 4), requires_grad=True))
+        x = Parameter("x", _rand(rng, 4, 4))
         idx = np.arange(4)
 
         def f():
-            return x.value[(idx, idx)].sum()
+            return x[(idx, idx)].sum()
 
         report = grad_check(f, [x])
         assert report.passed, report.summary()
-        x.value.grad = None
+        x.grad = None
         f().backward()
-        np.testing.assert_array_equal(x.value.grad, np.eye(4))
+        np.testing.assert_array_equal(x.grad, np.eye(4))
 
     def test_attention(self):
         rng = np.random.default_rng(15)
-        q = Parameter("q", Tensor(_rand(rng, 2, 3, 4), requires_grad=True))
-        k = Parameter("k", Tensor(_rand(rng, 2, 3, 4), requires_grad=True))
-        v = Parameter("v", Tensor(_rand(rng, 2, 3, 4), requires_grad=True))
+        q = Parameter("q", _rand(rng, 2, 3, 4))
+        k = Parameter("k", _rand(rng, 2, 3, 4))
+        v = Parameter("v", _rand(rng, 2, 3, 4))
         probe = Tensor(_rand(rng, 2, 3, 4))
 
         def f():
-            return (attention(q.value, k.value, v.value) * probe).sum()
+            return (attention(q, k, v) * probe).sum()
 
         report = grad_check(f, [q, k, v])
         assert report.passed, report.summary()
@@ -485,33 +485,33 @@ class TestOpGradients:
         rng = np.random.default_rng(16)
         raw_p = np.abs(_rand(rng, 3, 5)) + 0.2
         raw_q = np.abs(_rand(rng, 3, 5)) + 0.2
-        p = Parameter("p", Tensor(raw_p / raw_p.sum(-1, keepdims=True), requires_grad=True))
-        q = Parameter("q", Tensor(raw_q / raw_q.sum(-1, keepdims=True), requires_grad=True))
+        p = Parameter("p", raw_p / raw_p.sum(-1, keepdims=True))
+        q = Parameter("q", raw_q / raw_q.sum(-1, keepdims=True))
 
         def f():
-            return kl_div_rows(p.value, q.value)
+            return kl_div_rows(p, q)
 
         report = grad_check(f, [p, q])
         assert report.passed, report.summary()
 
     def test_unfold_padded(self):
         rng = np.random.default_rng(17)
-        x = Parameter("x", Tensor(_rand(rng, 2, 3, 5, 5), requires_grad=True))
+        x = Parameter("x", _rand(rng, 2, 3, 5, 5))
         probe = Tensor(_rand(rng, 2, 25, 27))
 
         def f():
-            return (unfold(x.value, 3, 3, stride=1, padding=1) * probe).sum()
+            return (unfold(x, 3, 3, stride=1, padding=1) * probe).sum()
 
         report = grad_check(f, [x])
         assert report.passed, report.summary()
 
     def test_unfold_tiled_fast_path(self):
         rng = np.random.default_rng(18)
-        x = Parameter("x", Tensor(_rand(rng, 2, 3, 4, 4), requires_grad=True))
+        x = Parameter("x", _rand(rng, 2, 3, 4, 4))
         probe = Tensor(_rand(rng, 2, 4, 12))
 
         def f():
-            return (unfold(x.value, 2, 2, stride=2, padding=0) * probe).sum()
+            return (unfold(x, 2, 2, stride=2, padding=0) * probe).sum()
 
         report = grad_check(f, [x])
         assert report.passed, report.summary()
@@ -556,13 +556,13 @@ class TestUnfoldValues:
 
     def test_tiled_matches_general_path(self):
         rng = np.random.default_rng(20)
-        x = _rand(rng, 2, 3, 8, 8)
-        fast = unfold(Tensor(x), 4, 4, stride=4, padding=0).data
-        # force the general path by asking for a padded version then cropping
-        slow = unfold(Tensor(np.pad(x, ((0, 0), (0, 0), (0, 0), (0, 0)))), 4, 4, stride=4, padding=0)
-        general = unfold(Tensor(x), 4, 4, stride=4, padding=(0, 0)).data
-        np.testing.assert_array_equal(fast, general)
-        np.testing.assert_array_equal(fast, slow.data)
+        x = _rand(rng, 2, 3, 8, 9)
+        tiled = unfold(Tensor(x[..., :8]), 4, 4, stride=4).data  # 4x4 tiles cover 8x8 exactly: the reindexing
+        general = unfold(Tensor(x), 4, 4, stride=4).data  # no window reaches the ninth column, which breaks the tiling
+        loop = np.stack([np.stack([x[b, :, i * 4:i * 4 + 4, j * 4:j * 4 + 4].reshape(-1)
+                                   for i in range(2) for j in range(2)]) for b in range(2)])
+        np.testing.assert_array_equal(tiled, loop)
+        np.testing.assert_array_equal(general, loop)
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
@@ -599,12 +599,12 @@ class TestDynamicConv:
     @pytest.mark.parametrize("live", ["image", "kernel"])
     def test_finite_differences_per_parent(self, live, kernel_path):
         rng = np.random.default_rng(41)
-        x = Tensor(_rand(rng, 2, 2, 5, 6), requires_grad=live == "image")
-        k = Tensor(_rand(rng, 2, 2, 3, 5), requires_grad=live == "kernel")
+        x0, k0 = _rand(rng, 2, 2, 5, 6), _rand(rng, 2, 2, 3, 5)
+        x = Parameter(live, x0) if live == "image" else Tensor(x0)
+        k = Parameter(live, k0) if live == "kernel" else Tensor(k0)
         probe = Tensor(_rand(rng, 2, 2, 5, 6))
-        param = Parameter(live, x if live == "image" else k)
 
-        report = grad_check(lambda: (dynamic_conv(x, k) ** 2.0 * probe).sum(), [param])
+        report = grad_check(lambda: (dynamic_conv(x, k) ** 2.0 * probe).sum(), [x if live == "image" else k])
         assert report.passed, report.summary()
 
     def test_frozen_image_gets_none_and_kernel_gradient_is_unchanged(self, kernel_path):
@@ -1118,9 +1118,16 @@ class TestClampMin:
 
 class TestParameter:
     def test_frozen_disables_grad(self):
-        p = Parameter("w", Tensor(np.ones(3)), frozen=True, group="B")
-        assert not p.value.requires_grad
+        p = Parameter("w", np.ones(3), frozen=True, group="B")
+        assert not p.requires_grad
+
+    def test_is_a_leaf_tensor_over_its_array(self):
+        data = np.ones(3)
+        p = Parameter("w", data)
+        assert isinstance(p, Tensor) and p.data is data and p.requires_grad and p._vjp is None
+        (p * 2.0).sum().backward()
+        np.testing.assert_array_equal(p.grad, [2.0, 2.0, 2.0])
 
     def test_group_validated(self):
         with pytest.raises(DomainError):
-            Parameter("w", Tensor(np.ones(3)), group="C")
+            Parameter("w", np.ones(3), group="C")

@@ -12,7 +12,7 @@ from eegalign.data import generate_synthetic, make_batch, zero_shot_split
 from eegalign.errors import ConfigError, ContractError, FormatError
 from eegalign.metrics import retrieval_ranks
 from eegalign.model import AlignmentModel
-from eegalign.tensor import Parameter, Tensor
+from eegalign.tensor import Parameter
 from eegalign.trainer import (
     Adam,
     Checkpoint,
@@ -66,57 +66,57 @@ def snapshot_checkpoint(cfg, values):
 
 
 def scalar_param(value, name="w"):
-    return Parameter(name, Tensor(np.asarray(value, dtype=np.float64)))
+    return Parameter(name, value)
 
 
 class TestAdam:
     def test_no_gradient_means_no_change(self):
         p = scalar_param([1.0, 2.0])
         opt = Adam([p], lr=0.1)
-        before = p.value.data.copy()
+        before = p.data.copy()
         opt.step()
-        assert np.array_equal(p.value.data, before)
+        assert np.array_equal(p.data, before)
 
     def test_step_moves_against_gradient_sign(self):
         p = scalar_param(0.5)
         opt = Adam([p], lr=0.1)
-        p.value.grad = np.asarray(3.0)
+        p.grad = np.asarray(3.0)
         opt.step()
-        assert p.value.data < 0.5
+        assert p.data < 0.5
         q = scalar_param(0.5)
         opt = Adam([q], lr=0.1)
-        q.value.grad = np.asarray(-3.0)
+        q.grad = np.asarray(-3.0)
         opt.step()
-        assert q.value.data > 0.5
+        assert q.data > 0.5
 
     def test_first_step_matches_bias_corrected_formula(self):
         p = scalar_param(1.0)
         opt = Adam([p], lr=0.01)
         g = 2.5
-        p.value.grad = np.asarray(g)
+        p.grad = np.asarray(g)
         opt.step()
         expected = 1.0 - 0.01 * g / (np.sqrt(g * g) + 1e-8)
-        assert p.value.data == pytest.approx(expected, abs=1e-15)
+        assert p.data == pytest.approx(expected, abs=1e-15)
 
     def test_matches_the_out_of_place_formula_bitwise(self, kernel_path):
         rng = np.random.default_rng(40)
         shapes = [(6, 5), (5,), (), (3, 2, 2)]
         # values far below the step size, so a last-bit change in the step survives the subtraction
-        params = [Parameter(f"p{i}", Tensor(1e-4 * rng.normal(size=s))) for i, s in enumerate(shapes)]
-        values = [p.value.data.copy() for p in params]
+        params = [Parameter(f"p{i}", 1e-4 * rng.normal(size=s)) for i, s in enumerate(shapes)]
+        values = [p.data.copy() for p in params]
         m = [np.zeros_like(x) for x in values]
         v = [np.zeros_like(x) for x in values]
         opt = Adam(params, lr=0.003)
         for t in range(1, 6):
             for i, p in enumerate(params):
                 # parameter 1 has no gradient on step 3
-                p.value.grad = None if (i, t) == (1, 3) else rng.normal(size=shapes[i])
-            before = [(p.value.data.copy(), opt.m[i].copy(), opt.v[i].copy()) for i, p in enumerate(params)]
+                p.grad = None if (i, t) == (1, 3) else rng.normal(size=shapes[i])
+            before = [(p.data.copy(), opt.m[i].copy(), opt.v[i].copy()) for i, p in enumerate(params)]
             opt.step()
             for i, p in enumerate(params):
-                g = p.value.grad
+                g = p.grad
                 if g is None:
-                    assert all(np.array_equal(a, b) for a, b in zip(before[i], (p.value.data, opt.m[i], opt.v[i])))
+                    assert all(np.array_equal(a, b) for a, b in zip(before[i], (p.data, opt.m[i], opt.v[i])))
                     continue
                 m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
                 v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
@@ -124,26 +124,26 @@ class TestAdam:
                 v_hat = v[i] / (1.0 - 0.999 ** t)
                 values[i] -= 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
             for i, p in enumerate(params):
-                assert np.array_equal(p.value.data, values[i]), (t, i)
+                assert np.array_equal(p.data, values[i]), (t, i)
                 assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i]), (t, i)
 
     def test_zero_learning_rate_is_inert(self, kernel_path):
         p = scalar_param([4.0, -1.0])
         opt = Adam([p], lr=0.0)
-        p.value.grad = np.asarray([1.0, 2.0])
+        p.grad = np.asarray([1.0, 2.0])
         opt.step()
-        assert np.array_equal(p.value.data, np.asarray([4.0, -1.0]))
+        assert np.array_equal(p.data, np.asarray([4.0, -1.0]))
 
     def test_frozen_parameter_rejected(self):
-        frozen = Parameter("backbone.w", Tensor(np.zeros(2)), frozen=True)
+        frozen = Parameter("backbone.w", np.zeros(2), frozen=True)
         with pytest.raises(ContractError, match="frozen"):
             Adam([frozen], lr=0.1)
 
     def test_zero_grads_clears(self):
         p = scalar_param(1.0)
-        p.value.grad = np.asarray(5.0)
+        p.grad = np.asarray(5.0)
         Adam([p], lr=0.1).zero_grads()
-        assert p.value.grad is None
+        assert p.grad is None
 
 
 class PerParameterAdam:
@@ -151,18 +151,18 @@ class PerParameterAdam:
 
     def __init__(self, params, lr):
         self.params, self.lr, self.t = list(params), lr, 0
-        self.m = [np.zeros_like(p.value.data) for p in params]
-        self.v = [np.zeros_like(p.value.data) for p in params]
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
     def zero_grads(self):
         for p in self.params:
-            p.value.grad = None
+            p.grad = None
 
     def step(self):
         self.t += 1
         m_scale, v_scale = 1.0 - 0.9 ** self.t, 1.0 - 0.999 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.value.grad
+            g = p.grad
             if g is None:
                 continue
             work, denom = np.empty(g.shape), np.empty(g.shape)
@@ -179,15 +179,15 @@ class PerParameterAdam:
             np.sqrt(denom, out=denom)
             np.add(denom, 1e-8, out=denom)
             np.divide(work, denom, out=work)
-            np.subtract(p.value.data, work, out=p.value.data)
+            np.subtract(p.data, work, out=p.data)
 
 
 def group_buffer(params):
     """The one array every value of an optimizer group is a view of."""
-    bases = {id(p.value.data.base): p.value.data.base for p in params}
+    bases = {id(p.data.base): p.data.base for p in params}
     assert len(bases) == 1
     (base,) = bases.values()
-    assert base is not None and base.ndim == 1 and base.size == sum(p.value.data.size for p in params)
+    assert base is not None and base.ndim == 1 and base.size == sum(p.data.size for p in params)
     return base
 
 
@@ -201,8 +201,8 @@ class TestFlatAdam:
         train_step(model, make_batch(tiny_splits()["train"], np.arange(8)), opt_a, opt_b)
         for g, buffer in buffers.items():
             assert group_buffer(model.group(g)) is buffer
-            assert np.array_equal(buffer, np.concatenate([p.value.data.ravel() for p in model.group(g)]))
-        assert all(not np.array_equal(p.value.data, before[p.name]) for p in model.trainable_parameters())
+            assert np.array_equal(buffer, np.concatenate([p.data.ravel() for p in model.group(g)]))
+        assert all(not np.array_equal(p.data, before[p.name]) for p in model.trainable_parameters())
 
     def test_snapshot_and_restore_round_trip_through_the_views(self):
         model = tiny_model()
@@ -212,7 +212,7 @@ class TestFlatAdam:
         assert not any(np.shares_memory(saved[p.name], buffer) for p in model.group("B"))
         train_step(model, make_batch(tiny_splits()["train"], np.arange(8)), opt_a, opt_b)
         restored = snapshot_checkpoint(model.cfg, saved).build_model()
-        assert all(np.array_equal(p.value.data, saved[p.name]) for p in restored.parameters())
+        assert all(np.array_equal(p.data, saved[p.name]) for p in restored.parameters())
         assert parameter_digest(restored.parameters()) == parameter_digest(tiny_model().parameters())
 
     def test_a_second_optimizer_keeps_every_value(self):
@@ -231,7 +231,7 @@ class TestFlatAdam:
         optimizers = []
         for model, kind in zip(models, (Adam, PerParameterAdam)):
             # a parameter in the middle of group B gets no gradient, so its neighbours form two runs
-            model.group("B")[5].value.requires_grad = False
+            model.group("B")[5].requires_grad = False
             optimizers.append((kind(model.group("A"), 0.002), kind(model.group("B"), 0.02)))
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -244,44 +244,44 @@ class TestFlatAdam:
                 assert np.array_equal(flat.m[i], plain.m[i]) and np.array_equal(flat.v[i], plain.v[i])
         dropped = optimizers[0][1]
         assert not dropped.m[5].any() and not dropped.v[5].any()
-        assert np.array_equal(models[0].group("B")[5].value.data, tiny_model(seed=3).group("B")[5].value.data)
+        assert np.array_equal(models[0].group("B")[5].data, tiny_model(seed=3).group("B")[5].data)
 
 
     @pytest.mark.parametrize("lr", [0.003, 0.0])
     def test_a_long_run_matches_the_per_parameter_update_bitwise(self, lr, kernel_path):
         rng = np.random.default_rng(6)
         sizes = [65541, 3, 32767]
-        pairs = [[Parameter(f"p{i}", Tensor(1e-4 * rng.normal(size=n))) for i, n in enumerate(sizes)] for _ in "ab"]
+        pairs = [[Parameter(f"p{i}", 1e-4 * rng.normal(size=n)) for i, n in enumerate(sizes)] for _ in "ab"]
         for p, q in zip(*pairs):
-            q.value.data = p.value.data.copy()
-        start = [p.value.data.copy() for p in pairs[0]]
+            q.data = p.data.copy()
+        start = [p.data.copy() for p in pairs[0]]
         flat, plain = Adam(pairs[0], lr), PerParameterAdam(pairs[1], lr)
         for _ in range(3):
             for p, q in zip(*pairs):
                 # gradients across the exponent range, so some squares and moments are subnormal
-                p.value.grad = rng.normal(size=p.value.shape) * 10.0 ** rng.uniform(-170, 20, size=p.value.shape)
-                q.value.grad = p.value.grad.copy()
+                p.grad = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-170, 20, size=p.shape)
+                q.grad = p.grad.copy()
             flat.step()
             plain.step()
         for i, (p, q) in enumerate(zip(*pairs)):
-            assert p.value.data.tobytes() == q.value.data.tobytes()
+            assert p.data.tobytes() == q.data.tobytes()
             assert flat.m[i].tobytes() == plain.m[i].tobytes() and flat.v[i].tobytes() == plain.v[i].tobytes()
-        assert lr or all(np.array_equal(p.value.data, value) for p, value in zip(pairs[0], start))
+        assert lr or all(np.array_equal(p.data, value) for p, value in zip(pairs[0], start))
 
 
 class TestClipGradients:
     def test_large_norm_scaled_down(self):
         p = scalar_param([3.0, 4.0])
-        p.value.grad = np.asarray([3.0, 4.0])
+        p.grad = np.asarray([3.0, 4.0])
         returned = clip_gradients([p], max_norm=1.0)
         assert returned == pytest.approx(5.0)
-        assert np.linalg.norm(p.value.grad) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(p.grad) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_norm_untouched(self):
         p = scalar_param([0.3, 0.4])
-        p.value.grad = np.asarray([0.3, 0.4])
+        p.grad = np.asarray([0.3, 0.4])
         clip_gradients([p], max_norm=1.0)
-        assert np.array_equal(p.value.grad, np.asarray([0.3, 0.4]))
+        assert np.array_equal(p.grad, np.asarray([0.3, 0.4]))
 
 
 class TestParameterDigest:
@@ -293,7 +293,7 @@ class TestParameterDigest:
     def test_changes_when_a_value_changes(self):
         model = tiny_model(seed=1)
         before = parameter_digest(model.parameters())
-        model.prompts.value.data[0, 0] += 1e-9
+        model.prompts.data[0, 0] += 1e-9
         assert parameter_digest(model.parameters()) != before
 
 
@@ -327,15 +327,15 @@ class TestTrainStep:
             idx = rng.choice(len(train.ids), size=8, replace=False)
             train_step(model, make_batch(train, idx), opt_a, opt_b)
         for p in model.trainable_parameters():
-            assert not np.array_equal(p.value.data, before[p.name]), p.name
+            assert not np.array_equal(p.data, before[p.name]), p.name
         for p in model.parameters():
             if p.frozen:
-                assert np.array_equal(p.value.data, before[p.name]), p.name
+                assert np.array_equal(p.data, before[p.name]), p.name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_component_name(self):
         model = tiny_model()
-        model.perturb.gain.value.data[:] = np.inf
+        model.perturb.gain.data[:] = np.inf
         batch = make_batch(tiny_splits()["train"], np.arange(8))
         with pytest.raises(ContractError, match="l_"):
             train_step(model, batch, Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02))
@@ -445,11 +445,11 @@ class TestVJPGatingOnTheModel:
             frozen = [p for p in model.parameters() if p.frozen]
             if unfreeze:
                 for p in frozen:
-                    p.value.requires_grad = True
+                    p.requires_grad = True
             total, _ = model.batch_loss(batch)
             total.backward()
-            frozen_grads = [p.value.grad for p in frozen]
-            return {p.name: p.value.grad for p in model.trainable_parameters()}, frozen_grads
+            frozen_grads = [p.grad for p in frozen]
+            return {p.name: p.grad for p in model.trainable_parameters()}, frozen_grads
 
         gated, untouched = gradients(unfreeze=False)
         full, computed = gradients(unfreeze=True)
@@ -714,8 +714,8 @@ class TestBuildModel:
         params = ckpt.build_model().parameters()
         assert [p.name for p in params] == list(values)
         for p in params:
-            assert p.value.data.tobytes() == values[p.name].tobytes(), p.name
-            assert not any(np.shares_memory(p.value.data, stored) for stored in ckpt.values.values()), p.name
+            assert p.data.tobytes() == values[p.name].tobytes(), p.name
+            assert not any(np.shares_memory(p.data, stored) for stored in ckpt.values.values()), p.name
 
 
 class TestEvaluateZeroShot:
