@@ -28,7 +28,6 @@ from .tensor import (
     attention,
     concat,
     gelu,
-    l2_normalize,
     layer_norm,
     linear,
     matmul,
@@ -145,11 +144,11 @@ def make_prompts(count: int, dim: int, init: Init) -> Parameter:
 
 
 class ProjectionHead(Module):
-    """Linear map from trunk width to the shared embedding space."""
+    """Linear map from trunk width to the shared embedding space; its rows are not normalized here."""
 
     def __init__(self, in_dim: int, out_dim: int, init: Init):
         self.weight = param(init, "projection.weight", (in_dim, out_dim), over=math.sqrt(in_dim))
         self.bias = param(init, "projection.bias", (out_dim,), fill=0.0)
 
     def project(self, z: Tensor) -> Tensor:
-        return l2_normalize(linear(z, self.weight, self.bias))
+        return linear(z, self.weight, self.bias)

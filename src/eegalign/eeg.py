@@ -3,14 +3,15 @@
 The perturbation is an elementwise affine map over the channel x time
 grid, initialized to the identity so training starts from the raw
 signal. The encoder flattens the perturbed trial and applies a single
-fully connected layer followed by L2 normalization; there is no
-activation anywhere on this branch.
+fully connected layer; there is no activation anywhere on this branch.
+Its rows are not normalized here: the loss and ``trainer.embed_split``
+do that where a similarity is taken.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Init, Module, Tensor, l2_normalize, linear, param
+from .tensor import Init, Module, Tensor, linear, param
 
 
 class Perturbation(Module):
@@ -25,7 +26,7 @@ class Perturbation(Module):
 
 
 class LinearEncoder(Module):
-    """Flatten, one fully connected layer, unit-normalize."""
+    """Flatten, then one fully connected layer; linear in its input."""
 
     def __init__(self, channels: int, timesteps: int, dim: int, init: Init):
         self.channels = channels
@@ -34,10 +35,6 @@ class LinearEncoder(Module):
         self.weight = param(init, "encoder.weight", (fan_in, dim), over=np.sqrt(fan_in))
         self.bias = param(init, "encoder.bias", (dim,), fill=0.0)
 
-    def project(self, eeg: Tensor) -> Tensor:
-        """The pre-normalization linear map; linear in its input."""
+    def encode(self, eeg: Tensor) -> Tensor:
         flat = eeg.reshape((eeg.shape[0], self.channels * self.timesteps))
         return linear(flat, self.weight, self.bias)
-
-    def encode(self, eeg: Tensor) -> Tensor:
-        return l2_normalize(self.project(eeg))

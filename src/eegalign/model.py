@@ -95,12 +95,12 @@ class AlignmentModel(Module):
     # -- forward -----------------------------------------------------------
 
     def encode_eeg(self, eeg: Tensor) -> Tensor:
-        """(B, channels, timesteps) trials -> (B, encoder.dim) unit rows."""
+        """(B, channels, timesteps) trials -> (B, encoder.dim) rows, not yet normalized."""
         _require_shape("EEG", eeg, (self.channels, self.timesteps))
         return self.encoder.encode(self.perturb.apply(eeg))
 
     def encode_images(self, images: Tensor) -> Tensor:
-        """(B, 3, image_size, image_size) images -> (B, encoder.dim) unit rows."""
+        """(B, 3, image_size, image_size) images -> (B, encoder.dim) rows, not yet normalized."""
         _require_shape("images", images, (3, self.image_size, self.image_size))
         kernels = self.filter_gen.generate(images)
         filtered = apply_dynamic_filter(images, kernels)

@@ -472,10 +472,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def _expand_to(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """The VJP of a sum over ``axis``: ``g`` copied back out to ``shape``."""
-    out = np.empty(shape)
-    out[...] = g if keepdims or axis is None else np.expand_dims(g, axis)
-    return out
+    """The VJP of a sum over ``axis``: ``g`` broadcast back out to ``shape``, a read-only view."""
+    return np.broadcast_to(g if keepdims or axis is None else np.expand_dims(g, axis), shape)
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:

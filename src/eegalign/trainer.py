@@ -23,7 +23,7 @@ from .errors import ConfigError, ContractError, FormatError
 from .kernels import compiled
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
-from .tensor import Parameter, no_grad
+from .tensor import Parameter, l2_normalize, no_grad
 
 CHECKPOINT_PARAMS = "params.bin"
 CHECKPOINT_FORMAT = 1
@@ -317,14 +317,14 @@ def load_checkpoint(directory) -> Checkpoint:
 
 
 def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32):
-    """Embed every pair, in index order, without shuffling or taping."""
+    """Embed every pair as unit rows, in index order, without shuffling or taping; the loss normalizes alike."""
     z_e, z_i = [], []
     n = len(split.ids)
     for start in range(0, n, batch_size):
         batch = make_batch(split, slice(start, min(start + batch_size, n)))
         with no_grad():
-            z_e.append(model.encode_eeg(batch.eeg).data)
-            z_i.append(model.encode_images(batch.images).data)
+            z_e.append(l2_normalize(model.encode_eeg(batch.eeg)).data)
+            z_i.append(l2_normalize(model.encode_images(batch.images)).data)
     return np.concatenate(z_e, axis=0), np.concatenate(z_i, axis=0)
 
 

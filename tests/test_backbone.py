@@ -190,19 +190,21 @@ class TestValidation:
 
 
 class TestProjectionHead:
-    def test_identity_weight_normalizes_input(self):
+    def test_identity_weight_passes_input_through(self):
+        # rows are normalized where a similarity is taken, not here
         head = ProjectionHead(4, 4, np.random.default_rng(18))
         head.weight.data[:] = np.eye(4)
         head.bias.data[:] = 0.0
         z = np.array([[3.0, 4.0, 0.0, 0.0]])
         out = head.project(Tensor(z))
-        assert np.allclose(out.data, [[0.6, 0.8, 0.0, 0.0]], atol=1e-9)
+        assert np.array_equal(out.data, z)
 
-    def test_unit_norm_rows_and_shape(self):
+    def test_affine_rows_and_shape(self):
         head = ProjectionHead(16, 12, np.random.default_rng(19))
-        out = head.project(Tensor(np.random.default_rng(20).normal(size=(5, 16))))
+        z = np.random.default_rng(20).normal(size=(5, 16))
+        out = head.project(Tensor(z))
         assert out.shape == (5, 12)
-        assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
+        assert np.allclose(out.data, z @ head.weight.data + head.bias.data, atol=1e-12)
 
     def test_group_a_parameters(self):
         head = ProjectionHead(4, 4, np.random.default_rng(21))

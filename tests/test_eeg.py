@@ -58,11 +58,13 @@ class TestLinearEncoder:
         out = enc.encode(Tensor(rng.normal(size=(5, 2, 3))))
         assert np.allclose(out.data, [[1.0, 0.0, 0.0, 0.0]] * 5, atol=1e-6)
 
-    def test_rows_unit_norm(self):
+    def test_rows_are_the_affine_map_of_the_flat_trial(self):
+        # rows are normalized where a similarity is taken, not here
         rng = np.random.default_rng(3)
         enc = LinearEncoder(channels=3, timesteps=7, dim=5, init=rng)
-        out = enc.encode(Tensor(rng.normal(size=(6, 3, 7))))
-        assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
+        eeg = rng.normal(size=(6, 3, 7))
+        out = enc.encode(Tensor(eeg))
+        assert np.allclose(out.data, eeg.reshape(6, 21) @ enc.weight.data + enc.bias.data, atol=1e-12)
 
     def test_trial_scale_output_shape(self):
         rng = np.random.default_rng(4)
@@ -70,15 +72,15 @@ class TestLinearEncoder:
         out = enc.encode(Tensor(rng.normal(size=(4, 17, 250))))
         assert out.shape == (4, 128)
 
-    def test_pre_norm_linearity(self):
+    def test_linearity(self):
         rng = np.random.default_rng(5)
         enc = LinearEncoder(channels=2, timesteps=4, dim=3, init=rng)
         enc.bias.data[:] = 0.0
         e1 = rng.normal(size=(3, 2, 4))
         e2 = rng.normal(size=(3, 2, 4))
         a, b = 0.7, -1.3
-        mixed = enc.project(Tensor(a * e1 + b * e2)).data
-        separate = a * enc.project(Tensor(e1)).data + b * enc.project(Tensor(e2)).data
+        mixed = enc.encode(Tensor(a * e1 + b * e2)).data
+        separate = a * enc.encode(Tensor(e1)).data + b * enc.encode(Tensor(e2)).data
         assert np.allclose(mixed, separate, atol=1e-12)
 
     def test_parameters_in_group_a(self):

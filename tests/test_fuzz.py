@@ -10,7 +10,6 @@ import os
 import tempfile
 import typing
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eegalign"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 # ROADMAP's ceiling for code.src_lines, the figure at its last re-anchor
@@ -176,7 +177,7 @@ def test_value_scan_flags_toy_sources():
     assert value_attributes(tree) == [1, 2, 5]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
@@ -185,6 +186,42 @@ def test_scan_flags_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os\nimport numpy as np\n"
                      "from json import dumps, loads\nnp.zeros(1)\nloads('1')\n")
     assert unused_imports(tree) == ["dumps (line 4)", "os (line 2)"]
+
+
+# where a row is L2-normalized: each similarity is taken in exactly one place, so each row is normalized once
+NORMALIZERS = {"tensor.py": [], "losses.py": ["total_loss"], "trainer.py": ["embed_split"]}
+
+
+def functions_calling(tree: ast.Module, name: str) -> list[str]:
+    """Top-level functions and methods (``Class.method``) that call ``name``, plain or as an attribute."""
+    units = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            units.append((top.name, top))
+        elif isinstance(top, ast.ClassDef):
+            units += [(f"{top.name}.{item.name}", item) for item in top.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(qualname for qualname, unit in units if any(
+        isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(unit)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_rows_are_normalized_only_where_a_similarity_is_taken(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name not in NORMALIZERS:
+        assert "l2_normalize" not in referenced_names(tree)
+    assert functions_calling(tree, "l2_normalize") == NORMALIZERS.get(path.name, [])
+
+
+def test_normalize_scan_flags_toy_sources():
+    tree = ast.parse("from .tensor import l2_normalize, linear\nclass Head:\n    def project(self, z):\n"
+                     "        return l2_normalize(linear(z, self.w, self.b))\n    def raw(self, z):\n"
+                     "        return linear(z, self.w, self.b)\ndef embed(z):\n    def inner(x):\n"
+                     "        return tensor.l2_normalize(x)\n    return inner(z)\nunit = l2_normalize\n")
+    assert functions_calling(tree, "l2_normalize") == ["Head.project", "embed"]
+    assert "l2_normalize" in referenced_names(ast.parse("from .tensor import l2_normalize\n"))
+    assert functions_calling(ast.parse("def l2_normalize(x):\n    return x / norm(x)\n"), "l2_normalize") == []
 
 
 # the tensor-record functions and the annotation readers that type-check JSON values

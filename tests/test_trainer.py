@@ -12,7 +12,7 @@ from eegalign.data import generate_synthetic, make_batch, zero_shot_split
 from eegalign.errors import ConfigError, ContractError, FormatError
 from eegalign.metrics import retrieval_ranks
 from eegalign.model import AlignmentModel
-from eegalign.tensor import Parameter
+from eegalign.tensor import Parameter, l2_normalize
 from eegalign.trainer import (
     Adam,
     Checkpoint,
@@ -751,8 +751,10 @@ class TestEvaluateZeroShot:
         z_e, z_i = embed_split(model, splits["val"], batch_size=4)
         batch = make_batch(splits["val"], np.arange(len(splits["val"].ids)))
         ze_ref, zi_ref = model.forward(batch)
-        assert np.allclose(z_e, ze_ref.data, atol=1e-12)
-        assert np.allclose(z_i, zi_ref.data, atol=1e-12)
+        assert np.allclose(z_e, l2_normalize(ze_ref).data, atol=1e-12)
+        assert np.allclose(z_i, l2_normalize(zi_ref).data, atol=1e-12)
+        assert np.allclose(np.linalg.norm(z_e, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(z_i, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("batch_size", [4, 5, 6, 32])
     def test_embed_split_calls_make_batch_once_per_batch(self, monkeypatch, batch_size):
@@ -774,7 +776,7 @@ class TestEvaluateZeroShot:
         taped_e, taped_i = [], []
         for start in range(0, len(split.ids), 4):
             batch = make_batch(split, np.arange(start, min(start + 4, len(split.ids))))
-            z_e, z_i = model.forward(batch)
+            z_e, z_i = (l2_normalize(z) for z in model.forward(batch))
             assert z_e.requires_grad and z_i.requires_grad
             taped_e.append(z_e.data)
             taped_i.append(z_i.data)
