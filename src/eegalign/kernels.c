@@ -1,8 +1,11 @@
-/* Compiled kernels for tensor._tap_sum, trainer.Adam.step and tensor._gelu_parts.
+/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step and tensor._gelu_parts.
 
    Each does the floating-point operations of the numpy code it stands in for, in the same order for every
-   entry, so its results are numpy's bit for bit. kernels.py builds it with -ffp-contract=off, so no multiply
-   and add are fused, and never with -ffast-math, which reorders operations and flushes subnormals.
+   entry, so its results are numpy's bit for bit; im2col only moves values. kernels.py builds it with
+   -ffp-contract=off, so no multiply and add are fused, and never with -ffast-math, which reorders operations and
+   flushes subnormals. On x86-64, tap_sum is also compiled for AVX2 and AVX-512 and picked at load time:
+   a vector lane per output entry keeps each entry's multiplies and adds in their order, so each clone gives the
+   same bits.
 
    gelu's erf is scipy.special.erf's own: the Cephes erf and erfc of Stephen L. Moshier, as scipy (BSD-3)
    carries them in xsf, with their coefficients. libm's erf gives other bits. Its passes are branch-free on
@@ -14,6 +17,9 @@
    out is zeroed and C-contiguous (B, C, h, w); padded is C-contiguous (B, C, h + kh - 1, w + kw - 1); k is
    (B, C, kh, kw) with element strides k0..k3, which may be negative (a flipped view). The 0.0 + is the sum
    numpy's einsum writes each tap as. */
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__) /* GCC or clang, and ifunc to pick a clone */
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
 void tap_sum(const double *restrict padded, const double *restrict k, ptrdiff_t k0, ptrdiff_t k1, ptrdiff_t k2,
              ptrdiff_t k3, double *restrict out, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t h, ptrdiff_t w,
              ptrdiff_t kh, ptrdiff_t kw)
@@ -29,6 +35,52 @@ void tap_sum(const double *restrict padded, const double *restrict k, ptrdiff_t 
                     for (ptrdiff_t i = 0; i < h; i++)
                         for (ptrdiff_t j = 0; j < w; j++)
                             o[i * w + j] += 0.0 + x[(i + u) * wp + j + v] * kv;
+                }
+        }
+}
+
+/* unfold's window buffer: cols[b, c, u, v, i, j] = x[b, c, i * s + u - ph, j * s + v - pw], or 0.0 where that
+   falls outside the h x w image, as tensor.unfold's numpy path copies it out of the zero-padded image. x is read
+   through its element strides x0..x3, which may be negative; cols is C-contiguous (B, C, kh, kw, oh, ow). */
+void im2col(const double *restrict x, ptrdiff_t x0, ptrdiff_t x1, ptrdiff_t x2, ptrdiff_t x3,
+            double *restrict cols, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t h, ptrdiff_t w, ptrdiff_t kh, ptrdiff_t kw,
+            ptrdiff_t oh, ptrdiff_t ow, ptrdiff_t s, ptrdiff_t ph, ptrdiff_t pw)
+{
+    for (ptrdiff_t b = 0; b < bsz; b++)
+        for (ptrdiff_t c = 0; c < ch; c++)
+            for (ptrdiff_t u = 0; u < kh; u++)
+                for (ptrdiff_t v = 0; v < kw; v++)
+                    for (ptrdiff_t i = 0; i < oh; i++) {
+                        double *o = cols + ((((b * ch + c) * kh + u) * kw + v) * oh + i) * ow;
+                        ptrdiff_t r = i * s + u - ph, j = 0;
+                        if (r >= 0 && r < h) {
+                            const double *row = x + b * x0 + c * x1 + r * x2;
+                            for (; j < ow && j * s + v < pw; j++)
+                                o[j] = 0.0;
+                            for (; j < ow && j * s + v - pw < w; j++)
+                                o[j] = row[(j * s + v - pw) * x3];
+                        }
+                        for (; j < ow; j++)
+                            o[j] = 0.0;
+                    }
+}
+
+/* unfold's VJP: gpad[b, c, i * s + u, j * s + v] += g[b, c, u, v, i, j] for each tap (u, v) in row-major order,
+   as the numpy path adds each tap's strided slice. gpad is zeroed and C-contiguous (B, C, hp, wp); g is
+   (B, C, kh, kw, oh, ow) with element strides g0..g5. */
+void col2im(const double *restrict g, ptrdiff_t g0, ptrdiff_t g1, ptrdiff_t g2, ptrdiff_t g3, ptrdiff_t g4,
+            ptrdiff_t g5, double *restrict gpad, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t hp, ptrdiff_t wp,
+            ptrdiff_t kh, ptrdiff_t kw, ptrdiff_t oh, ptrdiff_t ow, ptrdiff_t s)
+{
+    for (ptrdiff_t b = 0; b < bsz; b++)
+        for (ptrdiff_t c = 0; c < ch; c++) {
+            double *p = gpad + (b * ch + c) * hp * wp;
+            for (ptrdiff_t u = 0; u < kh; u++)
+                for (ptrdiff_t v = 0; v < kw; v++) {
+                    const double *gt = g + b * g0 + c * g1 + u * g2 + v * g3;
+                    for (ptrdiff_t i = 0; i < oh; i++)
+                        for (ptrdiff_t j = 0; j < ow; j++)
+                            p[(i * s + u) * wp + j * s + v] += gt[i * g4 + j * g5];
                 }
         }
 }

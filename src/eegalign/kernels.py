@@ -25,6 +25,15 @@ SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 COMPILE_SECONDS = 60
 _loaded: list = []  # empty until the first call, then [the library or None]
+_SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+# each kernel's argument types, which a built library is given before any call; every kernel returns void
+ARGTYPES = {
+    "tap_sum": [_POINTER, _POINTER] + [_SIZE] * 4 + [_POINTER] + [_SIZE] * 6,
+    "im2col": [_POINTER] + [_SIZE] * 4 + [_POINTER] + [_SIZE] * 11,
+    "col2im": [_POINTER] + [_SIZE] * 6 + [_POINTER] + [_SIZE] * 9,
+    "adam": [_POINTER] * 4 + [_SIZE] + [_DOUBLE] * 8,
+    "gelu": [_POINTER] * 3 + [_SIZE],
+}
 
 
 def compiled() -> ctypes.CDLL | None:
@@ -41,7 +50,6 @@ def _private(path: Path) -> bool:
 
 
 def _load() -> ctypes.CDLL | None:
-    size, double = ctypes.c_ssize_t, ctypes.c_double
     try:
         home = os.environ.get("XDG_CACHE_HOME", "")
         cache = Path(home if os.path.isabs(home) else Path.home() / ".cache") / "eegalign"
@@ -64,10 +72,8 @@ def _load() -> ctypes.CDLL | None:
             finally:
                 staged.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(target))
-        lib.tap_sum.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [size] * 4 + [ctypes.c_void_p] + [size] * 6
-        lib.adam.argtypes = [ctypes.c_void_p] * 4 + [size] + [double] * 8
-        lib.gelu.argtypes = [ctypes.c_void_p] * 3 + [size]
-        lib.tap_sum.restype = lib.adam.restype = lib.gelu.restype = None
+        for name, argtypes in ARGTYPES.items():
+            getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
         return lib
     except Exception:  # a boundary: a failed build costs speed only, so any failure leaves the numpy code running
         return None

@@ -29,9 +29,14 @@ is closed-form and gated per parent in the same way.
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
   sums the k*k shifted views of one zero-padded image, so no window
   matrix is built; ``kernels.c`` does that sum when it loaded, with
-  numpy's bits. ``unfold`` remains for ordinary strided convolutions;
-* ``gelu``, whose forward is ``kernels.c``'s when it loaded, with scipy's
-  ``erf`` ported there, so its bits are the numpy and scipy code's.
+  numpy's bits;
+* ``unfold``, im2col for ordinary strided convolutions: its window
+  buffer and its VJP's sum of taps are ``kernels.c``'s ``im2col`` and
+  ``col2im`` when it loaded, which read the input through its strides
+  with no padded copy, and give numpy's bits in numpy's layout;
+* ``gelu``, whose forward is ``kernels.c``'s when it loaded and the
+  input is dense in some axis order, with scipy's ``erf`` ported there,
+  so its bits are the numpy and scipy code's.
 
 backward() stores gradients on leaves only; intermediate results are
 never given a ``.grad``.
@@ -341,14 +346,16 @@ def sigmoid(a) -> Tensor:
 def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """erf(x / sqrt(2)) and (0.5 * x) * (1 + that erf), entry by entry.
 
-    The compiled ``gelu`` does it when the kernels loaded and ``x`` is C-contiguous float64; otherwise numpy and
-    scipy do. The kernel carries scipy's own erf, so both give the same bits.
+    The compiled ``gelu`` does it over the flat buffer when the kernels loaded and ``x`` is float64 and dense in
+    some axis order, as a transposed view of a C-order array is; otherwise numpy and scipy do. The kernel carries
+    scipy's own erf, and its outputs take ``x``'s strides as numpy's do, so both give the same bits and layout.
     """
     lib = compiled()
-    if lib is not None and x.flags.c_contiguous and x.dtype == _FLOAT64:
+    if lib is not None and x.dtype == _FLOAT64:
         e, out = np.empty_like(x), np.empty_like(x)
-        lib.gelu(x.ctypes.data, e.ctypes.data, out.ctypes.data, x.size)
-        return e, out
+        if e.strides == x.strides:
+            lib.gelu(x.ctypes.data, e.ctypes.data, out.ctypes.data, x.size)
+            return e, out
     e = _erf(x / _SQRT2)
     return e, 0.5 * x * (1.0 + e)
 
@@ -646,11 +653,11 @@ def unfold(x, kh: int, kw: int, stride: int = 1, padding: int | tuple[int, int] 
         raise DimensionError(f"unfold expects (B, C, H, W), got {x.shape}")
     bsz, ch, h, w = x.shape
     ph, pw = (padding, padding) if isinstance(padding, int) else (int(padding[0]), int(padding[1]))
+    if stride < 1 or ph < 0 or pw < 0:
+        raise DomainError(f"stride must be >= 1 and padding >= 0, got stride {stride} and padding {padding}")
     hp, wp = h + 2 * ph, w + 2 * pw
     if kh > hp or kw > wp or kh < 1 or kw < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit padded input {hp}x{wp}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
@@ -672,19 +679,29 @@ def unfold(x, kh: int, kw: int, stride: int = 1, padding: int | tuple[int, int] 
 
         return _make(data, (x,), vjp_tiled)
 
-    padded = _pad(x.data, ph, pw)
+    # the compiled im2col and col2im, when the kernels loaded, move and add the same entries in the same order
+    lib = compiled()
     cols = np.empty((bsz, ch, kh, kw, oh, ow))
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, :, u, v] = padded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+    if lib is not None:
+        strides = (s // x.data.itemsize for s in x.data.strides)
+        lib.im2col(x.data.ctypes.data, *strides, cols.ctypes.data, *x.shape, kh, kw, oh, ow, stride, ph, pw)
+    else:
+        padded = _pad(x.data, ph, pw)
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, :, u, v] = padded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
     data = cols.transpose(0, 4, 5, 1, 2, 3).reshape(bsz, oh * ow, ch * kh * kw)
 
     def vjp(g):
         gcols = g.reshape(bsz, oh, ow, ch, kh, kw).transpose(0, 3, 4, 5, 1, 2)
         gpad = np.zeros((bsz, ch, hp, wp))
-        for u in range(kh):
-            for v in range(kw):
-                gpad[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += gcols[:, :, u, v]
+        if lib is not None:
+            strides = (s // gcols.itemsize for s in gcols.strides)
+            lib.col2im(gcols.ctypes.data, *strides, gpad.ctypes.data, *gpad.shape, *gcols.shape[2:], stride)
+        else:
+            for u in range(kh):
+                for v in range(kw):
+                    gpad[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += gcols[:, :, u, v]
         return (gpad[:, :, ph:ph + h, pw:pw + w],)
 
     return _make(data, (x,), vjp)

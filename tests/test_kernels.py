@@ -1,5 +1,7 @@
 """The compiled kernels' loader: where it caches them, and every way a build can fail into the numpy path."""
+import ctypes
 import os
+import platform
 import re
 import shutil
 import stat
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegalign import kernels
+from eegalign import kernels, tensor
 from eegalign.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -75,11 +77,52 @@ def test_the_cache_is_private_and_named_by_its_key(tmp_path, monkeypatch):
 def test_every_kernel_is_bound_with_its_argument_types():
     # a pointer passed to a function with no argtypes goes as a 32-bit C int; restype None reads no result
     kernels_c = re.findall(r"^void (\w+)\(([^)]*)\)", kernels.SOURCE.read_text(), re.M)
-    assert {"tap_sum", "adam", "gelu"} <= {name for name, _ in kernels_c}
+    assert {"tap_sum", "im2col", "col2im", "adam", "gelu"} <= {name for name, _ in kernels_c}
     lib = kernels.compiled()
     for name, params in kernels_c:
         function = getattr(lib, name)
         assert function.restype is None and len(function.argtypes or ()) == params.count(",") + 1, name
+
+
+# each x86-64 level, with the numpy CPU feature that says this CPU has it; every x86-64 CPU has the first
+ISA_LEVELS = {"x86-64": None, "x86-64-v3": "X86_V3", "x86-64-v4": "X86_V4"}
+
+
+def cpu_has(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x names it numpy.core
+        return False
+    return bool(__cpu_features__.get(feature))
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not an x86-64 CPU")
+@pytest.mark.parametrize("level", sorted(ISA_LEVELS))
+def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch):
+    # tap_sum is cloned for AVX2 and AVX-512 and only the best clone runs here, so each level is built alone
+    if ISA_LEVELS[level] and not cpu_has(ISA_LEVELS[level]):
+        pytest.skip(f"this CPU cannot run {level} code")
+    source = "".join(line for line in kernels.SOURCE.read_text().splitlines(keepends=True)
+                     if "target_clones" not in line)
+    library = tmp_path / f"kernels-{level}.so"
+    subprocess.run(["cc", *kernels.FLAGS, f"-march={level}", "-o", str(library), "-x", "c", "-"],
+                   input=source.encode(), capture_output=True, check=True, timeout=kernels.COMPILE_SECONDS)
+    lib = ctypes.CDLL(str(library))
+    for name, argtypes in kernels.ARGTYPES.items():
+        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
+    rng = np.random.default_rng(54)
+    # subnormals and signed zeros among the draws, on a transposed image and flipped kernels
+    image = np.where(rng.random((5, 37, 3, 4)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (5, 37, 3, 4)),
+                     rng.normal(size=(5, 37, 3, 4))).transpose(2, 3, 0, 1)
+    padded, k = np.pad(image, ((0, 0), (0, 0), (2, 2), (2, 2))), rng.normal(size=(3, 4, 5, 5))[:, :, ::-1, ::-1]
+    g = rng.normal(size=(3, 3 * 20, 4 * 9))  # unfold's output: 3 x 20 windows of 4 channels x 3 x 3
+    results = []
+    for loaded in (lib, None):
+        monkeypatch.setattr(kernels, "_loaded", [loaded])
+        cols = tensor.unfold(tensor.Tensor(image, requires_grad=True), 3, 3, stride=2, padding=(1, 2))
+        results.append([a.tobytes() for a in (tensor._tap_sum(padded, k, 5, 37), cols.data, *cols._vjp(g))])
+    assert results[0] == results[1]
 
 
 # numpy's AVX-512 code, turned off so that its AVX2 loops run, as on a host without AVX-512
@@ -100,11 +143,7 @@ with np.errstate(invalid="ignore"):
 
 
 def avx512_dispatched() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x names it numpy.core
-        return False
-    return all(__cpu_features__.get(name) for name in NO_AVX512.split())
+    return all(cpu_has(name) for name in NO_AVX512.split())
 
 
 @needs_cc

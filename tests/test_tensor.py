@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eegalign import dynfilter, kernels
 from eegalign import tensor as tz
+from eegalign.dynfilter import FilterGenerator
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.gradchecks import grad_check
 from eegalign.tensor import (
@@ -546,6 +548,15 @@ class TestKLValues:
         assert kl_div_rows(Tensor(p), Tensor(q)).item() == pytest.approx(want, abs=1e-12)
 
 
+# x for unfold's general path: C-order, dense but transposed, read backwards, and a slice that is not dense
+UNFOLD_LAYOUTS = {
+    "c-order": lambda rng: _rand(rng, 2, 3, 7, 8),
+    "transposed": lambda rng: _rand(rng, 8, 2, 7, 3).transpose(1, 3, 2, 0),
+    "negative-strides": lambda rng: _rand(rng, 2, 3, 7, 8)[::-1, :, ::-1],
+    "sliced": lambda rng: _rand(rng, 3, 4, 9, 17)[:2, 1:, 1:8, ::2],
+}
+
+
 class TestUnfoldValues:
     def test_window_contents(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -567,6 +578,42 @@ class TestUnfoldValues:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             unfold(Tensor(np.zeros((1, 1, 3, 3))), 5, 5)
+
+    @pytest.mark.parametrize("padding", [-1, (0, -1), (-1, 2)])
+    def test_negative_padding_is_refused(self, padding, kernel_path):
+        # cropping is not padding; a kernel that checks its bounds would crop without a word
+        with pytest.raises(DomainError):
+            unfold(Tensor(np.zeros((1, 1, 6, 6))), 3, 3, padding=padding)
+
+    @pytest.mark.parametrize("layout", sorted(UNFOLD_LAYOUTS))
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2, (2, 1)])
+    @pytest.mark.parametrize("kh,kw", [(3, 3), (2, 4)])
+    def test_general_path_against_the_window_loop(self, layout, stride, padding, kh, kw, kernel_path):
+        # values against a loop over windows, and the numpy path's buffer layout, whatever x's strides; the VJP
+        # against the numpy path's sum of tap slices, bit for bit and stride for stride, for a C-order and a
+        # transposed g, since later BLAS calls see both results as operands
+        x = UNFOLD_LAYOUTS[layout](np.random.default_rng(21))
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        bsz, ch, h, w = x.shape
+        oh, ow = (h + 2 * ph - kh) // stride + 1, (w + 2 * pw - kw) // stride + 1
+        out = unfold(Tensor(x, requires_grad=True), kh, kw, stride=stride, padding=padding)
+        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        loop = np.stack([np.stack([padded[b, :, i * stride:i * stride + kh, j * stride:j * stride + kw].reshape(-1)
+                                   for i in range(oh) for j in range(ow)]) for b in range(bsz)])
+        assert out.data.tobytes() == loop.tobytes()
+        buffer = np.empty((bsz, ch, kh, kw, oh, ow)).transpose(0, 4, 5, 1, 2, 3).reshape(loop.shape)
+        assert out.data.strides == buffer.strides
+        for g in (_rand(np.random.default_rng(22), *loop.shape),
+                  _rand(np.random.default_rng(23), *loop.shape[::-1]).T):
+            (gx,) = out._vjp(g)
+            gcols = g.reshape(bsz, oh, ow, ch, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+            gpad = np.zeros(padded.shape)
+            for u in range(kh):
+                for v in range(kw):
+                    gpad[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += gcols[:, :, u, v]
+            want = gpad[:, :, ph:ph + h, pw:pw + w]
+            assert gx.tobytes() == want.tobytes() and gx.strides == want.strides
 
 
 def _unfold_form(x, k):
@@ -708,6 +755,27 @@ class TestTapSum:
         assert got[number].tobytes() == want[number].tobytes()
 
 
+class _Spy:
+    """The loaded kernels, with the name of each one looked up recorded in ``calls``."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lib, name)
+
+
+@pytest.fixture()
+def kernels_spy(monkeypatch):
+    """The compiled kernels behind a ``_Spy``, as ``kernels.compiled()`` returns them; skipped if they did not load."""
+    if kernels.compiled() is None:
+        pytest.skip("the compiled kernels did not load")
+    spy = _Spy(kernels.compiled())
+    monkeypatch.setattr(kernels, "_loaded", [spy])
+    return spy
+
+
 def _gelu_numpy(x):
     """tensor.gelu's forward by numpy and scipy: e = erf(x / sqrt(2)) and (0.5 * x) * (1 + e)."""
     e = scipy.special.erf(x / math.sqrt(2.0))
@@ -767,6 +835,38 @@ class TestGelu:
         e, out = tz._gelu_parts(x)
         want_e, want_out = _gelu_numpy(x)
         assert e.tobytes() == want_e.tobytes() and out.tobytes() == want_out.tobytes()
+
+    def test_the_kernel_runs_on_the_generators_layout(self, kernels_spy, monkeypatch):
+        # each stem conv hands gelu a (B, C, oh, ow) view of its (B, L, C) rows: dense, but not in C order
+        inputs = []
+
+        def recording_gelu(a):
+            inputs.append(a.data)
+            return gelu(a)
+
+        monkeypatch.setattr(dynfilter, "gelu", recording_gelu)
+        FilterGenerator(3, 3, np.random.default_rng(51)).generate(Tensor(_rand(np.random.default_rng(52), 4, 3, 9, 9)))
+        stem = inputs[:2]
+        assert len(stem) == 2
+        for x in stem:
+            assert not x.flags.c_contiguous
+            kernels_spy.calls.clear()
+            got = tz._gelu_parts(x)
+            assert kernels_spy.calls == ["gelu"]
+            monkeypatch.setattr(kernels, "_loaded", [None])
+            want = tz._gelu_parts(x)
+            monkeypatch.setattr(kernels, "_loaded", [kernels_spy])
+            assert [(a.tobytes(), a.strides) for a in got] == [(a.tobytes(), a.strides) for a in want]
+
+    @pytest.mark.parametrize("layout", ["sliced", "broadcast"])
+    def test_an_input_that_is_not_dense_runs_numpy(self, layout, kernels_spy, monkeypatch):
+        base = 3.0 * _rand(np.random.default_rng(53), 6, 40)
+        x = base[:, 1::3] if layout == "sliced" else np.broadcast_to(base[0], (5, 40))
+        got = tz._gelu_parts(x)
+        assert "gelu" not in kernels_spy.calls
+        monkeypatch.setattr(kernels, "_loaded", [None])
+        want = tz._gelu_parts(x)
+        assert [(a.tobytes(), a.strides) for a in got] == [(a.tobytes(), a.strides) for a in want]
 
     @pytest.mark.parametrize("layout", ["c-order", "transposed"])
     def test_vjp_is_the_closed_form_bit_for_bit(self, layout, kernel_path):
