@@ -123,7 +123,7 @@ def check_perturbation(seed: int) -> GradCheckReport:
         out = perturb.apply(eeg)
         return (out * out * weights).sum()
 
-    return grad_check(loss, perturb.params())
+    return grad_check(loss, perturb.parameters())
 
 
 def check_encoder(seed: int) -> GradCheckReport:
@@ -136,7 +136,7 @@ def check_encoder(seed: int) -> GradCheckReport:
         diff = enc.encode(eeg) - target
         return (diff * diff).sum()
 
-    return grad_check(loss, enc.params())
+    return grad_check(loss, enc.parameters())
 
 
 def check_filter_generator(seed: int) -> GradCheckReport:
@@ -149,7 +149,7 @@ def check_filter_generator(seed: int) -> GradCheckReport:
         k = gen.generate(images)
         return (k * k * weights).sum()
 
-    return grad_check(loss, gen.params(), max_entries=25, rng=np.random.default_rng(seed + 1))
+    return grad_check(loss, gen.parameters(), max_entries=25, rng=np.random.default_rng(seed + 1))
 
 
 def check_dynamic_filter(seed: int) -> GradCheckReport:
@@ -174,7 +174,7 @@ def check_fusion(seed: int) -> GradCheckReport:
         fused = fusion.fuse(x_orig, x_filt)
         return (fused * fused).sum()
 
-    return grad_check(loss, fusion.params() + [x_orig, x_filt], max_entries=30,
+    return grad_check(loss, fusion.parameters() + [x_orig, x_filt], max_entries=30,
                       rng=np.random.default_rng(seed + 1))
 
 
@@ -201,7 +201,7 @@ def check_projection(seed: int) -> GradCheckReport:
         diff = head.project(z) - target
         return (diff * diff).sum()
 
-    return grad_check(loss, head.params(), max_entries=30, rng=np.random.default_rng(seed + 1))
+    return grad_check(loss, head.parameters(), max_entries=30, rng=np.random.default_rng(seed + 1))
 
 
 def _check_loss_term(seed: int, mu: float = 0.0, alpha: float = 0.0, lam: float = 0.0) -> GradCheckReport:

@@ -12,8 +12,9 @@ temperature serves every softmax in the objective.
 Each input is checked once, where it enters: the config by
 ``config.validate_config`` and, for the rules that need the image size,
 when the model is built; batch shapes in ``encode_eeg``,
-``encode_images`` and ``forward``; sample values in
-``data.load_split``. The parts and the loss trust them.
+``encode_images`` and ``forward``; sample values in ``data.load_split``
+and checkpoint values in ``trainer.load_checkpoint``. The parts and the
+loss trust them.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .tensor import Init, Module, Parameter, Tensor, exp, param
 class AlignmentModel(Module):
     """Everything trainable plus the frozen trunk, in one object.
 
-    ``params()`` is the checkpoint layout: the trainable parts in the
+    ``parameters()`` is the checkpoint layout: the trainable parts in the
     order they are built, ``log_tau``, then the frozen trunk, which is
     built third but assigned last. Every part takes its values from
     ``init``: the generator seeded by ``cfg.trainer.seed`` unless one is
@@ -127,10 +128,8 @@ class AlignmentModel(Module):
 
     # -- parameter registry --------------------------------------------------
 
-    parameters = Module.params
-
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.params() if not p.frozen]
+        return [p for p in self.parameters() if not p.frozen]
 
     def group(self, name: str) -> list[Parameter]:
         return [p for p in self.trainable_parameters() if p.group == name]

@@ -12,7 +12,8 @@ some input requires a gradient, and the binary ops (add, sub, mul, div,
 matmul) compute a parent's contribution only when that parent requires
 a gradient, so the frozen trunk's weights cost no backward arithmetic.
 Under ``no_grad()`` nothing is recorded at all, for forward passes whose
-results are only read.
+results are only read. A binary elementwise op hands its forward and
+gradient rules to ``_binary``; a single-input op hands its to ``_unary``.
 
 Composites on the hot path are fused: each records one node whose VJP
 is closed-form and gated per parent in the same way.
@@ -256,10 +257,11 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-# the binary ops' gradient rules, built once rather than on every call
+# the gradient rules (g, x, y) -> grad that need no call argument, built once rather than on every call
 _keep, _negate = (lambda g, x, y: g), (lambda g, x, y: -g)
 _times_y, _times_x = (lambda g, x, y: g * y), (lambda g, x, y: g * x)
-_over_y = (lambda g, x, y: g / y)
+_over_y, _over_x = (lambda g, x, y: g / y), (lambda g, x, y: g / x)
+_sigmoid_grad, _reshape_back = (lambda g, x, y: g * y * (1.0 - y)), (lambda g, x, y: g.reshape(x.shape))
 
 
 def _neg_x_over_y_sq(g, x, y):
@@ -285,62 +287,44 @@ def div(a, b) -> Tensor:
     return _binary(a, b, np.divide, _over_y, _neg_x_over_y_sq)
 
 
-def power(a, exponent: float) -> Tensor:
+def _unary(a, forward, grad) -> Tensor:
+    """One single-input op, ``_binary``'s twin and the shared body of power, exp, log, clamp_min, sigmoid,
+    reshape, transpose, softmax_rows and sum: ``data = forward(x)`` of the input's array ``x``, and
+    ``grad(g, x, data)`` maps the output gradient to the input's."""
     a = as_tensor(a)
+    data = forward(a.data)
+    return _make(data, (a,), lambda g: (grad(g, a.data, data),))
+
+
+def power(a, exponent: float) -> Tensor:
     p = float(exponent)
-    data = a.data ** p
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, lambda x: x ** p, lambda g, x, y: g * p * x ** (p - 1.0))
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * data,)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, np.exp, _times_y)
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, np.log, _over_x)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """Elementwise max(a, floor); gradient passes only where a > floor."""
-    a = as_tensor(a)
-    data = np.maximum(a.data, floor)
-
-    def vjp(g):
-        return (g * (a.data > floor),)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, lambda x: np.maximum(x, floor), lambda g, x, y: g * (x > floor))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    z = a.data
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     pos = z >= 0
     # split so neither branch exponentiates a large positive argument
     safe_pos = np.where(pos, z, 0.0)
     safe_neg = np.where(pos, 0.0, z)
     ez = np.exp(safe_neg)
-    data = np.where(pos, 1.0 / (1.0 + np.exp(-safe_pos)), ez / (1.0 + ez))
+    return np.where(pos, 1.0 / (1.0 + np.exp(-safe_pos)), ez / (1.0 + ez))
 
-    def vjp(g):
-        return (g * data * (1.0 - data),)
 
-    return _make(data, (a,), vjp)
+def sigmoid(a) -> Tensor:
+    return _unary(a, _sigmoid, _sigmoid_grad)
 
 
 def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,22 +407,11 @@ def transpose(a, axes=None) -> Tensor:
     if sorted(axes) != list(range(n)):
         raise DimensionError(f"transpose axes {given} are not a permutation of {n} axes")
     inverse = tuple(axes.index(i) for i in range(n))
-    data = a.data.transpose(axes)
-
-    def vjp(g):
-        return (g.transpose(inverse),)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, lambda x: x.transpose(axes), lambda g, x, y: g.transpose(inverse))
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return _make(data, (a,), vjp)
+    return _unary(a, lambda x: x.reshape(shape), _reshape_back)
 
 
 def _has_array_index(key) -> bool:
@@ -484,9 +457,8 @@ def _expand_to(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> n
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    return _make(data, (a,), lambda g: (_expand_to(g, a.shape, axis, keepdims),))
+    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims),
+                  lambda g, x, y: _expand_to(g, x.shape, axis, keepdims))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -513,13 +485,7 @@ def softmax_rows(x, axis: int = -1) -> Tensor:
     constant so values and gradients are unchanged by it. The VJP is the
     softmax Jacobian, p * (g - sum(g * p)).
     """
-    x = as_tensor(x)
-    p = _softmax(x.data, axis)
-
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
-
-    return _make(p, (x,), vjp)
+    return _unary(x, lambda z: _softmax(z, axis), lambda g, z, p: p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
 
 def log_softmax_rows(x, axis: int = -1) -> Tensor:
@@ -819,7 +785,7 @@ def param(init: Init, name: str, shape: tuple[int, ...], frozen: bool = False, g
 class Module:
     """A model part whose parameters are its attributes, each declared once."""
 
-    def params(self) -> list[Parameter]:
+    def parameters(self) -> list[Parameter]:
         """The ``Parameter`` attributes in the order they were assigned.
 
         Attributes that are Modules, or lists of Modules, are expanded in
@@ -831,7 +797,7 @@ class Module:
         for value in vars(self).values():
             for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, Module):
-                    out += item.params()
+                    out += item.parameters()
                 elif isinstance(item, Parameter):
                     out.append(item)
         return out

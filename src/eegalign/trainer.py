@@ -307,9 +307,13 @@ def _checkpoint_from_json(obj: dict) -> tuple[Checkpoint, list[str]]:
 
 
 def load_checkpoint(directory) -> Checkpoint:
-    """Read a checkpoint; a malformed manifest is a FormatError naming the file."""
+    """Read a checkpoint; a malformed manifest or a non-finite value is a FormatError naming the file."""
     ckpt, names = read_manifest(directory, _checkpoint_from_json)
-    ckpt.values = dict(zip(names, read_tensors(os.path.join(directory, CHECKPOINT_PARAMS), len(names))))
+    path = os.path.join(directory, CHECKPOINT_PARAMS)
+    ckpt.values = dict(zip(names, read_tensors(path, len(names))))
+    for name, value in ckpt.values.items():
+        if not np.isfinite(value).all():
+            raise FormatError(f"checkpoint parameter {name} in {path} holds a non-finite value")
     return ckpt
 
 

@@ -95,9 +95,9 @@ class TestVitForward:
 
     def test_everything_frozen(self):
         bb = small_backbone()
-        assert all(p.frozen for p in bb.params())
-        assert all(not p.requires_grad for p in bb.params())
-        assert len(bb.params()) == 4 + 2 * 16
+        assert all(p.frozen for p in bb.parameters())
+        assert all(not p.requires_grad for p in bb.parameters())
+        assert len(bb.parameters()) == 4 + 2 * 16
 
     def test_gradient_reaches_prompts_and_tokens_not_backbone(self):
         bb = small_backbone(prompt_count=2, layers=2)
@@ -107,7 +107,7 @@ class TestVitForward:
         (out * out).sum().backward()
         assert prompts.grad is not None and np.any(prompts.grad != 0.0)
         assert fused.grad is not None and np.any(fused.grad != 0.0)
-        assert all(p.grad is None for p in bb.params())
+        assert all(p.grad is None for p in bb.parameters())
 
     def test_grad_check_through_blocks(self):
         bb = small_backbone(prompt_count=2, layers=1, dim=8, heads=2)
@@ -208,7 +208,7 @@ class TestProjectionHead:
 
     def test_group_a_parameters(self):
         head = ProjectionHead(4, 4, np.random.default_rng(21))
-        assert [p.group for p in head.params()] == ["A", "A"]
+        assert [p.group for p in head.parameters()] == ["A", "A"]
 
     def test_grad_check(self):
         head = ProjectionHead(6, 4, np.random.default_rng(22))
@@ -219,5 +219,5 @@ class TestProjectionHead:
             diff = head.project(z) - Tensor(target)
             return (diff * diff).sum()
 
-        report = grad_check(loss, head.params())
+        report = grad_check(loss, head.parameters())
         assert report.passed, report.summary()

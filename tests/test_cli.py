@@ -562,12 +562,17 @@ class TestEval:
         assert f"parameter {name} " in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-sim"])
     @pytest.mark.parametrize("name,stored,message", [
         ("prompts", None, "checkpoint is missing parameter prompts"),
         ("prompts", np.zeros((1, 1)), "checkpoint parameter prompts has shape (1, 1), model expects (2, 16)"),
-    ], ids=["missing", "shape"])
+        # a NaN similarity row ranks no candidate above its own pair, so the retrieval would score perfect
+        ("projection.weight", np.full((16, 16), np.nan),
+         "checkpoint parameter projection.weight in {params} holds a non-finite value"),
+        ("loss.log_tau", np.array(-np.inf), "checkpoint parameter loss.log_tau in {params} holds a non-finite value"),
+    ], ids=["missing", "shape", "nan", "inf"])
     def test_value_the_model_cannot_take_exits_two_writing_nothing(self, trained, tmp_path, capsys, name, stored,
-                                                                  message):
+                                                                  message, command):
         data, run = trained
         ckpt = load_checkpoint(str(run))
         if stored is None:
@@ -575,11 +580,11 @@ class TestEval:
         else:
             ckpt.values[name] = stored
         save_checkpoint(ckpt, str(run))
-        out = tmp_path / "report.json"
+        out = tmp_path / "out.csv"
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
-        assert one_error_line(capsys) == f"error: {message}"
-        assert not out.exists()
+        assert main([command, "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
+        assert one_error_line(capsys) == f"error: {message}".format(params=os.path.join(str(run), "params.bin"))
+        assert not out.exists() and not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("key,value", [("channels", -3), ("timesteps", -8)])
     def test_geometry_below_one_exits_two_writing_nothing(self, trained, tmp_path, capsys, key, value):

@@ -65,8 +65,8 @@ class TestFilterGenerator:
 
     def test_all_params_group_b(self):
         gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(0))
-        assert all(p.group == "B" for p in gen.params())
-        assert all(p.name.startswith("filter.") for p in gen.params())
+        assert all(p.group == "B" for p in gen.parameters())
+        assert all(p.name.startswith("filter.") for p in gen.parameters())
 
     def test_gradient_reaches_parameters_and_image(self):
         gen = FilterGenerator(fh=3, fw=3, init=np.random.default_rng(6))
@@ -77,7 +77,7 @@ class TestFilterGenerator:
             k = gen.generate(images)
             return (k * k).sum()
 
-        report = grad_check(loss, gen.params(), max_entries=40, rng=np.random.default_rng(8))
+        report = grad_check(loss, gen.parameters(), max_entries=40, rng=np.random.default_rng(8))
         assert report.passed, report.summary()
         loss().backward()
         assert images.grad is not None and np.any(images.grad != 0.0)
@@ -163,6 +163,6 @@ class TestApplyDynamicFilter:
             return (filtered * filtered).sum()
 
         report = grad_check(
-            loss, gen.params(), max_entries=30, rng=np.random.default_rng(14)
+            loss, gen.parameters(), max_entries=30, rng=np.random.default_rng(14)
         )
         assert report.passed, report.summary()

@@ -34,8 +34,8 @@ class TestPerturbation:
 
     def test_parameters_in_group_a(self):
         p = Perturbation(channels=2, timesteps=2, init=np.random.default_rng(0))
-        assert [q.group for q in p.params()] == ["A", "A"]
-        assert [q.name for q in p.params()] == ["perturb.gain", "perturb.offset"]
+        assert [q.group for q in p.parameters()] == ["A", "A"]
+        assert [q.name for q in p.parameters()] == ["perturb.gain", "perturb.offset"]
 
     def test_grad_check(self):
         p = Perturbation(channels=2, timesteps=3, init=np.random.default_rng(0))
@@ -45,7 +45,7 @@ class TestPerturbation:
             out = p.apply(eeg)
             return (out * out).sum()
 
-        report = grad_check(loss, p.params())
+        report = grad_check(loss, p.parameters())
         assert report.passed, report.summary()
 
 
@@ -85,7 +85,7 @@ class TestLinearEncoder:
 
     def test_parameters_in_group_a(self):
         enc = LinearEncoder(2, 3, 4, np.random.default_rng(0))
-        assert [q.group for q in enc.params()] == ["A", "A"]
+        assert [q.group for q in enc.parameters()] == ["A", "A"]
 
     def test_grad_check_through_encode(self):
         rng = np.random.default_rng(6)
@@ -99,7 +99,7 @@ class TestLinearEncoder:
             diff = z - Tensor(target)
             return (diff * diff).sum()
 
-        report = grad_check(loss, perturb.params() + enc.params())
+        report = grad_check(loss, perturb.parameters() + enc.parameters())
         assert report.passed, report.summary()
 
 

@@ -92,8 +92,8 @@ class TestCrossAttentionFusion:
 
     def test_all_params_group_b(self):
         fusion = CrossAttentionFusion(dim=8, init=np.random.default_rng(0))
-        assert all(p.group == "B" for p in fusion.params())
-        assert all(p.name.startswith("fusion.") for p in fusion.params())
+        assert all(p.group == "B" for p in fusion.parameters())
+        assert all(p.name.startswith("fusion.") for p in fusion.parameters())
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_grad_check_params_and_streams(self, heads):
@@ -106,7 +106,7 @@ class TestCrossAttentionFusion:
             fused = fusion.fuse(x_orig, x_filt)
             return (fused * fused).sum()
 
-        report = grad_check(loss, fusion.params(), max_entries=40, rng=np.random.default_rng(18))
+        report = grad_check(loss, fusion.parameters(), max_entries=40, rng=np.random.default_rng(18))
         assert report.passed, report.summary()
         loss().backward()
         assert np.any(x_orig.grad != 0.0) and np.any(x_filt.grad != 0.0)
@@ -150,7 +150,7 @@ class TestBilinearMix:
     def test_learnable_coefficient_round_trip(self):
         mix = BilinearMix(np.random.default_rng(0), mix_init=0.3)
         assert abs(mix.coefficient().item() - 0.3) < 1e-12
-        assert mix.params()[0].group == "B"
+        assert mix.parameters()[0].group == "B"
 
     def test_mix_gradient_reaches_logit(self):
         mix = BilinearMix(np.random.default_rng(0), mix_init=0.5)
@@ -162,5 +162,5 @@ class TestBilinearMix:
             out = mix.mix(img, filt)
             return (out * out).sum()
 
-        report = grad_check(loss, mix.params())
+        report = grad_check(loss, mix.parameters())
         assert report.passed, report.summary()

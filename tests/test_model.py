@@ -260,7 +260,7 @@ class TestParameterRegistry:
     def test_backbone_entirely_frozen(self):
         model = small_model()
         frozen = {p.name for p in [p for p in model.parameters() if p.frozen]}
-        assert frozen == {p.name for p in model.backbone.params()}
+        assert frozen == {p.name for p in model.backbone.parameters()}
         assert all(name.startswith("backbone.") for name in frozen)
 
     def test_parameter_names_unique(self):

@@ -142,23 +142,61 @@ def test_affine_scan_flags_matmul_plus_bias():
     assert split_affine_layers(tree) == [1, 5]
 
 
-def params_definitions(tree: ast.Module) -> list[str]:
-    """Classes that define ``params``. Only ``tensor.Module`` may: each part's parameters are its attributes."""
-    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "params"
-                    for item in node.body)]
+def parameters_definitions(tree: ast.Module) -> list[str]:
+    """Classes that define or bind ``parameters``. Only ``tensor.Module`` may: each part's parameters are its
+    attributes, and the method has one name."""
+    def binds(item):
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return item.name == "parameters"
+        return isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "parameters" for t in item.targets)
+
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and any(map(binds, node.body))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_module_defines_params(path):
+def test_only_module_defines_parameters(path):
     allowed = ["Module"] if path.name == "tensor.py" else []
-    assert params_definitions(ast.parse(path.read_text(encoding="utf-8"))) == allowed
+    assert parameters_definitions(ast.parse(path.read_text(encoding="utf-8"))) == allowed
 
 
-def test_params_scan_flags_a_hand_written_list():
-    tree = ast.parse("class Module:\n    def params(self): pass\nclass Head(Module):\n    def params(self): return []\n"
-                     "class Gate:\n    def gate(self): pass\ndef params(): pass\n")
-    assert params_definitions(tree) == ["Module", "Head"]
+def test_parameters_scan_flags_a_hand_written_list():
+    tree = ast.parse("class Module:\n    def parameters(self): pass\nclass Head(Module):\n"
+                     "    def parameters(self): return []\nclass Gate:\n    def gate(self): pass\n"
+                     "class Model(Module):\n    parameters = Module.parameters\ndef parameters(): pass\n")
+    assert parameters_definitions(tree) == ["Module", "Head", "Model"]
+
+
+def single_parent_records(tree: ast.Module) -> list[str]:
+    """Top-level functions that call ``_make(data, (x,), vjp)`` with one parent. Such an op hands its forward and
+    gradient rule to ``_unary`` instead, so that one body records every single-input op."""
+    return [top.name for top in tree.body if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Tuple) and len(node.args[1].elts) == 1]
+
+
+# the single-input ops that keep their own body, and why
+OWN_BODY = {
+    "_unary": "the shared body itself",
+    "gelu": "its VJP reuses the forward's erf",
+    "log_softmax_rows": "its VJP reuses the forward's exponentials and their row sums",
+    "tensor_mean": "its VJP reuses the forward's count",
+    "getitem": "its VJP reuses the forward's index kind",
+    "unfold": "its two layouts' VJPs reuse the forward's window geometry and kernel handle",
+}
+
+
+def test_single_input_ops_share_one_body():
+    tree = ast.parse((SRC / "tensor.py").read_text(encoding="utf-8"))
+    assert [name for name in single_parent_records(tree) if name not in OWN_BODY] == []
+
+
+def test_single_parent_scan_flags_toy_sources():
+    tree = ast.parse("def _unary(a, f, grad):\n    return _make(f(a.data), (a,), lambda g: (grad(g),))\n"
+                     "def exp(a):\n    data = np.exp(a.data)\n    return _make(data, (a,), lambda g: (g * data,))\n"
+                     "def add(a, b):\n    return _make(a.data + b.data, (a, b), vjp)\n"
+                     "def cat(ts):\n    return _make(data, ts, vjp)\ndef log(a):\n    return _unary(a, np.log, rule)\n"
+                     "def tile(x):\n    def inner():\n        return _make(d, (x,), v)\n    return _make(d, (x,), w)\n")
+    assert single_parent_records(tree) == ["_unary", "exp", "tile", "tile"]
 
 
 def value_attributes(tree: ast.Module) -> list[int]:

@@ -276,6 +276,20 @@ class TestBackward:
 
 
 BINARY_OPS = [add, sub, mul, div, matmul]
+# the ops that record through tensor._unary, each a call on one input; a 0-d input has no softmax axis
+UNARY_OPS = {
+    "power": lambda a: a ** 3.0,
+    "exp": exp,
+    "log": log,
+    "clamp_min": lambda a: clamp_min(a, 1.0),
+    "sigmoid": sigmoid,
+    "reshape": lambda a: a.reshape((-1, 1)),
+    "transpose": lambda a: transpose(a, tuple(reversed(range(a.ndim)))),
+    "softmax_rows": softmax_rows,
+    "sum": lambda a: a.sum(),
+}
+UNARY_CASES = [(name, shape) for name in UNARY_OPS for shape in [(), (1,), (1, 1), (2, 3)]
+               if shape or name != "softmax_rows"]
 
 
 class TestVJPGating:
@@ -305,6 +319,19 @@ class TestVJPGating:
 
         assert grad_of_x(False).tobytes() == grad_of_x(True).tobytes()
 
+    @pytest.mark.parametrize("name,shape", UNARY_CASES, ids=str)
+    def test_frozen_single_input_records_nothing(self, name, shape):
+        out = UNARY_OPS[name](Tensor(np.random.default_rng(35).uniform(0.5, 2.0, size=shape)))
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+
+    @pytest.mark.parametrize("name,shape", UNARY_CASES, ids=str)
+    def test_live_single_input_records_one_node(self, name, shape):
+        x = Tensor(np.random.default_rng(36).uniform(0.5, 2.0, size=shape), requires_grad=True)
+        out = UNARY_OPS[name](x)
+        assert out.requires_grad and out._parents == (x,)
+        grads = out._vjp(np.ones(out.shape))
+        assert len(grads) == 1 and np.shape(grads[0]) == shape
+
 
 class TestNoGrad:
     def test_outputs_have_no_parents(self):
@@ -312,8 +339,9 @@ class TestNoGrad:
         x = Tensor(_rand(rng, 3, 3), requires_grad=True)
         w = Tensor(_rand(rng, 3, 3) + 3.0, requires_grad=True)
         with no_grad():
-            outs = [x + w, x - w, x * w, x / w, matmul(x, w), exp(x), x.sum(),
-                    softmax_rows(x / w.sum()), concat([x, w]), x[0]]
+            outs = [x + w, x - w, x * w, x / w, matmul(x, w), exp(x), x.sum(), x ** 2.0, log(x * x),
+                    clamp_min(x, 0.0), sigmoid(x), x.reshape(9), transpose(x), softmax_rows(x / w.sum()),
+                    concat([x, w]), x[0]]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == ()
