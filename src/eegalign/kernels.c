@@ -1,25 +1,33 @@
-/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step and tensor._gelu_parts.
+/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step, tensor._gelu_parts and
+   tensor.layer_norm.
 
    Each does the floating-point operations of the numpy code it stands in for, in the same order for every
    entry, so its results are numpy's bit for bit; im2col only moves values. kernels.py builds it with
    -ffp-contract=off, so no multiply and add are fused, and never with -ffast-math, which reorders operations and
-   flushes subnormals. On x86-64, tap_sum is also compiled for AVX2 and AVX-512 and picked at load time:
-   a vector lane per output entry keeps each entry's multiplies and adds in their order, so each clone gives the
+   flushes subnormals. On x86-64, tap_sum and gelu are also compiled for AVX2 and AVX-512 and picked at load
+   time (CLONED): a vector lane per entry keeps each entry's operations in their order, so each clone gives the
    same bits.
 
    gelu's erf is scipy.special.erf's own: the Cephes erf and erfc of Stephen L. Moshier, as scipy (BSD-3)
    carries them in xsf, with their coefficients. libm's erf gives other bits. Its passes are branch-free on
-   purpose, the |t| <= 1 form over every entry first: a port that branched per entry ran no faster than numpy. */
+   purpose, the |t| <= 1 form over every entry first: a port that branched per entry ran no faster than numpy.
+
+   layer_norm's row sums are numpy's pairwise sum, the order np.add.reduce takes over a contiguous axis: eight
+   accumulators over blocks of up to 128 entries, and halves split at a multiple of 8 above that. */
 #include <math.h>
 #include <stddef.h>
+
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__) /* GCC or clang, and ifunc to pick a clone */
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONED
+#endif
 
 /* out[b, c, i, j] += 0.0 + padded[b, c, i + u, j + v] * k[b, c, u, v] for each tap (u, v) in row-major order.
    out is zeroed and C-contiguous (B, C, h, w); padded is C-contiguous (B, C, h + kh - 1, w + kw - 1); k is
    (B, C, kh, kw) with element strides k0..k3, which may be negative (a flipped view). The 0.0 + is the sum
    numpy's einsum writes each tap as. */
-#if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__) /* GCC or clang, and ifunc to pick a clone */
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
+CLONED
 void tap_sum(const double *restrict padded, const double *restrict k, ptrdiff_t k0, ptrdiff_t k1, ptrdiff_t k2,
              ptrdiff_t k3, double *restrict out, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t h, ptrdiff_t w,
              ptrdiff_t kh, ptrdiff_t kw)
@@ -136,29 +144,33 @@ static const double SQRT2 = 1.4142135623730951; /* math.sqrt(2.0), tensor._SQRT2
    taken as 8 with a factor 0 for exp, which gives 1 too. The passes are branch-free on purpose, so that the
    compiler vectorises the arithmetic and neither an entry's sign nor its side of |t| = 1 costs a mispredicted
    branch:
-   1. the |t| <= 1 form and out for every entry; for t < 0 it is Cephes' -erf(-t), since negation commutes with
-      rounding;
-   2. the list of the entries with |t| > 1 or a NaN;
+   1. the |t| <= 1 form and out for every entry, keeping a = |t|; for t < 0 it is Cephes' -erf(-t), since
+      negation commutes with rounding;
+   2. the list of the entries with a > 1 or a NaN;
    3. exp(-a * a) for those, by libm's scalar exp, as scipy calls it;
    4. 1 - erfc(a) for those;
    5. their e and out: the sign of t, or for a NaN the quiet NaN Cephes returns, out keeping x's NaN from pass 1. */
+CLONED
 void gelu(const double *restrict x, double *restrict e, double *restrict out, ptrdiff_t n)
 {
     ptrdiff_t far[GELU_BLOCK];
-    double a[GELU_BLOCK], w[GELU_BLOCK];
+    double abs_t[GELU_BLOCK], a[GELU_BLOCK], w[GELU_BLOCK];
     for (ptrdiff_t lo = 0; lo < n; lo += GELU_BLOCK) {
-        ptrdiff_t hi = n - lo < GELU_BLOCK ? n : lo + GELU_BLOCK, m = 0;
-        for (ptrdiff_t i = lo; i < hi; i++) {
-            double t = x[i] / SQRT2, z = t * t;
-            e[i] = t * polevl(z, T, 4) / p1evl(z, U, 5);
-            out[i] = (0.5 * x[i]) * (1.0 + e[i]);
+        ptrdiff_t len = n - lo < GELU_BLOCK ? n - lo : GELU_BLOCK, m = 0;
+        const double *xb = x + lo;
+        double *eb = e + lo, *ob = out + lo;
+        for (ptrdiff_t i = 0; i < len; i++) {
+            double t = xb[i] / SQRT2, z = t * t;
+            abs_t[i] = fabs(t);
+            eb[i] = t * polevl(z, T, 4) / p1evl(z, U, 5);
+            ob[i] = (0.5 * xb[i]) * (1.0 + eb[i]);
         }
-        for (ptrdiff_t i = lo; i < hi; i++) {
+        for (ptrdiff_t i = 0; i < len; i++) {
             far[m] = i;
-            m += !(fabs(x[i] / SQRT2) <= 1.0);
+            m += !(abs_t[i] <= 1.0);
         }
         for (ptrdiff_t k = 0; k < m; k++) {
-            double t = fabs(x[far[k]] / SQRT2);
+            double t = abs_t[far[k]];
             w[k] = t < 8.0 ? exp(-t * t) : 0.0;
             a[k] = t < 8.0 ? t : 8.0;
         }
@@ -166,12 +178,65 @@ void gelu(const double *restrict x, double *restrict e, double *restrict out, pt
             w[k] = 1.0 - (w[k] * polevl(a[k], P, 8)) / p1evl(a[k], Q, 8);
         for (ptrdiff_t k = 0; k < m; k++) {
             ptrdiff_t i = far[k];
-            if (isnan(x[i]))
-                e[i] = NAN;
+            if (isnan(xb[i]))
+                eb[i] = NAN;
             else {
-                e[i] = copysign(w[k], x[i]);
-                out[i] = (0.5 * x[i]) * (1.0 + e[i]);
+                eb[i] = copysign(w[k], xb[i]);
+                ob[i] = (0.5 * xb[i]) * (1.0 + eb[i]);
             }
+        }
+    }
+}
+
+/* numpy's pairwise sum of a[0], ..., a[n - 1], n >= 1, without np.add.reduce's +0.0 start: a plain sum below 8
+   entries; up to 128, eight accumulators taking every eighth entry, combined as ((r0 + r1) + (r2 + r3)) +
+   ((r4 + r5) + (r6 + r7)), then the tail of fewer than 8 added one by one; above 128, the sum of the two halves,
+   split at a multiple of 8. */
+static double pairwise(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double res = a[0];
+        for (ptrdiff_t i = 1; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        ptrdiff_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    ptrdiff_t half = n / 2 - n / 2 % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* tensor.layer_norm's forward over n C-contiguous rows of d >= 1 entries, with gain and bias of d entries: per
+   row, mean = (0.0 + sum(x)) / d, std = sqrt((0.0 + sum((x - mean)^2)) / d + eps), xhat = (x - mean) / std and
+   out = xhat * gain + bias in two roundings, each sum pairwise as numpy's mean takes it. The 0.0 + is
+   np.add.reduce's start, which makes a sum of -0.0 entries +0.0. The xhat row holds the squares until std is
+   known. std has one entry per row. */
+void layer_norm(const double *restrict x, const double *restrict gain, const double *restrict bias,
+                double *restrict xhat, double *restrict std, double *restrict out, ptrdiff_t n, ptrdiff_t d,
+                double eps)
+{
+    for (ptrdiff_t r = 0; r < n; r++) {
+        const double *xr = x + r * d;
+        double *h = xhat + r * d, *o = out + r * d;
+        double mean = (0.0 + pairwise(xr, d)) / (double)d;
+        for (ptrdiff_t j = 0; j < d; j++)
+            h[j] = (xr[j] - mean) * (xr[j] - mean);
+        double s = sqrt((0.0 + pairwise(h, d)) / (double)d + eps);
+        std[r] = s;
+        for (ptrdiff_t j = 0; j < d; j++) {
+            h[j] = (xr[j] - mean) / s;
+            o[j] = h[j] * gain[j] + bias[j];
         }
     }
 }

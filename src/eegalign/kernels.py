@@ -33,6 +33,7 @@ ARGTYPES = {
     "col2im": [_POINTER] + [_SIZE] * 6 + [_POINTER] + [_SIZE] * 9,
     "adam": [_POINTER] * 4 + [_SIZE] + [_DOUBLE] * 8,
     "gelu": [_POINTER] * 3 + [_SIZE],
+    "layer_norm": [_POINTER] * 6 + [_SIZE] * 2 + [_DOUBLE],
 }
 
 

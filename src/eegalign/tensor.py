@@ -22,7 +22,10 @@ is closed-form and gated per parent in the same way.
   add) as the composite it replaces, so values and gradients are bitwise
   the composite's;
 * ``layer_norm``: normalization and affine, with the standard
-  layer-norm input gradient;
+  layer-norm input gradient; its forward is ``kernels.c``'s when it
+  loaded, ``x`` is C-contiguous and gain and bias have ``x``'s last
+  shape, summing each row in numpy's pairwise order, so its bits are
+  the numpy lines';
 * ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
   softmax-Jacobian VJP; the heads are split from and merged back into
   the last axis inside the node;
@@ -519,17 +522,25 @@ def layer_norm(x, gain, bias) -> Tensor:
     gradient is the closed form (gh - mean(gh) - xhat * mean(gh * xhat))
     / std over the last axis (Ba et al., arXiv 1607.06450); the gain and
     bias gradients are g * xhat and g summed to their shapes. Each is
-    computed only when its parent needs it.
+    computed only when its parent needs it. The compiled ``layer_norm``
+    takes a C-contiguous x with (d,) gain and bias, with these lines' bits.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
-    xhat = centered / std
-    try:
-        data = xhat * gain.data
-        data += bias.data
-    except ValueError as e:
-        raise DimensionError(f"layer norm of {x.shape} cannot take gain {gain.shape} and bias {bias.shape}") from e
+    lib = compiled()
+    if lib is not None and x.ndim and x.data.size and gain.shape == bias.shape == x.shape[-1:] and all(
+            a.flags.c_contiguous for a in (x.data, gain.data, bias.data)):
+        xhat, std, data = np.empty_like(x.data), np.empty(x.shape[:-1] + (1,)), np.empty_like(x.data)
+        lib.layer_norm(x.data.ctypes.data, gain.data.ctypes.data, bias.data.ctypes.data, xhat.ctypes.data,
+                       std.ctypes.data, data.ctypes.data, x.data.size // x.shape[-1], x.shape[-1], LN_EPS)
+    else:
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
+        xhat = centered / std
+        try:
+            data = xhat * gain.data
+            data += bias.data
+        except ValueError as e:
+            raise DimensionError(f"layer norm of {x.shape} cannot take gain {gain.shape} and bias {bias.shape}") from e
 
     def vjp(g):
         gx = None

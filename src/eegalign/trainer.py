@@ -19,7 +19,7 @@ import numpy as np
 from .bundle import check_fields, read_manifest, read_tensors, save_bundle
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import SplitArrays, make_batch
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, DomainError, FormatError
 from .kernels import compiled
 from .metrics import RetrievalReport, build_report
 from .model import AlignmentModel
@@ -321,14 +321,23 @@ def load_checkpoint(directory) -> Checkpoint:
 
 
 def embed_split(model: AlignmentModel, split: SplitArrays, batch_size: int = 32):
-    """Embed every pair as unit rows, in index order, without shuffling or taping; the loss normalizes alike."""
+    """Embed every pair as unit rows, in index order, without shuffling or taping; the loss normalizes alike.
+
+    A row with a non-finite squared norm is a DomainError: normalised, it would read as zeros or rank its pair first.
+    """
     z_e, z_i = [], []
     n = len(split.ids)
     for start in range(0, n, batch_size):
         batch = make_batch(split, slice(start, min(start + batch_size, n)))
         with no_grad():
-            z_e.append(l2_normalize(model.encode_eeg(batch.eeg)).data)
-            z_i.append(l2_normalize(model.encode_images(batch.images)).data)
+            for what, raw, unit in (("EEG", model.encode_eeg(batch.eeg), z_e),
+                                    ("image", model.encode_images(batch.images), z_i)):
+                with np.errstate(over="ignore"):
+                    bad = np.flatnonzero(~np.isfinite((raw.data * raw.data).sum(axis=-1)))
+                if bad.size:
+                    raise DomainError(f"the {what} embedding of split row {start + bad[0]} has a non-finite "
+                                      "squared norm")
+                unit.append(l2_normalize(raw).data)
     return np.concatenate(z_e, axis=0), np.concatenate(z_i, axis=0)
 
 

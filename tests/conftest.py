@@ -29,6 +29,38 @@ def kernel_path(request):
     return request.param
 
 
+class _Spy:
+    """Loaded kernels, with the name of each one looked up recorded in ``calls``."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lib, name)
+
+
+@pytest.fixture()
+def install_spy(monkeypatch):
+    """``install(lib)`` loads the kernels ``lib`` behind a ``_Spy``, as ``kernels.compiled()`` returns them, and
+    returns the spy."""
+
+    def install(lib):
+        spy = _Spy(lib)
+        monkeypatch.setattr(kernels, "_loaded", [spy])
+        return spy
+
+    return install
+
+
+@pytest.fixture()
+def kernels_spy(install_spy):
+    """The compiled kernels behind a ``_Spy``; skipped if they did not load."""
+    if kernels.compiled() is None:
+        pytest.skip("the compiled kernels did not load")
+    return install_spy(kernels.compiled())
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     """Echo one PASS/FAIL line per acceptance criterion to the terminal."""

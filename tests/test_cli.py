@@ -586,6 +586,20 @@ class TestEval:
         assert one_error_line(capsys) == f"error: {message}".format(params=os.path.join(str(run), "params.bin"))
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-sim"])
+    def test_an_embedding_whose_squared_norm_overflows_exits_two_writing_nothing(self, trained, tmp_path, capsys,
+                                                                                command):
+        # finite weights, so the load check passes them; l2_normalize would map the overflowed rows to zeros
+        data, run = trained
+        ckpt = load_checkpoint(str(run))
+        ckpt.values["encoder.weight"] = ckpt.values["encoder.weight"] * 1e305
+        save_checkpoint(ckpt, str(run))
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(run), "--data", str(data), "--out", str(out)]) == 2
+        assert one_error_line(capsys) == "error: the EEG embedding of split row 0 has a non-finite squared norm"
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     @pytest.mark.parametrize("key,value", [("channels", -3), ("timesteps", -8)])
     def test_geometry_below_one_exits_two_writing_nothing(self, trained, tmp_path, capsys, key, value):
         data, run = trained

@@ -14,6 +14,7 @@ import pytest
 
 from eegalign import kernels, tensor
 from eegalign.cli import main
+from eegalign.trainer import Adam
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12", "--height", "16",
@@ -77,7 +78,7 @@ def test_the_cache_is_private_and_named_by_its_key(tmp_path, monkeypatch):
 def test_every_kernel_is_bound_with_its_argument_types():
     # a pointer passed to a function with no argtypes goes as a 32-bit C int; restype None reads no result
     kernels_c = re.findall(r"^void (\w+)\(([^)]*)\)", kernels.SOURCE.read_text(), re.M)
-    assert {"tap_sum", "im2col", "col2im", "adam", "gelu"} <= {name for name, _ in kernels_c}
+    assert {name for name, _ in kernels_c} == set(kernels.ARGTYPES)
     lib = kernels.compiled()
     for name, params in kernels_c:
         function = getattr(lib, name)
@@ -96,33 +97,88 @@ def cpu_has(feature: str) -> bool:
     return bool(__cpu_features__.get(feature))
 
 
+def unfold_outputs():
+    # subnormals and signed zeros among the draws, on a transposed image: im2col's windows and col2im's sum
+    rng = np.random.default_rng(54)
+    image = np.where(rng.random((5, 37, 3, 4)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (5, 37, 3, 4)),
+                     rng.normal(size=(5, 37, 3, 4))).transpose(2, 3, 0, 1)
+    cols = tensor.unfold(tensor.Tensor(image, requires_grad=True), 3, 3, stride=2, padding=(1, 2))
+    return [cols.data, *cols._vjp(rng.normal(size=(3, 3 * 20, 4 * 9)))]  # 3 x 20 windows of 4 channels x 3 x 3
+
+
+def tap_sum_outputs():
+    # a zero-padded image and flipped kernels, with subnormals and signed zeros in the image
+    rng = np.random.default_rng(55)
+    image = np.where(rng.random((3, 4, 5, 37)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (3, 4, 5, 37)),
+                     rng.normal(size=(3, 4, 5, 37)))
+    padded, k = np.pad(image, ((0, 0), (0, 0), (2, 2), (2, 2))), rng.normal(size=(3, 4, 5, 5))[:, :, ::-1, ::-1]
+    return [tensor._tap_sum(padded, k, 5, 37)]
+
+
+def adam_outputs():
+    # five steps over parameters of several shapes, one of them without a gradient on the third
+    rng = np.random.default_rng(56)
+    params = [tensor.Parameter(f"p{i}", 1e-4 * rng.normal(size=shape)) for i, shape in enumerate([(6, 5), (5,), ()])]
+    opt = Adam(params, lr=0.003)
+    for t in range(5):
+        for i, p in enumerate(params):
+            p.grad = None if (i, t) == (1, 2) else rng.normal(size=p.shape)
+        opt.step()
+    return [*(p.data for p in params), *opt.m, *opt.v]
+
+
+def gelu_outputs():
+    # both sides of |t| = 1 and 8, the special values and a NaN, over several 512-entry blocks, transposed
+    edges = np.sqrt(2.0) * np.array([1.0, 8.0])
+    x = np.concatenate([np.linspace(-15.0, 15.0, 1486), edges, -edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, np.inf), [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        return list(tensor._gelu_parts(x.reshape(3, 500).T))
+
+
+def layer_norm_outputs():
+    # widths around each of the pairwise sum's shapes, with a -0.0, a NaN and an infinite row
+    rng = np.random.default_rng(57)
+    results = []
+    for d in (3, 9, 64, 129, 300):
+        x = 10.0 ** rng.integers(-3, 4, size=(4, 5, d)) * rng.normal(size=(4, 5, d)) + 7.0
+        x[0, 0], x[0, 1, d // 2], x[0, 2, 0] = -0.0, np.nan, np.inf
+        ts = [tensor.Tensor(a, requires_grad=True) for a in (x, 1.0 + rng.normal(size=d), rng.normal(size=d))]
+        with np.errstate(invalid="ignore"):
+            out = tensor.layer_norm(*ts)
+            results += [out.data, *out._vjp(rng.normal(size=x.shape))]
+    return results
+
+
+# each kernel's case: a function of no arguments whose outputs come from that kernel when it is loaded
+ISA_CASES = {"tap_sum": tap_sum_outputs, "im2col": unfold_outputs, "col2im": unfold_outputs, "adam": adam_outputs,
+             "gelu": gelu_outputs, "layer_norm": layer_norm_outputs}
+
+
+def test_every_kernel_has_an_instruction_set_case():
+    assert set(ISA_CASES) == set(kernels.ARGTYPES)
+
+
 @needs_cc
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not an x86-64 CPU")
 @pytest.mark.parametrize("level", sorted(ISA_LEVELS))
-def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch):
-    # tap_sum is cloned for AVX2 and AVX-512 and only the best clone runs here, so each level is built alone
+def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch, install_spy):
+    # tap_sum and gelu are cloned for AVX2 and AVX-512 and only the best clone runs here, so each level is built
+    # alone
     if ISA_LEVELS[level] and not cpu_has(ISA_LEVELS[level]):
         pytest.skip(f"this CPU cannot run {level} code")
-    source = "".join(line for line in kernels.SOURCE.read_text().splitlines(keepends=True)
-                     if "target_clones" not in line)
+    source = re.sub(r"__attribute__\(\(target_clones\([^)]*\)\)\)", "", kernels.SOURCE.read_text())
     library = tmp_path / f"kernels-{level}.so"
     subprocess.run(["cc", *kernels.FLAGS, f"-march={level}", "-o", str(library), "-x", "c", "-"],
                    input=source.encode(), capture_output=True, check=True, timeout=kernels.COMPILE_SECONDS)
     lib = ctypes.CDLL(str(library))
     for name, argtypes in kernels.ARGTYPES.items():
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
-    rng = np.random.default_rng(54)
-    # subnormals and signed zeros among the draws, on a transposed image and flipped kernels
-    image = np.where(rng.random((5, 37, 3, 4)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (5, 37, 3, 4)),
-                     rng.normal(size=(5, 37, 3, 4))).transpose(2, 3, 0, 1)
-    padded, k = np.pad(image, ((0, 0), (0, 0), (2, 2), (2, 2))), rng.normal(size=(3, 4, 5, 5))[:, :, ::-1, ::-1]
-    g = rng.normal(size=(3, 3 * 20, 4 * 9))  # unfold's output: 3 x 20 windows of 4 channels x 3 x 3
-    results = []
-    for loaded in (lib, None):
-        monkeypatch.setattr(kernels, "_loaded", [loaded])
-        cols = tensor.unfold(tensor.Tensor(image, requires_grad=True), 3, 3, stride=2, padding=(1, 2))
-        results.append([a.tobytes() for a in (tensor._tap_sum(padded, k, 5, 37), cols.data, *cols._vjp(g))])
-    assert results[0] == results[1]
+    for name, case in ISA_CASES.items():
+        spy = install_spy(lib)
+        compiled = [a.tobytes() for a in case()]
+        monkeypatch.setattr(kernels, "_loaded", [None])
+        assert name in spy.calls and compiled == [a.tobytes() for a in case()], name
 
 
 # numpy's AVX-512 code, turned off so that its AVX2 loops run, as on a host without AVX-512
@@ -152,6 +208,28 @@ def test_gelu_bits_do_not_depend_on_numpys_simd_dispatch():
     # the numpy path uses only exact IEEE operations and scipy's scalar erf, and the kernel neither
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", GELU_UNDER_AVX2], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+LAYER_NORM_UNDER_AVX2 = f"""
+from numpy._core._multiarray_umath import __cpu_features__
+from eegalign import kernels
+from test_kernels import layer_norm_outputs
+assert not any(__cpu_features__[name] for name in "{NO_AVX512}".split())
+assert kernels.compiled() is not None
+compiled = [a.tobytes() for a in layer_norm_outputs()]
+kernels._loaded[:] = [None]
+assert compiled == [a.tobytes() for a in layer_norm_outputs()]
+"""
+
+
+@needs_cc
+@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
+def test_layer_norm_bits_do_not_depend_on_numpys_simd_dispatch():
+    # numpy's row sums are its pairwise sum at every dispatch level, and the kernel's is the same order
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]))
+    done = subprocess.run([sys.executable, "-c", LAYER_NORM_UNDER_AVX2], env=env, capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eegalign import dynfilter, kernels
+from eegalign import backbone, dynfilter, kernels
 from eegalign import tensor as tz
 from eegalign.dynfilter import FilterGenerator
 from eegalign.errors import ContractError, DimensionError, DomainError
@@ -435,6 +435,14 @@ class TestOpGradients:
         report = grad_check(f, [x, g, b])
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize("width", [7, 9, 130])
+    def test_layer_norm(self, width, kernel_path):
+        rng = np.random.default_rng(width)
+        x, g, b = (Parameter(name, a) for name, a in zip("xgb", _ln_inputs(rng, 2, 3, width)))
+        probe = Tensor(_rand(rng, 2, 3, width))
+        report = grad_check(lambda: (layer_norm(x, g, b) * probe).sum(), [x, g, b])
+        assert report.passed, report.summary()
+
     def test_gelu_of_a_scalar(self, kernel_path):
         x = Parameter("x", 0.7)
         assert gelu(x).data == 0.5 * 0.7 * (1.0 + scipy.special.erf(0.7 / math.sqrt(2.0)))
@@ -783,27 +791,6 @@ class TestTapSum:
         assert got[number].tobytes() == want[number].tobytes()
 
 
-class _Spy:
-    """The loaded kernels, with the name of each one looked up recorded in ``calls``."""
-
-    def __init__(self, lib):
-        self.lib, self.calls = lib, []
-
-    def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self.lib, name)
-
-
-@pytest.fixture()
-def kernels_spy(monkeypatch):
-    """The compiled kernels behind a ``_Spy``, as ``kernels.compiled()`` returns them; skipped if they did not load."""
-    if kernels.compiled() is None:
-        pytest.skip("the compiled kernels did not load")
-    spy = _Spy(kernels.compiled())
-    monkeypatch.setattr(kernels, "_loaded", [spy])
-    return spy
-
-
 def _gelu_numpy(x):
     """tensor.gelu's forward by numpy and scipy: e = erf(x / sqrt(2)) and (0.5 * x) * (1 + e)."""
     e = scipy.special.erf(x / math.sqrt(2.0))
@@ -1016,6 +1003,36 @@ def _ln_inputs(rng, *shape):
     return [_rand(rng, *shape) * 3.0 + 1.0, 1.0 + 0.3 * _rand(rng, d), 0.2 * _rand(rng, d)]
 
 
+# every width at which numpy's pairwise sum changes its shape: fewer than 8 entries, 8 and a tail, one block of 128
+# and the split halves above it
+LN_WIDTHS = [1, 7, 8, 9, 64, 100, 128, 129, 300]
+LN_SPECIAL_ROWS = {
+    "-0.0": lambda d: np.full(d, -0.0),  # np.add.reduce starts from +0.0, so the mean is +0.0 and x - mean -0.0
+    "constant": lambda d: np.full(d, 0.1),
+    "nan": lambda d: np.where(np.arange(d) == d // 2, np.nan, np.linspace(-1.0, 1.0, d)),
+    "inf": lambda d: np.where(np.arange(d) == 0, np.inf, np.linspace(-1.0, 1.0, d)),
+    "-inf and inf": lambda d: np.where(np.arange(d) == d - 1, -np.inf, np.where(np.arange(d) == 0, np.inf, 1.0)),
+}
+
+
+def _assert_layer_norm_is_numpys(x, rng, monkeypatch, gain=None, bias=None):
+    """layer_norm's output and VJP on the path in use are bitwise those of the numpy path, and its output the
+    composite's. The VJP reads xhat and std; for a one-row input the gain gradient is g * xhat itself, so even the
+    sign of a zero in xhat shows."""
+    d = x.shape[-1]
+    gain = 1.0 + 0.3 * _rand(rng, d) if gain is None else gain
+    bias = 0.2 * _rand(rng, d) if bias is None else bias
+    g, results = _rand(rng, *x.shape), []
+    with np.errstate(invalid="ignore"):
+        composite = _layer_norm_composite(Tensor(x), Tensor(gain), Tensor(bias)).data
+        for _ in range(2):
+            out = layer_norm(*[Tensor(a, requires_grad=True) for a in (x, gain, bias)])
+            results.append([a.tobytes() for a in (out.data, *out._vjp(g))])
+            monkeypatch.setattr(kernels, "_loaded", [None])
+    assert results[0] == results[1]
+    assert results[0][0] == composite.tobytes()
+
+
 def _attn_inputs(rng, lead, m, n, d, dv):
     return [_rand(rng, *lead, m, d), _rand(rng, *lead, n, d), _rand(rng, *lead, n, dv)]
 
@@ -1047,6 +1064,60 @@ class TestFusedLayerNorm:
     def test_bad_affine_shape_rejected(self):
         with pytest.raises(DimensionError):
             layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (32, 21), (32, 1)], ids=str)
+    @pytest.mark.parametrize("width", LN_WIDTHS)
+    def test_bitwise_the_numpy_path_and_the_composite(self, width, lead, kernel_path, monkeypatch):
+        # offsets and magnitudes that make each sum's order show in its bits; with 5 rows or more, the first five
+        # are the special rows
+        rng = np.random.default_rng(width)
+        x = 10.0 ** rng.integers(-3, 4, size=lead + (width,)) * _rand(rng, *lead, width) + 7.0 * _rand(rng)
+        rows = x.reshape(-1, width)
+        if len(rows) >= len(LN_SPECIAL_ROWS):
+            rows[:len(LN_SPECIAL_ROWS)] = [row(width) for row in LN_SPECIAL_ROWS.values()]
+        _assert_layer_norm_is_numpys(x, rng, monkeypatch)
+
+    @pytest.mark.parametrize("row", sorted(LN_SPECIAL_ROWS))
+    @pytest.mark.parametrize("width", LN_WIDTHS)
+    def test_bitwise_the_numpy_path_on_a_special_row(self, width, row, kernel_path, monkeypatch):
+        _assert_layer_norm_is_numpys(LN_SPECIAL_ROWS[row](width), np.random.default_rng(width), monkeypatch)
+
+    @pytest.mark.parametrize("layout", ["transposed", "sliced", "gain (1, d)", "gain broadcast", "bias sliced"])
+    def test_any_other_layout_runs_numpy(self, layout, kernels_spy, monkeypatch):
+        rng = np.random.default_rng(56)
+        x, gain, bias = _ln_inputs(rng, 6, 9, 12)
+        if layout == "transposed":
+            x = x.transpose(1, 0, 2)
+        elif layout == "sliced":
+            x = x[:, ::2]
+        elif layout == "gain (1, d)":
+            gain = gain[None]
+        elif layout == "gain broadcast":
+            gain = np.broadcast_to(1.5, gain.shape)
+        else:
+            bias = _rand(rng, 24)[::2]
+        got = layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))
+        assert "layer_norm" not in kernels_spy.calls
+        monkeypatch.setattr(kernels, "_loaded", [None])
+        want = layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))
+        g = _rand(rng, *x.shape)
+        assert got.data.tobytes() == want.data.tobytes() and got._vjp(g)[0].tobytes() == want._vjp(g)[0].tobytes()
+
+    def test_the_kernel_runs_on_the_trunks_layer_norms(self, kernels_spy, monkeypatch):
+        # ln1 and ln2 of each of the two blocks: the last block's ln2 takes the CLS row alone
+        inputs = []
+
+        def recording_layer_norm(x, gain, bias):
+            inputs.append((x.data, gain.data, bias.data))
+            return layer_norm(x, gain, bias)
+
+        monkeypatch.setattr(backbone, "layer_norm", recording_layer_norm)
+        trunk = backbone.VisionBackbone(16, 8, 16, 2, 4, prompt_count=2, init=np.random.default_rng(57))
+        trunk.vit_forward(Tensor(_rand(np.random.default_rng(58), 3, trunk.sequence_length + 2, 16)))
+        assert len(inputs) == 4 and kernels_spy.calls.count("layer_norm") == 4
+        for x, gain, bias in inputs:
+            monkeypatch.setattr(kernels, "_loaded", [kernels_spy])
+            _assert_layer_norm_is_numpys(x, np.random.default_rng(59), monkeypatch, gain, bias)
 
 
 class TestFusedAttention:
