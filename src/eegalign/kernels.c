@@ -1,5 +1,5 @@
-/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step, tensor._gelu_parts and
-   tensor.layer_norm.
+/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step, tensor._gelu_parts,
+   tensor.layer_norm and tensor._softmax.
 
    Each does the floating-point operations of the numpy code it stands in for, in the same order for every
    entry, so its results are numpy's bit for bit; im2col only moves values. kernels.py builds it with
@@ -12,8 +12,13 @@
    carries them in xsf, with their coefficients. libm's erf gives other bits. Its passes are branch-free on
    purpose, the |t| <= 1 form over every entry first: a port that branched per entry ran no faster than numpy.
 
-   layer_norm's row sums are numpy's pairwise sum, the order np.add.reduce takes over a contiguous axis: eight
-   accumulators over blocks of up to 128 entries, and halves split at a multiple of 8 above that. */
+   layer_norm's and row_divide's row sums are numpy's pairwise sum, the order np.add.reduce takes over a
+   contiguous axis: eight accumulators over blocks of up to 128 entries, and halves split at a multiple of 8
+   above that.
+
+   The softmax is two row passes with numpy's exp between them: row_shift subtracts each row's max, which is
+   exact, and row_divide divides by the row's pairwise sum. The exp stays in numpy because numpy's SIMD exp
+   gives other bits than libm's. */
 #include <math.h>
 #include <stddef.h>
 
@@ -23,27 +28,38 @@
 #define CLONED
 #endif
 
-/* out[b, c, i, j] += 0.0 + padded[b, c, i + u, j + v] * k[b, c, u, v] for each tap (u, v) in row-major order.
-   out is zeroed and C-contiguous (B, C, h, w); padded is C-contiguous (B, C, h + kh - 1, w + kw - 1); k is
-   (B, C, kh, kw) with element strides k0..k3, which may be negative (a flipped view). The 0.0 + is the sum
-   numpy's einsum writes each tap as. */
+/* out[b, c, i, j] = the sum over taps (u, v), in row-major order from +0.0, of 0.0 + x[b, c, i + u - kh / 2,
+   j + v - kw / 2] * k[b, c, u, v], with x 0.0 outside its h x w image. Those zeros are multiplied too, as in the
+   numpy path's padded copy, so that an infinite or NaN tap gives numpy's NaN. x is (B, C, h, w) and k
+   (B, C, kh, kw), each read through its element strides, which may be negative (a flipped view); out is
+   C-contiguous (B, C, h, w). Each (b, c) image goes into plane, a zeroed (h + kh - 1) x (w + kw - 1) buffer whose
+   border stays zero, and each output row is summed in place while it is in L1. The 0.0 + is the sum numpy's
+   einsum writes each tap as. */
 CLONED
-void tap_sum(const double *restrict padded, const double *restrict k, ptrdiff_t k0, ptrdiff_t k1, ptrdiff_t k2,
-             ptrdiff_t k3, double *restrict out, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t h, ptrdiff_t w,
+void tap_sum(const double *restrict x, ptrdiff_t x0, ptrdiff_t x1, ptrdiff_t x2, ptrdiff_t x3,
+             const double *restrict k, ptrdiff_t k0, ptrdiff_t k1, ptrdiff_t k2, ptrdiff_t k3,
+             double *restrict plane, double *restrict out, ptrdiff_t bsz, ptrdiff_t ch, ptrdiff_t h, ptrdiff_t w,
              ptrdiff_t kh, ptrdiff_t kw)
 {
-    ptrdiff_t wp = w + kw - 1, plane = (h + kh - 1) * wp;
+    ptrdiff_t wp = w + kw - 1;
     for (ptrdiff_t b = 0; b < bsz; b++)
         for (ptrdiff_t c = 0; c < ch; c++) {
-            const double *x = padded + (b * ch + c) * plane;
+            const double *xc = x + b * x0 + c * x1, *kc = k + b * k0 + c * k1;
             double *o = out + (b * ch + c) * h * w;
-            for (ptrdiff_t u = 0; u < kh; u++)
-                for (ptrdiff_t v = 0; v < kw; v++) {
-                    double kv = k[b * k0 + c * k1 + u * k2 + v * k3];
-                    for (ptrdiff_t i = 0; i < h; i++)
+            for (ptrdiff_t i = 0; i < h; i++)
+                for (ptrdiff_t j = 0; j < w; j++)
+                    plane[(i + kh / 2) * wp + j + kw / 2] = xc[i * x2 + j * x3];
+            for (ptrdiff_t i = 0; i < h; i++, o += w) {
+                for (ptrdiff_t j = 0; j < w; j++)
+                    o[j] = 0.0;
+                for (ptrdiff_t u = 0; u < kh; u++)
+                    for (ptrdiff_t v = 0; v < kw; v++) {
+                        const double *row = plane + (i + u) * wp + v;
+                        double kv = kc[u * k2 + v * k3];
                         for (ptrdiff_t j = 0; j < w; j++)
-                            o[i * w + j] += 0.0 + x[(i + u) * wp + j + v] * kv;
-                }
+                            o[j] += 0.0 + row[j] * kv;
+                    }
+            }
         }
 }
 
@@ -238,5 +254,37 @@ void layer_norm(const double *restrict x, const double *restrict gain, const dou
             h[j] = (xr[j] - mean) / s;
             o[j] = h[j] * gain[j] + bias[j];
         }
+    }
+}
+
+/* tensor._softmax's first pass over n C-contiguous rows of d >= 1 entries: e = z - max(row). A row with a NaN
+   has the quiet NaN np.nan for its max, as np.max's vector loop returns it, so every entry of the row is NaN.
+   (np.max's scalar tail returns the NaN it meets instead, so a NaN of another sign or payload in that tail can
+   give the row's NaNs other bits than numpy's; they are NaN on both paths.) Which zero a tie of 0.0 and -0.0
+   keeps does not matter, since exp maps both to 1. */
+void row_shift(const double *restrict z, double *restrict e, ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t r = 0; r < n; r++) {
+        const double *zr = z + r * d;
+        double *er = e + r * d, m = zr[0];
+        int nan = 0;
+        for (ptrdiff_t j = 0; j < d; j++) {
+            m = zr[j] > m ? zr[j] : m;
+            nan |= isnan(zr[j]);
+        }
+        m = nan ? NAN : m;
+        for (ptrdiff_t j = 0; j < d; j++)
+            er[j] = zr[j] - m;
+    }
+}
+
+/* tensor._softmax's last pass, after numpy's exp, in place over n C-contiguous rows of d >= 1 entries:
+   e = e / (0.0 + sum(row)), the sum pairwise as np.sum takes it and one division per entry. */
+void row_divide(double *e, ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t r = 0; r < n; r++) {
+        double *er = e + r * d, s = 0.0 + pairwise(er, d);
+        for (ptrdiff_t j = 0; j < d; j++)
+            er[j] = er[j] / s;
     }
 }

@@ -28,12 +28,14 @@ _loaded: list = []  # empty until the first call, then [the library or None]
 _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 # each kernel's argument types, which a built library is given before any call; every kernel returns void
 ARGTYPES = {
-    "tap_sum": [_POINTER, _POINTER] + [_SIZE] * 4 + [_POINTER] + [_SIZE] * 6,
+    "tap_sum": ([_POINTER] + [_SIZE] * 4) * 2 + [_POINTER] * 2 + [_SIZE] * 6,
     "im2col": [_POINTER] + [_SIZE] * 4 + [_POINTER] + [_SIZE] * 11,
     "col2im": [_POINTER] + [_SIZE] * 6 + [_POINTER] + [_SIZE] * 9,
     "adam": [_POINTER] * 4 + [_SIZE] + [_DOUBLE] * 8,
     "gelu": [_POINTER] * 3 + [_SIZE],
     "layer_norm": [_POINTER] * 6 + [_SIZE] * 2 + [_DOUBLE],
+    "row_shift": [_POINTER] * 2 + [_SIZE] * 2,
+    "row_divide": [_POINTER] + [_SIZE] * 2,
 }
 
 

@@ -29,10 +29,14 @@ is closed-form and gated per parent in the same way.
 * ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
   softmax-Jacobian VJP; the heads are split from and merged back into
   the last axis inside the node;
-* ``softmax_rows`` and ``log_softmax_rows``;
+* ``softmax_rows`` and ``log_softmax_rows``, which refuse a missing or
+  empty axis. The softmax of ``attention`` and ``softmax_rows`` takes
+  the row max and pairwise row sum of a C-contiguous last axis in
+  ``kernels.c`` when it loaded, with numpy's exp between, and numpy's bits;
 * ``dynamic_conv``, the per-instance dynamic filter: its forward pass
-  sums the k*k shifted views of one zero-padded image, so no window
-  matrix is built; ``kernels.c`` does that sum when it loaded, with
+  sums the k*k shifted views of the zero-padded image, so no window
+  matrix is built; ``kernels.c`` does that sum when it loaded, reading
+  the image through its strides with no padded copy of the batch, with
   numpy's bits;
 * ``unfold``, im2col for ordinary strided convolutions: its window
   buffer and its VJP's sum of taps are ``kernels.c``'s ``im2col`` and
@@ -475,7 +479,25 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- composite numeric ops ----------------------------------------------
 
 
+def _require_rows(z: np.ndarray, axis: int) -> None:
+    """Refuse a softmax over an ``axis`` that ``z`` does not have, or whose rows are empty."""
+    if not -z.ndim <= axis < z.ndim:
+        raise DimensionError(f"softmax axis {axis} is not an axis of shape {z.shape}")
+    if not z.shape[axis]:
+        raise DimensionError(f"softmax rows along axis {axis} of shape {z.shape} are empty")
+
+
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """exp(z - max) / sum along ``axis``; for a C-contiguous float64 ``z`` and the last axis, the compiled max and
+    pairwise sum, exact or in numpy's own order, around numpy's exp, so both paths give the same bits."""
+    _require_rows(z, axis)
+    lib, d = compiled(), z.shape[axis]
+    if lib is not None and axis % z.ndim == z.ndim - 1 and z.dtype == _FLOAT64 and z.flags.c_contiguous:
+        e = np.empty_like(z)
+        lib.row_shift(z.ctypes.data, e.ctypes.data, z.size // d, d)
+        np.exp(e, out=e)
+        lib.row_divide(e.ctypes.data, z.size // d, d)
+        return e
     e = z - np.max(z, axis=axis, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
@@ -494,6 +516,7 @@ def softmax_rows(x, axis: int = -1) -> Tensor:
 def log_softmax_rows(x, axis: int = -1) -> Tensor:
     """log(softmax(x)) along ``axis``, shifted by the row maximum; one node."""
     x = as_tensor(x)
+    _require_rows(x.data, axis)
     z = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(z)
     s = e.sum(axis=axis, keepdims=True)
@@ -590,6 +613,8 @@ def attention(q, k, v, heads: int = 1) -> Tensor:
         raise DimensionError(f"query dim {d} != key dim {k.shape[-1]}")
     if heads < 1 or d % heads or dv % heads:
         raise DimensionError(f"{heads} heads do not divide query dim {d} and value dim {dv}")
+    if not k.shape[-2]:
+        raise DimensionError(f"attention needs at least one key, got k {k.shape}")
 
     def split(a):  # (..., N, h*e) -> (..., h, N, e)
         return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-2, -3)
@@ -691,24 +716,26 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return padded
 
 
-def _tap_sum(padded: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Sum over taps (u, v) of k[:, :, u, v] times the (u, v)-shifted h x w view of the C-contiguous ``padded``.
+def _tap_sum(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Sum over taps (u, v) of k[:, :, u, v] times ``x`` shifted by (u - kh // 2, v - kw // 2), zero outside it.
 
-    The compiled ``tap_sum`` does it when the kernels loaded; otherwise numpy does, on the whole batch. Both add
-    each tap's product into zeros in (u, v) order, so they give the same bits; ``k`` may be any strided view.
+    The compiled ``tap_sum`` does it when the kernels loaded, reading ``x`` and ``k`` through their strides;
+    otherwise numpy does, on a zero-padded copy of the whole batch. Both add each tap's product into zeros in
+    (u, v) order, multiplying the zeros outside the image too, so they give the same bits.
     """
-    if not (padded.flags.c_contiguous and padded.dtype == k.dtype == _FLOAT64
-            and padded.shape == k.shape[:2] + (h + k.shape[2] - 1, w + k.shape[3] - 1)):
-        raise ContractError(f"tap sum needs a C-contiguous float64 padded input that fits its {k.shape} kernels "
-                            f"and {h}x{w} output, got {padded.dtype} {padded.shape}")
-    out = np.zeros(padded.shape[:2] + (h, w))
+    if not (x.dtype == k.dtype == _FLOAT64 and x.ndim == k.ndim == 4 and x.shape[:2] == k.shape[:2]):
+        raise ContractError(f"tap sum needs float64 (B, C, h, w) images and (B, C, kh, kw) kernels, got "
+                            f"{x.dtype} {x.shape} and {k.dtype} {k.shape}")
+    (h, w), (kh, kw) = x.shape[2:], k.shape[2:]
     lib = compiled()
     if lib is not None:
-        strides = (s // k.itemsize for s in k.strides)
-        lib.tap_sum(padded.ctypes.data, k.ctypes.data, *strides, out.ctypes.data, *out.shape, *k.shape[2:])
+        out, plane = np.empty(x.shape), np.zeros((h + kh - 1, w + kw - 1))
+        xs, ks = ([s // a.itemsize for s in a.strides] for a in (x, k))
+        lib.tap_sum(x.ctypes.data, *xs, k.ctypes.data, *ks, plane.ctypes.data, out.ctypes.data, *x.shape, kh, kw)
         return out
-    for u in range(k.shape[2]):
-        for v in range(k.shape[3]):
+    padded, out = _pad(x, kh // 2, kw // 2), np.zeros(x.shape)
+    for u in range(kh):
+        for v in range(kw):
             out += np.einsum("bchw,bc->bchw", padded[:, :, u:u + h, v:v + w], k[:, :, u, v])
     return out
 
@@ -719,29 +746,25 @@ def dynamic_conv(x, k) -> Tensor:
     ``x`` is (B, C, H, W) and ``k`` is (B, C, kh, kw) with odd kh, kw:
     out[b, c, i, j] = sum_{u,v} k[b, c, u, v] * x[b, c, i + u - kh//2,
     j + v - kw//2], with x zero outside the image. The forward pass adds
-    the kh*kw shifted views of one padded image; no window matrix is
-    built. The kernel gradient is one reduction per tap, and the image
-    gradient is the same correlation of the padded output gradient with
-    the flipped kernel, each computed only when its parent needs it.
+    the kh*kw shifted views of the padded image (``_tap_sum``); no window
+    matrix is built. The kernel gradient is one reduction per tap over a
+    padded copy of x made in the VJP, and the image gradient is the same
+    tap sum of the output gradient with the flipped kernel, each computed
+    only when its parent needs it.
     """
     x, k = as_tensor(x), as_tensor(k)
     if x.ndim != 4 or k.ndim != 4 or k.shape[:2] != x.shape[:2]:
-        raise DimensionError(
-            f"dynamic_conv needs x (B, C, H, W) and k (B, C, kh, kw), got {x.shape} and {k.shape}"
-        )
-    h, w = x.shape[2], x.shape[3]
-    kh, kw = k.shape[2], k.shape[3]
+        raise DimensionError(f"dynamic_conv needs x (B, C, H, W) and k (B, C, kh, kw), got {x.shape} and {k.shape}")
+    (h, w), (kh, kw) = x.shape[2:], k.shape[2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise DimensionError(f"dynamic_conv needs odd-sized kernels, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
-    padded = _pad(x.data, ph, pw)
-    data = _tap_sum(padded, k.data, h, w)
+    data = _tap_sum(x.data, k.data)
 
     def vjp(g):
-        gx = _tap_sum(_pad(g, ph, pw), k.data[:, :, ::-1, ::-1], h, w) if x.requires_grad else None
+        gx = _tap_sum(g, k.data[:, :, ::-1, ::-1]) if x.requires_grad else None
         gk = None
         if k.requires_grad:
-            gk = np.empty(k.shape)
+            padded, gk = _pad(x.data, kh // 2, kw // 2), np.empty(k.shape)
             for u in range(kh):
                 for v in range(kw):
                     gk[:, :, u, v] = np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + h, v:v + w])

@@ -107,12 +107,15 @@ def unfold_outputs():
 
 
 def tap_sum_outputs():
-    # a zero-padded image and flipped kernels, with subnormals and signed zeros in the image
+    # a transposed image with subnormals and signed zeros, and flipped kernels with an infinite tap, whose
+    # products with the zeros outside the image are NaN
     rng = np.random.default_rng(55)
-    image = np.where(rng.random((3, 4, 5, 37)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (3, 4, 5, 37)),
-                     rng.normal(size=(3, 4, 5, 37)))
-    padded, k = np.pad(image, ((0, 0), (0, 0), (2, 2), (2, 2))), rng.normal(size=(3, 4, 5, 5))[:, :, ::-1, ::-1]
-    return [tensor._tap_sum(padded, k, 5, 37)]
+    image = np.where(rng.random((3, 4, 37, 5)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (3, 4, 37, 5)),
+                     rng.normal(size=(3, 4, 37, 5))).transpose(0, 1, 3, 2)
+    k = rng.normal(size=(3, 4, 5, 5))
+    k[1, 2, 0, 4] = np.inf
+    with np.errstate(invalid="ignore"):
+        return [tensor._tap_sum(image, k[:, :, ::-1, ::-1])]
 
 
 def adam_outputs():
@@ -150,9 +153,25 @@ def layer_norm_outputs():
     return results
 
 
+def softmax_outputs():
+    # row lengths around each of the pairwise sum's shapes, at magnitudes from 0.1 to 800, with a NaN row, a row
+    # with a NaN before a +inf, an infinite row, a row of -inf, a row of -0.0 and a constant row
+    rng = np.random.default_rng(58)
+    results = []
+    for d in (1, 7, 9, 21, 129, 300):
+        z = 10.0 ** rng.uniform(-1.0, 2.9, size=(4, 3, 1)) * rng.normal(size=(4, 3, d))
+        i = np.arange(d)
+        z[0, 0], z[0, 1, d // 2], z[0, 2, 0] = -0.0, np.nan, np.inf
+        z[1, 0], z[1, 1], z[1, 2] = -np.inf, 0.25, np.where(i == d // 2, np.nan, np.where(i == d - 1, np.inf, 1.0))
+        with np.errstate(invalid="ignore"):
+            results.append(tensor._softmax(z, -1))
+    return results
+
+
 # each kernel's case: a function of no arguments whose outputs come from that kernel when it is loaded
 ISA_CASES = {"tap_sum": tap_sum_outputs, "im2col": unfold_outputs, "col2im": unfold_outputs, "adam": adam_outputs,
-             "gelu": gelu_outputs, "layer_norm": layer_norm_outputs}
+             "gelu": gelu_outputs, "layer_norm": layer_norm_outputs, "row_shift": softmax_outputs,
+             "row_divide": softmax_outputs}
 
 
 def test_every_kernel_has_an_instruction_set_case():
@@ -211,26 +230,41 @@ def test_gelu_bits_do_not_depend_on_numpys_simd_dispatch():
     assert (done.returncode, done.stderr) == (0, b"")
 
 
-LAYER_NORM_UNDER_AVX2 = f"""
+ROWS_UNDER_AVX2 = f"""
 from numpy._core._multiarray_umath import __cpu_features__
 from eegalign import kernels
-from test_kernels import layer_norm_outputs
+from test_kernels import CASE
 assert not any(__cpu_features__[name] for name in "{NO_AVX512}".split())
 assert kernels.compiled() is not None
-compiled = [a.tobytes() for a in layer_norm_outputs()]
+compiled = [a.tobytes() for a in CASE()]
 kernels._loaded[:] = [None]
-assert compiled == [a.tobytes() for a in layer_norm_outputs()]
+assert compiled == [a.tobytes() for a in CASE()]
 """
+
+
+def run_under_avx2(case: str) -> tuple[int, bytes]:
+    """The exit status and stderr of a subprocess that checks ``case``'s outputs, kernels against numpy, with
+    numpy's AVX-512 code turned off."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]))
+    done = subprocess.run([sys.executable, "-c", ROWS_UNDER_AVX2.replace("CASE", case)], env=env,
+                          capture_output=True, timeout=120)
+    return done.returncode, done.stderr
 
 
 @needs_cc
 @pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
 def test_layer_norm_bits_do_not_depend_on_numpys_simd_dispatch():
     # numpy's row sums are its pairwise sum at every dispatch level, and the kernel's is the same order
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
-               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]))
-    done = subprocess.run([sys.executable, "-c", LAYER_NORM_UNDER_AVX2], env=env, capture_output=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, b"")
+    assert run_under_avx2("layer_norm_outputs") == (0, b"")
+
+
+@needs_cc
+@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
+def test_softmax_bits_do_not_depend_on_numpys_simd_dispatch():
+    # the same for the softmax's row sums, and its max is exact; its exp, whose bits change with the dispatch,
+    # is numpy's on both paths
+    assert run_under_avx2("softmax_outputs") == (0, b"")
 
 
 def no_compiler(tmp_path, monkeypatch):

@@ -333,6 +333,25 @@ def test_kernels_import_nothing_from_the_package():
     assert package_imports(ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))) == []
 
 
+def kernel_calls(tree: ast.Module) -> set[str]:
+    """The names a module calls on ``lib``, the loaded kernels: ``lib.gelu(x)`` gives ``gelu``."""
+    return {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "lib"}
+
+
+def test_every_kernel_is_called_in_the_package():
+    # a kernel that a refactor left behind would still be built, bound and checked against numpy
+    called = set().union(*(kernel_calls(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES))
+    assert sorted(set(kernels.ARGTYPES) - called) == []
+
+
+def test_kernel_call_scan_flags_toy_sources():
+    tree = ast.parse("lib.gelu(x)\nf = lib.adam\ns = 'lib.tap_sum(x)'\nother.im2col(x)\n# lib.col2im(x)\n"
+                     "lib.layer_norm.argtypes = []\n")
+    assert kernel_calls(tree) == {"gelu"}
+
+
 def kernel_imports(tree: ast.Module) -> list[str]:
     """The names a module imports from the package's ``kernels`` loader."""
     return sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

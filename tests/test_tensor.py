@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eegalign import backbone, dynfilter, kernels
+from eegalign import backbone, dynfilter, fusion, kernels
 from eegalign import tensor as tz
 from eegalign.dynfilter import FilterGenerator
 from eegalign.errors import ContractError, DimensionError, DomainError
@@ -702,6 +702,29 @@ class TestDynamicConv:
         gx, gk = dynamic_conv(Tensor(x0, requires_grad=True), Tensor(k0))._vjp(g)
         assert gk is None and gx.tobytes() == gx_live.tobytes()
 
+    @pytest.mark.parametrize("layout", ["transposed", "negative strides", "sliced"])
+    def test_any_image_layout_gives_the_padded_sums_bits(self, layout, kernel_path):
+        # an infinite and a NaN tap: their products with the zeros outside the image are NaN, as in numpy's padded
+        # copy. Which of two NaN addends a sum keeps is not compared (see TestTapSum)
+        rng = np.random.default_rng(44)
+        x = {"transposed": _rand(rng, 3, 2, 11, 7).transpose(0, 1, 3, 2),
+             "negative strides": _rand(rng, 3, 2, 7, 11)[:, ::-1, ::-1, ::-1],
+             "sliced": _rand(rng, 3, 4, 14, 11)[:, ::2, ::2]}[layout]
+        k, g = _rand(rng, 3, 2, 5, 3), _rand(rng, 3, 2, 11, 7).transpose(0, 1, 3, 2)
+        k[0, 1, 0, 2], k[2, 0, 4, 0] = np.inf, np.nan
+        padded, flipped = _pad_for(x, k), k[:, :, ::-1, ::-1]
+        want_gk = np.stack([np.einsum("bchw,bchw->bc", g, padded[:, :, u:u + 7, v:v + 11])
+                            for u in range(5) for v in range(3)], axis=-1).reshape(k.shape)
+        with np.errstate(invalid="ignore"):
+            out = dynamic_conv(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True))
+            got = [out.data, *out._vjp(g)]
+            want = [_whole_batch_tap_sum(padded, k, 7, 11), _whole_batch_tap_sum(_pad_for(g, k), flipped, 7, 11),
+                    want_gk]
+        assert np.isnan(want[0][0, 1]).any() and np.isnan(want[1][0, 1]).any()  # the infinite tap's zeros
+        for a, b in zip(got, want):
+            number = ~np.isnan(b)
+            assert np.array_equal(np.isnan(a), ~number) and a[number].tobytes() == b[number].tobytes()
+
     def test_records_nothing_under_no_grad(self):
         rng = np.random.default_rng(43)
         x = Tensor(_rand(rng, 1, 3, 6, 6), requires_grad=True)
@@ -719,6 +742,11 @@ class TestDynamicConv:
     def test_bad_shapes_rejected(self, xshape, kshape):
         with pytest.raises(DimensionError):
             dynamic_conv(Tensor(np.zeros(xshape)), Tensor(np.zeros(kshape)))
+
+
+def _pad_for(x, k):
+    """``x`` zero-padded by half of ``k``'s odd sides, as the tap sum reads it."""
+    return np.pad(x, ((0, 0), (0, 0), (k.shape[2] // 2,) * 2, (k.shape[3] // 2,) * 2))
 
 
 def _whole_batch_tap_sum(padded, k, h, w):
@@ -764,28 +792,27 @@ class TestTapSum:
     def test_bitwise_the_whole_batch_sum(self, case, flipped, kernel_path):
         bsz, ch, h, w, kh, kw = TAP_SUM_CASES[case]
         rng = np.random.default_rng(46)
-        padded = np.pad(_rand(rng, bsz, ch, h, w), ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        x = _rand(rng, bsz, ch, h, w)
         k = _rand(rng, bsz, ch, kh, kw)
         if flipped:  # the view with negative strides that the image-side VJP passes
             k = k[:, :, ::-1, ::-1]
-        assert np.array_equal(tz._tap_sum(padded, k, h, w), _whole_batch_tap_sum(padded, k, h, w))
+        assert np.array_equal(tz._tap_sum(x, k), _whole_batch_tap_sum(_pad_for(x, k), k, h, w))
 
-    @pytest.mark.parametrize("wrong", ["strided", "float32", "short", "batch"])
+    @pytest.mark.parametrize("wrong", ["rank", "float32", "channels", "batch"])
     def test_an_input_the_kernel_cannot_read_is_refused(self, wrong, kernel_path):
-        # the 3x3 kernels of two 3-channel samples and a 6x6 output need a C-contiguous float64 (2, 3, 8, 8)
-        padded = {"strided": np.zeros((2, 3, 8, 16))[..., ::2], "float32": np.zeros((2, 3, 8, 8), np.float32),
-                  "short": np.zeros((2, 3, 7, 8)), "batch": np.zeros((1, 3, 8, 8))}[wrong]
+        # the 3x3 kernels of two 3-channel samples need float64 (2, 3, h, w) images
+        x = {"rank": np.zeros((2, 3, 6)), "float32": np.zeros((2, 3, 6, 6), np.float32),
+             "channels": np.zeros((2, 2, 6, 6)), "batch": np.zeros((1, 3, 6, 6))}[wrong]
         with pytest.raises(ContractError, match="tap sum needs"):
-            tz._tap_sum(padded, np.zeros((2, 3, 3, 3)), 6, 6)
+            tz._tap_sum(x, np.zeros((2, 3, 3, 3)))
 
     def test_special_values_keep_their_bits(self, kernel_path):
         # a NaN's sign and payload are not compared: which of two NaN addends a sum keeps is the order in which
         # the machine code passes them, which neither numpy's loops nor a C compiler fixes
         rng = np.random.default_rng(47)
         x, k = (rng.choice(SPECIAL_VALUES, size=size, p=SPECIAL_ODDS) for size in ((4, 3, 6, 6), (4, 3, 3, 3)))
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         with np.errstate(invalid="ignore", over="ignore"):
-            got, want = tz._tap_sum(padded, k, 6, 6), _whole_batch_tap_sum(padded, k, 6, 6)
+            got, want = tz._tap_sum(x, k), _whole_batch_tap_sum(_pad_for(x, k), k, 6, 6)
         number = ~np.isnan(want)
         assert np.array_equal(np.isnan(got), ~number) and 100 < number.sum() < got.size
         assert got[number].tobytes() == want[number].tobytes()
@@ -1224,6 +1251,105 @@ class TestFusedLogSoftmax:
     def test_a_model_sized_call_is_one_node(self):
         x = Tensor(_rand(np.random.default_rng(83), 32, 32), requires_grad=True)
         assert _recorded_nodes(log_softmax_rows(x)) == 1
+
+
+# every row length at which numpy's pairwise sum changes its shape, and the trunk's 21 tokens
+SOFTMAX_WIDTHS = [1, 7, 8, 9, 16, 21, 128, 129, 300]
+SOFTMAX_SPECIAL_ROWS = {
+    "nan": lambda d: np.where(np.arange(d) == d // 2, np.nan, np.linspace(-1.0, 1.0, d)),
+    # a max that passed over the NaN would be inf, and inf - inf gives a NaN of another sign
+    "nan then inf": lambda d: np.where(np.arange(d) == d // 2, np.nan, np.where(np.arange(d) == d - 1, np.inf, 1.0)),
+    "inf": lambda d: np.where(np.arange(d) == 0, np.inf, np.linspace(-1.0, 1.0, d)),
+    "all -inf": lambda d: np.full(d, -np.inf),
+    "-0.0": lambda d: np.full(d, -0.0),
+    "constant": lambda d: np.full(d, 0.1),
+}
+
+
+def _assert_softmax_is_numpys(z, monkeypatch, axis=-1):
+    """``_softmax`` and ``softmax_rows``' value and VJP on the path in use give the numpy path's bits."""
+    g, results = _rand(np.random.default_rng(z.size), *z.shape), []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(2):
+            out = softmax_rows(Tensor(z, requires_grad=True), axis)
+            results.append([a.tobytes() for a in (tz._softmax(z, axis), out.data, *out._vjp(g))])
+            monkeypatch.setattr(kernels, "_loaded", [None])
+    assert results[0] == results[1]
+
+
+class TestSoftmaxKernel:
+    @pytest.mark.parametrize("lead", [(), (1,), (4, 5)], ids=str)
+    @pytest.mark.parametrize("width", SOFTMAX_WIDTHS)
+    def test_bitwise_the_numpy_path(self, width, lead, kernel_path, monkeypatch):
+        # magnitudes from 0.1 to 1e3 and one of 1e300, so that exp underflows; with 6 rows or more, the first six
+        # are the special rows
+        rng = np.random.default_rng(width)
+        z = 10.0 ** rng.uniform(-1.0, 3.0, size=lead + (1,)) * _rand(rng, *lead, width)
+        rows = z.reshape(-1, width)
+        rows[-1, -1] *= 1e300
+        if len(rows) >= len(SOFTMAX_SPECIAL_ROWS):
+            rows[:len(SOFTMAX_SPECIAL_ROWS)] = [row(width) for row in SOFTMAX_SPECIAL_ROWS.values()]
+        _assert_softmax_is_numpys(z, monkeypatch)
+
+    @pytest.mark.parametrize("row", sorted(SOFTMAX_SPECIAL_ROWS))
+    @pytest.mark.parametrize("width", SOFTMAX_WIDTHS)
+    def test_bitwise_the_numpy_path_on_a_special_row(self, width, row, kernel_path, monkeypatch):
+        _assert_softmax_is_numpys(SOFTMAX_SPECIAL_ROWS[row](width)[None], monkeypatch)
+
+    @pytest.mark.parametrize("layout", ["transposed", "sliced", "axis 0", "axis 1 of 3"])
+    def test_any_other_layout_runs_numpy(self, layout, kernels_spy, monkeypatch):
+        z, axis = _rand(np.random.default_rng(84), 6, 9) * 5.0, -1
+        if layout == "transposed":
+            z = z.T
+        elif layout == "sliced":
+            z = z[:, ::2]
+        elif layout == "axis 0":
+            axis = 0
+        else:
+            z, axis = z.reshape(2, 3, 9), 1
+        tz._softmax(z, axis)
+        softmax_rows(Tensor(z), axis)
+        assert not {"row_shift", "row_divide"} & set(kernels_spy.calls)
+        _assert_softmax_is_numpys(z, monkeypatch, axis)
+
+    def test_the_kernels_run_in_the_trunks_and_the_fusions_attention(self, kernels_spy, monkeypatch):
+        calls = []
+
+        def recording_attention(q, k, v, heads=1):
+            calls.append((q.data, k.data, v.data, heads))
+            return attention(q, k, v, heads)
+
+        for module in (backbone, fusion):
+            monkeypatch.setattr(module, "attention", recording_attention)
+        rng = np.random.default_rng(85)
+        trunk = backbone.VisionBackbone(16, 8, 16, 2, 4, prompt_count=2, init=rng)
+        trunk.vit_forward(Tensor(_rand(rng, 3, trunk.sequence_length + 2, 16)))
+        fusion.CrossAttentionFusion(16, rng, heads=2).fuse(Tensor(_rand(rng, 3, 5, 16)), Tensor(_rand(rng, 3, 5, 16)))
+        assert len(calls) == 3
+        assert kernels_spy.calls.count("row_shift") == kernels_spy.calls.count("row_divide") == 3
+        for q, k, v, heads in calls:
+            results, g = [], _rand(rng, *q.shape[:-1], v.shape[-1])
+            for lib in (kernels_spy, None):
+                monkeypatch.setattr(kernels, "_loaded", [lib])
+                out = attention(*[Tensor(a, requires_grad=True) for a in (q, k, v)], heads)
+                results.append([a.tobytes() for a in (out.data, *out._vjp(g))])
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("case,cause", [
+        ("0-d", "not an axis"), ("axis 2 of 2", "not an axis"), ("axis -3 of 2", "not an axis"),
+        ("empty rows", "are empty"),
+    ])
+    @pytest.mark.parametrize("op", [softmax_rows, log_softmax_rows])
+    def test_an_input_without_rows_is_refused(self, op, case, cause):
+        x, axis = {"0-d": (np.array(3.0), -1), "axis 2 of 2": (np.ones((2, 3)), 2),
+                   "axis -3 of 2": (np.ones((2, 3)), -3), "empty rows": (np.ones((2, 0)), -1)}[case]
+        with pytest.raises(DimensionError, match=cause):
+            op(Tensor(x), axis)
+
+    def test_attention_without_keys_is_refused(self):
+        q, k, v = np.ones((2, 3, 4)), np.ones((2, 0, 4)), np.ones((2, 0, 4))
+        with pytest.raises(DimensionError, match="at least one key"):
+            attention(Tensor(q), Tensor(k), Tensor(v), 2)
 
 
 def _backward_storing_every_grad(loss):
