@@ -1,20 +1,24 @@
-/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step, tensor._gelu_parts,
-   tensor.layer_norm and tensor._softmax.
+/* Compiled kernels for tensor._tap_sum, tensor.unfold's general path, trainer.Adam.step, tensor._gelu_parts and
+   tensor.gelu's VJP, tensor.layer_norm and its VJP, and tensor._softmax.
 
    Each does the floating-point operations of the numpy code it stands in for, in the same order for every
    entry, so its results are numpy's bit for bit; im2col only moves values. kernels.py builds it with
    -ffp-contract=off, so no multiply and add are fused, and never with -ffast-math, which reorders operations and
-   flushes subnormals. On x86-64, tap_sum and gelu are also compiled for AVX2 and AVX-512 and picked at load
-   time (CLONED): a vector lane per entry keeps each entry's operations in their order, so each clone gives the
-   same bits.
+   flushes subnormals. On x86-64, tap_sum, gelu and gelu_grad are also compiled for AVX2 and AVX-512 and picked at
+   load time (CLONED): a vector lane per entry keeps each entry's operations in their order, so each clone gives
+   the same bits.
 
    gelu's erf is scipy.special.erf's own: the Cephes erf and erfc of Stephen L. Moshier, as scipy (BSD-3)
    carries them in xsf, with their coefficients. libm's erf gives other bits. Its passes are branch-free on
    purpose, the |t| <= 1 form over every entry first: a port that branched per entry ran no faster than numpy.
 
-   layer_norm's and row_divide's row sums are numpy's pairwise sum, the order np.add.reduce takes over a
-   contiguous axis: eight accumulators over blocks of up to 128 entries, and halves split at a multiple of 8
-   above that.
+   gelu's VJP keeps numpy's exp between numpy's product and the kernel's pass: numpy forms exp(-0.5 * x * x) in
+   the buffer gelu_grad then finishes in place, since numpy's SIMD exp gives other bits than libm's, and gelu's own
+   exp(-a * a) is of another argument.
+
+   layer_norm's, layer_norm_grad's and row_divide's row sums are numpy's pairwise sum, the order np.add.reduce
+   takes over a contiguous axis: eight accumulators over blocks of up to 128 entries, and halves split at a
+   multiple of 8 above that.
 
    The softmax is two row passes with numpy's exp between them: row_shift subtracts each row's max, which is
    exact, and row_divide divides by the row's pairwise sum. The exp stays in numpy because numpy's SIMD exp
@@ -204,6 +208,16 @@ void gelu(const double *restrict x, double *restrict e, double *restrict out, pt
     }
 }
 
+/* tensor.gelu's VJP over n entries, after numpy has set w = exp((-0.5 * x) * x): w = g * (0.5 * (1 + e) +
+   x * (w * inv)), with e the forward's erf(x / sqrt(2)) and inv = 1 / sqrt(2 pi), in the numpy line's order. */
+CLONED
+void gelu_grad(const double *restrict g, const double *restrict x, const double *restrict e, double *restrict w,
+               ptrdiff_t n, double inv)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        w[i] = g[i] * (0.5 * (1.0 + e[i]) + x[i] * (w[i] * inv));
+}
+
 /* numpy's pairwise sum of a[0], ..., a[n - 1], n >= 1, without np.add.reduce's +0.0 start: a plain sum below 8
    entries; up to 128, eight accumulators taking every eighth entry, combined as ((r0 + r1) + (r2 + r3)) +
    ((r4 + r5) + (r6 + r7)), then the tail of fewer than 8 added one by one; above 128, the sum of the two halves,
@@ -254,6 +268,27 @@ void layer_norm(const double *restrict x, const double *restrict gain, const dou
             h[j] = (xr[j] - mean) / s;
             o[j] = h[j] * gain[j] + bias[j];
         }
+    }
+}
+
+/* tensor.layer_norm's input gradient over n C-contiguous rows of d >= 1 entries, from the forward's xhat and std:
+   per row, with gh = g * gain, gx = ((gh - mean(gh)) - xhat * mean(gh * xhat)) / std, each mean (0.0 + sum) / d
+   with the sum pairwise as numpy's mean takes it. gh is recomputed in each pass, and the gx row holds gh, then
+   gh * xhat, while they are summed. */
+void layer_norm_grad(const double *restrict g, const double *restrict gain, const double *restrict xhat,
+                     const double *restrict std, double *restrict gx, ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t r = 0; r < n; r++) {
+        const double *gr = g + r * d, *h = xhat + r * d;
+        double *o = gx + r * d;
+        for (ptrdiff_t j = 0; j < d; j++)
+            o[j] = gr[j] * gain[j];
+        double mean_gh = (0.0 + pairwise(o, d)) / (double)d;
+        for (ptrdiff_t j = 0; j < d; j++)
+            o[j] = gr[j] * gain[j] * h[j];
+        double mean_ghx = (0.0 + pairwise(o, d)) / (double)d;
+        for (ptrdiff_t j = 0; j < d; j++)
+            o[j] = ((gr[j] * gain[j] - mean_gh) - h[j] * mean_ghx) / std[r];
     }
 }
 

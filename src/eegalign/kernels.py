@@ -33,7 +33,9 @@ ARGTYPES = {
     "col2im": [_POINTER] + [_SIZE] * 6 + [_POINTER] + [_SIZE] * 9,
     "adam": [_POINTER] * 4 + [_SIZE] + [_DOUBLE] * 8,
     "gelu": [_POINTER] * 3 + [_SIZE],
+    "gelu_grad": [_POINTER] * 4 + [_SIZE, _DOUBLE],
     "layer_norm": [_POINTER] * 6 + [_SIZE] * 2 + [_DOUBLE],
+    "layer_norm_grad": [_POINTER] * 5 + [_SIZE] * 2,
     "row_shift": [_POINTER] * 2 + [_SIZE] * 2,
     "row_divide": [_POINTER] + [_SIZE] * 2,
 }

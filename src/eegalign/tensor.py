@@ -22,10 +22,10 @@ is closed-form and gated per parent in the same way.
   add) as the composite it replaces, so values and gradients are bitwise
   the composite's;
 * ``layer_norm``: normalization and affine, with the standard
-  layer-norm input gradient; its forward is ``kernels.c``'s when it
-  loaded, ``x`` is C-contiguous and gain and bias have ``x``'s last
-  shape, summing each row in numpy's pairwise order, so its bits are
-  the numpy lines';
+  layer-norm input gradient; both are ``kernels.c``'s when it loaded,
+  ``x`` (and for the gradient ``g``) is C-contiguous and gain and bias
+  have ``x``'s last shape, each row summed in numpy's pairwise order,
+  so their bits are the numpy lines';
 * ``attention``: multi-head softmax(q k^T / sqrt(d)) v with the
   softmax-Jacobian VJP; the heads are split from and merged back into
   the last axis inside the node;
@@ -42,9 +42,9 @@ is closed-form and gated per parent in the same way.
   buffer and its VJP's sum of taps are ``kernels.c``'s ``im2col`` and
   ``col2im`` when it loaded, which read the input through its strides
   with no padded copy, and give numpy's bits in numpy's layout;
-* ``gelu``, whose forward is ``kernels.c``'s when it loaded and the
-  input is dense in some axis order, with scipy's ``erf`` ported there,
-  so its bits are the numpy and scipy code's.
+* ``gelu``, whose forward, and VJP after numpy's in-place exp, are
+  ``kernels.c``'s when it loaded and x (and g) are dense in one axis
+  order, with scipy's ``erf`` ported there: the numpy code's bits.
 
 backward() stores gradients on leaves only; intermediate results are
 never given a ``.grad``.
@@ -357,8 +357,13 @@ def gelu(a) -> Tensor:
     e, data = _gelu_parts(a.data)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (0.5 * (1.0 + e) + a.data * pdf),)
+        x, lib = a.data, compiled()
+        if lib is not None and x.ndim and g.dtype == _FLOAT64 and g.strides == x.strides == e.strides:
+            w = np.multiply(-0.5, x)
+            np.exp(np.multiply(w, x, out=w), out=w)
+            lib.gelu_grad(g.ctypes.data, x.ctypes.data, e.ctypes.data, w.ctypes.data, x.size, _INV_SQRT_2PI)
+            return (w,)
+        return (g * (0.5 * (1.0 + e) + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)),)
 
     return _make(data, (a,), vjp)
 
@@ -541,17 +546,17 @@ def l2_normalize(x) -> Tensor:
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine.
 
-    One node. With xhat = (x - mean) / std and gh = g * gain, the input
-    gradient is the closed form (gh - mean(gh) - xhat * mean(gh * xhat))
-    / std over the last axis (Ba et al., arXiv 1607.06450); the gain and
-    bias gradients are g * xhat and g summed to their shapes. Each is
-    computed only when its parent needs it. The compiled ``layer_norm``
-    takes a C-contiguous x with (d,) gain and bias, with these lines' bits.
+    One node. With xhat = (x - mean) / std and gh = g * gain, the input gradient is the closed form
+    (gh - mean(gh) - xhat * mean(gh * xhat)) / std over the last axis (Ba et al., arXiv 1607.06450); the gain and
+    bias gradients are g * xhat and g summed to their shapes. Each is computed only when its parent needs it.
+    The compiled ``layer_norm`` takes the forward of a C-contiguous x with (d,) gain and bias (``fused``), and
+    then ``layer_norm_grad`` the input gradient of a C-contiguous g, each with these lines' bits.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     lib = compiled()
-    if lib is not None and x.ndim and x.data.size and gain.shape == bias.shape == x.shape[-1:] and all(
-            a.flags.c_contiguous for a in (x.data, gain.data, bias.data)):
+    fused = lib is not None and x.ndim and x.data.size and gain.shape == bias.shape == x.shape[-1:] and all(
+        a.flags.c_contiguous for a in (x.data, gain.data, bias.data))
+    if fused:
         xhat, std, data = np.empty_like(x.data), np.empty(x.shape[:-1] + (1,)), np.empty_like(x.data)
         lib.layer_norm(x.data.ctypes.data, gain.data.ctypes.data, bias.data.ctypes.data, xhat.ctypes.data,
                        std.ctypes.data, data.ctypes.data, x.data.size // x.shape[-1], x.shape[-1], LN_EPS)
@@ -567,7 +572,11 @@ def layer_norm(x, gain, bias) -> Tensor:
 
     def vjp(g):
         gx = None
-        if x.requires_grad:
+        if x.requires_grad and fused and g.dtype == _FLOAT64 and g.flags.c_contiguous:
+            gx = np.empty_like(g)
+            lib.layer_norm_grad(g.ctypes.data, gain.data.ctypes.data, xhat.ctypes.data, std.ctypes.data,
+                                gx.ctypes.data, g.size // x.shape[-1], x.shape[-1])
+        elif x.requires_grad:
             gh = g * gain.data
             gx = (gh - gh.mean(axis=-1, keepdims=True)
                   - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std

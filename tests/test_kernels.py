@@ -139,17 +139,32 @@ def gelu_outputs():
         return list(tensor._gelu_parts(x.reshape(3, 500).T))
 
 
+def gelu_grad_outputs():
+    # the VJP on both sides of |x / sqrt(2)| = 1 and 8 and where exp(-x * x / 2) turns subnormal and then 0, with
+    # the special values in x and, at other entries, in g, over several 512-entry blocks, transposed
+    rng = np.random.default_rng(59)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 1488), np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0]),
+                        [37.5, -38.6, 1e3, 0.0, -0.0, 5e-324, np.inf, -np.inf]]).reshape(3, 500)
+    g = rng.normal(size=(3, 500))
+    g[0, 7], g[1, 100], g[1, 333], g[2, 4] = np.nan, np.inf, -np.inf, -0.0
+    with np.errstate(invalid="ignore"):
+        return list(tensor.gelu(tensor.Tensor(x.T, requires_grad=True))._vjp(g.T))
+
+
 def layer_norm_outputs():
-    # widths around each of the pairwise sum's shapes, with a -0.0, a NaN and an infinite row
+    # widths around each of the pairwise sum's shapes, with a -0.0, a NaN and an infinite row in x, and in other
+    # rows a -0.0, a NaN and an infinite entry in the VJP's g
     rng = np.random.default_rng(57)
     results = []
     for d in (3, 9, 64, 129, 300):
         x = 10.0 ** rng.integers(-3, 4, size=(4, 5, d)) * rng.normal(size=(4, 5, d)) + 7.0
         x[0, 0], x[0, 1, d // 2], x[0, 2, 0] = -0.0, np.nan, np.inf
         ts = [tensor.Tensor(a, requires_grad=True) for a in (x, 1.0 + rng.normal(size=d), rng.normal(size=d))]
+        g = rng.normal(size=x.shape)
+        g[1, 0], g[1, 1, d // 2], g[1, 2, -1] = -0.0, np.nan, -np.inf
         with np.errstate(invalid="ignore"):
             out = tensor.layer_norm(*ts)
-            results += [out.data, *out._vjp(rng.normal(size=x.shape))]
+            results += [out.data, *out._vjp(g)]
     return results
 
 
@@ -170,8 +185,8 @@ def softmax_outputs():
 
 # each kernel's case: a function of no arguments whose outputs come from that kernel when it is loaded
 ISA_CASES = {"tap_sum": tap_sum_outputs, "im2col": unfold_outputs, "col2im": unfold_outputs, "adam": adam_outputs,
-             "gelu": gelu_outputs, "layer_norm": layer_norm_outputs, "row_shift": softmax_outputs,
-             "row_divide": softmax_outputs}
+             "gelu": gelu_outputs, "gelu_grad": gelu_grad_outputs, "layer_norm": layer_norm_outputs,
+             "layer_norm_grad": layer_norm_outputs, "row_shift": softmax_outputs, "row_divide": softmax_outputs}
 
 
 def test_every_kernel_has_an_instruction_set_case():
@@ -182,8 +197,8 @@ def test_every_kernel_has_an_instruction_set_case():
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not an x86-64 CPU")
 @pytest.mark.parametrize("level", sorted(ISA_LEVELS))
 def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch, install_spy):
-    # tap_sum and gelu are cloned for AVX2 and AVX-512 and only the best clone runs here, so each level is built
-    # alone
+    # tap_sum, gelu and gelu_grad are cloned for AVX2 and AVX-512 and only the best clone runs here, so each level
+    # is built alone
     if ISA_LEVELS[level] and not cpu_has(ISA_LEVELS[level]):
         pytest.skip(f"this CPU cannot run {level} code")
     source = re.sub(r"__attribute__\(\(target_clones\([^)]*\)\)\)", "", kernels.SOURCE.read_text())
@@ -257,6 +272,13 @@ def run_under_avx2(case: str) -> tuple[int, bytes]:
 def test_layer_norm_bits_do_not_depend_on_numpys_simd_dispatch():
     # numpy's row sums are its pairwise sum at every dispatch level, and the kernel's is the same order
     assert run_under_avx2("layer_norm_outputs") == (0, b"")
+
+
+@needs_cc
+@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
+def test_gelu_vjp_bits_do_not_depend_on_numpys_simd_dispatch():
+    # numpy's exp gives other bits under AVX2 than under AVX-512, and the kernel takes it from numpy on both paths
+    assert run_under_avx2("gelu_grad_outputs") == (0, b"")
 
 
 @needs_cc

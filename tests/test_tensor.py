@@ -10,9 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from eegalign import backbone, dynfilter, fusion, kernels
 from eegalign import tensor as tz
+from eegalign.config import default_config
+from eegalign.data import generate_synthetic, make_batch, zero_shot_split
 from eegalign.dynfilter import FilterGenerator
 from eegalign.errors import ContractError, DimensionError, DomainError
 from eegalign.gradchecks import grad_check
+from eegalign.model import AlignmentModel
 from eegalign.tensor import (
     Parameter,
     Tensor,
@@ -39,6 +42,7 @@ from eegalign.tensor import (
     transpose,
     unfold,
 )
+from eegalign.trainer import Adam, train_step
 
 
 def _rand(rng, *shape):
@@ -925,6 +929,88 @@ class TestGelu:
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
+# every row length at which a SIMD loop's tail or numpy's pairwise sum changes its shape
+VJP_WIDTHS = [1, 7, 8, 9, 64, 128, 129, 300]
+# |x| from 37.5 up, where exp(-0.5 * x * x) turns subnormal (about 37.6) and then 0 (about 38.6)
+GELU_VJP_X_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 37.5, -38.0, 38.5, -38.6, 39.0, -40.0, 1e3])
+GELU_VJP_G_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+
+
+def _assert_gelu_vjp_is_numpys(x, g, monkeypatch):
+    """gelu's VJP on the path in use gives the numpy path's bits and strides, and the closed form's."""
+    results = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(2):
+            (got,) = gelu(Tensor(x, requires_grad=True))._vjp(g)
+            results.append((got.tobytes(), got.strides))
+            monkeypatch.setattr(kernels, "_loaded", [None])
+        e, pdf = scipy.special.erf(x / math.sqrt(2.0)), np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        want = g * (0.5 * (1.0 + e) + x * pdf)
+    assert results[0] == results[1] == (want.tobytes(), want.strides)
+
+
+def _with_specials(a, specials, start):
+    """``a`` with ``specials`` written over every 5th entry from ``start`` on, in turn."""
+    flat = a.reshape(-1)
+    at = np.arange(start, flat.size, 5)
+    flat[at] = np.resize(specials, at.size)
+    return a
+
+
+class TestGeluVjpKernel:
+    @pytest.mark.parametrize("lead", [(), (4, 5)], ids=str)
+    @pytest.mark.parametrize("width", VJP_WIDTHS)
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 40.0])
+    def test_bitwise_the_numpy_path(self, scale, width, lead, kernel_path, monkeypatch):
+        rng = np.random.default_rng(width)
+        x, g = scale * _rand(rng, *lead, width), _rand(rng, *lead, width)
+        _assert_gelu_vjp_is_numpys(x, g, monkeypatch)
+
+    @pytest.mark.parametrize("width", VJP_WIDTHS)
+    def test_bitwise_the_numpy_path_with_special_entries(self, width, kernel_path, monkeypatch):
+        # the specials of x and of g sit at different entries, each of them in a SIMD body and in its tail
+        rng = np.random.default_rng(width)
+        x = _with_specials(3.0 * _rand(rng, 4, 5, width), GELU_VJP_X_SPECIALS, 0)
+        g = _with_specials(_rand(rng, 4, 5, width), GELU_VJP_G_SPECIALS, 2)
+        _assert_gelu_vjp_is_numpys(x, g, monkeypatch)
+
+    def test_a_nan_of_g_on_a_nan_of_the_vjp_gives_nan(self, kernel_path, monkeypatch):
+        # at x = +-inf the VJP makes inf * 0, a NaN of its own; which of two NaNs a product keeps is its operand
+        # order in the machine code, and numpy's own loop keeps g's in its body and the other in its tail, so only
+        # the finite entries' bits are compared
+        x = np.where(np.arange(40) % 4 == 0, np.inf, np.linspace(-3.0, 3.0, 40))
+        g = np.where(np.arange(40) % 2 == 0, np.nan, 1.5)
+        results = []
+        with np.errstate(invalid="ignore"):
+            for _ in range(2):
+                (got,) = gelu(Tensor(x, requires_grad=True))._vjp(g)
+                results.append(got)
+                monkeypatch.setattr(kernels, "_loaded", [None])
+        number = ~np.isnan(results[1])
+        assert np.array_equal(np.isnan(results[0]), ~number) and number.sum() == 20
+        assert results[0][number].tobytes() == results[1][number].tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 4)], ids=str)
+    def test_a_scalar_or_an_empty_input_keeps_numpys_bits(self, shape, kernel_path, monkeypatch):
+        # a 0-d x runs numpy: -0.5 * x of it is a numpy scalar, which cannot take the exp in place
+        rng = np.random.default_rng(86)
+        _assert_gelu_vjp_is_numpys(_rand(rng, *shape), _rand(rng, *shape), monkeypatch)
+
+    @pytest.mark.parametrize("layout", ["transposed", "transposed g", "sliced", "broadcast", "float32 g"])
+    def test_which_layouts_take_the_kernel(self, layout, kernels_spy, monkeypatch):
+        # x, g and the forward's e must share their strides: then x is dense and the kernel runs on the flat
+        # buffers; a transposed x with a g of its own layout qualifies
+        rng = np.random.default_rng(87)
+        base, g = 3.0 * _rand(rng, 6, 40), _rand(rng, 6, 40)
+        x = {"transposed": base.T, "transposed g": base.T, "sliced": base[:, ::2],
+             "broadcast": np.broadcast_to(base[0], (6, 40)), "float32 g": base}[layout]
+        g = {"transposed": g.T, "transposed g": np.ascontiguousarray(g.T), "sliced": g[:, ::2],
+             "float32 g": g.astype(np.float32)}.get(layout, g)
+        gelu(Tensor(x, requires_grad=True))._vjp(g)
+        assert ("gelu_grad" in kernels_spy.calls) == (layout == "transposed")
+        _assert_gelu_vjp_is_numpys(x, g, monkeypatch)
+
+
 # -- fused ops against the primitive compositions they replaced -----------
 
 
@@ -1042,22 +1128,23 @@ LN_SPECIAL_ROWS = {
 }
 
 
-def _assert_layer_norm_is_numpys(x, rng, monkeypatch, gain=None, bias=None):
-    """layer_norm's output and VJP on the path in use are bitwise those of the numpy path, and its output the
-    composite's. The VJP reads xhat and std; for a one-row input the gain gradient is g * xhat itself, so even the
-    sign of a zero in xhat shows."""
+def _assert_layer_norm_is_numpys(x, rng, monkeypatch, gain=None, bias=None, g=None, live=(True, True, True)):
+    """layer_norm's output and its VJP's three outputs on the path in use are bitwise those of the numpy path, with
+    their strides, and its output the composite's. The VJP reads xhat and std; for a one-row input the gain
+    gradient is g * xhat itself, so even the sign of a zero in xhat shows. ``g`` is a normal draw unless given;
+    ``live`` says which of x, gain and bias take a gradient."""
     d = x.shape[-1]
     gain = 1.0 + 0.3 * _rand(rng, d) if gain is None else gain
     bias = 0.2 * _rand(rng, d) if bias is None else bias
-    g, results = _rand(rng, *x.shape), []
+    g, results = _rand(rng, *x.shape) if g is None else g, []
     with np.errstate(invalid="ignore"):
         composite = _layer_norm_composite(Tensor(x), Tensor(gain), Tensor(bias)).data
         for _ in range(2):
-            out = layer_norm(*[Tensor(a, requires_grad=True) for a in (x, gain, bias)])
-            results.append([a.tobytes() for a in (out.data, *out._vjp(g))])
+            out = layer_norm(*[Tensor(a, requires_grad=r) for a, r in zip((x, gain, bias), live)])
+            results.append([a if a is None else (a.tobytes(), a.strides) for a in (out.data, *out._vjp(g))])
             monkeypatch.setattr(kernels, "_loaded", [None])
     assert results[0] == results[1]
-    assert results[0][0] == composite.tobytes()
+    assert results[0][0] == (composite.tobytes(), composite.strides)
 
 
 def _attn_inputs(rng, lead, m, n, d, dv):
@@ -1109,8 +1196,11 @@ class TestFusedLayerNorm:
     def test_bitwise_the_numpy_path_on_a_special_row(self, width, row, kernel_path, monkeypatch):
         _assert_layer_norm_is_numpys(LN_SPECIAL_ROWS[row](width), np.random.default_rng(width), monkeypatch)
 
-    @pytest.mark.parametrize("layout", ["transposed", "sliced", "gain (1, d)", "gain broadcast", "bias sliced"])
+    @pytest.mark.parametrize("layout", ["transposed", "sliced", "gain (1, d)", "gain broadcast", "bias sliced",
+                                        "g transposed"])
     def test_any_other_layout_runs_numpy(self, layout, kernels_spy, monkeypatch):
+        # a transposed x meets a g of another layout, C order; a g that is not in C order lets the forward run the
+        # kernel, but its VJP runs numpy, whose row means then take another order
         rng = np.random.default_rng(56)
         x, gain, bias = _ln_inputs(rng, 6, 9, 12)
         if layout == "transposed":
@@ -1121,14 +1211,38 @@ class TestFusedLayerNorm:
             gain = gain[None]
         elif layout == "gain broadcast":
             gain = np.broadcast_to(1.5, gain.shape)
-        else:
+        elif layout == "bias sliced":
             bias = _rand(rng, 24)[::2]
-        got = layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))
-        assert "layer_norm" not in kernels_spy.calls
-        monkeypatch.setattr(kernels, "_loaded", [None])
-        want = layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))
         g = _rand(rng, *x.shape)
-        assert got.data.tobytes() == want.data.tobytes() and got._vjp(g)[0].tobytes() == want._vjp(g)[0].tobytes()
+        if layout == "g transposed":
+            g = np.ascontiguousarray(g.transpose(1, 0, 2)).transpose(1, 0, 2)
+        layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))._vjp(g)
+        assert ("layer_norm" in kernels_spy.calls) == (layout == "g transposed")
+        assert "layer_norm_grad" not in kernels_spy.calls
+        _assert_layer_norm_is_numpys(x, rng, monkeypatch, gain, bias, g)
+
+    @pytest.mark.parametrize("width", LN_WIDTHS)
+    def test_bitwise_the_numpy_path_with_special_gradient_rows(self, width, kernel_path, monkeypatch):
+        # the special rows in g, in other rows than the special rows of x
+        rng = np.random.default_rng(width)
+        x, g = 3.0 * _rand(rng, 2, 6, width) + 1.0, _rand(rng, 2, 6, width)
+        x.reshape(-1, width)[:5] = [row(width) for row in LN_SPECIAL_ROWS.values()]
+        g.reshape(-1, width)[6:11] = [row(width) for row in LN_SPECIAL_ROWS.values()]
+        _assert_layer_norm_is_numpys(x, rng, monkeypatch, g=g)
+
+    def test_a_frozen_input_takes_only_the_affine_gradients(self, kernels_spy, monkeypatch):
+        rng = np.random.default_rng(60)
+        x, gain, bias = _ln_inputs(rng, 4, 7, 64)
+        layer_norm(Tensor(x), Tensor(gain, requires_grad=True), Tensor(bias))._vjp(_rand(rng, *x.shape))
+        assert kernels_spy.calls == ["layer_norm"]
+        for live in [(False, True, True), (False, True, False), (False, False, True)]:
+            _assert_layer_norm_is_numpys(x, rng, monkeypatch, gain, bias, live=live)
+            monkeypatch.setattr(kernels, "_loaded", [kernels_spy])
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.parametrize("shape", [(0, 6), (2, 0)], ids=str)
+    def test_an_empty_input_keeps_numpys_bits(self, shape, kernel_path, monkeypatch):
+        _assert_layer_norm_is_numpys(np.ones(shape), np.random.default_rng(61), monkeypatch)
 
     def test_the_kernel_runs_on_the_trunks_layer_norms(self, kernels_spy, monkeypatch):
         # ln1 and ln2 of each of the two blocks: the last block's ln2 takes the CLS row alone
@@ -1145,6 +1259,43 @@ class TestFusedLayerNorm:
         for x, gain, bias in inputs:
             monkeypatch.setattr(kernels, "_loaded", [kernels_spy])
             _assert_layer_norm_is_numpys(x, np.random.default_rng(59), monkeypatch, gain, bias)
+
+
+def test_the_vjp_kernels_run_in_a_training_step(kernels_spy, monkeypatch):
+    # each gelu and layer_norm node's VJP, with the kernels it called, in one real step of a small model: the
+    # trunk's MLP GELUs and layer norms and the fusion gate's GELU take the kernels, and so does the filter
+    # generator's fc GELU. Its two conv GELUs run numpy, since their g has other strides than x: the first gets a
+    # strided view of unfold's padded sum from unfold's VJP, the second a broadcast from the mean's VJP
+    seen = []
+
+    def recording(where, op):
+        def record(*args):
+            out = op(*args)
+            vjp = out._vjp
+
+            def spied(g):
+                start = len(kernels_spy.calls)
+                grads = vjp(g)
+                seen.append((where, kernels_spy.calls[start:]))
+                return grads
+
+            out._vjp = spied
+            return out
+
+        return record
+
+    for module in (backbone, fusion, dynfilter):
+        monkeypatch.setattr(module, "gelu", recording(module.__name__.rsplit(".", 1)[1], gelu))
+    monkeypatch.setattr(backbone, "layer_norm", recording("layer_norm", layer_norm))
+    cfg = default_config()
+    cfg.encoder.dim = cfg.backbone.dim = 16
+    cfg.backbone.layers, cfg.backbone.heads, cfg.backbone.patch, cfg.backbone.prompts = 2, 2, 8, 2
+    model = AlignmentModel(cfg, channels=4, timesteps=12, image_size=16)
+    data = generate_synthetic(seed=0, n_classes=5, per_class=6, channels=4, timesteps=12, height=16, noise=0.2)
+    train = zero_shot_split(data, n_test_classes=1, n_val_samples=6, seed=0)["train"]
+    train_step(model, make_batch(train, np.arange(8)), Adam(model.group("A"), 0.002), Adam(model.group("B"), 0.02))
+    assert sorted(seen) == sorted([("backbone", ["gelu_grad"])] * 2 + [("layer_norm", ["layer_norm_grad"])] * 4 + [
+        ("fusion", ["gelu_grad"]), ("dynfilter", ["gelu_grad"]), ("dynfilter", []), ("dynfilter", [])])
 
 
 class TestFusedAttention:
