@@ -7,8 +7,8 @@ dataset's manifest and splits, the checkpoint's files, the config file).
 Every file goes through `write_atomically`, staged as `<path>.tmp` and moved
 into place when complete: a failed command removes only a directory it
 created, and a killed one may leave `.tmp` files but never a partial
-target. `train` accepts dotted config overrides such as `--loss.mu 1`
-after its flags.
+target. `train` takes one option per config key (`--loss.mu 1`), and
+every refused argument is one `error: ...` line with exit status 2.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .bundle import MANIFEST_NAME, write_atomically, write_json
 from .config import (
     RunConfig,
     apply_overrides,
+    config_to_dict,
     default_config,
     load_config,
 )
@@ -99,7 +100,7 @@ def _fresh_outputs(dirs):
 # -- gen-data ----------------------------------------------------------------
 
 
-def cmd_gen_data(args, extras) -> int:
+def cmd_gen_data(args) -> int:
     _claim_outputs([("dataset directory", args.out, True)], inputs=[], force=args.force)
     data = generate_synthetic(
         seed=args.seed,
@@ -133,38 +134,9 @@ def cmd_gen_data(args, extras) -> int:
 # -- train -------------------------------------------------------------------
 
 
-def _parse_dotted_overrides(tokens: list[str]) -> dict[str, str]:
-    """Turn leftover argv (`--loss.mu 1` or `--loss.mu=1`) into a dict."""
-    overrides: dict[str, str] = {}
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if not token.startswith("--") or "." not in token:
-            raise ConfigError(
-                f"unrecognized argument {token!r}; config overrides look like --section.key value"
-            )
-        key = token[2:]
-        if "=" in key:
-            key, value = key.split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(tokens):
-                raise ConfigError(f"override {token!r} is missing a value")
-            value = tokens[i + 1]
-            i += 2
-        overrides[key] = value
-    return overrides
-
-
-def _resolve_config(config_path: str | None, args, extras) -> RunConfig:
+def _resolve_config(config_path: str | None, args) -> RunConfig:
     cfg = load_config(config_path) if config_path else default_config()
-    overrides = {}
-    if args.epochs is not None:
-        overrides["trainer.epochs"] = str(args.epochs)
-    if args.seed is not None:
-        overrides["trainer.seed"] = str(args.seed)
-    overrides.update(_parse_dotted_overrides(extras))
-    return apply_overrides(cfg, overrides)
+    return apply_overrides(cfg, {key: value for key, value in vars(args).items() if "." in key})
 
 
 def _training_outputs(args):
@@ -197,9 +169,9 @@ def _run_one_training(cfg: RunConfig, manifest, train, val, out_dir: str, log_pa
     return ckpt, history
 
 
-def cmd_train(args, extras) -> int:
+def cmd_train(args) -> int:
     config_path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = _resolve_config(config_path, args, extras)
+    cfg = _resolve_config(config_path, args)
     cfg.data.path = args.data
 
     if args.repeats < 1:
@@ -249,7 +221,7 @@ def _evaluate_checkpoint(args, outputs):
                               train_class_ids=train_ids, batch_size=ckpt.config.trainer.batch_size)
 
 
-def cmd_eval(args, extras) -> int:
+def cmd_eval(args) -> int:
     report, _ = _evaluate_checkpoint(args, [("report", args.out, False)] if args.out else [])
     out = {f"Top-{k}": report.top_k[k] for k in sorted(report.top_k)}
     out["mAP"] = report.map_score
@@ -261,7 +233,7 @@ def cmd_eval(args, extras) -> int:
     return 0
 
 
-def cmd_export_sim(args, extras) -> int:
+def cmd_export_sim(args) -> int:
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
     report, sim = _evaluate_checkpoint(args, [("CSV", args.out, False), ("report", report_path, False)])
     report.similarity_path = args.out
@@ -277,7 +249,7 @@ def cmd_export_sim(args, extras) -> int:
 # -- gradcheck ----------------------------------------------------------------
 
 
-def cmd_gradcheck(args, extras) -> int:
+def cmd_gradcheck(args) -> int:
     names = None if args.all else args.components
     if not names and not args.all:
         raise ConfigError("name components to check or pass --all; "
@@ -299,8 +271,23 @@ def cmd_gradcheck(args, extras) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, or subparser, that takes no abbreviated flag and refuses bad argv with a ConfigError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)  # else --loss.lam would mean --loss.lambda
+
+    def error(self, message):
+        raise ConfigError(message)
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # `--flag=--`: argparse before 3.13 drops the "--"
+            self.error(f"argument {action.option_strings[0]}: expected a value, not --")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eegalign",
         description="EEG-image alignment: synthetic data, training, retrieval evaluation.",
     )
@@ -325,10 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--config", help=f"config JSON (default: ${CONFIG_ENV} if set, else built-ins)")
     p.add_argument("--log", help="training log path (default: <out>/train_log.jsonl)")
-    p.add_argument("--epochs", type=int, help="shortcut for --trainer.epochs")
-    p.add_argument("--seed", type=int, help="shortcut for --trainer.seed")
     p.add_argument("--repeats", type=int, default=1, help="train this many seeds, seed+0..seed+R-1")
     p.add_argument("--force", action="store_true")
+    shortcuts = {"trainer.epochs": ["--epochs"], "trainer.seed": ["--seed"]}
+    for section, body in config_to_dict(default_config()).items():
+        for key, value in body.items():
+            dotted = f"{section}.{key}"
+            p.add_argument(f"--{dotted}", *shortcuts.get(dotted, []), dest=dotted, default=argparse.SUPPRESS,
+                           metavar="VALUE", help=f"default: {json.dumps(value)}")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics for a checkpoint on one split")
@@ -363,17 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
-    except SystemExit as e:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        return args.func(args)
+    except SystemExit as e:  # --help
         return int(e.code or 0)
-    if args.command is None:
-        parser.print_help()
-        return 2
-    if extras and args.command != "train":
-        print(f"error: unrecognized arguments: {' '.join(extras)}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, extras)
     except HANDLED_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -148,7 +148,7 @@ def config_from_dict(tree: dict) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Nested plain-dict form with the public key spelling."""
+    """Nested plain-dict form with the public key spelling; each leaf is one of `train`'s options."""
     out: dict = {section: {} for section in _SECTIONS}
     for (section, key), (attr, _) in _LEAVES.items():
         out[section][key] = getattr(getattr(cfg, section), attr)
@@ -173,7 +173,7 @@ def _parse_override_value(raw: str):
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply dotted-key string overrides (`loss.mu` -> `"0.9"`) in place."""
+    """Apply dotted-key string overrides (`loss.mu` -> `"0.9"`), as `train`'s options give them, in place."""
     for dotted, raw in overrides.items():
         if dotted.count(".") != 1:
             raise ConfigError(f"override key must be section.key, got {dotted!r}")

@@ -561,14 +561,14 @@ def layer_norm(x, gain, bias) -> Tensor:
         lib.layer_norm(x.data.ctypes.data, gain.data.ctypes.data, bias.data.ctypes.data, xhat.ctypes.data,
                        std.ctypes.data, data.ctypes.data, x.data.size // x.shape[-1], x.shape[-1], LN_EPS)
     else:
-        centered = x.data - x.data.mean(axis=-1, keepdims=True)
-        std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
-        xhat = centered / std
-        try:
+        try:  # numpy's AxisError, a ValueError, for a 0-d x; a ValueError for an affine that does not broadcast
+            centered = x.data - x.data.mean(axis=-1, keepdims=True)
+            std = ((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS) ** 0.5
+            xhat = centered / std
             data = xhat * gain.data
             data += bias.data
         except ValueError as e:
-            raise DimensionError(f"layer norm of {x.shape} cannot take gain {gain.shape} and bias {bias.shape}") from e
+            raise DimensionError(f"layer norm cannot take x {x.shape}, gain {gain.shape} and bias {bias.shape}") from e
 
     def vjp(g):
         gx = None

@@ -1,18 +1,26 @@
 """End-to-end command-line behavior, run in-process through main()."""
+import argparse
+import contextlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegalign import bundle as bundle_module
 from eegalign import cli as cli_module
 from eegalign import model as model_module
 from eegalign.bundle import read_tensor, write_tensor
-from eegalign.cli import main
+from eegalign.cli import build_parser, main
+from eegalign.config import config_to_dict, default_config
 from eegalign.data import load_dataset, load_split, save_dataset
 from eegalign.errors import ConfigError
 from eegalign.trainer import load_checkpoint, parameter_digest, save_checkpoint
@@ -57,6 +65,17 @@ def one_error_line(capsys) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+def command_parsers() -> dict:
+    """Each command's parser, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# every config key with its default, as `train --help` lists them, and the two shortcut flags
+CONFIG_DEFAULTS = {f"{section}.{key}": value for section, body in config_to_dict(default_config()).items()
+                   for key, value in body.items()}
+SHORTCUTS = {"trainer.epochs": ["--epochs"], "trainer.seed": ["--seed"]}
 
 
 def read_files(root):
@@ -182,7 +201,7 @@ class TestTrain:
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "x"),
                      "--epochs", "0", f"--{key}", "1"])
         assert code == 2
-        assert one_error_line(capsys) == f"error: unknown config key {key}"
+        assert one_error_line(capsys) == f"error: unrecognized arguments: --{key} 1"
         assert sorted(os.listdir(tmp_path)) == ["data"]
 
     def test_invalid_config_value_exits_nonzero(self, tmp_path, capsys):
@@ -939,13 +958,21 @@ class TestTopLevel:
         assert "unrecognized" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["train", "--data", "data", "--out", "run", "--foo"], "unrecognized argument '--foo'"),
-        (["train", "--data", "data", "--out", "run", "--loss.mu"], "override '--loss.mu' is missing a value"),
-        (["train", "--data", "data", "--out", "run", "--nosuch.key", "1"], "unknown config section 'nosuch'"),
+        (["train", "--data", "data", "--out", "run", "--foo"], "unrecognized arguments: --foo"),
+        (["train", "--data", "data", "--out", "run", "--loss.mu"], "argument --loss.mu: expected one argument"),
+        (["train", "--data", "data", "--out", "run", "--nosuch.key", "1"], "unrecognized arguments: --nosuch.key 1"),
         (["gen-data", "--out", "run", *SMALL_GEN, "--classes", "0"], "need at least one class"),
         (["gen-data", "--out", "run", *SMALL_GEN, "--channels", "0"], "dimensions must be positive"),
+        (["train", "--data", "data", "--out", "run", "--ep", "3"], "unrecognized arguments: --ep 3"),
+        (["train", "--data", "data", "--out", "run", "--encoder.kind", "linear"],
+         "unrecognized arguments: --encoder.kind linear"),
+        (["train", "--data", "data", "--out", "run", "--fusion.gate_bias_init", "-1e-3"],
+         "argument --fusion.gate_bias_init: expected one argument"),
+        (["train", "--data", "data", "--out", "run", "--loss.mu=--"], "argument --loss.mu: expected a value, not --"),
+        (["eval", "--checkpoint=--", "--data", "data"], "argument --checkpoint: expected a value, not --"),
     ], ids=["train-unknown-flag", "train-override-without-value", "train-unknown-section", "gen-data-no-classes",
-            "gen-data-no-channels"])
+            "gen-data-no-channels", "train-abbreviated-flag", "train-retired-key", "train-value-like-a-flag",
+            "train-separator-as-value", "eval-separator-as-value"])
     def test_refused_argument_exits_two_writing_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
         gen(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -953,3 +980,121 @@ class TestTopLevel:
         assert main(argv) == 2
         assert message in one_error_line(capsys)
         assert sorted(os.listdir(tmp_path)) == ["data"]
+
+    def test_train_takes_one_option_per_config_key_plus_two_shortcuts(self):
+        dotted = {a.dest: a.option_strings for a in command_parsers()["train"]._actions if "." in a.dest}
+        assert dotted == {key: [f"--{key}", *SHORTCUTS.get(key, [])] for key in CONFIG_DEFAULTS}
+
+    def test_train_help_names_every_key_with_its_default(self, capsys):
+        assert main(["train", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key, value in CONFIG_DEFAULTS.items():
+            options = ", ".join(f"{flag} VALUE" for flag in [f"--{key}", *SHORTCUTS.get(key, [])])
+            assert f"{options} default: {json.dumps(value)}" in text
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["--epochs", "2"], {"trainer.epochs": 2}),
+        (["--trainer.epochs", "2"], {"trainer.epochs": 2}),
+        (["--seed=4", "--trainer.epochs=2"], {"trainer.seed": 4, "trainer.epochs": 2}),
+        (["--epochs", "2", "--trainer.epochs", "3"], {"trainer.epochs": 3}),
+        (["--trainer.epochs", "3", "--epochs", "2"], {"trainer.epochs": 2}),
+        (["--fusion.gate_bias_init", "-3"], {"fusion.gate_bias_init": -3.0}),
+        (["--fusion.gate_bias_init=-1e-3"], {"fusion.gate_bias_init": -1e-3}),
+        (["--data.time_window=[1, 11]"], {"data.time_window": [1, 11]}),
+        (["--data.time_window", "[1, 11]", "--fusion.strategy", "bilinear"],
+         {"data.time_window": [1, 11], "fusion.strategy": "bilinear"}),
+        (["--loss.lambda", "0", "--trainer.clip_norm", "null"], {"loss.lambda": 0.0, "trainer.clip_norm": None}),
+    ], ids=["shortcut", "key", "equals-forms", "later-key-wins", "later-shortcut-wins", "negative", "negative-exponent",
+            "json-list", "json-list-and-word", "lambda-and-null"])
+    def test_dotted_options_resolve_to_the_config(self, argv, overrides):
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "o", *argv])
+        resolved = config_to_dict(cli_module._resolve_config(None, args))
+        flat = {f"{section}.{key}": value for section, body in resolved.items() for key, value in body.items()}
+        assert flat == {**CONFIG_DEFAULTS, **overrides}
+
+
+class Reached(Exception):
+    """What a stubbed command body raises: its argv got past every refusal to the work itself."""
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
+# the work each command reaches once its argv is accepted and its outputs are claimed, stubbed so nothing runs
+STUBBED = ["fit", "generate_synthetic", "run_checks", "evaluate_zero_shot"]
+# flags that reach the stubs in the toy tree, which the fuzz puts somewhere in three of four argvs
+REACHING = {"gen-data": ["--out", "new"], "train": ["--data", "data", "--out", "new", *SMALL_NET],
+            "eval": ["--checkpoint", "ckpt", "--data", "data"],
+            "export-sim": ["--checkpoint", "ckpt", "--data", "data", "--out", "new.csv"], "gradcheck": ["--all"]}
+# besides the commands' own option strings: what the toy tree holds and what it does not, words, numbers, JSON lists,
+# empty and dash-led strings
+ARGV_VALUES = st.one_of(
+    st.sampled_from(["data", "ckpt", "cfg.json", "new", "new.csv", "data/manifest.json", "ckpt/params.bin", "catf",
+                     "bilinear", "true", "null", "linear", "train", "test", "fusion", "nan", "1e400", "--"]),
+    st.integers(-2, 24).map(str), st.floats(-1e3, 1e3).map(str), st.lists(st.integers(-1, 12), max_size=3).map(json.dumps),
+    st.just(""), st.text("-.=0123456789ae", max_size=5).map(lambda s: "-" + s))
+ARGV_FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@st.composite
+def argvs(draw, command):
+    """``command`` followed by up to three drawn items, each a flag with a value, one of them alone, or a value alone."""
+    flags = st.sampled_from(sorted({o for a in command_parsers()[command]._actions for o in a.option_strings}))
+    # a flag with its value, as two tokens or joined by "=", three times as often as the flag alone or the value alone
+    shape = st.sampled_from([lambda f, v: [f, v], lambda f, v: [f"{f}={v}"]] * 3 + [lambda f, v: [f], lambda f, v: [v]])
+    item = st.builds(lambda put, flag, value: put(flag, value), shape, flags, ARGV_VALUES)
+    items = draw(st.lists(item, max_size=3))
+    if draw(st.integers(0, 3)) < 3:
+        items.insert(draw(st.integers(0, len(items))), REACHING[command])
+    return [command, *(token for tokens in items for token in tokens)]
+
+
+def tree_state(root) -> dict:
+    """Every directory and file under ``root``, a file with its bytes."""
+    state = {}
+    for dirpath, dirnames, names in os.walk(root):
+        state.update({os.path.relpath(os.path.join(dirpath, d), root): None for d in dirnames})
+        state.update({os.path.relpath(os.path.join(dirpath, name), root): Path(dirpath, name).read_bytes()
+                      for name in names})
+    return state
+
+
+@pytest.fixture(scope="module")
+def toy_tree(tmp_path_factory):
+    """A toy dataset, a checkpoint trained on it for no epochs, and a config file, as ``tree_state`` gives them."""
+    root = tmp_path_factory.mktemp("toy")
+    gen(root)
+    train(root, root / "data", name="ckpt", epochs="0")
+    (root / "cfg.json").write_text(json.dumps({"trainer": {"epochs": 0}}))
+    return tree_state(root)
+
+
+@pytest.mark.parametrize("command", sorted(REACHING))
+@ARGV_FUZZ
+@given(data=st.data())
+def test_fuzzed_argv_exits_two_changing_nothing_or_reaches_the_work(toy_tree, command, data):
+    argv = data.draw(argvs(command), label="argv")
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        for rel, raw in sorted(toy_tree.items()):
+            if raw is None:
+                os.makedirs(os.path.join(root, rel))
+            else:
+                with open(os.path.join(root, rel), "wb") as fh:
+                    fh.write(raw)
+        patch.chdir(root)
+        patch.delenv("EEGALIGN_CONFIG", raising=False)
+        for name in STUBBED:
+            patch.setattr(cli_module, name, reach)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except Reached:
+            return
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert code == 0 and {"-h", "--help"} & set(argv), (code, err.getvalue())
+        assert tree_state(root) == toy_tree

@@ -226,6 +226,28 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(tree) == ["dumps (line 4)", "os (line 2)"]
 
 
+def nested_tests(tree: ast.Module) -> list[str]:
+    """``test_*`` functions defined inside another function's body, where pytest never collects them."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({f"{inner.name} (line {inner.lineno})" for outer in ast.walk(tree) if isinstance(outer, defs)
+                   for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs)
+                   and inner.name.startswith("test_")})
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_test_function_is_collected(path):
+    assert nested_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_nested_test_scan_flags_toy_sources():
+    tree = ast.parse("def test_outer():\n    def test_inner():\n        pass\n    def helper():\n"
+                     "        async def test_deep():\n            pass\nclass TestBox:\n    def test_method(self):\n"
+                     "        def test_hidden():\n            pass\n    def test_kept(self):\n        check = lambda: 1\n"
+                     "def test_top():\n    class Local:\n        def test_in_class(self):\n            pass\n")
+    assert nested_tests(tree) == ["test_deep (line 5)", "test_hidden (line 9)", "test_in_class (line 15)",
+                                  "test_inner (line 2)"]
+
+
 # where a row is L2-normalized: each similarity is taken in exactly one place, so each row is normalized once
 NORMALIZERS = {"tensor.py": [], "losses.py": ["total_loss"], "trainer.py": ["embed_split"]}
 

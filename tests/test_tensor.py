@@ -1179,6 +1179,11 @@ class TestFusedLayerNorm:
         with pytest.raises(DimensionError):
             layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
+    def test_a_scalar_is_refused_naming_its_shape(self, kernel_path):
+        # a 0-d x has no last axis to normalize
+        with pytest.raises(DimensionError, match=r"x \(\)"):
+            layer_norm(Tensor(1.0), Tensor(1.0), Tensor(0.0))
+
     @pytest.mark.parametrize("lead", [(), (1,), (32, 21), (32, 1)], ids=str)
     @pytest.mark.parametrize("width", LN_WIDTHS)
     def test_bitwise_the_numpy_path_and_the_composite(self, width, lead, kernel_path, monkeypatch):
