@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -276,6 +277,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)  # else --loss.lam would mean --loss.lambda
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")  # -1e-3 is a value
 
     def error(self, message):
         raise ConfigError(message)

@@ -966,12 +966,10 @@ class TestTopLevel:
         (["train", "--data", "data", "--out", "run", "--ep", "3"], "unrecognized arguments: --ep 3"),
         (["train", "--data", "data", "--out", "run", "--encoder.kind", "linear"],
          "unrecognized arguments: --encoder.kind linear"),
-        (["train", "--data", "data", "--out", "run", "--fusion.gate_bias_init", "-1e-3"],
-         "argument --fusion.gate_bias_init: expected one argument"),
         (["train", "--data", "data", "--out", "run", "--loss.mu=--"], "argument --loss.mu: expected a value, not --"),
         (["eval", "--checkpoint=--", "--data", "data"], "argument --checkpoint: expected a value, not --"),
     ], ids=["train-unknown-flag", "train-override-without-value", "train-unknown-section", "gen-data-no-classes",
-            "gen-data-no-channels", "train-abbreviated-flag", "train-retired-key", "train-value-like-a-flag",
+            "gen-data-no-channels", "train-abbreviated-flag", "train-retired-key",
             "train-separator-as-value", "eval-separator-as-value"])
     def test_refused_argument_exits_two_writing_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
         gen(tmp_path)
@@ -1000,11 +998,14 @@ class TestTopLevel:
         (["--trainer.epochs", "3", "--epochs", "2"], {"trainer.epochs": 2}),
         (["--fusion.gate_bias_init", "-3"], {"fusion.gate_bias_init": -3.0}),
         (["--fusion.gate_bias_init=-1e-3"], {"fusion.gate_bias_init": -1e-3}),
+        (["--fusion.gate_bias_init", "-1e-3"], {"fusion.gate_bias_init": -1e-3}),
+        (["--fusion.gate_bias_init", "-1E3"], {"fusion.gate_bias_init": -1e3}),
         (["--data.time_window=[1, 11]"], {"data.time_window": [1, 11]}),
         (["--data.time_window", "[1, 11]", "--fusion.strategy", "bilinear"],
          {"data.time_window": [1, 11], "fusion.strategy": "bilinear"}),
         (["--loss.lambda", "0", "--trainer.clip_norm", "null"], {"loss.lambda": 0.0, "trainer.clip_norm": None}),
     ], ids=["shortcut", "key", "equals-forms", "later-key-wins", "later-shortcut-wins", "negative", "negative-exponent",
+            "negative-exponent-token", "negative-capital-exponent-token",
             "json-list", "json-list-and-word", "lambda-and-null"])
     def test_dotted_options_resolve_to_the_config(self, argv, overrides):
         args = build_parser().parse_args(["train", "--data", "d", "--out", "o", *argv])

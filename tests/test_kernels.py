@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegalign import kernels, tensor
+from eegalign import kernels
 from eegalign.cli import main
-from eegalign.trainer import Adam
+from kernel_ops import KERNEL_OPS, assert_keeps_numpys_bits, claims
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GEN = ["--classes", "6", "--per-class", "4", "--channels", "4", "--timesteps", "12", "--height", "16",
@@ -97,106 +97,10 @@ def cpu_has(feature: str) -> bool:
     return bool(__cpu_features__.get(feature))
 
 
-def unfold_outputs():
-    # subnormals and signed zeros among the draws, on a transposed image: im2col's windows and col2im's sum
-    rng = np.random.default_rng(54)
-    image = np.where(rng.random((5, 37, 3, 4)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (5, 37, 3, 4)),
-                     rng.normal(size=(5, 37, 3, 4))).transpose(2, 3, 0, 1)
-    cols = tensor.unfold(tensor.Tensor(image, requires_grad=True), 3, 3, stride=2, padding=(1, 2))
-    return [cols.data, *cols._vjp(rng.normal(size=(3, 3 * 20, 4 * 9)))]  # 3 x 20 windows of 4 channels x 3 x 3
-
-
-def tap_sum_outputs():
-    # a transposed image with subnormals and signed zeros, and flipped kernels with an infinite tap, whose
-    # products with the zeros outside the image are NaN
-    rng = np.random.default_rng(55)
-    image = np.where(rng.random((3, 4, 37, 5)) < 0.1, rng.choice([5e-324, -1e-310, -0.0], (3, 4, 37, 5)),
-                     rng.normal(size=(3, 4, 37, 5))).transpose(0, 1, 3, 2)
-    k = rng.normal(size=(3, 4, 5, 5))
-    k[1, 2, 0, 4] = np.inf
-    with np.errstate(invalid="ignore"):
-        return [tensor._tap_sum(image, k[:, :, ::-1, ::-1])]
-
-
-def adam_outputs():
-    # five steps over parameters of several shapes, one of them without a gradient on the third
-    rng = np.random.default_rng(56)
-    params = [tensor.Parameter(f"p{i}", 1e-4 * rng.normal(size=shape)) for i, shape in enumerate([(6, 5), (5,), ()])]
-    opt = Adam(params, lr=0.003)
-    for t in range(5):
-        for i, p in enumerate(params):
-            p.grad = None if (i, t) == (1, 2) else rng.normal(size=p.shape)
-        opt.step()
-    return [*(p.data for p in params), *opt.m, *opt.v]
-
-
-def gelu_outputs():
-    # both sides of |t| = 1 and 8, the special values and a NaN, over several 512-entry blocks, transposed
-    edges = np.sqrt(2.0) * np.array([1.0, 8.0])
-    x = np.concatenate([np.linspace(-15.0, 15.0, 1486), edges, -edges, np.nextafter(edges, 0.0),
-                        np.nextafter(edges, np.inf), [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]])
-    with np.errstate(invalid="ignore"):
-        return list(tensor._gelu_parts(x.reshape(3, 500).T))
-
-
-def gelu_grad_outputs():
-    # the VJP on both sides of |x / sqrt(2)| = 1 and 8 and where exp(-x * x / 2) turns subnormal and then 0, with
-    # the special values in x and, at other entries, in g, over several 512-entry blocks, transposed
-    rng = np.random.default_rng(59)
-    x = np.concatenate([np.linspace(-40.0, 40.0, 1488), np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0]),
-                        [37.5, -38.6, 1e3, 0.0, -0.0, 5e-324, np.inf, -np.inf]]).reshape(3, 500)
-    g = rng.normal(size=(3, 500))
-    g[0, 7], g[1, 100], g[1, 333], g[2, 4] = np.nan, np.inf, -np.inf, -0.0
-    with np.errstate(invalid="ignore"):
-        return list(tensor.gelu(tensor.Tensor(x.T, requires_grad=True))._vjp(g.T))
-
-
-def layer_norm_outputs():
-    # widths around each of the pairwise sum's shapes, with a -0.0, a NaN and an infinite row in x, and in other
-    # rows a -0.0, a NaN and an infinite entry in the VJP's g
-    rng = np.random.default_rng(57)
-    results = []
-    for d in (3, 9, 64, 129, 300):
-        x = 10.0 ** rng.integers(-3, 4, size=(4, 5, d)) * rng.normal(size=(4, 5, d)) + 7.0
-        x[0, 0], x[0, 1, d // 2], x[0, 2, 0] = -0.0, np.nan, np.inf
-        ts = [tensor.Tensor(a, requires_grad=True) for a in (x, 1.0 + rng.normal(size=d), rng.normal(size=d))]
-        g = rng.normal(size=x.shape)
-        g[1, 0], g[1, 1, d // 2], g[1, 2, -1] = -0.0, np.nan, -np.inf
-        with np.errstate(invalid="ignore"):
-            out = tensor.layer_norm(*ts)
-            results += [out.data, *out._vjp(g)]
-    return results
-
-
-def softmax_outputs():
-    # row lengths around each of the pairwise sum's shapes, at magnitudes from 0.1 to 800, with a NaN row, a row
-    # with a NaN before a +inf, an infinite row, a row of -inf, a row of -0.0 and a constant row
-    rng = np.random.default_rng(58)
-    results = []
-    for d in (1, 7, 9, 21, 129, 300):
-        z = 10.0 ** rng.uniform(-1.0, 2.9, size=(4, 3, 1)) * rng.normal(size=(4, 3, d))
-        i = np.arange(d)
-        z[0, 0], z[0, 1, d // 2], z[0, 2, 0] = -0.0, np.nan, np.inf
-        z[1, 0], z[1, 1], z[1, 2] = -np.inf, 0.25, np.where(i == d // 2, np.nan, np.where(i == d - 1, np.inf, 1.0))
-        with np.errstate(invalid="ignore"):
-            results.append(tensor._softmax(z, -1))
-    return results
-
-
-# each kernel's case: a function of no arguments whose outputs come from that kernel when it is loaded
-ISA_CASES = {"tap_sum": tap_sum_outputs, "im2col": unfold_outputs, "col2im": unfold_outputs, "adam": adam_outputs,
-             "gelu": gelu_outputs, "gelu_grad": gelu_grad_outputs, "layer_norm": layer_norm_outputs,
-             "layer_norm_grad": layer_norm_outputs, "row_shift": softmax_outputs, "row_divide": softmax_outputs}
-
-
-def test_every_kernel_has_an_instruction_set_case():
-    assert set(ISA_CASES) == set(kernels.ARGTYPES)
-
-
 @needs_cc
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not an x86-64 CPU")
 @pytest.mark.parametrize("level", sorted(ISA_LEVELS))
-def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch, install_spy):
+def test_each_instruction_set_gives_numpys_bits(level, tmp_path, install_spy):
     # tap_sum, gelu and gelu_grad are cloned for AVX2 and AVX-512 and only the best clone runs here, so each level
     # is built alone
     if ISA_LEVELS[level] and not cpu_has(ISA_LEVELS[level]):
@@ -208,27 +112,34 @@ def test_each_instruction_set_gives_numpys_bits(level, tmp_path, monkeypatch, in
     lib = ctypes.CDLL(str(library))
     for name, argtypes in kernels.ARGTYPES.items():
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, None
-    for name, case in ISA_CASES.items():
+    for name, op in KERNEL_OPS.items():
         spy = install_spy(lib)
-        compiled = [a.tobytes() for a in case()]
-        monkeypatch.setattr(kernels, "_loaded", [None])
-        assert name in spy.calls and compiled == [a.tobytes() for a in case()], name
+        for inputs, _, nan_only in op.cases().values():
+            assert_keeps_numpys_bits(op, inputs, nan_only)
+        assert set(op.kernels) <= set(spy.calls), name
+
+
+def test_every_kernel_is_claimed_by_one_row():
+    assert claims({name: op.kernels for name, op in KERNEL_OPS.items()}, kernels.ARGTYPES) == []
+
+
+def test_claim_scan_flags_a_toy_table():
+    toy = {"first": ("a", "b"), "second": ("b", "c")}
+    assert claims(toy, {"a", "b", "d"}) == ["b is claimed by ['first', 'second']",
+                                            "c is claimed by ['second'], and is no kernel", "d is claimed by []"]
 
 
 # numpy's AVX-512 code, turned off so that its AVX2 loops run, as on a host without AVX-512
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-GELU_UNDER_AVX2 = f"""
-import numpy as np
+UNDER_AVX2 = f"""
+import sys
 from numpy._core._multiarray_umath import __cpu_features__
-from eegalign import kernels, tensor
+from eegalign import kernels
+from kernel_ops import KERNEL_OPS, assert_keeps_numpys_bits
 assert not any(__cpu_features__[name] for name in "{NO_AVX512}".split())
-x = np.concatenate([np.linspace(-60.0, 60.0, 240_001), np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0]),
-                    [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]])
 assert kernels.compiled() is not None
-compiled = tensor._gelu_parts(x)
-kernels._loaded[:] = [None]
-with np.errstate(invalid="ignore"):
-    assert [a.tobytes() for a in compiled] == [a.tobytes() for a in tensor._gelu_parts(x)]
+for inputs, _, nan_only in KERNEL_OPS[sys.argv[1]].cases().values():
+    assert_keeps_numpys_bits(KERNEL_OPS[sys.argv[1]], inputs, nan_only)
 """
 
 
@@ -238,55 +149,15 @@ def avx512_dispatched() -> bool:
 
 @needs_cc
 @pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
-def test_gelu_bits_do_not_depend_on_numpys_simd_dispatch():
-    # the numpy path uses only exact IEEE operations and scipy's scalar erf, and the kernel neither
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", GELU_UNDER_AVX2], env=env, capture_output=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, b"")
-
-
-ROWS_UNDER_AVX2 = f"""
-from numpy._core._multiarray_umath import __cpu_features__
-from eegalign import kernels
-from test_kernels import CASE
-assert not any(__cpu_features__[name] for name in "{NO_AVX512}".split())
-assert kernels.compiled() is not None
-compiled = [a.tobytes() for a in CASE()]
-kernels._loaded[:] = [None]
-assert compiled == [a.tobytes() for a in CASE()]
-"""
-
-
-def run_under_avx2(case: str) -> tuple[int, bytes]:
-    """The exit status and stderr of a subprocess that checks ``case``'s outputs, kernels against numpy, with
-    numpy's AVX-512 code turned off."""
+@pytest.mark.parametrize("name", KERNEL_OPS)
+def test_bits_do_not_depend_on_numpys_simd_dispatch(name):
+    # numpy's exp gives other bits under AVX2 than under AVX-512, and the kernels take it from numpy on both paths;
+    # numpy's row sums are its pairwise sum at every dispatch level, and the kernels' are the same order; the GELU's
+    # numpy path uses only exact IEEE operations and scipy's scalar erf, and its kernel neither
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
                PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]))
-    done = subprocess.run([sys.executable, "-c", ROWS_UNDER_AVX2.replace("CASE", case)], env=env,
-                          capture_output=True, timeout=120)
-    return done.returncode, done.stderr
-
-
-@needs_cc
-@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
-def test_layer_norm_bits_do_not_depend_on_numpys_simd_dispatch():
-    # numpy's row sums are its pairwise sum at every dispatch level, and the kernel's is the same order
-    assert run_under_avx2("layer_norm_outputs") == (0, b"")
-
-
-@needs_cc
-@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
-def test_gelu_vjp_bits_do_not_depend_on_numpys_simd_dispatch():
-    # numpy's exp gives other bits under AVX2 than under AVX-512, and the kernel takes it from numpy on both paths
-    assert run_under_avx2("gelu_grad_outputs") == (0, b"")
-
-
-@needs_cc
-@pytest.mark.skipif(not avx512_dispatched(), reason="numpy does not dispatch AVX-512 code on this CPU")
-def test_softmax_bits_do_not_depend_on_numpys_simd_dispatch():
-    # the same for the softmax's row sums, and its max is exact; its exp, whose bits change with the dispatch,
-    # is numpy's on both paths
-    assert run_under_avx2("softmax_outputs") == (0, b"")
+    done = subprocess.run([sys.executable, "-c", UNDER_AVX2, name], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def no_compiler(tmp_path, monkeypatch):
