@@ -71,7 +71,7 @@ def read_json_object(path) -> dict:
 def check_fields(obj: dict, fields: dict, where: str = "") -> dict:
     """The values of ``obj`` at the keys of ``fields``, each checked against its type there.
 
-    Manifests and config leaves are all typed here. A type is bool, int
+    Manifests and config trees are all typed here. A type is bool, int
     (a JSON integer, never a bool), float (any JSON number, NaN included,
     returned as a float; an integer beyond float range reads as ±inf, as
     json reads 1e400), str, dict (any object), list[T], dict[str, T],

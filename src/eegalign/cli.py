@@ -7,8 +7,8 @@ dataset's manifest and splits, the checkpoint's files, the config file).
 Every file goes through `write_atomically`, staged as `<path>.tmp` and moved
 into place when complete: a failed command removes only a directory it
 created, and a killed one may leave `.tmp` files but never a partial
-target. `train` takes one option per config key (`--loss.mu 1`), and
-every refused argument is one `error: ...` line with exit status 2.
+target. `train` has an option per config key but data.path (`--loss.mu 1`),
+and every refused argument is one `error: ...` line with exit status 2.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .bundle import MANIFEST_NAME, write_atomically, write_json
 from .config import (
     RunConfig,
-    apply_overrides,
+    config_from_dict,
     config_to_dict,
     default_config,
     load_config,
@@ -135,9 +135,22 @@ def cmd_gen_data(args) -> int:
 # -- train -------------------------------------------------------------------
 
 
+def _config_value(raw: str):
+    """A dotted option's value: JSON first, bare words as strings."""
+    try:
+        return json.loads(raw)
+    except ValueError:  # not JSON, or an integer with more digits than Python converts
+        return raw
+
+
 def _resolve_config(config_path: str | None, args) -> RunConfig:
-    cfg = load_config(config_path) if config_path else default_config()
-    return apply_overrides(cfg, {key: value for key, value in vars(args).items() if "." in key})
+    """The config file's tree, checked alone first, or the defaults', with each dotted option set in it."""
+    tree = config_to_dict(load_config(config_path) if config_path else default_config())
+    for dotted, value in vars(args).items():
+        if "." in dotted:
+            section, key = dotted.split(".")
+            tree[section][key] = value
+    return config_from_dict(tree)
 
 
 def _training_outputs(args):
@@ -251,11 +264,10 @@ def cmd_export_sim(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    names = None if args.all else args.components
-    if not names and not args.all:
-        raise ConfigError("name components to check or pass --all; "
+    if args.all == bool(args.components):
+        raise ConfigError("name components to check or pass --all, not both; "
                           f"known: {', '.join(sorted(CHECKS))}")
-    reports = run_checks(names, seed=args.seed)
+    reports = run_checks(None if args.all else args.components, seed=args.seed)
     failed = []
     for name, rep in reports.items():
         print(f"[{name}] tol={REL_TOL:g}")
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model; accepts dotted config overrides")
+    p = sub.add_parser("train", help="train a model; every config key but data.path is an option")
     p.add_argument("--data", required=True, help="dataset directory from gen-data")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--config", help=f"config JSON (default: ${CONFIG_ENV} if set, else built-ins)")
@@ -320,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     for section, body in config_to_dict(default_config()).items():
         for key, value in body.items():
             dotted = f"{section}.{key}"
-            p.add_argument(f"--{dotted}", *shortcuts.get(dotted, []), dest=dotted, default=argparse.SUPPRESS,
-                           metavar="VALUE", help=f"default: {json.dumps(value)}")
+            if dotted != "data.path":  # --data sets it
+                p.add_argument(f"--{dotted}", *shortcuts.get(dotted, []), dest=dotted, default=argparse.SUPPRESS,
+                               type=_config_value, metavar="VALUE", help=f"default: {json.dumps(value)}")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics for a checkpoint on one split")

@@ -1,16 +1,15 @@
-"""Run configuration: a strict, typed tree with dotted-key overrides.
+"""Run configuration: a strict, typed tree, built from outside values in one place.
 
-The on-disk form is JSON with one object per section. Unknown sections
-or keys are rejected with the full dotted path, and each leaf is typed
-by its annotation through `bundle.check_fields`, the check the dataset
-and checkpoint manifests go through, so a wrong value names its dotted
-key too. Defaults fill anything omitted, and the resolved tree is
-embedded into every checkpoint so a run can always be reproduced from
-its artifacts.
+The on-disk form is JSON with one object per section; a config file, a
+checkpoint's tree and `train`'s options all reach `config_from_dict`,
+which lays the tree over the defaults. Unknown sections or keys are
+rejected with the full dotted path, and the whole tree is typed by its
+annotations in one `bundle.check_fields` call, the check the dataset and
+checkpoint manifests go through. The resolved tree is embedded into
+every checkpoint so a run can always be reproduced from its artifacts.
 """
 from __future__ import annotations
 
-import json
 import math
 import typing
 from dataclasses import dataclass, field
@@ -112,47 +111,39 @@ _LEAVES = {
     for section, section_type in _SECTIONS.items()
     for attr, hint in typing.get_type_hints(section_type).items()
 }
-
-
-def _set_leaf(cfg: RunConfig, section_name: str, key: str, value) -> None:
-    """Check one `section.key` value against its annotation and store it."""
-    if (section_name, key) == ("encoder", "kind"):
-        # configs and checkpoints written while this key existed name the one encoder
-        if value != "linear":
-            raise ConfigError(f"encoder.kind must be 'linear', got {value!r}")
-        return
-    if (section_name, key) not in _LEAVES:
-        raise ConfigError(f"unknown config key {section_name}.{key}")
-    attr, hint = _LEAVES[(section_name, key)]
-    try:
-        value = check_fields({key: value}, {key: hint}, f"{section_name}.")[key]
-    except FormatError as e:
-        raise ConfigError(str(e)) from e
-    setattr(getattr(cfg, section_name), attr, value)
+# the whole tree's schema for `check_fields`: each section's public keys and their annotations
+_SCHEMA = {section: {key: hint for (s, key), (_, hint) in _LEAVES.items() if s == section} for section in _SECTIONS}
 
 
 def config_from_dict(tree: dict) -> RunConfig:
-    """Build a RunConfig from a nested dict, rejecting unknown keys."""
+    """Build a RunConfig from a nested dict laid over the defaults, checked as one tree, then validated."""
     if not isinstance(tree, dict):
         raise ConfigError(f"config root must be an object, got {type(tree).__name__}")
-    cfg = RunConfig()
+    merged = config_to_dict(RunConfig())
     for section_name, body in tree.items():
         if section_name not in _SECTIONS:
             raise ConfigError(f"unknown config section {section_name!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{section_name}: expected an object, got {body!r}")
-        for key, value in body.items():
-            _set_leaf(cfg, section_name, key, value)
+        merged[section_name].update(body)
+    # configs and checkpoints written while this key existed name the one encoder
+    if merged["encoder"].pop("kind", "linear") != "linear":
+        raise ConfigError(f"encoder.kind must be 'linear', got {tree['encoder']['kind']!r}")
+    try:
+        fields = check_fields(merged, _SCHEMA)
+    except FormatError as e:
+        raise ConfigError(str(e)) from e
+    cfg = RunConfig()
+    for (section, key), (attr, _) in _LEAVES.items():
+        setattr(getattr(cfg, section), attr, fields[section][key])
     validate_config(cfg)
     return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Nested plain-dict form with the public key spelling; each leaf is one of `train`'s options."""
-    out: dict = {section: {} for section in _SECTIONS}
-    for (section, key), (attr, _) in _LEAVES.items():
-        out[section][key] = getattr(getattr(cfg, section), attr)
-    return out
+    """Nested plain-dict form with the public key spelling; each leaf but data.path is one of `train`'s options."""
+    return {section: {key: getattr(getattr(cfg, section), _LEAVES[section, key][0]) for key in keys}
+            for section, keys in _SCHEMA.items()}
 
 
 def load_config(path) -> RunConfig:
@@ -162,27 +153,6 @@ def load_config(path) -> RunConfig:
     except FormatError as e:
         raise ConfigError(f"config file {e}") from e
     return config_from_dict(tree)
-
-
-def _parse_override_value(raw: str):
-    """Interpret a CLI string: JSON first, bare words as strings."""
-    try:
-        return json.loads(raw)
-    except ValueError:  # not JSON, or an integer with more digits than Python converts
-        return raw
-
-
-def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply dotted-key string overrides (`loss.mu` -> `"0.9"`), as `train`'s options give them, in place."""
-    for dotted, raw in overrides.items():
-        if dotted.count(".") != 1:
-            raise ConfigError(f"override key must be section.key, got {dotted!r}")
-        section_name, key = dotted.split(".")
-        if section_name not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section_name!r} in override {dotted!r}")
-        _set_leaf(cfg, section_name, key, _parse_override_value(raw))
-    validate_config(cfg)
-    return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:

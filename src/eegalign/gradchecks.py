@@ -234,14 +234,11 @@ CHECKS = {
 
 
 def run_checks(names, seed: int) -> dict[str, GradCheckReport]:
-    """Run the named checks (all of them for `None`) at one seed; ConfigError before any runs if it is negative."""
+    """Run each named check once (all for `None`) at one seed; ConfigError before any runs on a bad seed or name."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if names is None:
-        names = list(CHECKS)
-    reports = {}
-    for name in names:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown gradcheck component {name!r}; known: {', '.join(sorted(CHECKS))}")
-        reports[name] = CHECKS[name](seed)
-    return reports
+    names = list(CHECKS) if names is None else list(dict.fromkeys(names))
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown gradcheck component {unknown[0]!r}; known: {', '.join(sorted(CHECKS))}")
+    return {name: CHECKS[name](seed) for name in names}

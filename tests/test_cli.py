@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from eegalign import bundle as bundle_module
 from eegalign import cli as cli_module
+from eegalign import gradchecks
 from eegalign import model as model_module
 from eegalign.bundle import read_tensor, write_tensor
 from eegalign.cli import build_parser, main
@@ -72,9 +74,10 @@ def command_parsers() -> dict:
     return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-# every config key with its default, as `train --help` lists them, and the two shortcut flags
+# every config key with its default, the ones `train --help` lists as options, and the two shortcut flags
 CONFIG_DEFAULTS = {f"{section}.{key}": value for section, body in config_to_dict(default_config()).items()
                    for key, value in body.items()}
+OPTIONS = {key: value for key, value in CONFIG_DEFAULTS.items() if key != "data.path"}  # --data sets data.path
 SHORTCUTS = {"trainer.epochs": ["--epochs"], "trainer.seed": ["--seed"]}
 
 
@@ -914,6 +917,43 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "mystery"]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.fixture
+    def check_runs(self, monkeypatch):
+        """How often each component's check runs, through a spy on every entry of `gradchecks.CHECKS`."""
+        runs = Counter()
+
+        def spy(name, check):
+            def counted(seed):
+                runs[name] += 1
+                return check(seed)
+            return counted
+
+        for name, check in list(gradchecks.CHECKS.items()):
+            monkeypatch.setitem(gradchecks.CHECKS, name, spy(name, check))
+        return runs
+
+    @pytest.mark.parametrize("argv, message", [
+        (["projection", "mystery"], "error: unknown gradcheck component 'mystery'"),
+        (["mystery", "projection"], "error: unknown gradcheck component 'mystery'"),
+        (["--all", "projection"], "error: name components to check or pass --all, not both"),
+        (["projection", "--all"], "error: name components to check or pass --all, not both"),
+        (["projection", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ], ids=["unknown-after-a-known", "unknown-first", "all-and-a-name", "a-name-and-all", "negative-seed"])
+    def test_every_name_is_checked_before_any_check_runs(self, capsys, check_runs, argv, message):
+        assert main(["gradcheck", *argv]) == 2
+        assert one_error_line(capsys).startswith(message)
+        assert check_runs == {}
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["projection", "projection"], {"projection": 1}),
+        (["loss_rel", "projection", "loss_rel"], {"loss_rel": 1, "projection": 1}),
+        (["--all"], dict.fromkeys(gradchecks.CHECKS, 1)),
+    ], ids=["twice", "interleaved", "all"])
+    def test_each_named_component_runs_once(self, capsys, check_runs, argv, runs):
+        assert main(["gradcheck", *argv]) == 0
+        assert check_runs == runs
+        assert capsys.readouterr().out.count("tol=") == len(runs)
+
     def test_negative_seed_exits_two(self, capsys):
         assert main(["gradcheck", "--all", "--seed", "-1"]) == 2
         assert one_error_line(capsys) == "error: seed must be >= 0, got -1"
@@ -966,11 +1006,14 @@ class TestTopLevel:
         (["train", "--data", "data", "--out", "run", "--ep", "3"], "unrecognized arguments: --ep 3"),
         (["train", "--data", "data", "--out", "run", "--encoder.kind", "linear"],
          "unrecognized arguments: --encoder.kind linear"),
+        (["train", "--data", "data", "--out", "run", "--data.path", "elsewhere"],
+         "unrecognized arguments: --data.path elsewhere"),
+        (["train", "--data", "data", "--out", "run", "--loss.gamma", "1"], "unrecognized arguments: --loss.gamma 1"),
         (["train", "--data", "data", "--out", "run", "--loss.mu=--"], "argument --loss.mu: expected a value, not --"),
         (["eval", "--checkpoint=--", "--data", "data"], "argument --checkpoint: expected a value, not --"),
     ], ids=["train-unknown-flag", "train-override-without-value", "train-unknown-section", "gen-data-no-classes",
-            "gen-data-no-channels", "train-abbreviated-flag", "train-retired-key",
-            "train-separator-as-value", "eval-separator-as-value"])
+            "gen-data-no-channels", "train-abbreviated-flag", "train-retired-key", "train-data-path",
+            "train-unknown-key", "train-separator-as-value", "eval-separator-as-value"])
     def test_refused_argument_exits_two_writing_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
         gen(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -981,37 +1024,71 @@ class TestTopLevel:
 
     def test_train_takes_one_option_per_config_key_plus_two_shortcuts(self):
         dotted = {a.dest: a.option_strings for a in command_parsers()["train"]._actions if "." in a.dest}
-        assert dotted == {key: [f"--{key}", *SHORTCUTS.get(key, [])] for key in CONFIG_DEFAULTS}
+        assert dotted == {key: [f"--{key}", *SHORTCUTS.get(key, [])] for key in OPTIONS}
 
     def test_train_help_names_every_key_with_its_default(self, capsys):
         assert main(["train", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        for key, value in CONFIG_DEFAULTS.items():
+        assert "--data.path" not in text
+        for key, value in OPTIONS.items():
             options = ", ".join(f"{flag} VALUE" for flag in [f"--{key}", *SHORTCUTS.get(key, [])])
             assert f"{options} default: {json.dumps(value)}" in text
 
-    @pytest.mark.parametrize("argv, overrides", [
-        (["--epochs", "2"], {"trainer.epochs": 2}),
-        (["--trainer.epochs", "2"], {"trainer.epochs": 2}),
-        (["--seed=4", "--trainer.epochs=2"], {"trainer.seed": 4, "trainer.epochs": 2}),
-        (["--epochs", "2", "--trainer.epochs", "3"], {"trainer.epochs": 3}),
-        (["--trainer.epochs", "3", "--epochs", "2"], {"trainer.epochs": 2}),
-        (["--fusion.gate_bias_init", "-3"], {"fusion.gate_bias_init": -3.0}),
-        (["--fusion.gate_bias_init=-1e-3"], {"fusion.gate_bias_init": -1e-3}),
-        (["--fusion.gate_bias_init", "-1e-3"], {"fusion.gate_bias_init": -1e-3}),
-        (["--fusion.gate_bias_init", "-1E3"], {"fusion.gate_bias_init": -1e3}),
-        (["--data.time_window=[1, 11]"], {"data.time_window": [1, 11]}),
-        (["--data.time_window", "[1, 11]", "--fusion.strategy", "bilinear"],
+    @pytest.mark.parametrize("config, argv, overrides", [
+        (None, ["--epochs", "2"], {"trainer.epochs": 2}),
+        (None, ["--trainer.epochs", "2"], {"trainer.epochs": 2}),
+        (None, ["--seed=4", "--trainer.epochs=2"], {"trainer.seed": 4, "trainer.epochs": 2}),
+        (None, ["--epochs", "2", "--trainer.epochs", "3"], {"trainer.epochs": 3}),
+        (None, ["--trainer.epochs", "3", "--epochs", "2"], {"trainer.epochs": 2}),
+        (None, ["--fusion.gate_bias_init", "-3"], {"fusion.gate_bias_init": -3.0}),
+        (None, ["--fusion.gate_bias_init=-1e-3"], {"fusion.gate_bias_init": -1e-3}),
+        (None, ["--fusion.gate_bias_init", "-1e-3"], {"fusion.gate_bias_init": -1e-3}),
+        (None, ["--fusion.gate_bias_init", "-1E3"], {"fusion.gate_bias_init": -1e3}),
+        (None, ["--data.time_window=[1, 11]"], {"data.time_window": [1, 11]}),
+        (None, ["--data.time_window", "[1, 11]", "--fusion.strategy", "bilinear"],
          {"data.time_window": [1, 11], "fusion.strategy": "bilinear"}),
-        (["--loss.lambda", "0", "--trainer.clip_norm", "null"], {"loss.lambda": 0.0, "trainer.clip_norm": None}),
+        (None, ["--loss.lambda", "0", "--trainer.clip_norm", "null"], {"loss.lambda": 0.0, "trainer.clip_norm": None}),
+        (None, ["--loss.mu", "0.9"], {"loss.mu": 0.9}),
+        (None, ["--eval.ks", "[1, 2, 4]"], {"eval.ks": [1, 2, 4]}),
+        ({"trainer": {"clip_norm": 1.0}}, ["--trainer.clip_norm", "null"], {"trainer.clip_norm": None}),
+        ({"trainer": {"clip_norm": 1.0, "epochs": 3}, "data": {"path": "x"}, "encoder": {"kind": "linear"}},
+         ["--loss.mu", "1"], {"trainer.clip_norm": 1.0, "trainer.epochs": 3, "data.path": "x", "loss.mu": 1.0}),
     ], ids=["shortcut", "key", "equals-forms", "later-key-wins", "later-shortcut-wins", "negative", "negative-exponent",
             "negative-exponent-token", "negative-capital-exponent-token",
-            "json-list", "json-list-and-word", "lambda-and-null"])
-    def test_dotted_options_resolve_to_the_config(self, argv, overrides):
+            "json-list", "json-list-and-word", "lambda-and-null", "float", "json-list-of-ks", "null-over-a-file",
+            "file-and-option"])
+    def test_dotted_options_resolve_to_the_config(self, tmp_path, config, argv, overrides):
+        config_path = None
+        if config is not None:
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps(config))
         args = build_parser().parse_args(["train", "--data", "d", "--out", "o", *argv])
-        resolved = config_to_dict(cli_module._resolve_config(None, args))
+        resolved = config_to_dict(cli_module._resolve_config(config_path, args))
         flat = {f"{section}.{key}": value for section, body in resolved.items() for key, value in body.items()}
         assert flat == {**CONFIG_DEFAULTS, **overrides}
+
+    @pytest.mark.parametrize("config, argv, message", [
+        (None, ["--trainer.batch_size", "1"], "error: trainer.batch_size must be >= 2, got 1"),
+        (None, ["--loss.mu", "1" * 5000], "error: loss.mu must be float, got '1111"),
+        (None, ["--loss.tau_init", "NaN"], "error: loss.tau_init: expected a finite number, got nan"),
+        (None, ["--trainer.epochs", "2.5"], "error: trainer.epochs must be int, got 2.5"),
+        (None, ["--eval.ks", "[1, two]"], "error: eval.ks must be list[int], got '[1, two]'"),
+        ({"trainer": {"batch_size": 1}}, ["--trainer.batch_size", "8"],
+         "error: trainer.batch_size must be >= 2, got 1"),
+        ({"trainer": {"batch_size": True}}, [], "error: trainer.batch_size must be int, got True"),
+    ], ids=["rule", "integer-too-long-for-python", "non-finite", "wrong-type", "not-json", "file-checked-alone-first",
+            "file-wrong-type"])
+    def test_dotted_options_refused_by_the_config(self, tmp_path, capsys, monkeypatch, config, argv, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("EEGALIGN_CONFIG", raising=False)
+        forbid_fit(monkeypatch)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", "cfg.json", *argv]
+        before = sorted(os.listdir(tmp_path))
+        assert main(["train", "--data", "data", "--out", "run", *argv]) == 2
+        assert one_error_line(capsys).startswith(message)
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class Reached(Exception):

@@ -1,4 +1,4 @@
-"""Config tree: defaults, aliasing, strict key checking, overrides."""
+"""Config tree: defaults, aliasing, strict key checking, validation."""
 import json
 import re
 from pathlib import Path
@@ -7,7 +7,6 @@ import pytest
 
 from eegalign.config import (
     RunConfig,
-    apply_overrides,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -40,6 +39,12 @@ class TestDefaults:
         again = config_from_dict(config_to_dict(cfg))
         assert config_to_dict(again) == config_to_dict(cfg)
 
+    def test_the_given_tree_is_left_as_it_was(self):
+        tree = {"encoder": {"kind": "linear", "dim": 8}, "eval": {"ks": [2]}}
+        cfg = config_from_dict(tree)
+        cfg.eval.ks.append(4)
+        assert tree == {"encoder": {"kind": "linear", "dim": 8}, "eval": {"ks": [2]}}
+
     def test_partial_dict_fills_defaults(self):
         cfg = config_from_dict({"loss": {"mu": 1.0}})
         assert cfg.loss.mu == 1.0
@@ -65,13 +70,9 @@ class TestLambdaAlias:
         assert "lambda" in out["loss"]
         assert "lam" not in out["loss"]
 
-    def test_override_accepts_lambda(self):
-        cfg = apply_overrides(default_config(), {"loss.lambda": "0"})
-        assert cfg.loss.lam == 0.0
-
     @pytest.mark.parametrize("tree", [{"loss": {"lam": 0.5}}, {"loss": {"lambda": 0.1, "lam": 0.9}}])
     def test_attribute_spelling_is_an_unknown_key(self, tree):
-        with pytest.raises(ConfigError, match="unknown config key loss.lam"):
+        with pytest.raises(ConfigError, match="unknown key loss.lam"):
             config_from_dict(tree)
 
 
@@ -111,13 +112,10 @@ class TestTypeChecking:
     @pytest.mark.parametrize("key", ["loss.tau_init", "trainer.clip_norm", "loss.mu", "loss.alpha", "loss.lambda",
                                      "loss.beta"])
     def test_non_finite_number_rejected(self, key, raw):
+        # each spelling as JSON reads it, in a file or as `train`'s option
+        section, leaf = key.split(".")
         with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
-            apply_overrides(default_config(), {key: raw})
-
-    def test_integer_too_long_for_python_to_convert_is_a_config_error(self):
-        # json refuses integers of more than 4,300 digits with a plain ValueError
-        with pytest.raises(ConfigError, match="loss.mu must be float"):
-            apply_overrides(default_config(), {"loss.mu": "1" * 5000})
+            config_from_dict({section: {leaf: json.loads(raw)}})
 
     def test_boolean_leaf_takes_only_true_or_false(self):
         assert config_from_dict({"loss": {"detach_targets": False}}).loss.detach_targets is False
@@ -154,38 +152,6 @@ class TestFileRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
-
-
-class TestOverrides:
-    def test_float_override(self):
-        cfg = apply_overrides(default_config(), {"loss.mu": "0.9"})
-        assert cfg.loss.mu == 0.9
-
-    def test_string_override(self):
-        cfg = apply_overrides(default_config(), {"fusion.strategy": "bilinear"})
-        assert cfg.fusion.strategy == "bilinear"
-
-    def test_list_override(self):
-        cfg = apply_overrides(default_config(), {"eval.ks": "[1, 2, 4]"})
-        assert cfg.eval.ks == [1, 2, 4]
-
-    def test_null_clears_optional(self):
-        cfg = default_config()
-        cfg.trainer.clip_norm = 1.0
-        cfg = apply_overrides(cfg, {"trainer.clip_norm": "null"})
-        assert cfg.trainer.clip_norm is None
-
-    def test_unknown_key_reports_path(self):
-        with pytest.raises(ConfigError, match="loss.gamma"):
-            apply_overrides(default_config(), {"loss.gamma": "1"})
-
-    def test_key_without_section_rejected(self):
-        with pytest.raises(ConfigError, match="section.key"):
-            apply_overrides(default_config(), {"epochs": "3"})
-
-    def test_overrides_are_validated(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            apply_overrides(default_config(), {"trainer.batch_size": "1"})
 
 
 class TestValidation:
@@ -239,5 +205,5 @@ class TestValidation:
 
     def test_legacy_encoder_kind_linear_accepted(self):
         assert config_to_dict(config_from_dict({"encoder": {"kind": "linear", "dim": 8}})) == \
-            config_to_dict(apply_overrides(default_config(), {"encoder.kind": "linear", "encoder.dim": "8"}))
+            config_to_dict(config_from_dict({"encoder": {"dim": 8}}))
         assert "kind" not in config_to_dict(default_config())["encoder"]

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegalign.cli import HANDLED_ERRORS
-from eegalign.config import apply_overrides, config_from_dict, config_to_dict, default_config
+from eegalign.cli import HANDLED_ERRORS, _resolve_config, build_parser
+from eegalign.config import config_from_dict, config_to_dict, default_config
 from eegalign.data import DatasetManifest, generate_synthetic, load_dataset, load_split, save_dataset
 from eegalign.errors import FormatError
 from eegalign.model import AlignmentModel
@@ -160,6 +160,7 @@ def test_any_json_value_at_a_manifest_field_loads_or_raises_a_typed_error(toy_fi
 
 CONFIG_LEAVES = [f"{section}.{key}" for section, body in config_to_dict(default_config()).items()
                  for key in body] + ["encoder.kind"]
+PARSER = build_parser()
 
 
 @pytest.mark.parametrize("leaf", CONFIG_LEAVES)
@@ -167,8 +168,10 @@ CONFIG_LEAVES = [f"{section}.{key}" for section, body in config_to_dict(default_
 @given(value=JSON_VALUES)
 def test_any_json_value_at_a_config_leaf_loads_or_raises_a_typed_error(leaf, value):
     section, key = leaf.split(".")
+    # the second loader is `train`'s option; data.path and encoder.kind have none, so argparse refuses them
+    argv = ["train", "--data", "d", "--out", "o", f"--{leaf}={json.dumps(value)}"]
     for load in (lambda: config_from_dict({section: {key: value}}),
-                 lambda: apply_overrides(default_config(), {leaf: json.dumps(value)})):
+                 lambda: _resolve_config(None, PARSER.parse_args(argv))):
         try:
             load()
         except HANDLED_ERRORS:
